@@ -12,9 +12,9 @@ import shutil
 import sys
 from pathlib import Path
 
-from . import cfs, metrics, mlp, svm
-from .config import (FLOW_CSV_FORMAT, REPORT_FORMAT, PipelineConfig, StageTimer,
-                     UsageError, load_config, make_kernel, write_manifest)
+from . import cfs, metrics, mlp, modelfile, svm
+from .config import (PipelineConfig, StageTimer, UsageError, load_config,
+                     make_kernel, write_manifest)
 from .dataset import (Dataset, apply_scaler, fit_scaler, generate_synthetic,
                       load_flow_csv, one_hot, stratified_split, write_csv)
 from .errors import DataError, TrainingDiverged
@@ -67,8 +67,8 @@ def cmd_meter(args) -> int:
     timer.start("meter")
     out = run_meter(packets_path, out_dir, cfg.meter, label)
     timer.stop()
-    write_manifest(out_dir, "meter", cfg, [packets_path],
-                   {"flows.csv": FLOW_CSV_FORMAT}, timer.timings)
+    write_manifest(out_dir, "meter", cfg, [packets_path], ["flows.csv"],
+                   timer.timings)
     print(f"wrote {out}")
     return EXIT_OK
 
@@ -132,9 +132,7 @@ def cmd_select(args) -> int:
     run_select(flows_path, out_dir, cfg)
     timer.stop()
     write_manifest(out_dir, "select", cfg, [flows_path],
-                   {"selected.csv": FLOW_CSV_FORMAT,
-                    "selection.txt": REPORT_FORMAT,
-                    "correlation_matrix.csv": REPORT_FORMAT},
+                   ["selected.csv", "selection.txt", "correlation_matrix.csv"],
                    timer.timings)
     return EXIT_OK
 
@@ -206,26 +204,22 @@ def cmd_train(args) -> int:
     timer.start("train")
     artifacts = run_train(flows_path, out_dir, cfg)
     timer.stop()
-    formats = {name: (FLOW_CSV_FORMAT if name.endswith(".csv") else
-                      mlp.MODEL_FORMAT if name.startswith("ann") else
-                      svm.MODEL_FORMAT)
-               for name in artifacts}
-    write_manifest(out_dir, "train", cfg, [flows_path], formats, timer.timings)
+    write_manifest(out_dir, "train", cfg, [flows_path], list(artifacts),
+                   timer.timings)
     return EXIT_OK
 
 
 # ---------------------------------------------------------------- eval
 
 
+# Each model module parses its file body and predicts in batches.
+_MODEL_MODULES = {mlp.MODEL_FORMAT: mlp, svm.MODEL_FORMAT: svm}
+
+
 def _load_any_model(path: Path):
-    head = path.read_text(encoding="utf-8").split("\n", 1)[0]
-    if head == mlp.MODEL_FORMAT:
-        model, meta = mlp.load_model(path)
-        return ("ann", model, meta)
-    if head == svm.MODEL_FORMAT:
-        models, meta = svm.load_models(path)
-        return ("svm", models, meta)
-    raise DataError(f"{path}: unrecognized model format {head!r}")
+    doc = modelfile.ModelFile(path, tuple(_MODEL_MODULES))
+    module = _MODEL_MODULES[doc.format]
+    return module, module.read_body(doc), doc.meta
 
 
 def _project(ds: Dataset, feature_names: tuple[str, ...], model_path) -> Dataset:
@@ -244,17 +238,14 @@ def run_eval(flows_path, out_dir, cfg: PipelineConfig, model_paths: list[Path],
     out_dir = Path(out_dir)
     columns: dict[str, metrics.ClassReport] = {}
     for position, model_path in enumerate(model_paths):
-        kind, model, meta = _load_any_model(Path(model_path))
+        module, model, meta = _load_any_model(Path(model_path))
         name = (column_names[position] if column_names
                 else Path(model_path).stem)
         projected = _project(ds, meta["features"], model_path)
         X = projected.X
         if meta["scaler"] is not None:
             X = meta["scaler"].transform(X)
-        if kind == "ann":
-            predictions = mlp.predict_batch(model, X)
-        else:
-            predictions = svm.predict_batch(model, X)
+        predictions = module.predict_batch(model, X)
         columns[name] = metrics.build_report(predictions, projected.y)
     table = metrics.render_table(columns, include_reference)
     (out_dir / "report.txt").write_text(table, encoding="utf-8")
@@ -275,8 +266,7 @@ def cmd_eval(args) -> int:
              include_reference=args.reference)
     timer.stop()
     write_manifest(out_dir, "eval", cfg, [flows_path] + model_paths,
-                   {"report.txt": REPORT_FORMAT, "report.csv": REPORT_FORMAT},
-                   timer.timings)
+                   ["report.txt", "report.csv"], timer.timings)
     return EXIT_OK
 
 
@@ -306,8 +296,8 @@ def cmd_synth(args) -> int:
     timer.start("synth")
     out = run_synth(out_dir, cfg)
     timer.stop()
-    write_manifest(out_dir, "synth", cfg, [],
-                   {"synthetic_flows.csv": FLOW_CSV_FORMAT}, timer.timings)
+    write_manifest(out_dir, "synth", cfg, [], ["synthetic_flows.csv"],
+                   timer.timings)
     print(f"wrote {out}")
     return EXIT_OK
 
@@ -320,7 +310,7 @@ def cmd_pipeline(args) -> int:
     cfg = load_config(args.config, seed=args.seed, out_dir=str(out_dir))
     timer = StageTimer()
     inputs: list[Path] = []
-    artifacts: dict[str, str] = {}
+    artifacts: list[str] = []
 
     if cfg.packets_path:
         packets_path = _require_file(cfg.packets_path)
@@ -328,7 +318,7 @@ def cmd_pipeline(args) -> int:
         timer.start("meter")
         flows = run_meter(packets_path, out_dir, cfg.meter, cfg.meter_label)
         timer.stop()
-        artifacts["flows.csv"] = FLOW_CSV_FORMAT
+        artifacts.append("flows.csv")
     elif cfg.flows_path:
         flows = _require_file(cfg.flows_path)
         inputs.append(flows)
@@ -336,41 +326,31 @@ def cmd_pipeline(args) -> int:
         timer.start("synth")
         flows = run_synth(out_dir, cfg)
         timer.stop()
-        artifacts["synthetic_flows.csv"] = FLOW_CSV_FORMAT
+        artifacts.append("synthetic_flows.csv")
     else:
         raise UsageError("config must provide [input] packets, flows or synth")
 
     timer.start("select")
     selected = run_select(flows, out_dir, cfg)
     timer.stop()
-    artifacts["selected.csv"] = FLOW_CSV_FORMAT
+    artifacts.append("selected.csv")
     if cfg.select_enabled:
-        artifacts["selection.txt"] = REPORT_FORMAT
-        artifacts["correlation_matrix.csv"] = REPORT_FORMAT
+        artifacts += ["selection.txt", "correlation_matrix.csv"]
 
     timer.start("train")
     trained = run_train(selected, out_dir, cfg)
     timer.stop()
-    for name in trained:
-        artifacts[name] = (FLOW_CSV_FORMAT if name.endswith(".csv")
-                           else mlp.MODEL_FORMAT if name.startswith("ann")
-                           else svm.MODEL_FORMAT)
+    artifacts += list(trained)
 
     prefix = "CFS-" if cfg.select_enabled else ""
-    model_paths = []
-    column_names = []
-    if "ann_model.txt" in trained:
-        model_paths.append(trained["ann_model.txt"])
-        column_names.append(prefix + "ANN")
-    if "svm_model.txt" in trained:
-        model_paths.append(trained["svm_model.txt"])
-        column_names.append(prefix + "SVM")
+    models = {prefix + column: trained[name] for name, column
+              in (("ann_model.txt", "ANN"), ("svm_model.txt", "SVM"))
+              if name in trained}
     timer.start("eval")
-    run_eval(out_dir / "test.csv", out_dir, cfg, model_paths, column_names,
-             include_reference=args.reference)
+    run_eval(out_dir / "test.csv", out_dir, cfg, list(models.values()),
+             list(models), include_reference=args.reference)
     timer.stop()
-    artifacts["report.txt"] = REPORT_FORMAT
-    artifacts["report.csv"] = REPORT_FORMAT
+    artifacts += ["report.txt", "report.csv"]
 
     write_manifest(out_dir, "pipeline", cfg, inputs, artifacts, timer.timings)
     return EXIT_OK

@@ -9,15 +9,23 @@ import time
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
+from . import __version__, mlp, svm
 from .cfs import SearchConfig
 from .dataset import SplitSpec, SyntheticSpec, default_synthetic_spec
 from .flow_meter import MeterConfig
 from .mlp import TrainConfig
 from .svm import Kernel, SmoConfig
 
-PACKAGE_VERSION = "0.1.0"
-FLOW_CSV_FORMAT = "flow-csv 1"
-REPORT_FORMAT = "report 1"
+# The format recorded in the manifest for each artifact a command writes.
+ARTIFACT_FORMATS = {
+    **dict.fromkeys(["flows.csv", "synthetic_flows.csv", "selected.csv",
+                     "test.csv"], "flow-csv 1"),
+    **dict.fromkeys(["selection.txt", "correlation_matrix.csv", "report.txt",
+                     "report.csv"], "report 1"),
+    "ann_model.txt": mlp.MODEL_FORMAT,
+    "ann_history.csv": "ann-history-csv 1",
+    "svm_model.txt": svm.MODEL_FORMAT,
+}
 
 
 class UsageError(Exception):
@@ -237,19 +245,20 @@ class StageTimer:
 
 
 def write_manifest(out_dir, command: str, cfg: PipelineConfig,
-                   inputs: list, artifacts: dict[str, str],
+                   inputs: list, artifacts: list[str],
                    timings: dict[str, float]) -> Path:
     """Record config snapshot, input digests, artifact versions and timings."""
     out_dir = Path(out_dir)
     manifest = {
         "command": command,
-        "package_version": PACKAGE_VERSION,
+        "package_version": __version__,
         "seed": cfg.seed,
         "config": cfg.snapshot(),
         "inputs": {str(p): sha256_file(p) for p in inputs if Path(p).exists()},
         "artifacts": {
-            name: {"format": fmt, "sha256": sha256_file(out_dir / name)}
-            for name, fmt in artifacts.items() if (out_dir / name).exists()
+            name: {"format": ARTIFACT_FORMATS[name],
+                   "sha256": sha256_file(out_dir / name)}
+            for name in artifacts if (out_dir / name).exists()
         },
         "timings_s": timings,
     }

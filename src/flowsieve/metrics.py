@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
-from typing import Iterable, Sequence
+from typing import Sequence
 
 UNDEFINED_CELL = "-"
 
@@ -135,46 +135,31 @@ def format_percent(value: float | None) -> str:
     return f"{round_percent(value):.1f}"
 
 
-def render_table(columns: dict[str, ClassReport | dict],
-                 include_reference: bool = False) -> str:
-    """Aligned plain-text comparison table, one column per model."""
+def _rows(columns: dict[str, ClassReport | dict], include_reference: bool,
+          corner: str) -> list[list[str]]:
+    """Header row, then one row of formatted cells per report metric."""
     cols = dict(columns)
     if include_reference:
         cols[C45_COLUMN_NAME] = C45_REPORTED
-    names = list(cols)
-    header = ["PERFORMANCE"] + names
-    body = []
-    for key, label in REPORT_ROWS:
-        row = [label]
-        for name in names:
-            report = cols[name]
-            value = report[key] if isinstance(report, ClassReport) else report[key]
-            row.append(format_percent(value))
-        body.append(row)
-    widths = [max(len(row[i]) for row in [header] + body)
-              for i in range(len(header))]
-    lines = []
-    for row in [header] + body:
-        lines.append("  ".join(cell.ljust(width)
-                               for cell, width in zip(row, widths)).rstrip())
-    return "\n".join(lines) + "\n"
+    return [[corner, *cols]] + [
+        [label] + [format_percent(report[key]) for report in cols.values()]
+        for key, label in REPORT_ROWS]
+
+
+def render_table(columns: dict[str, ClassReport | dict],
+                 include_reference: bool = False) -> str:
+    """Aligned plain-text comparison table, one column per model."""
+    rows = _rows(columns, include_reference, "PERFORMANCE")
+    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
+    return "".join("  ".join(cell.ljust(width)
+                             for cell, width in zip(row, widths)).rstrip() + "\n"
+                   for row in rows)
 
 
 def render_csv(columns: dict[str, ClassReport | dict],
                include_reference: bool = False) -> str:
-    cols = dict(columns)
-    if include_reference:
-        cols[C45_COLUMN_NAME] = C45_REPORTED
-    names = list(cols)
-    lines = [",".join(["metric"] + [f'"{n}"' if "," in n else n for n in names])]
-    for key, label in REPORT_ROWS:
-        cells = [label]
-        for name in names:
-            report = cols[name]
-            value = report[key] if isinstance(report, ClassReport) else report[key]
-            cells.append(format_percent(value))
-        lines.append(",".join(f'"{c}"' if "," in c else c for c in cells))
-    return "\n".join(lines) + "\n"
+    return "".join(",".join(f'"{c}"' if "," in c else c for c in row) + "\n"
+                   for row in _rows(columns, include_reference, "metric"))
 
 
 def parse_report_csv(text: str) -> dict[str, dict[str, float | None]]:

@@ -11,36 +11,50 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import modelfile
 from .errors import TrainingDiverged
 from .lm import minimize_least_squares
 
 
-@dataclass
+def _blocks(n_inputs: int, n_hidden: int,
+            n_outputs: int) -> dict[str, tuple[slice, int, int]]:
+    """The one layout of the flat parameter vector theta: each block's slice
+    and (rows, cols) shape, a bias being one row. Training, the gradient,
+    the Jacobian and the model file all follow it."""
+    blocks, start = {}, 0
+    for name, rows, cols in (("w1", n_hidden, n_inputs), ("b1", 1, n_hidden),
+                             ("w2", n_outputs, n_hidden), ("b2", 1, n_outputs)):
+        blocks[name] = (slice(start, start + rows * cols), rows, cols)
+        start += rows * cols
+    return blocks
+
+
+def _split(theta: np.ndarray, n_inputs: int, n_hidden: int,
+           n_outputs: int) -> tuple[np.ndarray, ...]:
+    """w1 (h, n), b1 (h,), w2 (o, h) and b2 (o,) as views into theta."""
+    blocks = _blocks(n_inputs, n_hidden, n_outputs)
+    if theta.shape != (blocks["b2"][0].stop,):
+        raise ValueError("parameter vector length mismatch")
+    w1, b1, w2, b2 = (theta[block].reshape(rows, cols)
+                      for block, rows, cols in blocks.values())
+    return w1, b1[0], w2, b2[0]
+
+
 class MlpModel:
-    w1: np.ndarray  # (h, n)
-    b1: np.ndarray  # (h,)
-    w2: np.ndarray  # (o, h)
-    b2: np.ndarray  # (o,)
+    """Parameters held in one flat vector `theta` (a copy of the arrays
+    given); w1, b1, w2 and b2 are views into it, so an in-place update of
+    theta updates them."""
 
-    @property
-    def n_inputs(self) -> int:
-        return self.w1.shape[1]
-
-    @property
-    def n_hidden(self) -> int:
-        return self.w1.shape[0]
-
-    @property
-    def n_outputs(self) -> int:
-        return self.w2.shape[0]
-
-    @property
-    def n_parameters(self) -> int:
-        return self.w1.size + self.b1.size + self.w2.size + self.b2.size
+    def __init__(self, w1, b1, w2, b2):
+        self.theta = np.concatenate([np.ravel(w1), b1, np.ravel(w2), b2],
+                                    dtype=np.float64)
+        self.n_parameters = self.theta.size
+        self.n_inputs, self.n_hidden, self.n_outputs = np.shape(w1)[1], len(b1), len(b2)
+        self.w1, self.b1, self.w2, self.b2 = _split(
+            self.theta, self.n_inputs, self.n_hidden, self.n_outputs)
 
     def copy(self) -> "MlpModel":
-        return MlpModel(self.w1.copy(), self.b1.copy(),
-                        self.w2.copy(), self.b2.copy())
+        return MlpModel(self.w1, self.b1, self.w2, self.b2)
 
 
 @dataclass
@@ -121,22 +135,13 @@ def loss(model: MlpModel, X: np.ndarray, T: np.ndarray) -> float:
 
 
 def pack_parameters(model: MlpModel) -> np.ndarray:
-    return np.concatenate([model.w1.ravel(), model.b1,
-                           model.w2.ravel(), model.b2])
+    return model.theta.copy()
 
 
 def unpack_parameters(theta: np.ndarray, n_inputs: int, n_hidden: int,
                       n_outputs: int = 2) -> MlpModel:
-    sizes = [n_hidden * n_inputs, n_hidden, n_outputs * n_hidden, n_outputs]
-    offsets = np.cumsum([0] + sizes)
-    if len(theta) != offsets[-1]:
-        raise ValueError("parameter vector length mismatch")
-    return MlpModel(
-        w1=theta[offsets[0]:offsets[1]].reshape(n_hidden, n_inputs).copy(),
-        b1=theta[offsets[1]:offsets[2]].copy(),
-        w2=theta[offsets[2]:offsets[3]].reshape(n_outputs, n_hidden).copy(),
-        b2=theta[offsets[3]:offsets[4]].copy(),
-    )
+    return MlpModel(*_split(np.asarray(theta, dtype=np.float64), n_inputs,
+                            n_hidden, n_outputs))
 
 
 def gradient(model: MlpModel, X: np.ndarray, T: np.ndarray) -> np.ndarray:
@@ -145,13 +150,16 @@ def gradient(model: MlpModel, X: np.ndarray, T: np.ndarray) -> np.ndarray:
         raise ValueError("empty batch")
     n = len(X)
     A, Y = _forward_batch(model, X)
+    grad = np.empty(model.n_parameters)
+    d_w1, d_b1, d_w2, d_b2 = _split(grad, model.n_inputs, model.n_hidden,
+                                    model.n_outputs)
     delta_out = (Y - T) * Y * (1.0 - Y)  # (N, o)
-    d_w2 = delta_out.T @ A / n
-    d_b2 = delta_out.mean(axis=0)
+    d_w2[:] = delta_out.T @ A / n
+    d_b2[:] = delta_out.mean(axis=0)
     delta_hidden = (delta_out @ model.w2) * (1.0 - A ** 2)  # (N, h)
-    d_w1 = delta_hidden.T @ X / n
-    d_b1 = delta_hidden.mean(axis=0)
-    return np.concatenate([d_w1.ravel(), d_b1, d_w2.ravel(), d_b2])
+    d_w1[:] = delta_hidden.T @ X / n
+    d_b1[:] = delta_hidden.mean(axis=0)
+    return grad
 
 
 def residual_jacobian(model: MlpModel, X: np.ndarray,
@@ -166,17 +174,15 @@ def residual_jacobian(model: MlpModel, X: np.ndarray,
     jac = np.zeros((n * o, model.n_parameters))
     sens = Y * (1.0 - Y)  # (N, o)
     tanh_grad = 1.0 - A ** 2  # (N, h)
-    w1_end = h * d
-    b1_end = w1_end + h
-    w2_end = b1_end + o * h
+    w1, b1, w2, b2 = (block for block, _, _ in _blocks(d, h, o).values())
     for out in range(o):
         rows = slice(out, n * o, o)
         s = sens[:, out]  # (N,)
         delta_hidden = s[:, None] * model.w2[out][None, :] * tanh_grad  # (N, h)
-        jac[rows, :w1_end] = np.einsum("nh,nd->nhd", delta_hidden, X).reshape(n, h * d)
-        jac[rows, w1_end:b1_end] = delta_hidden
-        jac[rows, b1_end + out * h:b1_end + (out + 1) * h] = s[:, None] * A
-        jac[rows, w2_end + out] = s
+        jac[rows, w1] = np.einsum("nh,nd->nhd", delta_hidden, X).reshape(n, h * d)
+        jac[rows, b1] = delta_hidden
+        jac[rows, w2.start + out * h:w2.start + (out + 1) * h] = s[:, None] * A
+        jac[rows, b2.start + out] = s
     return residuals, jac
 
 
@@ -192,10 +198,37 @@ def predict_batch(model: MlpModel, X: np.ndarray) -> np.ndarray:
 
 
 def _check_finite(value: float, model: MlpModel, epoch: int) -> None:
-    params_ok = all(np.isfinite(p).all() for p in
-                    (model.w1, model.b1, model.w2, model.b2))
-    if not np.isfinite(value) or not params_ok:
+    if not np.isfinite(value) or not np.isfinite(model.theta).all():
         raise TrainingDiverged(f"diverged at epoch {epoch}", epoch)
+
+
+class _BestEpoch:
+    """Validation early stopping shared by both trainers: records each
+    epoch's losses and keeps a copy of the model from the epoch with the
+    lowest validation loss."""
+
+    def __init__(self, model: MlpModel, X_val: np.ndarray, T_val: np.ndarray,
+                 patience: int):
+        if len(X_val) == 0:
+            raise ValueError("validation set must be non-empty")
+        self.X_val, self.T_val, self.patience = X_val, T_val, patience
+        self.history = TrainHistory()
+        self.best_val, self.best, self.failures = np.inf, model.copy(), 0
+
+    def keep_going(self, model: MlpModel, train_loss: float) -> bool:
+        """Record one epoch; False once `patience` epochs in a row have not
+        improved the validation loss."""
+        epoch = len(self.history.train_loss)
+        _check_finite(train_loss, model, epoch)
+        val_loss = loss(model, self.X_val, self.T_val)
+        _check_finite(val_loss, model, epoch)
+        self.history.train_loss.append(train_loss)
+        self.history.val_loss.append(val_loss)
+        if val_loss < self.best_val:
+            self.best_val, self.best, self.failures = val_loss, model.copy(), 0
+        else:
+            self.failures += 1
+        return self.failures < self.patience
 
 
 def train_bp(model: MlpModel, X: np.ndarray, T: np.ndarray,
@@ -207,41 +240,20 @@ def train_bp(model: MlpModel, X: np.ndarray, T: np.ndarray,
     TrainingDiverged when the loss or parameters go non-finite.
     """
     cfg = cfg or TrainConfig(mode="bp-sgd")
-    if len(X_val) == 0:
-        raise ValueError("validation set must be non-empty")
+    tracker = _BestEpoch(model, X_val, T_val, cfg.patience)
     model = model.copy()
     rng = np.random.default_rng(cfg.seed)
-    history = TrainHistory()
-    best_val = np.inf
-    best_model = model.copy()
-    failures = 0
-    n = len(X)
-    for epoch in range(cfg.max_epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
+    for _ in range(cfg.max_epochs):
+        order = rng.permutation(len(X))
+        for start in range(0, len(X), cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
-            grad = gradient(model, X[batch], T[batch])
-            theta = pack_parameters(model) - cfg.learning_rate * grad
-            model = unpack_parameters(theta, model.n_inputs, model.n_hidden,
-                                      model.n_outputs)
-        train_loss = loss(model, X, T)
-        _check_finite(train_loss, model, epoch)
-        val_loss = loss(model, X_val, T_val)
-        _check_finite(val_loss, model, epoch)
-        history.train_loss.append(train_loss)
-        history.val_loss.append(val_loss)
-        if val_loss < best_val:
-            best_val = val_loss
-            best_model = model.copy()
-            failures = 0
-        else:
-            failures += 1
-            if failures >= cfg.patience:
-                history.stopping_reason = "early_stop"
-                break
+            model.theta -= cfg.learning_rate * gradient(model, X[batch], T[batch])
+        if not tracker.keep_going(model, loss(model, X, T)):
+            tracker.history.stopping_reason = "early_stop"
+            break
     else:
-        history.stopping_reason = "max_epochs"
-    return best_model, history
+        tracker.history.stopping_reason = "max_epochs"
+    return tracker.best, tracker.history
 
 
 def train_lm(model: MlpModel, X: np.ndarray, T: np.ndarray,
@@ -253,58 +265,33 @@ def train_lm(model: MlpModel, X: np.ndarray, T: np.ndarray,
     gradient, mu exceeding its cap, or the epoch budget stop the run.
     """
     cfg = cfg or TrainConfig(mode="lm")
-    if len(X_val) == 0:
-        raise ValueError("validation set must be non-empty")
-    n_inputs, n_hidden, n_outputs = model.n_inputs, model.n_hidden, model.n_outputs
-    n = len(X)
-    history = TrainHistory()
-    state = {"best_val": np.inf, "best_theta": pack_parameters(model),
-             "failures": 0}
+    tracker = _BestEpoch(model, X_val, T_val, cfg.patience)
+    layout = (model.n_inputs, model.n_hidden, model.n_outputs)
 
     def residual_fn(theta: np.ndarray) -> np.ndarray:
-        m = unpack_parameters(theta, n_inputs, n_hidden, n_outputs)
-        _, Y = _forward_batch(m, X)
+        _, Y = _forward_batch(unpack_parameters(theta, *layout), X)
         return (Y - T).ravel()
 
     def jacobian_fn(theta: np.ndarray) -> np.ndarray:
-        m = unpack_parameters(theta, n_inputs, n_hidden, n_outputs)
-        _, jac = residual_jacobian(m, X, T)
-        return jac
+        return residual_jacobian(unpack_parameters(theta, *layout), X, T)[1]
 
     def on_step(theta: np.ndarray, cost: float) -> bool:
-        m = unpack_parameters(theta, n_inputs, n_hidden, n_outputs)
-        train_loss = cost / n  # cost is 0.5*||r||^2 over all examples
-        epoch = len(history.train_loss)
-        _check_finite(train_loss, m, epoch)
-        val_loss = loss(m, X_val, T_val)
-        _check_finite(val_loss, m, epoch)
-        history.train_loss.append(train_loss)
-        history.val_loss.append(val_loss)
-        if val_loss < state["best_val"]:
-            state["best_val"] = val_loss
-            state["best_theta"] = theta.copy()
-            state["failures"] = 0
-        else:
-            state["failures"] += 1
-            if state["failures"] >= cfg.patience:
-                return False
-        return True
+        # cost is 0.5*||r||^2 summed over all examples
+        return tracker.keep_going(unpack_parameters(theta, *layout), cost / len(X))
 
+    # With no accepted step, on_step never runs and the initial model stays best.
     result = minimize_least_squares(
         residual_fn, jacobian_fn, pack_parameters(model),
         mu_init=cfg.lm_mu_init, mu_up=cfg.lm_mu_up, mu_down=cfg.lm_mu_down,
         mu_max=cfg.lm_mu_max, max_iterations=cfg.max_epochs,
         callback=on_step)
-    history.stopping_reason = {
+    tracker.history.stopping_reason = {
         "callback": "early_stop",
         "gradient": "converged: gradient",
         "mu_max": "converged: mu_max",
         "max_iterations": "max_epochs",
     }[result.reason]
-    if not np.isfinite(state["best_val"]):
-        state["best_theta"] = result.theta
-    best = unpack_parameters(state["best_theta"], n_inputs, n_hidden, n_outputs)
-    return best, history
+    return tracker.best, tracker.history
 
 
 def train(model: MlpModel, X: np.ndarray, T: np.ndarray,
@@ -320,71 +307,36 @@ MODEL_FORMAT = "flowsieve-mlp 1"
 
 def save_model(path, model: MlpModel, feature_names: tuple[str, ...],
                scaler=None, class_names: tuple[str, ...] = ("NonTor", "Tor")) -> None:
-    """Versioned flat text format: metadata, layout line, parameter blocks."""
-    def fmt(values) -> str:
-        return " ".join(f"{v:.17g}" for v in np.asarray(values).ravel())
+    """Versioned flat text format: model-file header, layout line, then each
+    parameter block as a name line and its rows."""
+    def body():
+        yield f"layout {model.n_inputs} {model.n_hidden} {model.n_outputs}"
+        blocks = _blocks(model.n_inputs, model.n_hidden, model.n_outputs)
+        for name, (block, rows, cols) in blocks.items():
+            yield name
+            for row in model.theta[block].reshape(rows, cols):
+                yield modelfile.format_row(row)
 
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(MODEL_FORMAT + "\n")
-        handle.write("features " + ",".join(feature_names) + "\n")
-        handle.write("classes " + ",".join(class_names) + "\n")
-        if scaler is not None:
-            handle.write("scaler_mean " + fmt(scaler.mean) + "\n")
-            handle.write("scaler_std " + fmt(scaler.std) + "\n")
-            handle.write("scaler_passthrough "
-                         + " ".join(str(int(v)) for v in scaler.passthrough) + "\n")
-        handle.write(f"layout {model.n_inputs} {model.n_hidden} {model.n_outputs}\n")
-        for name, block in (("w1", model.w1), ("b1", model.b1),
-                            ("w2", model.w2), ("b2", model.b2)):
-            handle.write(name + "\n")
-            rows = block if block.ndim == 2 else block[None, :]
-            for row in rows:
-                handle.write(fmt(row) + "\n")
+    modelfile.write(path, MODEL_FORMAT, feature_names, class_names, scaler, body())
 
 
-def _parse_floats(text: str) -> np.ndarray:
-    return np.array([float(v) for v in text.split()], dtype=np.float64)
+def read_body(doc: modelfile.ModelFile) -> MlpModel:
+    """Parse the body of a model file whose header `doc` has read."""
+    n_inputs, n_hidden, n_outputs = (int(v) for v in doc.values("layout", 3, int))
+    if n_inputs != len(doc.meta["features"]) or min(n_hidden, n_outputs) < 1:
+        raise doc.error(f"layout needs {len(doc.meta['features'])} inputs and "
+                        "positive hidden and output counts")
+    rows_read = []
+    for name, (_, rows, cols) in _blocks(n_inputs, n_hidden, n_outputs).items():
+        doc.keyed(name)
+        rows_read += [doc.values(None, cols) for _ in range(rows)]
+    if doc.peek_key() is not None:
+        raise doc.error("unexpected line after the b2 block")
+    return unpack_parameters(np.concatenate(rows_read), n_inputs, n_hidden,
+                             n_outputs)
 
 
 def load_model(path) -> tuple[MlpModel, dict]:
     """Inverse of save_model; returns (model, metadata dict)."""
-    from .dataset import Scaler  # local import to avoid cycle at module load
-
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = [line.rstrip("\n") for line in handle]
-    if not lines or lines[0] != MODEL_FORMAT:
-        raise ValueError(f"{path}: not a {MODEL_FORMAT} file")
-    meta: dict = {"scaler": None}
-    pos = 1
-    scaler_parts = {}
-    while not lines[pos].startswith("layout "):
-        key, _, rest = lines[pos].partition(" ")
-        if key == "features":
-            meta["features"] = tuple(rest.split(","))
-        elif key == "classes":
-            meta["classes"] = tuple(rest.split(","))
-        elif key.startswith("scaler_"):
-            scaler_parts[key] = rest
-        else:
-            raise ValueError(f"{path}: unexpected line {lines[pos]!r}")
-        pos += 1
-    if scaler_parts:
-        meta["scaler"] = Scaler(
-            mean=_parse_floats(scaler_parts["scaler_mean"]),
-            std=_parse_floats(scaler_parts["scaler_std"]),
-            passthrough=_parse_floats(scaler_parts["scaler_passthrough"]).astype(bool),
-        )
-    n_inputs, n_hidden, n_outputs = (int(v) for v in lines[pos].split()[1:])
-    pos += 1
-    blocks = {}
-    shapes = {"w1": (n_hidden, n_inputs), "b1": (1, n_hidden),
-              "w2": (n_outputs, n_hidden), "b2": (1, n_outputs)}
-    while pos < len(lines) and lines[pos]:
-        name = lines[pos]
-        rows, _ = shapes[name]
-        data = [_parse_floats(lines[pos + 1 + r]) for r in range(rows)]
-        blocks[name] = np.vstack(data)
-        pos += 1 + rows
-    model = MlpModel(w1=blocks["w1"], b1=blocks["b1"][0],
-                     w2=blocks["w2"], b2=blocks["b2"][0])
-    return model, meta
+    doc = modelfile.ModelFile(path, (MODEL_FORMAT,))
+    return read_body(doc), doc.meta

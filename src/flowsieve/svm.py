@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import modelfile
 from .errors import DataError
 
 _KERNEL_CACHE_LIMIT = 4000  # precompute the full Gram matrix below this N
@@ -304,92 +305,55 @@ MODEL_FORMAT = "flowsieve-svm 1"
 
 def save_models(path, models: list[SvmModel], feature_names: tuple[str, ...],
                 scaler=None, class_names: tuple[str, ...] = ("NonTor", "Tor")) -> None:
-    """Versioned text format: kernel line, C, bias, then support-vector rows."""
-    def fmt(values) -> str:
-        return " ".join(f"{v:.17g}" for v in np.asarray(values).ravel())
-
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(MODEL_FORMAT + "\n")
-        handle.write("features " + ",".join(feature_names) + "\n")
-        handle.write("classes " + ",".join(class_names) + "\n")
-        if scaler is not None:
-            handle.write("scaler_mean " + fmt(scaler.mean) + "\n")
-            handle.write("scaler_std " + fmt(scaler.std) + "\n")
-            handle.write("scaler_passthrough "
-                         + " ".join(str(int(v)) for v in scaler.passthrough) + "\n")
+    """Versioned text format: model-file header, then per model its class,
+    kernel, C, bias and convergence lines, support-vector rows and `end`."""
+    def body():
         for model in models:
-            handle.write(f"model {model.positive_class}\n")
-            if model.kernel.kind == "rbf":
-                handle.write(f"kernel rbf {model.kernel.gamma:.17g}\n")
-            else:
-                handle.write("kernel linear\n")
-            handle.write(f"C {model.C:.17g}\n")
-            handle.write(f"bias {model.bias:.17g}\n")
-            handle.write(f"converged {int(model.converged)}\n")
+            yield f"model {model.positive_class}"
+            yield (f"kernel rbf {model.kernel.gamma:.17g}"
+                   if model.kernel.kind == "rbf" else "kernel linear")
+            yield f"C {model.C:.17g}"
+            yield f"bias {model.bias:.17g}"
+            yield f"converged {int(model.converged)}"
             for coeff, sv in zip(model.coefficients, model.support_vectors):
-                handle.write("sv " + fmt([coeff]) + " " + fmt(sv) + "\n")
-            handle.write("end\n")
+                yield ("sv " + modelfile.format_row([coeff]) + " "
+                       + modelfile.format_row(sv))
+            yield "end"
+
+    modelfile.write(path, MODEL_FORMAT, feature_names, class_names, scaler, body())
+
+
+def read_body(doc: modelfile.ModelFile) -> list[SvmModel]:
+    """Parse the body of a model file whose header `doc` has read."""
+    width = len(doc.meta["features"])
+    models = []
+    while doc.peek_key() is not None:
+        positive_class = int(doc.values("model", 1, int)[0])
+        kind, _, gamma = doc.keyed("kernel").partition(" ")
+        try:
+            kernel = Kernel(kind, gamma=float(gamma) if gamma else None)
+        except ValueError as exc:
+            raise doc.error(f"bad kernel: {exc}") from None
+        c_value = float(doc.values("C", 1)[0])
+        bias = float(doc.values("bias", 1)[0])
+        converged = bool(doc.values("converged", 1, int)[0])
+        rows = []
+        while doc.peek_key() == "sv":
+            rows.append(doc.values("sv", 1 + width))
+        doc.keyed("end")
+        table = np.array(rows).reshape(len(rows), 1 + width)
+        coefficients, support = table[:, 0].copy(), table[:, 1:].copy()
+        models.append(SvmModel(
+            kernel=kernel, C=c_value, support_vectors=support,
+            coefficients=coefficients, bias=bias, positive_class=positive_class,
+            converged=converged,
+            weights=support.T @ coefficients if kernel.kind == "linear" else None))
+    if not models:
+        raise doc.error("no model blocks")
+    return models
 
 
 def load_models(path) -> tuple[list[SvmModel], dict]:
-    from .dataset import Scaler  # local import to avoid cycle at module load
-
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = [line.rstrip("\n") for line in handle]
-    if not lines or lines[0] != MODEL_FORMAT:
-        raise ValueError(f"{path}: not a {MODEL_FORMAT} file")
-
-    def parse_floats(text: str) -> np.ndarray:
-        return np.array([float(v) for v in text.split()], dtype=np.float64)
-
-    meta: dict = {"scaler": None}
-    scaler_parts = {}
-    pos = 1
-    while pos < len(lines) and not lines[pos].startswith("model "):
-        key, _, rest = lines[pos].partition(" ")
-        if key == "features":
-            meta["features"] = tuple(rest.split(","))
-        elif key == "classes":
-            meta["classes"] = tuple(rest.split(","))
-        elif key.startswith("scaler_"):
-            scaler_parts[key] = rest
-        else:
-            raise ValueError(f"{path}: unexpected line {lines[pos]!r}")
-        pos += 1
-    if scaler_parts:
-        meta["scaler"] = Scaler(
-            mean=parse_floats(scaler_parts["scaler_mean"]),
-            std=parse_floats(scaler_parts["scaler_std"]),
-            passthrough=parse_floats(scaler_parts["scaler_passthrough"]).astype(bool),
-        )
-    models = []
-    while pos < len(lines) and lines[pos].startswith("model "):
-        positive_class = int(lines[pos].split()[1])
-        pos += 1
-        kernel_parts = lines[pos].split()
-        kernel = (Kernel("linear") if kernel_parts[1] == "linear"
-                  else Kernel("rbf", gamma=float(kernel_parts[2])))
-        c_value = float(lines[pos + 1].split()[1])
-        bias = float(lines[pos + 2].split()[1])
-        converged = bool(int(lines[pos + 3].split()[1]))
-        pos += 4
-        coeffs = []
-        vectors = []
-        while lines[pos] != "end":
-            parts = parse_floats(lines[pos][3:])
-            coeffs.append(parts[0])
-            vectors.append(parts[1:])
-            pos += 1
-        pos += 1
-        support = (np.vstack(vectors) if vectors
-                   else np.zeros((0, len(meta.get("features", ())))))
-        coefficients = np.array(coeffs)
-        weights = None
-        if kernel.kind == "linear":
-            weights = (support.T @ coefficients if len(coefficients)
-                       else np.zeros(support.shape[1]))
-        models.append(SvmModel(kernel=kernel, C=c_value, support_vectors=support,
-                               coefficients=coefficients, bias=bias,
-                               positive_class=positive_class,
-                               converged=converged, weights=weights))
-    return models, meta
+    """Inverse of save_models; returns (models, metadata dict)."""
+    doc = modelfile.ModelFile(path, (MODEL_FORMAT,))
+    return read_body(doc), doc.meta

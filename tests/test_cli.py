@@ -319,3 +319,140 @@ class TestPipeline:
         rc = main(["pipeline", "--config", str(cfg),
                    "--out-dir", str(tmp_path / "out")])
         assert rc == 3  # single-class data cannot be split; clean data error
+
+
+SMALL_RUN_INI = """\
+[input]
+synth = true
+[synth]
+rows_per_class = 40
+[train]
+classifier = both
+[mlp]
+max_epochs = 20
+"""
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    """Output directory of a small `pipeline` run that trains both models."""
+    root = tmp_path_factory.mktemp("small_run")
+    cfg = root / "run.ini"
+    cfg.write_text(SMALL_RUN_INI)
+    assert main(["pipeline", "--config", str(cfg), "--seed", "3",
+                 "--out-dir", str(root / "out")]) == 0
+    return root / "out"
+
+
+class TestManifestFormats:
+    MODELS = {"ann_model.txt": "flowsieve-mlp 1",
+              "ann_history.csv": "ann-history-csv 1",
+              "svm_model.txt": "flowsieve-svm 1",
+              "test.csv": "flow-csv 1"}
+
+    @staticmethod
+    def formats(out_dir):
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        return {name: entry["format"]
+                for name, entry in manifest["artifacts"].items()}
+
+    def test_train(self, tmp_path):
+        flows = synth_csv(tmp_path)
+        out_dir = tmp_path / "out"
+        assert main(["train", str(flows), "--classifier", "both",
+                     "--out-dir", str(out_dir), "--seed", "3"]) == 0
+        assert self.formats(out_dir) == self.MODELS
+
+    def test_pipeline(self, small_run):
+        assert self.formats(small_run) == {
+            **self.MODELS,
+            "synthetic_flows.csv": "flow-csv 1",
+            "selected.csv": "flow-csv 1",
+            "selection.txt": "report 1",
+            "correlation_matrix.csv": "report 1",
+            "report.txt": "report 1",
+            "report.csv": "report 1",
+        }
+
+
+class TestBadModelFiles:
+    """Malformed model files end in exit 3 naming the file, never a traceback."""
+
+    @staticmethod
+    def run_eval(small_run, model_path, tmp_path):
+        return main(["eval", str(small_run / "test.csv"),
+                     "--model", str(model_path),
+                     "--out-dir", str(tmp_path / "eval_out")])
+
+    def assert_data_error(self, small_run, tmp_path, capsys, text):
+        path = tmp_path / "bad_model.txt"
+        path.write_text(text)
+        capsys.readouterr()
+        assert self.run_eval(small_run, path, tmp_path) == 3
+        assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["ann_model.txt", "svm_model.txt"])
+    def test_every_truncation_exits_cleanly(self, small_run, tmp_path, name):
+        data = (small_run / name).read_bytes()
+        ends = [i + 1 for i, byte in enumerate(data) if byte == ord("\n")]
+        starts = [0] + ends[:-1]
+        inside = {cut for start, end in zip(starts, ends)
+                  for cut in (start + 1, (start + end) // 2, end - 2)
+                  if start < cut < end - 1}
+        path = tmp_path / name
+        for cut in sorted(set(ends[:-1]) | {0} | inside):
+            path.write_bytes(data[:cut])
+            rc = self.run_eval(small_run, path, tmp_path)
+            # A cut after an SVM block's `end` leaves a smaller valid file.
+            if (cut in ends or cut == 0) and not data[:cut].endswith(b"\nend\n"):
+                assert rc == 3, f"cut at line boundary {cut}"
+            else:
+                assert rc in (0, 3), f"cut at byte {cut}"
+
+    @pytest.mark.parametrize("name", ["ann_model.txt", "svm_model.txt"])
+    def test_cut_inside_header(self, small_run, tmp_path, capsys, name):
+        text = (small_run / name).read_text()
+        cut = text.index("features ") + len("features sr")
+        self.assert_data_error(small_run, tmp_path, capsys, text[:cut])
+
+    def test_cut_inside_mlp_block(self, small_run, tmp_path, capsys):
+        text = (small_run / "ann_model.txt").read_text()
+        lines = text.splitlines(keepends=True)
+        w1_row = lines.index("w1\n") + 2
+        self.assert_data_error(small_run, tmp_path, capsys,
+                               "".join(lines[:w1_row]))
+
+    def test_cut_before_last_mlp_block(self, small_run, tmp_path, capsys):
+        text = (small_run / "ann_model.txt").read_text()
+        self.assert_data_error(small_run, tmp_path, capsys,
+                               text[:text.index("\nb2\n") + 1])
+
+    def test_cut_inside_svm_block(self, small_run, tmp_path, capsys):
+        text = (small_run / "svm_model.txt").read_text()
+        self.assert_data_error(small_run, tmp_path, capsys,
+                               text[:text.index("\nend\n") + 1])
+
+    @pytest.mark.parametrize("name, old, new", [
+        ("ann_model.txt", "features ", "featurse "),
+        ("ann_model.txt", "classes ", "classes\t"),
+        ("ann_model.txt", "layout ", "layout x"),
+        ("svm_model.txt", "scaler_std ", "scaler_std 1 "),
+        ("svm_model.txt", "kernel rbf ", "kernel rbf x"),
+    ])
+    def test_mangled_header_line(self, small_run, tmp_path, capsys,
+                                 name, old, new):
+        text = (small_run / name).read_text()
+        self.assert_data_error(small_run, tmp_path, capsys,
+                               text.replace(old, new, 1))
+
+    @pytest.mark.parametrize("name, after", [
+        ("ann_model.txt", "\nw2\n"),
+        ("svm_model.txt", "\nsv "),
+    ])
+    def test_non_numeric_parameter_cell(self, small_run, tmp_path, capsys,
+                                        name, after):
+        text = (small_run / name).read_text()
+        start = text.index(after) + len(after)
+        end = start + text[start:].index(" ")
+        self.assert_data_error(small_run, tmp_path, capsys,
+                               text[:start] + "0.5x" + text[end:])

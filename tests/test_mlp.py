@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from flowsieve import mlp
 from flowsieve.dataset import Scaler, one_hot
-from flowsieve.errors import TrainingDiverged
+from flowsieve.errors import DataError, TrainingDiverged
 from flowsieve.lm import minimize_least_squares
 from oracles import fd_gradient, max_relative_error, random_mlp_case as random_case
 
@@ -303,5 +303,5 @@ class TestSerialization:
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.txt"
         path.write_text("something else\n")
-        with pytest.raises(ValueError, match="not a"):
+        with pytest.raises(DataError, match="not a"):
             mlp.load_model(path)
