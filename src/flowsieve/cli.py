@@ -44,10 +44,13 @@ def _out_dir(args) -> Path:
 
 
 def run_meter(packets_path, out_dir, meter_cfg: MeterConfig, label: str) -> Path:
-    packets = read_packet_file(packets_path)
-    if not packets:
-        raise DataError(f"{packets_path}: no packets")
-    flows = meter_packets(packets, meter_cfg, label)
+    try:
+        packets = read_packet_file(packets_path)
+        if not packets:
+            raise DataError("no packets")
+        flows = meter_packets(packets, meter_cfg, label)
+    except DataError as exc:
+        raise DataError(f"{packets_path}: {exc}") from None
     out = Path(out_dir) / "flows.csv"
     write_flow_csv(flows, out)
     return out

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import ipaddress
 import math
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -11,7 +10,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DataError
-from .flow_meter import FEATURE_COLUMNS, format_cell
+from .flow_meter import FEATURE_COLUMNS, format_cell, parse_ipv4
 
 CLASS_NAMES = ("NonTor", "Tor")
 LABEL_TO_ID = {"nontor": 0, "tor": 1}
@@ -139,17 +138,12 @@ def load_flow_csv(path, bad_value_policy: str = "error") -> Dataset:
                 try:
                     value = float(cell)
                 except ValueError:
-                    if name in _IP_COLUMNS:
-                        try:
-                            value = float(int(ipaddress.IPv4Address(cell)))
-                        except (ipaddress.AddressValueError, ValueError):
-                            raise DataError(
-                                f"{path}: row {row_number} column {col} ({name}): "
-                                f"non-numeric cell {cell!r}") from None
-                    else:
+                    address = parse_ipv4(cell) if name in _IP_COLUMNS else None
+                    if address is None:
                         raise DataError(
                             f"{path}: row {row_number} column {col} ({name}): "
                             f"non-numeric cell {cell!r}") from None
+                    value = float(address)
                 if not math.isfinite(value):
                     if bad_value_policy == "drop":
                         bad = True

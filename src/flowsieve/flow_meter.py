@@ -9,7 +9,6 @@ burst statistics.
 
 from __future__ import annotations
 
-import ipaddress
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
@@ -60,8 +59,7 @@ class FourStats(NamedTuple):
 ZERO_STATS = FourStats(0.0, 0.0, 0.0, 0.0)
 
 
-@dataclass(frozen=True)
-class PacketRecord:
+class PacketRecord(NamedTuple):
     """One timestamped packet observation. IPs are 32-bit unsigned ints."""
 
     timestamp_us: int
@@ -73,8 +71,7 @@ class PacketRecord:
     payload_bytes: int
 
 
-@dataclass(frozen=True)
-class FlowKey:
+class FlowKey(NamedTuple):
     """Direction-independent conversation key; endpoint_a <= endpoint_b."""
 
     endpoint_a: tuple[int, int]
@@ -112,15 +109,6 @@ class FlowAccumulator:
     def packet_count(self) -> int:
         return len(self.timestamps_fwd) + len(self.timestamps_bwd)
 
-    def add(self, pkt: PacketRecord) -> None:
-        if (pkt.src_ip, pkt.src_port) == self.initiator:
-            self.timestamps_fwd.append(pkt.timestamp_us)
-        else:
-            self.timestamps_bwd.append(pkt.timestamp_us)
-        self.timestamps_all.append(pkt.timestamp_us)
-        self.byte_count += pkt.payload_bytes
-        self.last_ts = pkt.timestamp_us
-
 
 @dataclass(frozen=True)
 class FlowFeatures:
@@ -154,22 +142,98 @@ class FlowFeatures:
         return row
 
 
-def _parse_ip(text: str, fieldname: str, line_number: int) -> int:
-    try:
-        return int(ipaddress.IPv4Address(text))
-    except (ipaddress.AddressValueError, ValueError):
-        raise ParseError(
-            f"line {line_number}: {fieldname}: malformed IPv4 address {text!r}"
-        ) from None
+def parse_ipv4(text: str) -> int | None:
+    """Dotted-decimal IPv4 text as a 32-bit int, or None if malformed.
+
+    Surrounding whitespace is ignored. Accepted: four ASCII-decimal octets
+    of 1-3 digits, each 0-255, without leading zeros (the form the standard
+    library's IPv4Address accepts).
+    """
+    parts = text.strip().split(".")
+    if len(parts) != 4:
+        return None
+    value = 0
+    for part in parts:
+        if (not (part.isascii() and part.isdigit()) or len(part) > 3
+                or (part[0] == "0" and part != "0")):
+            return None
+        octet = int(part)
+        if octet > 255:
+            return None
+        value = value << 8 | octet
+    return value
 
 
-def _parse_int(text: str, fieldname: str, line_number: int) -> int:
+def _parse_ip(text: str, fieldname: str, line_number: int,
+              ips: dict[str, int]) -> int:
+    """parse_ipv4, remembered in `ips` under the raw field text."""
+    value = parse_ipv4(text)
+    if value is None:
+        raise ParseError(f"line {line_number}: {fieldname}: "
+                         f"malformed IPv4 address {text.strip()!r}")
+    ips[text] = value
+    return value
+
+
+def _stripped_int(text: str, fieldname: str, line_number: int) -> int:
+    """int() of a field that int() rejected as it stood. int() skips the
+    same surrounding whitespace as str.strip() except U+001C-U+001F."""
     try:
-        return int(text)
+        return int(text.strip())
     except ValueError:
-        raise ParseError(
-            f"line {line_number}: {fieldname}: not an integer: {text!r}"
-        ) from None
+        raise ParseError(f"line {line_number}: {fieldname}: "
+                         f"not an integer: {text.strip()!r}") from None
+
+
+def _record(fields: list[str], line_number: int,
+            ips: dict[str, int]) -> PacketRecord:
+    """Validate the split fields of one record, in field order.
+
+    int() skips surrounding whitespace itself, so a field is stripped only
+    when int() rejects it as it stands.
+    """
+    if len(fields) != 7:
+        raise ParseError(f"line {line_number}: expected 7 fields, got {len(fields)}")
+    ts_text, src_text, sport_text, dst_text, dport_text, proto_text, size_text = fields
+    try:
+        ts = int(ts_text)
+    except ValueError:
+        ts = _stripped_int(ts_text, "timestamp_us", line_number)
+    if ts < 0:
+        raise ParseError(f"line {line_number}: timestamp_us: negative value {ts}")
+    src_ip = ips.get(src_text)
+    if src_ip is None:
+        src_ip = _parse_ip(src_text, "src_ip", line_number, ips)
+    try:
+        src_port = int(sport_text)
+    except ValueError:
+        src_port = _stripped_int(sport_text, "src_port", line_number)
+    dst_ip = ips.get(dst_text)
+    if dst_ip is None:
+        dst_ip = _parse_ip(dst_text, "dst_ip", line_number, ips)
+    try:
+        dst_port = int(dport_text)
+    except ValueError:
+        dst_port = _stripped_int(dport_text, "dst_port", line_number)
+    if not 0 <= src_port <= 65535:
+        raise ParseError(f"line {line_number}: src_port: port out of range: {src_port}")
+    if not 0 <= dst_port <= 65535:
+        raise ParseError(f"line {line_number}: dst_port: port out of range: {dst_port}")
+    try:
+        protocol = int(proto_text)
+    except ValueError:
+        protocol = _stripped_int(proto_text, "protocol", line_number)
+    if protocol not in SUPPORTED_PROTOCOLS:
+        raise ParseError(f"line {line_number}: protocol: unsupported protocol {protocol}")
+    try:
+        payload = int(size_text)
+    except ValueError:
+        payload = _stripped_int(size_text, "bytes", line_number)
+    if payload < 0:
+        raise ParseError(f"line {line_number}: bytes: negative value {payload}")
+    # tuple.__new__ skips the Python-level NamedTuple constructor.
+    return tuple.__new__(PacketRecord, (ts, src_ip, src_port, dst_ip, dst_port,
+                                        protocol, payload))
 
 
 def parse_packet_record(row: str, line_number: int = 0) -> PacketRecord:
@@ -178,53 +242,29 @@ def parse_packet_record(row: str, line_number: int = 0) -> PacketRecord:
     Expected fields: timestamp_us, src_ip, src_port, dst_ip, dst_port,
     protocol, bytes. Raises ParseError naming the offending field and line.
     """
-    fields = [f.strip() for f in row.strip().split(",")]
-    if len(fields) != 7:
-        raise ParseError(
-            f"line {line_number}: expected 7 fields, got {len(fields)}"
-        )
-    ts = _parse_int(fields[0], "timestamp_us", line_number)
-    if ts < 0:
-        raise ParseError(f"line {line_number}: timestamp_us: negative value {ts}")
-    src_ip = _parse_ip(fields[1], "src_ip", line_number)
-    src_port = _parse_int(fields[2], "src_port", line_number)
-    dst_ip = _parse_ip(fields[3], "dst_ip", line_number)
-    dst_port = _parse_int(fields[4], "dst_port", line_number)
-    for name, port in (("src_port", src_port), ("dst_port", dst_port)):
-        if not 0 <= port <= 65535:
-            raise ParseError(f"line {line_number}: {name}: port out of range: {port}")
-    protocol = _parse_int(fields[5], "protocol", line_number)
-    if protocol not in SUPPORTED_PROTOCOLS:
-        raise ParseError(f"line {line_number}: protocol: unsupported protocol {protocol}")
-    payload = _parse_int(fields[6], "bytes", line_number)
-    if payload < 0:
-        raise ParseError(f"line {line_number}: bytes: negative value {payload}")
-    return PacketRecord(ts, src_ip, src_port, dst_ip, dst_port, protocol, payload)
+    return _record(row.split(","), line_number, {})
 
 
 def read_packet_file(path) -> list[PacketRecord]:
-    """Read a packet-record text file; a non-numeric first field marks a header."""
+    """Read a packet-record text file; a non-numeric first field marks a header.
+
+    Address texts are parsed once per file: a record's IPs are looked up in
+    a dict of the distinct address strings seen so far.
+    """
     records = []
+    ips: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as handle:
         for line_number, line in enumerate(handle, start=1):
-            if not line.strip():
+            if line.isspace():
                 continue
-            first = line.split(",", 1)[0].strip()
+            fields = line.split(",")
             if line_number == 1:
                 try:
-                    int(first)
+                    int(fields[0].strip())
                 except ValueError:
                     continue  # header line
-            records.append(parse_packet_record(line, line_number))
+            records.append(_record(fields, line_number, ips))
     return records
-
-
-def canonical_key(pkt: PacketRecord) -> FlowKey:
-    """Direction-independent key: endpoints ordered by (ip, port)."""
-    src = (pkt.src_ip, pkt.src_port)
-    dst = (pkt.dst_ip, pkt.dst_port)
-    a, b = (src, dst) if src <= dst else (dst, src)
-    return FlowKey(a, b, pkt.protocol)
 
 
 def assemble_flows(packets: Iterable[PacketRecord],
@@ -236,30 +276,36 @@ def assemble_flows(packets: Iterable[PacketRecord],
     a new one opened. Raises OutOfOrderError on a timestamp regression.
     """
     cfg = cfg or MeterConfig()
-    open_flows: dict[FlowKey, FlowAccumulator] = {}
+    timeout = cfg.flow_timeout_us
+    # Keyed by the plain (endpoint_a, endpoint_b, protocol) tuple, endpoints
+    # ordered by (ip, port); it hashes and compares equal to the FlowKey
+    # stored on the flow.
+    open_flows: dict[tuple, FlowAccumulator] = {}
     closed: list[FlowAccumulator] = []
     prev_ts = None
-    for index, pkt in enumerate(packets):
-        if prev_ts is not None and pkt.timestamp_us < prev_ts:
+    for index, (ts, src_ip, src_port, dst_ip, dst_port, protocol,
+                size) in enumerate(packets):
+        if prev_ts is not None and ts < prev_ts:
             raise OutOfOrderError(
-                f"out-of-order timestamp at index {index}: "
-                f"{pkt.timestamp_us} < {prev_ts}", index)
-        prev_ts = pkt.timestamp_us
-        key = canonical_key(pkt)
+                f"out-of-order timestamp at index {index}: {ts} < {prev_ts}", index)
+        prev_ts = ts
+        src = (src_ip, src_port)
+        dst = (dst_ip, dst_port)
+        key = (src, dst, protocol) if src <= dst else (dst, src, protocol)
         flow = open_flows.get(key)
-        if flow is not None and pkt.timestamp_us - flow.last_ts > cfg.flow_timeout_us:
+        if flow is not None and ts - flow.last_ts > timeout:
             closed.append(flow)
             flow = None
         if flow is None:
-            flow = FlowAccumulator(
-                key=key,
-                initiator=(pkt.src_ip, pkt.src_port),
-                responder=(pkt.dst_ip, pkt.dst_port),
-                first_ts=pkt.timestamp_us,
-                last_ts=pkt.timestamp_us,
-            )
+            flow = FlowAccumulator(FlowKey._make(key), src, dst, ts, ts)
             open_flows[key] = flow
-        flow.add(pkt)
+        if src == flow.initiator:
+            flow.timestamps_fwd.append(ts)
+        else:
+            flow.timestamps_bwd.append(ts)
+        flow.timestamps_all.append(ts)
+        flow.byte_count += size
+        flow.last_ts = ts
     closed.extend(open_flows.values())
     closed.sort(key=lambda f: (f.first_ts, f.key.endpoint_a, f.key.endpoint_b,
                                f.key.protocol))

@@ -100,16 +100,20 @@ def decision_value(model: SvmModel, x: np.ndarray) -> float:
 
 
 def predict(models: list[SvmModel], x: np.ndarray) -> int:
-    """Class with the largest decision value; ties go to the lowest index."""
+    """predict_batch for one example."""
     if not models:
         raise ValueError("need at least one model")
-    values = [decision_value(m, x) for m in models]
-    return int(np.argmax(values))
+    return int(predict_batch(models, np.asarray(x)[None, :])[0])
 
 
 def predict_batch(models: list[SvmModel], X: np.ndarray) -> np.ndarray:
+    """Per row, the `positive_class` of the model with the largest decision
+    value; ties go to the lowest class, so the order of `models` does not
+    matter."""
+    models = sorted(models, key=lambda m: m.positive_class)
     values = np.column_stack([decision_values(m, X) for m in models])
-    return np.argmax(values, axis=1)
+    classes = np.array([m.positive_class for m in models])
+    return classes[np.argmax(values, axis=1)]
 
 
 def primal_objective(model: SvmModel, X: np.ndarray, y_pm: np.ndarray) -> float:

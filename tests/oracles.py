@@ -242,3 +242,49 @@ def random_trace(rng: np.random.Generator, max_packets: int = 50):
             payload_bytes=int(rng.integers(40, 1500)),
         ))
     return packets
+
+
+def oracle_packet_record(row: str, line_number: int = 0) -> tuple:
+    """Parse one packet record with the standard library's IPv4 parser.
+
+    Mirrors the documented field checks, in field order, with the same
+    ParseError messages as flowsieve.flow_meter.parse_packet_record.
+    """
+    import ipaddress
+
+    from flowsieve.flow_meter import ParseError
+
+    def as_int(text, name):
+        try:
+            return int(text)
+        except ValueError:
+            raise ParseError(
+                f"line {line_number}: {name}: not an integer: {text!r}") from None
+
+    def as_ip(text, name):
+        try:
+            return int(ipaddress.IPv4Address(text))
+        except (ipaddress.AddressValueError, ValueError):
+            raise ParseError(f"line {line_number}: {name}: "
+                             f"malformed IPv4 address {text!r}") from None
+
+    fields = [f.strip() for f in row.strip().split(",")]
+    if len(fields) != 7:
+        raise ParseError(f"line {line_number}: expected 7 fields, got {len(fields)}")
+    ts = as_int(fields[0], "timestamp_us")
+    if ts < 0:
+        raise ParseError(f"line {line_number}: timestamp_us: negative value {ts}")
+    src_ip = as_ip(fields[1], "src_ip")
+    src_port = as_int(fields[2], "src_port")
+    dst_ip = as_ip(fields[3], "dst_ip")
+    dst_port = as_int(fields[4], "dst_port")
+    for name, port in (("src_port", src_port), ("dst_port", dst_port)):
+        if not 0 <= port <= 65535:
+            raise ParseError(f"line {line_number}: {name}: port out of range: {port}")
+    protocol = as_int(fields[5], "protocol")
+    if protocol not in (6, 17):
+        raise ParseError(f"line {line_number}: protocol: unsupported protocol {protocol}")
+    payload = as_int(fields[6], "bytes")
+    if payload < 0:
+        raise ParseError(f"line {line_number}: bytes: negative value {payload}")
+    return (ts, src_ip, src_port, dst_ip, dst_port, protocol, payload)

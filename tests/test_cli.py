@@ -89,7 +89,18 @@ class TestMeter:
                         "500,10.0.0.1,443,10.0.0.2,80,6,60\n")
         rc = main(["meter", str(path), "--out-dir", str(tmp_path / "out")])
         assert rc == 3
-        assert "out-of-order" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"data error: {path}: out-of-order timestamp at index 1: 500 < 1000\n")
+
+    def test_malformed_address_names_file(self, tmp_path, capsys):
+        path = tmp_path / "bad_ip.txt"
+        path.write_text("1000,10.0.0.1,443,10.0.0.2,80,6,60\n"
+                        "1500,10.0.0.1,443,999.0.0.2,80,6,60\n")
+        rc = main(["meter", str(path), "--out-dir", str(tmp_path / "out")])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            f"data error: {path}: line 2: dst_ip: "
+            f"malformed IPv4 address '999.0.0.2'\n")
 
     def test_missing_file_is_usage_error(self, tmp_path):
         rc = main(["meter", str(tmp_path / "nope.txt"),
@@ -373,6 +384,25 @@ class TestManifestFormats:
             "report.txt": "report 1",
             "report.csv": "report 1",
         }
+
+
+def test_svm_model_block_order_does_not_matter(small_run, tmp_path):
+    text = (small_run / "svm_model.txt").read_text()
+    first, second = text.index("\nmodel 0\n") + 1, text.index("\nmodel 1\n") + 1
+    assert first < second
+    swapped_dir = tmp_path / "swapped"
+    swapped_dir.mkdir()
+    (swapped_dir / "svm_model.txt").write_text(
+        text[:first] + text[second:] + text[first:second])
+    reports = []
+    for model_dir in (small_run, swapped_dir):
+        out_dir = tmp_path / f"eval_{len(reports)}"
+        assert main(["eval", str(small_run / "test.csv"),
+                     "--model", str(model_dir / "svm_model.txt"),
+                     "--out-dir", str(out_dir)]) == 0
+        reports.append([(out_dir / name).read_bytes()
+                        for name in ("report.txt", "report.csv")])
+    assert reports[0] == reports[1]
 
 
 class TestBadModelFiles:

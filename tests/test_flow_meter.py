@@ -5,15 +5,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from flowsieve.flow_meter import (FEATURE_COLUMNS, FourStats, MeterConfig,
-                                  OutOfOrderError, PacketRecord, ParseError,
-                                  assemble_flows, canonical_key,
+from flowsieve.flow_meter import (FEATURE_COLUMNS, FlowKey, FourStats,
+                                  MeterConfig, OutOfOrderError, PacketRecord,
+                                  ParseError, assemble_flows,
                                   compute_features, meter_packets,
-                                  parse_packet_record, read_packet_file,
-                                  segment_active_idle, stats_summary,
-                                  write_flow_csv)
+                                  parse_ipv4, parse_packet_record,
+                                  read_packet_file, segment_active_idle,
+                                  stats_summary, write_flow_csv)
 from conftest import assert_close
-from oracles import oracle_features, oracle_flows, random_trace
+from oracles import (oracle_features, oracle_flows, oracle_key,
+                     oracle_packet_record, random_trace)
 
 
 def ip(text: str) -> int:
@@ -54,18 +55,177 @@ class TestParse:
         assert len(records) == 1 and records[0].timestamp_us == 1000
 
 
+def reference_ipv4(text: str):
+    try:
+        return int(ipaddress.IPv4Address(text.strip()))
+    except ValueError:  # AddressValueError is a ValueError
+        return None
+
+
+# Pieces of malformed and well-formed address text: digits, dots, signs,
+# underscores, hex prefixes, whitespace and non-ASCII digits.
+IP_PIECES = ["0", "1", "2", "5", "9", "25", "255", "256", "00", ".", " ", "\t",
+             "+", "-", "_", "0x", "\u0661", "\u00b2", "\u0967", "/", "a"]
+messy_text = st.lists(st.sampled_from(IP_PIECES), max_size=14).map("".join)
+octet_text = st.integers(0, 300).map(str)
+padded_octet = st.tuples(st.integers(0, 300), st.integers(1, 4)).map(
+    lambda t: str(t[0]).zfill(t[1]))
+dotted_quad = st.lists(st.one_of(octet_text, padded_octet), min_size=3,
+                       max_size=5).map(".".join)
+padding = st.sampled_from(["", " ", "\t", "  ", "\u00a0", "\x1c"])
+address_text = st.tuples(padding, st.one_of(messy_text, dotted_quad), padding).map(
+    "".join)
+
+
+class TestParseIpv4:
+    @given(address_text)
+    def test_matches_ipaddress(self, text):
+        assert parse_ipv4(text) == reference_ipv4(text)
+
+    @pytest.mark.parametrize("text, value", [
+        ("0.0.0.0", 0), ("255.255.255.255", 2**32 - 1),
+        ("10.0.0.1", 0x0A000001), (" 192.168.1.20\n", 0xC0A80114),
+    ])
+    def test_accepts(self, text, value):
+        assert parse_ipv4(text) == value
+
+    @pytest.mark.parametrize("text", [
+        "", "1.2.3", "1.2.3.4.5", "1.2.3.256", "01.2.3.4", "1.2.3.00",
+        "1.2.3.0004", "+1.2.3.4", "1.2.3.-4", "1_0.2.3.4", "0x1.2.3.4",
+        "\u0661.2.3.4", "\u00b2.2.3.4", "1..3.4", "1.2.3.4/32", "1. 2.3.4",
+    ])
+    def test_rejects(self, text):
+        assert parse_ipv4(text) is None
+        assert reference_ipv4(text) is None
+
+
+GOOD_FIELDS = ["1000", "10.0.0.1", "443", "10.0.0.2", "80", "6", "60"]
+
+
+def with_field(index: int, text: str) -> str:
+    fields = list(GOOD_FIELDS)
+    fields[index] = text
+    return ",".join(fields)
+
+
+class TestParseMessages:
+    """Full ParseError texts, pinned: the meter's error output is stable."""
+
+    @pytest.mark.parametrize("row, message", [
+        (with_field(0, "1e3"), "line 5: timestamp_us: not an integer: '1e3'"),
+        (with_field(0, "-1"), "line 5: timestamp_us: negative value -1"),
+        (with_field(1, "10.0.0"), "line 5: src_ip: malformed IPv4 address '10.0.0'"),
+        (with_field(1, " 10.0.0.01 "),
+         "line 5: src_ip: malformed IPv4 address '10.0.0.01'"),
+        (with_field(2, "http"), "line 5: src_port: not an integer: 'http'"),
+        (with_field(2, "65536"), "line 5: src_port: port out of range: 65536"),
+        (with_field(2, "-1"), "line 5: src_port: port out of range: -1"),
+        (with_field(3, "999.0.0.2"),
+         "line 5: dst_ip: malformed IPv4 address '999.0.0.2'"),
+        (with_field(4, " 8 0 "), "line 5: dst_port: not an integer: '8 0'"),
+        (with_field(4, "70000"), "line 5: dst_port: port out of range: 70000"),
+        (with_field(5, "tcp"), "line 5: protocol: not an integer: 'tcp'"),
+        (with_field(5, "1"), "line 5: protocol: unsupported protocol 1"),
+        (with_field(6, ""), "line 5: bytes: not an integer: ''"),
+        (with_field(6, "-60"), "line 5: bytes: negative value -60"),
+        ("1000,10.0.0.1,443,10.0.0.2,80,6", "line 5: expected 7 fields, got 6"),
+        (",".join(GOOD_FIELDS + ["1"]), "line 5: expected 7 fields, got 8"),
+        ("", "line 5: expected 7 fields, got 1"),
+        # Checks run in field order: the malformed dst_ip is reported
+        # before the src_port range, which is checked after both ports parse.
+        ("1000,10.0.0.1,99999,10.0.0.256,x,6,60",
+         "line 5: dst_ip: malformed IPv4 address '10.0.0.256'"),
+        ("-5,10.0.0.1,443,10.0.0.2,80,6,x",
+         "line 5: timestamp_us: negative value -5"),
+    ])
+    def test_message(self, row, message):
+        with pytest.raises(ParseError) as info:
+            parse_packet_record(row, 5)
+        assert str(info.value) == message
+
+    @given(st.lists(st.one_of(address_text, st.sampled_from(
+        GOOD_FIELDS + ["-1", "65536", "17", "1", " 7 ", "1_0", "\u0661", "x",
+                       "\x1c5\x1f"])),
+        min_size=6, max_size=8).map(",".join))
+    def test_matches_reference_parser(self, row):
+        try:
+            want = oracle_packet_record(row, 3)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as info:
+                parse_packet_record(row, 3)
+            assert str(info.value) == str(exc)
+        else:
+            assert parse_packet_record(row, 3) == want
+
+
+class TestReadPacketFile:
+    def test_header_blank_lines_crlf_and_padding(self, tmp_path):
+        path = tmp_path / "pkts.txt"
+        path.write_bytes(
+            b"timestamp_us,src_ip,src_port,dst_ip,dst_port,protocol,bytes\r\n"
+            b"1000,10.0.0.1,443,10.0.0.2,80,6,60\r\n"
+            b"\r\n"
+            b"  2000 , 10.0.0.2 ,80, 10.0.0.1,443 ,6, 40 \r\n"
+            b"   \r\n"
+            b"3000,10.0.0.3,53,10.0.0.1,5353,17,100")
+        assert read_packet_file(path) == [
+            PacketRecord(1000, ip("10.0.0.1"), 443, ip("10.0.0.2"), 80, 6, 60),
+            PacketRecord(2000, ip("10.0.0.2"), 80, ip("10.0.0.1"), 443, 6, 40),
+            PacketRecord(3000, ip("10.0.0.3"), 53, ip("10.0.0.1"), 5353, 17, 100),
+        ]
+
+    def test_error_line_counts_header_and_blank_lines(self, tmp_path):
+        path = tmp_path / "pkts.txt"
+        path.write_text("timestamp_us,src_ip,src_port,dst_ip,dst_port,protocol,bytes\n"
+                        "1000,10.0.0.1,443,10.0.0.2,80,6,60\n"
+                        "\n"
+                        "2000,10.0.0.1,443,10.0.0.2,80,6,60\n"
+                        "3000,10.0.0.1,443,10.0.0.2,80,6,-1\n")
+        with pytest.raises(ParseError, match="^line 5: bytes: negative value -1$"):
+            read_packet_file(path)
+
+    def test_repeated_address_error_names_each_line(self, tmp_path):
+        # A remembered address is still checked on every line it appears.
+        path = tmp_path / "pkts.txt"
+        path.write_text("1000,10.0.0.1,443,10.0.0.2,80,6,60\n"
+                        "2000,10.0.0.1,443,10.0.0.2,80,6,60\n"
+                        "3000,10.0.0.1,443,10.0.0.02,80,6,60\n")
+        with pytest.raises(ParseError, match="^line 3: dst_ip: malformed IPv4 "
+                                             "address '10.0.0.02'$"):
+            read_packet_file(path)
+
+    def test_separator_controls_are_whitespace(self):
+        # str.strip() removes U+001C-U+001F around a field; int() alone does not.
+        rec = parse_packet_record("\x1c1000,10.0.0.1\x1d,443\x1e,10.0.0.2,80,6,60\x1f")
+        assert rec == PacketRecord(1000, ip("10.0.0.1"), 443, ip("10.0.0.2"), 80, 6, 60)
+
+    def test_records_are_plain_tuples(self):
+        rec = parse_packet_record("1000,10.0.0.1,443,10.0.0.2,5555,6,60")
+        assert rec == PacketRecord(timestamp_us=1000, src_ip=ip("10.0.0.1"),
+                                   src_port=443, dst_ip=ip("10.0.0.2"),
+                                   dst_port=5555, protocol=6, payload_bytes=60)
+        assert rec == (1000, ip("10.0.0.1"), 443, ip("10.0.0.2"), 5555, 6, 60)
+        assert FlowKey((1, 2), (3, 4), 6) == ((1, 2), (3, 4), 6)
+
+
+def flow_keys(*packets):
+    return [flow.key for flow in assemble_flows(list(packets))]
+
+
 class TestCanonicalKey:
     def test_direction_symmetry(self):
         fwd = pkt(0, "10.0.0.1", 443, "10.0.0.2", 80)
         bwd = pkt(5, "10.0.0.2", 80, "10.0.0.1", 443)
-        assert canonical_key(fwd) == canonical_key(bwd)
+        assert flow_keys(fwd) == flow_keys(bwd)
+        assert flow_keys(fwd, bwd) == flow_keys(fwd)
 
     def test_lexicographic_order(self):
-        key = canonical_key(pkt(0, "10.0.0.1", 443, "10.0.0.2", 80))
+        [key] = flow_keys(pkt(0, "10.0.0.1", 443, "10.0.0.2", 80))
         assert key.endpoint_a == (ip("10.0.0.1"), 443)
+        assert key == FlowKey((ip("10.0.0.1"), 443), (ip("10.0.0.2"), 80), 6)
 
     def test_port_tiebreak_on_equal_ips(self):
-        key = canonical_key(pkt(0, "10.0.0.1", 9999, "10.0.0.1", 80))
+        [key] = flow_keys(pkt(0, "10.0.0.1", 9999, "10.0.0.1", 80))
         assert key.endpoint_a == (ip("10.0.0.1"), 80)
 
     @given(st.integers(0, 2**32 - 1), st.integers(0, 65535),
@@ -73,7 +233,8 @@ class TestCanonicalKey:
     def test_symmetry_property(self, a_ip, a_port, b_ip, b_port):
         fwd = PacketRecord(0, a_ip, a_port, b_ip, b_port, 6, 1)
         bwd = PacketRecord(0, b_ip, b_port, a_ip, a_port, 6, 1)
-        assert canonical_key(fwd) == canonical_key(bwd)
+        assert flow_keys(fwd) == flow_keys(bwd) == [oracle_key(fwd)]
+        assert flow_keys(fwd, bwd) == flow_keys(fwd)
 
 
 class TestAssemble:

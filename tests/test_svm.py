@@ -187,23 +187,26 @@ class TestDecision:
 
 
 class TestPredict:
-    def _constant_model(self, value):
-        return SvmModel(kernel=Kernel("linear"), C=1.0,
-                        support_vectors=np.zeros((0, 2)),
-                        coefficients=np.zeros(0), bias=value,
-                        weights=np.zeros(2))
+    def _constant_models(self, *values):
+        """One constant-decision model per value, for classes 0, 1, ..."""
+        return [SvmModel(kernel=Kernel("linear"), C=1.0,
+                         support_vectors=np.zeros((0, 2)),
+                         coefficients=np.zeros(0), bias=value,
+                         positive_class=class_id, weights=np.zeros(2))
+                for class_id, value in enumerate(values)]
 
     def test_argmax(self):
-        models = [self._constant_model(0.5), self._constant_model(-0.2)]
+        models = self._constant_models(0.5, -0.2)
         assert predict(models, np.zeros(2)) == 0
 
     def test_argmax_over_negatives(self):
-        models = [self._constant_model(-1.0), self._constant_model(-0.5)]
+        models = self._constant_models(-1.0, -0.5)
         assert predict(models, np.zeros(2)) == 1
 
     def test_tie_goes_to_lowest_class(self):
-        models = [self._constant_model(0.3), self._constant_model(0.3)]
+        models = self._constant_models(0.3, 0.3)
         assert predict(models, np.zeros(2)) == 0
+        assert predict(models[::-1], np.zeros(2)) == 0  # by class, not position
 
     def test_uniform_bias_shift_preserves_argmax(self):
         X, y = separable_2d(seed=8)
@@ -216,7 +219,7 @@ class TestPredict:
         shifted = [SvmModel(kernel=m.kernel, C=m.C,
                             support_vectors=m.support_vectors,
                             coefficients=m.coefficients, bias=m.bias + 2.5,
-                            weights=m.weights)
+                            positive_class=m.positive_class, weights=m.weights)
                    for m in models]
         np.testing.assert_array_equal(predict_batch(shifted, points), before)
 
