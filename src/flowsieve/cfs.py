@@ -2,7 +2,7 @@
 
 A subset is scored by how strongly its features correlate with the class
 relative to how much they correlate with each other; a forward best-first
-search walks the subset lattice and an exhaustive search doubles as oracle.
+search walks the subset lattice.
 """
 
 from __future__ import annotations
@@ -171,56 +171,3 @@ def merit_trajectory(subset: FeatureSubset,
         out.append((subset.path[k - 1], merit(prefix, stats)))
     return out
 
-
-def exhaustive_search(stats: CorrelationStats, max_features: int = 20) -> FeatureSubset:
-    """True argmax of merit over all non-empty subsets (same tie-break rule).
-
-    Vectorized over bitmask chunks; intended as the oracle for
-    best_first_search on small feature counts.
-    """
-    n = stats.n_features
-    if n > max_features or n > 20:
-        raise ValueError(f"exhaustive search limited to {min(max_features, 20)} features")
-    rcf = stats.feature_class
-    ff = stats.feature_feature
-    total = 1 << n
-    bit_cols = np.arange(n)
-    chunk = 1 << 16
-
-    best_merit = -np.inf
-    for start in range(1, total, chunk):
-        masks = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        B = ((masks[:, None] >> bit_cols) & 1).astype(np.float64)
-        numer = B @ rcf
-        denom_sq = np.einsum("ij,ij->i", B @ ff, B)
-        merits = numer / np.sqrt(denom_sq)
-        m = float(merits.max())
-        if m > best_merit:
-            best_merit = m
-
-    # Collect near-ties and resolve by (size, lexicographic indices).
-    cand_masks: list[np.ndarray] = []
-    for start in range(1, total, chunk):
-        masks = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        B = ((masks[:, None] >> bit_cols) & 1).astype(np.float64)
-        numer = B @ rcf
-        denom_sq = np.einsum("ij,ij->i", B @ ff, B)
-        merits = numer / np.sqrt(denom_sq)
-        cand_masks.append(masks[merits >= best_merit - 1e-9])
-    candidates = np.concatenate(cand_masks)
-    sizes = np.array([int(m).bit_count() for m in candidates])
-    candidates = candidates[sizes == sizes.min()]
-    # Greedy lexicographic selection on the remaining masks.
-    remaining = candidates
-    chosen: list[int] = []
-    while True:
-        lowbits = remaining & -remaining
-        low_idx = np.log2(lowbits.astype(np.float64)).astype(np.int64)
-        target = low_idx.min()
-        remaining = remaining[low_idx == target] & ~np.int64(1 << int(target))
-        chosen.append(int(target))
-        if (remaining == 0).all():
-            break
-        remaining = np.unique(remaining)
-    indices = tuple(sorted(chosen))
-    return FeatureSubset(indices=indices, merit=merit(indices, stats), path=indices)

@@ -79,14 +79,15 @@ def cmd_meter(args) -> int:
 # ---------------------------------------------------------------- select
 
 
-def run_select(flows_path, out_dir, cfg: PipelineConfig) -> Path:
+def run_select(flows_path, out_dir, cfg: PipelineConfig) -> tuple[Path, Dataset]:
+    """Write selected.csv; return its path and the Dataset it loads as."""
     ds = load_flow_csv(flows_path, cfg.bad_value_policy)
     out_dir = Path(out_dir)
     reduced_path = out_dir / "selected.csv"
     if not cfg.select_enabled:
         shutil.copyfile(flows_path, reduced_path)  # validated verbatim copy
         print("selection disabled; pass-through copy written")
-        return reduced_path
+        return reduced_path, ds
     stats = cfs.build_stats(ds)
     subset = cfs.best_first_search(stats, cfg.search)
     names = [ds.schema[i] for i in subset.path]
@@ -119,7 +120,9 @@ def run_select(flows_path, out_dir, cfg: PipelineConfig) -> Path:
 
     print(report_lines[0])
     print(report_lines[-1])
-    return reduced_path
+    # The written cells are rounded to 6 significant digits, so training
+    # reads them back rather than using `kept`.
+    return reduced_path, load_flow_csv(reduced_path, cfg.bad_value_policy)
 
 
 def cmd_select(args) -> int:
@@ -179,8 +182,7 @@ def _train_models(train_ds: Dataset, val_ds: Dataset, cfg: PipelineConfig,
     return artifacts
 
 
-def run_train(flows_path, out_dir, cfg: PipelineConfig) -> dict[str, Path]:
-    ds = load_flow_csv(flows_path, cfg.bad_value_policy)
+def run_train(ds: Dataset, out_dir, cfg: PipelineConfig) -> dict[str, Path]:
     out_dir = Path(out_dir)
     train_ds, val_ds, test_ds = stratified_split(ds, cfg.split)
     scaler = fit_scaler(train_ds)
@@ -205,7 +207,8 @@ def cmd_train(args) -> int:
         cfg.mlp_train.mode = args.mode
     timer = StageTimer()
     timer.start("train")
-    artifacts = run_train(flows_path, out_dir, cfg)
+    artifacts = run_train(load_flow_csv(flows_path, cfg.bad_value_policy),
+                          out_dir, cfg)
     timer.stop()
     write_manifest(out_dir, "train", cfg, [flows_path], list(artifacts),
                    timer.timings)
@@ -334,14 +337,14 @@ def cmd_pipeline(args) -> int:
         raise UsageError("config must provide [input] packets, flows or synth")
 
     timer.start("select")
-    selected = run_select(flows, out_dir, cfg)
+    _, selected_ds = run_select(flows, out_dir, cfg)
     timer.stop()
     artifacts.append("selected.csv")
     if cfg.select_enabled:
         artifacts += ["selection.txt", "correlation_matrix.csv"]
 
     timer.start("train")
-    trained = run_train(selected, out_dir, cfg)
+    trained = run_train(selected_ds, out_dir, cfg)
     timer.stop()
     artifacts += list(trained)
 

@@ -10,7 +10,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DataError
-from .flow_meter import FEATURE_COLUMNS, format_cell, parse_ipv4
+from .flow_meter import FEATURE_COLUMNS, format_cells, parse_ipv4
 
 CLASS_NAMES = ("NonTor", "Tor")
 LABEL_TO_ID = {"nontor": 0, "tor": 1}
@@ -49,6 +49,7 @@ UNB_CIC_ALIASES = {
 }
 
 _IP_COLUMNS = ("src_ip", "dst_ip")
+_WRITE_ROWS = 1024
 
 
 @dataclass
@@ -97,6 +98,35 @@ def _normalize_header(cells: list[str]) -> list[str]:
     return names
 
 
+def _parse_cells(path, row_number: int, feature_names: tuple[str, ...],
+                 cells: list[str], bad_value_policy: str) -> list[float] | None:
+    """One row's feature cells checked one at a time; None drops the row.
+
+    Cells are stripped, IP columns also accept dotted quads, and every
+    rejected cell raises DataError naming its row and column.
+    """
+    values = []
+    for col, (name, cell) in enumerate(zip(feature_names, cells), start=1):
+        cell = cell.strip()
+        try:
+            value = float(cell)
+        except ValueError:
+            address = parse_ipv4(cell) if name in _IP_COLUMNS else None
+            if address is None:
+                raise DataError(
+                    f"{path}: row {row_number} column {col} ({name}): "
+                    f"non-numeric cell {cell!r}") from None
+            value = float(address)
+        if not math.isfinite(value):
+            if bad_value_policy == "drop":
+                return None
+            raise DataError(
+                f"{path}: row {row_number} column {col} ({name}): "
+                f"non-finite value {cell!r}")
+        values.append(value)
+    return values
+
+
 def load_flow_csv(path, bad_value_policy: str = "error") -> Dataset:
     """Load a labeled flow CSV into a Dataset.
 
@@ -131,29 +161,18 @@ def load_flow_csv(path, bad_value_policy: str = "error") -> Dataset:
                 raise DataError(
                     f"{path}: expected {width} columns at row {row_number}, "
                     f"got {len(cells)}")
-            values = []
-            bad = False
-            for col, (name, cell) in enumerate(zip(feature_names, cells), start=1):
-                cell = cell.strip()
-                try:
-                    value = float(cell)
-                except ValueError:
-                    address = parse_ipv4(cell) if name in _IP_COLUMNS else None
-                    if address is None:
-                        raise DataError(
-                            f"{path}: row {row_number} column {col} ({name}): "
-                            f"non-numeric cell {cell!r}") from None
-                    value = float(address)
-                if not math.isfinite(value):
-                    if bad_value_policy == "drop":
-                        bad = True
-                        break
-                    raise DataError(
-                        f"{path}: row {row_number} column {col} ({name}): "
-                        f"non-finite value {cell!r}")
-                values.append(value)
-            if bad:
-                continue
+            # float() skips the whitespace strip() removes, except
+            # U+001C-U+001F, so a row it takes whole with a finite sum has
+            # the values the per-cell checks would give it.
+            try:
+                values = list(map(float, cells[:-1]))
+            except ValueError:
+                values = None
+            if values is None or not math.isfinite(sum(values)):
+                values = _parse_cells(path, row_number, feature_names, cells,
+                                      bad_value_policy)
+                if values is None:
+                    continue
             raw_label = cells[-1].strip()
             label_id = LABEL_TO_ID.get(raw_label.lower())
             if label_id is None:
@@ -168,13 +187,20 @@ def load_flow_csv(path, bad_value_policy: str = "error") -> Dataset:
 
 
 def write_csv(ds: Dataset, path) -> None:
-    """Write a Dataset back out in the flow-CSV layout (schema + label)."""
+    """Write a Dataset back out in the flow-CSV layout (schema + label).
+
+    Cells are formatted a block of _WRITE_ROWS rows at a time, which bounds
+    the memory their strings take.
+    """
+    n = ds.n_features
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(",".join(ds.schema + ("label",)) + "\n")
-        for row, label in zip(ds.X, ds.y):
-            cells = [format_cell(float(v)) for v in row]
-            cells.append(ds.class_names[label])
-            handle.write(",".join(cells) + "\n")
+        for start in range(0, ds.n_examples, _WRITE_ROWS):
+            block = slice(start, start + _WRITE_ROWS)
+            cells = format_cells(ds.X[block].ravel().tolist())
+            handle.write("".join(
+                ",".join(cells[row * n:(row + 1) * n] + [ds.class_names[label]])
+                + "\n" for row, label in enumerate(ds.y[block].tolist())))
 
 
 @dataclass

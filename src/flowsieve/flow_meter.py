@@ -249,10 +249,12 @@ def read_packet_file(path) -> list[PacketRecord]:
     """Read a packet-record text file; a non-numeric first field marks a header.
 
     Address texts are parsed once per file: a record's IPs are looked up in
-    a dict of the distinct address strings seen so far.
+    a dict of the distinct address strings seen so far. Records must be in
+    timestamp order; a regression raises OutOfOrderError naming its line.
     """
     records = []
     ips: dict[str, int] = {}
+    prev_ts = 0
     with open(path, "r", encoding="utf-8") as handle:
         for line_number, line in enumerate(handle, start=1):
             if line.isspace():
@@ -263,7 +265,13 @@ def read_packet_file(path) -> list[PacketRecord]:
                     int(fields[0].strip())
                 except ValueError:
                     continue  # header line
-            records.append(_record(fields, line_number, ips))
+            record = _record(fields, line_number, ips)
+            if record[0] < prev_ts:
+                raise OutOfOrderError(
+                    f"line {line_number}: out-of-order timestamp: "
+                    f"{record[0]} < {prev_ts}", len(records))
+            prev_ts = record[0]
+            records.append(record)
     return records
 
 
@@ -396,12 +404,25 @@ def format_cell(value: float) -> str:
     return f"{value:.6g}"
 
 
+def format_cells(values: list[float]) -> list[str]:
+    """format_cell of each float, with its two common cases inline.
+
+    An integral value below 2**53 prints as that integer. Otherwise a
+    6-significant-digit text with a point and no exponent is fixed
+    notation with a non-zero fractional digit, so the value and its
+    rounding are both non-integral and format_cell would return that text.
+    """
+    return [str(int(v)) if v.is_integer() and abs(v) < 2 ** 53
+            else text if "." in (text := f"{v:.6g}") and "e" not in text
+            else format_cell(v) for v in values]
+
+
 def write_flow_csv(features: Iterable[FlowFeatures], path) -> None:
     """Write the 29-column flow CSV (header + one row per flow)."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(",".join(CSV_COLUMNS) + "\n")
         for feat in features:
-            cells = [format_cell(v) for v in feat.as_row()]
+            cells = format_cells(feat.as_row())
             cells.append(feat.label)
             handle.write(",".join(cells) + "\n")
 

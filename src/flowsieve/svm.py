@@ -328,11 +328,16 @@ def save_models(path, models: list[SvmModel], feature_names: tuple[str, ...],
 
 
 def read_body(doc: modelfile.ModelFile) -> list[SvmModel]:
-    """Parse the body of a model file whose header `doc` has read."""
+    """Parse the body of a model file whose header `doc` has read: one
+    block for each class in `classes`, in any order."""
     width = len(doc.meta["features"])
+    n_classes = len(doc.meta["classes"])
     models = []
     while doc.peek_key() is not None:
         positive_class = int(doc.values("model", 1, int)[0])
+        if (not 0 <= positive_class < n_classes
+                or any(m.positive_class == positive_class for m in models)):
+            raise doc.error(f"unexpected model block for class {positive_class}")
         kind, _, gamma = doc.keyed("kernel").partition(" ")
         try:
             kernel = Kernel(kind, gamma=float(gamma) if gamma else None)
@@ -352,8 +357,8 @@ def read_body(doc: modelfile.ModelFile) -> list[SvmModel]:
             coefficients=coefficients, bias=bias, positive_class=positive_class,
             converged=converged,
             weights=support.T @ coefficients if kernel.kind == "linear" else None))
-    if not models:
-        raise doc.error("no model blocks")
+    if len(models) != n_classes:
+        raise doc.error(f"expected {n_classes} model blocks, got {len(models)}")
     return models
 
 

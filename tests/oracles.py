@@ -101,6 +101,47 @@ def direct_merit(indices, stats) -> float:
     return k * rcf_bar / math.sqrt(k + k * (k - 1) * rff_bar)
 
 
+def exhaustive_search(stats, max_features: int = 20):
+    """True argmax of merit over all non-empty subsets, with best-first
+    search's tie-break rule (smaller subset, then lexicographic indices).
+
+    Merits are computed once, vectorized over bitmask chunks; the oracle for
+    best_first_search on small feature counts.
+    """
+    from flowsieve.cfs import FeatureSubset, merit
+
+    n = stats.n_features
+    if n > max_features or n > 20:
+        raise ValueError(f"exhaustive search limited to {min(max_features, 20)} features")
+    masks = np.arange(1, 1 << n, dtype=np.int64)
+    bit_cols = np.arange(n)
+    chunk = 1 << 16
+    parts = []
+    for start in range(0, len(masks), chunk):
+        B = ((masks[start:start + chunk, None] >> bit_cols) & 1).astype(np.float64)
+        denom_sq = np.einsum("ij,ij->i", B @ stats.feature_feature, B)
+        parts.append(B @ stats.feature_class / np.sqrt(denom_sq))
+    merits = np.concatenate(parts)
+
+    # Collect near-ties and resolve by (size, lexicographic indices).
+    candidates = masks[merits >= merits.max() - 1e-9]
+    sizes = np.array([int(m).bit_count() for m in candidates])
+    remaining = candidates[sizes == sizes.min()]
+    # Greedy lexicographic selection on the remaining masks.
+    chosen: list[int] = []
+    while True:
+        lowbits = remaining & -remaining
+        low_idx = np.log2(lowbits.astype(np.float64)).astype(np.int64)
+        target = low_idx.min()
+        remaining = remaining[low_idx == target] & ~np.int64(1 << int(target))
+        chosen.append(int(target))
+        if (remaining == 0).all():
+            break
+        remaining = np.unique(remaining)
+    indices = tuple(sorted(chosen))
+    return FeatureSubset(indices=indices, merit=merit(indices, stats), path=indices)
+
+
 def random_stats(rng: np.random.Generator, n: int):
     """Arbitrary entries in [0,1]; not necessarily a realizable correlation
     structure, so only used for bound checks, not match-rate checks."""
@@ -288,3 +329,91 @@ def oracle_packet_record(row: str, line_number: int = 0) -> tuple:
     if payload < 0:
         raise ParseError(f"line {line_number}: bytes: negative value {payload}")
     return (ts, src_ip, src_port, dst_ip, dst_port, protocol, payload)
+
+
+def oracle_load_flow_csv(path, bad_value_policy: str = "error"):
+    """Load a flow CSV checking every cell on its own, in column order.
+
+    The per-cell reader flowsieve.dataset.load_flow_csv replaced; it takes
+    the same cells, gives the same values and raises the same DataError texts.
+    """
+    import csv
+    import math
+
+    from flowsieve.dataset import LABEL_TO_ID, UNB_CIC_ALIASES, Dataset
+    from flowsieve.errors import DataError
+    from flowsieve.flow_meter import FEATURE_COLUMNS, parse_ipv4
+
+    if bad_value_policy not in ("error", "drop"):
+        raise ValueError(f"unknown bad_value_policy {bad_value_policy!r}")
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = [UNB_CIC_ALIASES.get(c.strip(), c.strip())
+                      for c in next(reader)]
+        except StopIteration:
+            raise DataError(f"{path}: empty file") from None
+        if header[-1].lower() != "label":
+            raise DataError(f"{path}: last column must be 'label', got {header[-1]!r}")
+        feature_names = tuple(header[:-1])
+        unknown = [n for n in feature_names if n not in FEATURE_COLUMNS]
+        if unknown:
+            raise DataError(f"{path}: unknown feature columns: {', '.join(unknown)}")
+        if len(set(feature_names)) != len(feature_names):
+            raise DataError(f"{path}: duplicate feature columns")
+        width = len(header)
+        rows, labels = [], []
+        for row_number, cells in enumerate(reader, start=2):
+            if not cells:
+                continue
+            if len(cells) != width:
+                raise DataError(
+                    f"{path}: expected {width} columns at row {row_number}, "
+                    f"got {len(cells)}")
+            values = []
+            bad = False
+            for col, (name, cell) in enumerate(zip(feature_names, cells), start=1):
+                cell = cell.strip()
+                try:
+                    value = float(cell)
+                except ValueError:
+                    address = (parse_ipv4(cell) if name in ("src_ip", "dst_ip")
+                               else None)
+                    if address is None:
+                        raise DataError(
+                            f"{path}: row {row_number} column {col} ({name}): "
+                            f"non-numeric cell {cell!r}") from None
+                    value = float(address)
+                if not math.isfinite(value):
+                    if bad_value_policy == "drop":
+                        bad = True
+                        break
+                    raise DataError(
+                        f"{path}: row {row_number} column {col} ({name}): "
+                        f"non-finite value {cell!r}")
+                values.append(value)
+            if bad:
+                continue
+            raw_label = cells[-1].strip()
+            label_id = LABEL_TO_ID.get(raw_label.lower())
+            if label_id is None:
+                raise DataError(
+                    f"{path}: row {row_number}: unknown label {raw_label!r}")
+            rows.append(values)
+            labels.append(label_id)
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    return Dataset(feature_names, np.array(rows, dtype=np.float64),
+                   np.array(labels, dtype=np.int64))
+
+
+def oracle_write_csv(ds, path) -> None:
+    """Write a Dataset one row and one format_cell call at a time."""
+    from flowsieve.flow_meter import format_cell
+
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(",".join(ds.schema + ("label",)) + "\n")
+        for row, label in zip(ds.X, ds.y):
+            cells = [format_cell(float(v)) for v in row]
+            cells.append(ds.class_names[label])
+            handle.write(",".join(cells) + "\n")

@@ -17,10 +17,10 @@ from flowsieve.dataset import (SyntheticSpec, generate_synthetic,
                                load_flow_csv)
 from flowsieve.flow_meter import MeterConfig, assemble_flows, compute_features
 from conftest import REPO_ROOT, assert_close
-from oracles import (direct_merit, fd_gradient, max_relative_error,
-                     oracle_features, oracle_flows, qp_dual_oracle,
-                     random_mlp_case, random_realizable_stats, random_stats,
-                     random_trace)
+from oracles import (direct_merit, exhaustive_search, fd_gradient,
+                     max_relative_error, oracle_features, oracle_flows,
+                     qp_dual_oracle, random_mlp_case, random_realizable_stats,
+                     random_stats, random_trace)
 
 TOR_DATASET_ENV = "TOR_DATASET_CSV"
 
@@ -88,12 +88,12 @@ def test_criterion_2_cfs_correctness(redundant_dataset):
             stats = (random_realizable_stats(rng, n) if trial % 2 == 0
                      else random_stats(rng, n))
             found = cfs.best_first_search(stats)
-            oracle = cfs.exhaustive_search(stats)
+            oracle = exhaustive_search(stats)
             assert found.merit <= oracle.merit + 1e-12
         for trial in range(trials):
             stats = random_realizable_stats(rng, int(rng.integers(4, 13)))
             found = cfs.best_first_search(stats)
-            oracle = cfs.exhaustive_search(stats)
+            oracle = exhaustive_search(stats)
             if abs(found.merit - oracle.merit) <= 1e-12:
                 matches += 1
         assert matches >= 0.95 * trials

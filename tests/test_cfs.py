@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowsieve.cfs import (CorrelationStats, SearchConfig, best_first_search,
-                           build_stats, correlation, exhaustive_search, merit,
-                           merit_trajectory)
+                           build_stats, correlation, merit, merit_trajectory)
 from flowsieve.dataset import Dataset, generate_synthetic
-from oracles import direct_merit, random_realizable_stats, random_stats
+from oracles import (direct_merit, exhaustive_search, random_realizable_stats,
+                     random_stats)
 
 
 def make_stats(rcf, rff=None) -> CorrelationStats:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -90,7 +91,19 @@ class TestMeter:
         rc = main(["meter", str(path), "--out-dir", str(tmp_path / "out")])
         assert rc == 3
         assert capsys.readouterr().err == (
-            f"data error: {path}: out-of-order timestamp at index 1: 500 < 1000\n")
+            f"data error: {path}: line 2: out-of-order timestamp: 500 < 1000\n")
+
+    def test_unsorted_input_names_file_line(self, tmp_path, capsys):
+        path = tmp_path / "unsorted.txt"
+        path.write_text("timestamp_us,src_ip,src_port,dst_ip,dst_port,proto,bytes\n"
+                        "1000,10.0.0.1,443,10.0.0.2,80,6,60\n"
+                        "\n"
+                        "1000,10.0.0.1,443,10.0.0.2,80,6,60\n"
+                        "999,10.0.0.1,443,10.0.0.2,80,6,60\n")
+        rc = main(["meter", str(path), "--out-dir", str(tmp_path / "out")])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            f"data error: {path}: line 5: out-of-order timestamp: 999 < 1000\n")
 
     def test_malformed_address_names_file(self, tmp_path, capsys):
         path = tmp_path / "bad_ip.txt"
@@ -322,6 +335,28 @@ class TestPipeline:
                    "--out-dir", str(tmp_path / "out")])
         assert rc == 2
 
+    @pytest.mark.parametrize("select, loaded", [
+        ("false", ["flows.csv", "test.csv"]),
+        ("true", ["flows.csv", "selected.csv", "test.csv"]),
+    ])
+    def test_input_parsed_once(self, tmp_path, monkeypatch, select, loaded):
+        from flowsieve import cli
+
+        calls = []
+
+        def spy(path, *args):
+            calls.append(Path(path).name)
+            return load_flow_csv(path, *args)
+
+        monkeypatch.setattr(cli, "load_flow_csv", spy)
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[input]\nflows = {synth_csv(tmp_path)}\n"
+                       f"[select]\nenabled = {select}\n"
+                       "[mlp]\nmax_epochs = 3\n")
+        assert main(["pipeline", "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "out")]) == 0
+        assert calls == loaded
+
     def test_pipeline_from_packets(self, packet_file, tmp_path):
         # Metered flows are too few to train on, so label them and only
         # check the meter+select stages run from a packets input.
@@ -433,8 +468,7 @@ class TestBadModelFiles:
         for cut in sorted(set(ends[:-1]) | {0} | inside):
             path.write_bytes(data[:cut])
             rc = self.run_eval(small_run, path, tmp_path)
-            # A cut after an SVM block's `end` leaves a smaller valid file.
-            if (cut in ends or cut == 0) and not data[:cut].endswith(b"\nend\n"):
+            if cut in ends or cut == 0:
                 assert rc == 3, f"cut at line boundary {cut}"
             else:
                 assert rc in (0, 3), f"cut at byte {cut}"
@@ -461,6 +495,18 @@ class TestBadModelFiles:
         text = (small_run / "svm_model.txt").read_text()
         self.assert_data_error(small_run, tmp_path, capsys,
                                text[:text.index("\nend\n") + 1])
+
+    def test_cut_after_first_svm_block(self, small_run, tmp_path, capsys):
+        text = (small_run / "svm_model.txt").read_text()
+        self.assert_data_error(small_run, tmp_path, capsys,
+                               text[:text.index("\nend\n") + len("\nend\n")])
+
+    def test_repeated_svm_block(self, small_run, tmp_path, capsys):
+        text = (small_run / "svm_model.txt").read_text()
+        first = text.index("\nmodel ") + 1
+        end = text.index("\nend\n") + len("\nend\n")
+        self.assert_data_error(small_run, tmp_path, capsys,
+                               text[:end] + text[first:end])
 
     @pytest.mark.parametrize("name, old, new", [
         ("ann_model.txt", "features ", "featurse "),

@@ -9,7 +9,8 @@ from flowsieve.dataset import (Dataset, Scaler, SplitSpec, SyntheticSpec,
                                load_flow_csv, one_hot, stratified_split,
                                stratified_split_indices, write_csv)
 from flowsieve.errors import DataError
-from flowsieve.flow_meter import FEATURE_COLUMNS
+from flowsieve.flow_meter import FEATURE_COLUMNS, format_cell, format_cells
+from oracles import oracle_load_flow_csv, oracle_write_csv
 
 
 def make_flow_csv(tmp_path, rows, header=None, name="flows.csv"):
@@ -87,6 +88,88 @@ class TestLoad:
         again = load_flow_csv(path)
         assert again.schema == ds.schema
         np.testing.assert_allclose(again.X, ds.X)
+
+
+# Cell texts the reader must treat exactly as the per-cell reference does.
+_NUMBER_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: f"{v:.6g}"),
+    st.integers(-2 ** 40, 2 ** 40).map(str),
+    st.sampled_from(["1_0", "\u0661", "\u0661.\u0662", "1e308", "-1e308",
+                     "1.7976931348623157e308"]),
+)
+_ODD_CELLS = st.sampled_from([
+    "inf", "-inf", "Infinity", "nan", "NaN", "", "10.0.0.1", " 192.168.1.20 ",
+    "300.1.1.1", "01.2.3.4", "1.2.3", "oops", "1__0", "0x10"])
+_PADS = st.sampled_from(["", " ", "\t", "\xa0", "\u3000", "\x1c", "\x1f"])
+_CELLS = st.tuples(_PADS, st.one_of(_NUMBER_CELLS, _NUMBER_CELLS, _ODD_CELLS),
+                   _PADS).map("".join)
+_LABELS = st.sampled_from(["Tor", "NonTor", " tor ", "NONTOR", "Mystery"])
+_CODEC_SCHEMA = ("src_ip", "flow_duration", "dst_ip", "idle_min")
+
+
+def _load_outcome(load, path, policy):
+    try:
+        ds = load(path, policy)
+    except DataError as exc:
+        return str(exc)
+    return ds.schema, ds.X.tobytes(), ds.y.tolist()
+
+
+class TestCsvCodecMatchesReference:
+    """The bulk reader and writer against the per-cell reference versions."""
+
+    @given(rows=st.lists(st.tuples(st.lists(_CELLS, min_size=4, max_size=4),
+                                   _LABELS), min_size=1, max_size=6),
+           policy=st.sampled_from(["error", "drop"]))
+    @settings(max_examples=200, deadline=None)
+    def test_reader_matches(self, tmp_path_factory, rows, policy):
+        lines = [",".join(_CODEC_SCHEMA + ("label",))]
+        lines += [",".join(cells + [label]) for cells, label in rows]
+        path = tmp_path_factory.mktemp("codec") / "flows.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert (_load_outcome(load_flow_csv, path, policy)
+                == _load_outcome(oracle_load_flow_csv, path, policy))
+
+    def test_reader_errors_match(self, tmp_path):
+        rows = ["1,2,3,4,Tor", "1,inf,x,4,Tor", "1,2,3.0.0.1,4,Tor",
+                "1e308,1e308,3,4,Tor", "1,2,3,4,Mystery", "1,2,3,Tor"]
+        header = ",".join(_CODEC_SCHEMA + ("label",))
+        for bad in rows[1:]:
+            path = make_flow_csv(tmp_path, [rows[0], bad], header=header)
+            for policy in ("error", "drop"):
+                outcome = _load_outcome(load_flow_csv, path, policy)
+                assert outcome == _load_outcome(oracle_load_flow_csv, path, policy)
+
+    @given(values=st.lists(st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.integers(-2 ** 60, 2 ** 60).map(float),
+        st.sampled_from([0.0, -0.0, 2.0 ** 53, 2.0 ** 53 + 2, -2.0 ** 60, 5e-324,
+                         999999.5, 9999995.0, 0.9999995, 123456.4, -99999.95]),
+        st.floats(min_value=-1e-300, max_value=1e-300),
+        st.tuples(st.integers(-10 ** 7, 10 ** 7),
+                  st.floats(min_value=-1e-6, max_value=1e-6)).map(sum),
+    ), min_size=1, max_size=24), width=st.integers(1, 4))
+    @settings(max_examples=200, deadline=None)
+    def test_writer_matches(self, tmp_path_factory, values, width):
+        rows = len(values) // width or 1
+        X = np.resize(np.array(values, dtype=np.float64), (rows, width))
+        ds = Dataset(_CODEC_SCHEMA[:width], X, np.arange(rows) % 2)
+        out = tmp_path_factory.mktemp("codec")
+        write_csv(ds, out / "bulk.csv")
+        oracle_write_csv(ds, out / "cells.csv")
+        assert (out / "bulk.csv").read_bytes() == (out / "cells.csv").read_bytes()
+        assert format_cells(values) == [format_cell(v) for v in values]
+
+    def test_writer_matches_across_row_blocks(self, tmp_path):
+        rng = np.random.default_rng(4)
+        X = rng.normal(scale=1e4, size=(2500, 3))
+        X[::3, 1] = np.rint(X[::3, 1])
+        ds = Dataset(_CODEC_SCHEMA[:3], X, rng.integers(0, 2, 2500))
+        write_csv(ds, tmp_path / "bulk.csv")
+        oracle_write_csv(ds, tmp_path / "cells.csv")
+        assert (tmp_path / "bulk.csv").read_bytes() == (
+            tmp_path / "cells.csv").read_bytes()
 
 
 class TestSplit:

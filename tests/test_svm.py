@@ -320,8 +320,11 @@ class TestSerialization:
 
     def test_linear_round_trip_restores_weights(self, tmp_path):
         X, y = separable_2d(seed=17)
-        model = smo_train(X, y, Kernel("linear"), SmoConfig(C=5.0, seed=17))
+        models = train_ovr(X, (y > 0).astype(int), 2, Kernel("linear"),
+                           SmoConfig(C=5.0, seed=17))
         path = tmp_path / "svm.txt"
-        save_models(path, [model], ("a", "b"))
+        save_models(path, models, ("a", "b"))
         loaded, _ = load_models(path)
-        np.testing.assert_allclose(loaded[0].weights, model.weights, rtol=1e-15)
+        for restored, original in zip(loaded, models):
+            np.testing.assert_allclose(restored.weights, original.weights,
+                                       rtol=1e-15)
