@@ -79,8 +79,14 @@ def cmd_meter(args) -> int:
 # ---------------------------------------------------------------- select
 
 
-def run_select(flows_path, out_dir, cfg: PipelineConfig) -> tuple[Path, Dataset]:
-    """Write selected.csv; return its path and the Dataset it loads as."""
+def run_select(flows_path, out_dir,
+               cfg: PipelineConfig) -> tuple[Path, Dataset | None]:
+    """Write selected.csv; return its path and, when it is a copy of the
+    input, the input's Dataset.
+
+    With selection on the Dataset is None: the written cells are rounded to
+    6 significant digits, so training must read the file back.
+    """
     ds = load_flow_csv(flows_path, cfg.bad_value_policy)
     out_dir = Path(out_dir)
     reduced_path = out_dir / "selected.csv"
@@ -120,9 +126,7 @@ def run_select(flows_path, out_dir, cfg: PipelineConfig) -> tuple[Path, Dataset]
 
     print(report_lines[0])
     print(report_lines[-1])
-    # The written cells are rounded to 6 significant digits, so training
-    # reads them back rather than using `kept`.
-    return reduced_path, load_flow_csv(reduced_path, cfg.bad_value_policy)
+    return reduced_path, None
 
 
 def cmd_select(args) -> int:
@@ -337,13 +341,15 @@ def cmd_pipeline(args) -> int:
         raise UsageError("config must provide [input] packets, flows or synth")
 
     timer.start("select")
-    _, selected_ds = run_select(flows, out_dir, cfg)
+    selected_path, selected_ds = run_select(flows, out_dir, cfg)
     timer.stop()
     artifacts.append("selected.csv")
     if cfg.select_enabled:
         artifacts += ["selection.txt", "correlation_matrix.csv"]
 
     timer.start("train")
+    if selected_ds is None:
+        selected_ds = load_flow_csv(selected_path, cfg.bad_value_policy)
     trained = run_train(selected_ds, out_dir, cfg)
     timer.stop()
     artifacts += list(trained)

@@ -49,7 +49,6 @@ UNB_CIC_ALIASES = {
 }
 
 _IP_COLUMNS = ("src_ip", "dst_ip")
-_WRITE_ROWS = 1024
 
 
 @dataclass
@@ -96,6 +95,27 @@ def _normalize_header(cells: list[str]) -> list[str]:
         cell = cell.strip()
         names.append(UNB_CIC_ALIASES.get(cell, cell))
     return names
+
+
+def _row_floats(cells: list[str], ip_cols: list[int]) -> list[float] | None:
+    """A row's feature cells as floats, or None if float() rejects one.
+
+    Dotted-quad cells in IP columns count as their address. float() skips
+    the whitespace strip() removes, except U+001C-U+001F, so a row this
+    takes whole with a finite sum has the values _parse_cells would give it.
+    """
+    try:
+        return list(map(float, cells))
+    except ValueError:
+        pass
+    for i in ip_cols:
+        address = parse_ipv4(cells[i])
+        if address is not None:
+            cells[i] = address
+    try:
+        return list(map(float, cells))
+    except ValueError:
+        return None
 
 
 def _parse_cells(path, row_number: int, feature_names: tuple[str, ...],
@@ -152,6 +172,8 @@ def load_flow_csv(path, bad_value_policy: str = "error") -> Dataset:
         if len(set(feature_names)) != len(feature_names):
             raise DataError(f"{path}: duplicate feature columns")
         width = len(header)
+        ip_cols = [i for i, name in enumerate(feature_names)
+                   if name in _IP_COLUMNS]
         rows: list[list[float]] = []
         labels: list[int] = []
         for row_number, cells in enumerate(reader, start=2):
@@ -161,13 +183,7 @@ def load_flow_csv(path, bad_value_policy: str = "error") -> Dataset:
                 raise DataError(
                     f"{path}: expected {width} columns at row {row_number}, "
                     f"got {len(cells)}")
-            # float() skips the whitespace strip() removes, except
-            # U+001C-U+001F, so a row it takes whole with a finite sum has
-            # the values the per-cell checks would give it.
-            try:
-                values = list(map(float, cells[:-1]))
-            except ValueError:
-                values = None
+            values = _row_floats(cells[:-1], ip_cols)
             if values is None or not math.isfinite(sum(values)):
                 values = _parse_cells(path, row_number, feature_names, cells,
                                       bad_value_policy)
@@ -187,20 +203,12 @@ def load_flow_csv(path, bad_value_policy: str = "error") -> Dataset:
 
 
 def write_csv(ds: Dataset, path) -> None:
-    """Write a Dataset back out in the flow-CSV layout (schema + label).
-
-    Cells are formatted a block of _WRITE_ROWS rows at a time, which bounds
-    the memory their strings take.
-    """
-    n = ds.n_features
+    """Write a Dataset back out in the flow-CSV layout (schema + label)."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(",".join(ds.schema + ("label",)) + "\n")
-        for start in range(0, ds.n_examples, _WRITE_ROWS):
-            block = slice(start, start + _WRITE_ROWS)
-            cells = format_cells(ds.X[block].ravel().tolist())
-            handle.write("".join(
-                ",".join(cells[row * n:(row + 1) * n] + [ds.class_names[label]])
-                + "\n" for row, label in enumerate(ds.y[block].tolist())))
+        for row, label in zip(ds.X, ds.y.tolist()):
+            handle.write(",".join(format_cells(row.tolist())
+                                  + [ds.class_names[label]]) + "\n")
 
 
 @dataclass

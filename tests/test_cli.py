@@ -47,6 +47,20 @@ def synth_csv(tmp_path, name="flows.csv", rows=120, seed=3):
     return path
 
 
+def spy_loads(monkeypatch) -> list[str]:
+    """Record the file name of every cli.load_flow_csv call."""
+    from flowsieve import cli
+
+    calls = []
+
+    def spy(path, *args):
+        calls.append(Path(path).name)
+        return load_flow_csv(path, *args)
+
+    monkeypatch.setattr(cli, "load_flow_csv", spy)
+    return calls
+
+
 class TestMeter:
     def test_golden_against_oracle(self, packet_file, tmp_path):
         out_dir = tmp_path / "out"
@@ -177,6 +191,14 @@ class TestSelect:
         dup_name = ds.schema[roles["duplicate"][0]]
         src_name = ds.schema[roles["duplicate_of"][roles["duplicate"][0]]]
         assert not {dup_name, src_name} <= set(kept)
+
+    @pytest.mark.parametrize("flags", [[], ["--disable"]])
+    def test_input_parsed_once(self, tmp_path, monkeypatch, flags):
+        calls = spy_loads(monkeypatch)
+        flows = synth_csv(tmp_path)
+        assert main(["select", str(flows), *flags,
+                     "--out-dir", str(tmp_path / "out")]) == 0
+        assert calls == ["flows.csv"]
 
     def test_unlabeled_rejected(self, tmp_path):
         path = tmp_path / "unlabeled.csv"
@@ -340,15 +362,7 @@ class TestPipeline:
         ("true", ["flows.csv", "selected.csv", "test.csv"]),
     ])
     def test_input_parsed_once(self, tmp_path, monkeypatch, select, loaded):
-        from flowsieve import cli
-
-        calls = []
-
-        def spy(path, *args):
-            calls.append(Path(path).name)
-            return load_flow_csv(path, *args)
-
-        monkeypatch.setattr(cli, "load_flow_csv", spy)
+        calls = spy_loads(monkeypatch)
         cfg = tmp_path / "run.ini"
         cfg.write_text(f"[input]\nflows = {synth_csv(tmp_path)}\n"
                        f"[select]\nenabled = {select}\n"

@@ -161,7 +161,7 @@ class TestCsvCodecMatchesReference:
         assert (out / "bulk.csv").read_bytes() == (out / "cells.csv").read_bytes()
         assert format_cells(values) == [format_cell(v) for v in values]
 
-    def test_writer_matches_across_row_blocks(self, tmp_path):
+    def test_writer_matches_on_many_rows(self, tmp_path):
         rng = np.random.default_rng(4)
         X = rng.normal(scale=1e4, size=(2500, 3))
         X[::3, 1] = np.rint(X[::3, 1])
