@@ -40,6 +40,16 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _load_flows(path, cfg: PipelineConfig) -> Dataset:
+    """load_flow_csv under the config's bad_value_policy, reporting dropped
+    rows on stderr so a drop is never silent."""
+    ds = load_flow_csv(path, cfg.bad_value_policy)
+    if ds.dropped:
+        print(f"{path}: dropped {ds.dropped} rows with non-finite cells "
+              "(bad_value_policy = drop)", file=sys.stderr)
+    return ds
+
+
 # ---------------------------------------------------------------- meter
 
 
@@ -87,7 +97,7 @@ def run_select(flows_path, out_dir,
     With selection on the Dataset is None: the written cells are rounded to
     6 significant digits, so training must read the file back.
     """
-    ds = load_flow_csv(flows_path, cfg.bad_value_policy)
+    ds = _load_flows(flows_path, cfg)
     out_dir = Path(out_dir)
     reduced_path = out_dir / "selected.csv"
     if not cfg.select_enabled:
@@ -211,8 +221,7 @@ def cmd_train(args) -> int:
         cfg.mlp_train.mode = args.mode
     timer = StageTimer()
     timer.start("train")
-    artifacts = run_train(load_flow_csv(flows_path, cfg.bad_value_policy),
-                          out_dir, cfg)
+    artifacts = run_train(_load_flows(flows_path, cfg), out_dir, cfg)
     timer.stop()
     write_manifest(out_dir, "train", cfg, [flows_path], list(artifacts),
                    timer.timings)
@@ -244,7 +253,7 @@ def _project(ds: Dataset, feature_names: tuple[str, ...], model_path) -> Dataset
 def run_eval(flows_path, out_dir, cfg: PipelineConfig, model_paths: list[Path],
              column_names: list[str] | None = None,
              include_reference: bool = False) -> dict[str, metrics.ClassReport]:
-    ds = load_flow_csv(flows_path, cfg.bad_value_policy)
+    ds = _load_flows(flows_path, cfg)
     out_dir = Path(out_dir)
     columns: dict[str, metrics.ClassReport] = {}
     for position, model_path in enumerate(model_paths):
@@ -349,7 +358,7 @@ def cmd_pipeline(args) -> int:
 
     timer.start("train")
     if selected_ds is None:
-        selected_ds = load_flow_csv(selected_path, cfg.bad_value_policy)
+        selected_ds = _load_flows(selected_path, cfg)
     trained = run_train(selected_ds, out_dir, cfg)
     timer.stop()
     artifacts += list(trained)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -59,6 +60,7 @@ class Dataset:
     X: np.ndarray  # (N, n) float64
     y: np.ndarray  # (N,) int
     class_names: tuple[str, ...] = CLASS_NAMES
+    dropped: int = field(default=0, compare=False)  # rows load_flow_csv skipped
 
     def __post_init__(self):
         if self.X.ndim != 2 or self.X.shape[0] != self.y.shape[0]:
@@ -153,7 +155,8 @@ def load_flow_csv(path, bad_value_policy: str = "error") -> Dataset:
     Columns must be canonical feature names (or their published UNB-CIC
     aliases) with "label" last. Labels are matched case-insensitively.
     bad_value_policy controls rows with non-finite cells: "error" (default)
-    or "drop" (skip the row; the published dataset contains Infinity rates).
+    or "drop" (skip the row and count it in Dataset.dropped; the published
+    dataset contains Infinity rates).
     """
     if bad_value_policy not in ("error", "drop"):
         raise ValueError(f"unknown bad_value_policy {bad_value_policy!r}")
@@ -174,8 +177,9 @@ def load_flow_csv(path, bad_value_policy: str = "error") -> Dataset:
         width = len(header)
         ip_cols = [i for i, name in enumerate(feature_names)
                    if name in _IP_COLUMNS]
-        rows: list[list[float]] = []
+        values_read = array("d")  # every kept row's floats, row after row
         labels: list[int] = []
+        dropped = 0
         for row_number, cells in enumerate(reader, start=2):
             if not cells:
                 continue
@@ -188,18 +192,21 @@ def load_flow_csv(path, bad_value_policy: str = "error") -> Dataset:
                 values = _parse_cells(path, row_number, feature_names, cells,
                                       bad_value_policy)
                 if values is None:
+                    dropped += 1
                     continue
             raw_label = cells[-1].strip()
             label_id = LABEL_TO_ID.get(raw_label.lower())
             if label_id is None:
                 raise DataError(
                     f"{path}: row {row_number}: unknown label {raw_label!r}")
-            rows.append(values)
+            values_read.extend(values)
             labels.append(label_id)
-    if not rows:
+    if not labels:
         raise DataError(f"{path}: no data rows")
-    return Dataset(feature_names, np.array(rows, dtype=np.float64),
-                   np.array(labels, dtype=np.int64))
+    X = np.frombuffer(values_read, np.float64).reshape(len(labels),
+                                                       len(feature_names))
+    return Dataset(feature_names, X, np.array(labels, dtype=np.int64),
+                   dropped=dropped)
 
 
 def write_csv(ds: Dataset, path) -> None:

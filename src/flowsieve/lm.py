@@ -2,7 +2,8 @@
 
 Minimizes cost(theta) = (1/2)||r(theta)||^2 by solving
 (J^T J + mu I) delta = -J^T r each iteration, shrinking mu after an
-accepted step and growing it after a rejected one.
+accepted step and growing it after a rejected one. The caller supplies
+J^T J and J^T r, never J itself, so it may build them without holding J.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ class LmResult:
 
 def minimize_least_squares(
     residual_fn: Callable[[np.ndarray], np.ndarray],
-    jacobian_fn: Callable[[np.ndarray], np.ndarray],
+    normal_fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     theta0: np.ndarray,
     *,
     mu_init: float = 1e-3,
@@ -37,25 +38,24 @@ def minimize_least_squares(
 ) -> LmResult:
     """Run damped Gauss-Newton from theta0.
 
-    A step is accepted only if it strictly decreases the cost; the optional
-    callback sees (theta, cost) after each accepted step and may stop the
-    run by returning False. Stop reasons: "gradient", "mu_max",
-    "max_iterations", "callback".
+    residual_fn(theta) gives r, and normal_fn(theta) gives (J^T J, J^T r)
+    at theta. A step is accepted only if it strictly decreases the cost;
+    the optional callback sees (theta, cost) after each accepted step and
+    may stop the run by returning False. Stop reasons: "gradient",
+    "mu_max", "max_iterations", "callback".
     """
     theta = np.array(theta0, dtype=np.float64, copy=True)
     r = residual_fn(theta)
-    jac = jacobian_fn(theta)
+    hessian_approx, gradient = normal_fn(theta)
     cost = 0.5 * float(r @ r)
     result = LmResult(theta=theta, initial_cost=cost)
     mu = float(mu_init)
     identity = np.eye(len(theta))
 
     for iteration in range(max_iterations):
-        gradient = jac.T @ r
         if np.linalg.norm(gradient) < gradient_tol:
             result.reason = "gradient"
             break
-        hessian_approx = jac.T @ jac
         accepted = False
         while not accepted:
             try:
@@ -66,8 +66,8 @@ def minimize_least_squares(
             r_new = residual_fn(candidate)
             cost_new = 0.5 * float(r_new @ r_new)
             if cost_new < cost:
-                theta, r, cost = candidate, r_new, cost_new
-                jac = jacobian_fn(theta)
+                theta, cost = candidate, cost_new
+                hessian_approx, gradient = normal_fn(theta)
                 mu = max(mu * mu_down, 1e-300)
                 accepted = True
             else:

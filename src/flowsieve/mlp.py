@@ -186,6 +186,26 @@ def residual_jacobian(model: MlpModel, X: np.ndarray,
     return residuals, jac
 
 
+# Rows per residual_jacobian call in normal_equations: the Jacobian held at
+# once is outputs*4096 x P whatever N is, and a batch of 4096 rows or fewer
+# gets exactly the products of the full Jacobian.
+_CHUNK_ROWS = 4096
+
+
+def normal_equations(model: MlpModel, X: np.ndarray,
+                     T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """J^T J and J^T r of residual_jacobian over the whole batch, summed
+    over _CHUNK_ROWS-row slices so the full Jacobian is never built."""
+    jtj = np.zeros((model.n_parameters, model.n_parameters))
+    jtr = np.zeros(model.n_parameters)
+    for start in range(0, len(X), _CHUNK_ROWS):
+        chunk = slice(start, start + _CHUNK_ROWS)
+        residuals, jac = residual_jacobian(model, X[chunk], T[chunk])
+        jtj += jac.T @ jac
+        jtr += jac.T @ residuals
+    return jtj, jtr
+
+
 def predict(model: MlpModel, x: np.ndarray) -> int:
     """Class of the larger output; an exact tie maps to class 0."""
     _, y = forward(model, x)
@@ -272,8 +292,8 @@ def train_lm(model: MlpModel, X: np.ndarray, T: np.ndarray,
         _, Y = _forward_batch(unpack_parameters(theta, *layout), X)
         return (Y - T).ravel()
 
-    def jacobian_fn(theta: np.ndarray) -> np.ndarray:
-        return residual_jacobian(unpack_parameters(theta, *layout), X, T)[1]
+    def normal_fn(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return normal_equations(unpack_parameters(theta, *layout), X, T)
 
     def on_step(theta: np.ndarray, cost: float) -> bool:
         # cost is 0.5*||r||^2 summed over all examples
@@ -281,7 +301,7 @@ def train_lm(model: MlpModel, X: np.ndarray, T: np.ndarray,
 
     # With no accepted step, on_step never runs and the initial model stays best.
     result = minimize_least_squares(
-        residual_fn, jacobian_fn, pack_parameters(model),
+        residual_fn, normal_fn, pack_parameters(model),
         mu_init=cfg.lm_mu_init, mu_up=cfg.lm_mu_up, mu_down=cfg.lm_mu_down,
         mu_max=cfg.lm_mu_max, max_iterations=cfg.max_epochs,
         callback=on_step)

@@ -245,6 +245,39 @@ class TestTrain:
         val = [float(r.split(",")[2]) for r in rows]
         assert min(val) <= val[0]
 
+    def test_dropped_rows_reported(self, tmp_path, capsys):
+        flows = synth_csv(tmp_path)
+        lines = flows.read_text().splitlines()
+        cells = lines[5].split(",")
+        cells[6] = "Infinity"
+        dirty = tmp_path / "dirty.csv"
+        dirty.write_text("\n".join(lines[:5] + [",".join(cells)] + lines[6:]) + "\n")
+        clean = tmp_path / "clean.csv"
+        clean.write_text("\n".join(lines[:5] + lines[6:]) + "\n")
+        for policy in ("drop", "error"):
+            (tmp_path / f"{policy}.ini").write_text(
+                f"[input]\nbad_value_policy = {policy}\n")
+
+        def train(path, policy, out):
+            rc = main(["train", str(path), "--classifier", "ann", "--seed", "3",
+                       "--config", str(tmp_path / f"{policy}.ini"),
+                       "--out-dir", str(tmp_path / out)])
+            return rc, capsys.readouterr()
+
+        rc, clean_run = train(clean, "drop", "clean")
+        assert (rc, clean_run.err) == (0, "")
+        rc, drop_run = train(dirty, "drop", "drop")
+        assert rc == 0
+        assert drop_run.err == (f"{dirty}: dropped 1 rows with non-finite cells "
+                                "(bad_value_policy = drop)\n")
+        assert drop_run.out == clean_run.out
+        for name in ("ann_model.txt", "ann_history.csv", "test.csv"):
+            assert ((tmp_path / "drop" / name).read_bytes()
+                    == (tmp_path / "clean" / name).read_bytes())
+        rc, error_run = train(dirty, "error", "error")
+        assert rc == 3
+        assert "row 6 column 7 (flow_bytes_per_s): non-finite value" in error_run.err
+
 
 class TestEval:
     def _train(self, tmp_path, classifier="ann", seed=3):

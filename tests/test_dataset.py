@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -78,6 +80,33 @@ class TestLoad:
             load_flow_csv(path)
         ds = load_flow_csv(path, bad_value_policy="drop")
         assert ds.n_examples == 2
+
+    def test_dropped_rows_counted(self, tmp_path):
+        inf_row = ",".join(["nan"] + ["1.0"] * 27 + ["Tor"])
+        path = make_flow_csv(tmp_path, [inf_row, flow_row("Tor"), inf_row,
+                                        flow_row("NonTor"), inf_row])
+        ds = load_flow_csv(path, bad_value_policy="drop")
+        assert (ds.n_examples, ds.dropped) == (2, 3)
+        assert load_flow_csv(make_flow_csv(tmp_path, [flow_row("Tor")],
+                                           name="clean.csv"), "drop").dropped == 0
+
+    def test_peak_memory_follows_matrix(self, tmp_path):
+        rng = np.random.default_rng(5)
+        n = 20_000
+        ds = Dataset(FEATURE_COLUMNS, rng.normal(size=(n, 28)),
+                     rng.integers(0, 2, n))
+        path = tmp_path / "big.csv"
+        write_csv(ds, path)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            loaded = load_flow_csv(path)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        nbytes = loaded.X.nbytes
+        assert loaded.X.flags.c_contiguous and loaded.X.flags.writeable
+        assert peak < 2 * nbytes + 2 * 2 ** 20, (peak, nbytes)
 
     def test_reduced_csv_roundtrip(self, tmp_path):
         ds = Dataset(("src_port", "idle_max"),

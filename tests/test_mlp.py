@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -128,6 +130,45 @@ class TestGradient:
                                    rtol=1e-10, atol=1e-14)
 
 
+class TestNormalEquations:
+    """normal_equations against the products of the whole-batch Jacobian."""
+
+    CHUNK = 7
+
+    @pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+    def test_matches_full_jacobian(self, monkeypatch, n):
+        monkeypatch.setattr(mlp, "_CHUNK_ROWS", self.CHUNK)
+        rng = np.random.default_rng(30 + n)
+        model = mlp.init_model(5, 4, seed=30 + n)
+        X = rng.normal(size=(n, 5))
+        T = one_hot(rng.integers(0, 2, n))
+        jtj, jtr = mlp.normal_equations(model, X, T)
+        residuals, jac = mlp.residual_jacobian(model, X, T)
+        want_jtj, want_jtr = jac.T @ jac, jac.T @ residuals
+        if n <= self.CHUNK:  # one chunk: the very same products
+            assert np.array_equal(jtj, want_jtj)
+            assert np.array_equal(jtr, want_jtr)
+        np.testing.assert_allclose(jtj, want_jtj, rtol=1e-12)
+        np.testing.assert_allclose(jtr, want_jtr, rtol=1e-12)
+
+    def test_peak_memory_independent_of_rows(self, monkeypatch):
+        monkeypatch.setattr(mlp, "_CHUNK_ROWS", 64)
+        rng = np.random.default_rng(31)
+        model = mlp.init_model(28, 6, seed=31)
+        peaks = []
+        for n in (2000, 8000):
+            X = rng.normal(size=(n, 28))
+            T = one_hot(rng.integers(0, 2, n))
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                mlp.normal_equations(model, X, T)
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
 class TestTrainBp:
     def test_xor_converges(self):
         model = mlp.init_model(2, 4, seed=1)
@@ -207,7 +248,8 @@ class TestTrainLm:
         b = rng.normal(size=8)
         optimum = np.linalg.solve(A.T @ A, A.T @ b)
         result = minimize_least_squares(
-            lambda t: A @ t - b, lambda t: A, np.zeros(3),
+            lambda t: A @ t - b, lambda t: (A.T @ A, A.T @ (A @ t - b)),
+            np.zeros(3),
             mu_init=1e-12, max_iterations=1)
         assert np.abs(result.theta - optimum).max() < 1e-8
         assert result.iterations == 1
@@ -217,7 +259,9 @@ class TestTrainLm:
         # the cost, so mu climbs to its cap; the gradient norm stays at 1.
         result = minimize_least_squares(
             lambda t: np.array([1.0 + abs(t[0])]),
-            lambda t: np.array([[1.0 if t[0] >= 0 else -1.0]]),
+            lambda t: (np.array([[1.0]]),
+                       np.array([(1.0 if t[0] >= 0 else -1.0)
+                                 * (1.0 + abs(t[0]))])),
             np.zeros(1), max_iterations=50)
         assert result.reason == "mu_max"
         assert result.cost_history == []
