@@ -40,7 +40,7 @@ _KNOWN_KEYS = {
     "train": {"classifier"},
     "mlp": {"mode", "hidden", "max_epochs", "learning_rate", "batch_size",
             "patience", "mu_init", "mu_up", "mu_down", "mu_max"},
-    "svm": {"kernel", "gamma", "c", "tolerance", "max_passes", "max_iterations"},
+    "svm": {"kernel", "gamma", "c", "tolerance", "max_iterations"},
     "synth": {"rows_per_class", "class0_mean", "class1_mean", "covariance_scale",
               "duplicates", "duplicate_noise", "noise_features", "noise_scale"},
 }
@@ -75,11 +75,10 @@ class PipelineConfig:
                              f"got {self.classifier!r}")
 
     def apply_seed(self, seed: int) -> None:
-        """One seed controls split, init, SMO and synthesis deterministically."""
+        """One seed controls split, init and synthesis deterministically."""
         self.seed = seed
         self.split.seed = seed
         self.mlp_train.seed = seed + 1
-        self.smo.seed = seed + 2
 
     def snapshot(self) -> dict:
         """JSON-serializable copy of the configuration for the manifest."""
@@ -182,9 +181,7 @@ def _apply_file(cfg: PipelineConfig, parser: configparser.ConfigParser) -> None:
         cfg.smo = SmoConfig(
             C=sec.getfloat("c", s.C),
             tolerance=sec.getfloat("tolerance", s.tolerance),
-            max_passes=sec.getint("max_passes", s.max_passes),
-            max_iterations=int(max_iter) if max_iter else s.max_iterations,
-            seed=s.seed)
+            max_iterations=int(max_iter) if max_iter else s.max_iterations)
     if parser.has_section("synth"):
         sec = parser["synth"]
         base = cfg.synth_spec

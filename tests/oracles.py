@@ -417,3 +417,52 @@ def oracle_write_csv(ds, path) -> None:
             cells = [format_cell(float(v)) for v in row]
             cells.append(ds.class_names[label])
             handle.write(",".join(cells) + "\n")
+
+
+def kernel_eval(kernel, x, z) -> float:
+    """One kernel value from its definition; the reference for
+    flowsieve.svm.kernel_matrix."""
+    x = np.asarray(x, dtype=np.float64)
+    z = np.asarray(z, dtype=np.float64)
+    if x.shape != z.shape:
+        raise ValueError(f"width mismatch: {x.shape} vs {z.shape}")
+    if kernel.kind == "linear":
+        return float(x @ z)
+    diff = x - z
+    return float(np.exp(-kernel.gamma * (diff @ diff)))
+
+
+def decision_value(model, x) -> float:
+    """flowsieve.svm.decision_values for one example."""
+    from flowsieve.svm import decision_values
+
+    return float(decision_values(model, np.asarray(x)[None, :])[0])
+
+
+def svm_predict(models, x) -> int:
+    """flowsieve.svm.predict_batch for one example."""
+    from flowsieve.svm import predict_batch
+
+    if not models:
+        raise ValueError("need at least one model")
+    return int(predict_batch(models, np.asarray(x)[None, :])[0])
+
+
+def dual_objective(model) -> float:
+    """sum(alpha) - 0.5 * coeff^T K coeff over the support vectors."""
+    from flowsieve.svm import kernel_matrix
+
+    gram = kernel_matrix(model.kernel, model.support_vectors, model.support_vectors)
+    alphas = np.abs(model.coefficients)
+    return float(alphas.sum() - 0.5 * model.coefficients @ gram @ model.coefficients)
+
+
+def primal_objective(model, X, y_pm) -> float:
+    """0.5||w||^2 + C * sum of hinge losses on (X, y_pm) with y in {+1,-1}."""
+    from flowsieve.svm import decision_values, kernel_matrix
+
+    gram = kernel_matrix(model.kernel, model.support_vectors, model.support_vectors)
+    w_norm_sq = float(model.coefficients @ gram @ model.coefficients)
+    margins = y_pm * (decision_values(model, X))
+    hinge = np.maximum(0.0, 1.0 - margins).sum()
+    return 0.5 * w_norm_sq + model.C * float(hinge)

@@ -390,6 +390,15 @@ class TestPipeline:
                    "--out-dir", str(tmp_path / "out")])
         assert rc == 2
 
+    def test_removed_max_passes_key_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "old.ini"
+        cfg.write_text("[input]\nsynth = true\n[svm]\nmax_passes = 10\n")
+        rc = main(["pipeline", "--config", str(cfg),
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(cfg) in err and "max_passes" in err
+
     @pytest.mark.parametrize("select, loaded", [
         ("false", ["flows.csv", "test.csv"]),
         ("true", ["flows.csv", "selected.csv", "test.csv"]),

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from flowsieve import mlp
@@ -317,7 +317,9 @@ class TestPredict:
     def test_argmax_invariant_under_increasing_transform(self, y0, y1,
                                                          scale, shift):
         outputs = np.array([y0, y1])
-        transformed = scale * outputs + shift  # strictly increasing
+        # Increasing, but rounding can map two close outputs to one value.
+        transformed = scale * outputs + shift
+        assume(transformed[0] != transformed[1])
         assert int(np.argmax(outputs)) == int(np.argmax(transformed))
 
 

@@ -1,16 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from flowsieve.dataset import Scaler
 from flowsieve.errors import DataError
-from flowsieve.svm import (Kernel, SmoConfig, SvmModel, decision_value,
-                           decision_values, kernel_eval, kernel_matrix,
-                           load_models, predict, predict_batch,
-                           primal_objective, save_models, smo_train,
-                           train_ovr)
-from oracles import qp_dual_oracle
+from flowsieve.svm import (Kernel, SmoConfig, SvmModel, decision_values,
+                           kernel_matrix, load_models, predict_batch,
+                           save_models, smo_train, train_ovr)
+from oracles import (decision_value, dual_objective, kernel_eval,
+                     primal_objective, qp_dual_oracle)
+from oracles import svm_predict as predict
 
 
 def separable_2d(n_per_class=10, seed=0, gap=2.5):
@@ -93,7 +94,7 @@ class TestKernel:
 class TestSmo:
     def test_separable_linear_fixture(self):
         X, y = separable_2d()
-        cfg = SmoConfig(C=1e3, tolerance=1e-3, seed=0)
+        cfg = SmoConfig(C=1e3, tolerance=1e-3)
         model = smo_train(X, y, Kernel("linear"), cfg)
         assert ((decision_values(model, X) > 0) == (y > 0)).all()
         # hard-margin solution: boundary alphas strictly inside (0, C)
@@ -103,14 +104,14 @@ class TestSmo:
 
     def test_dual_matches_qp_oracle(self):
         X, y = separable_2d()
-        cfg = SmoConfig(C=1e3, tolerance=1e-3, seed=0)
+        cfg = SmoConfig(C=1e3, tolerance=1e-3)
         model = smo_train(X, y, Kernel("linear"), cfg)
         _, oracle = qp_dual_oracle(kernel_matrix(Kernel("linear"), X, X), y, cfg.C)
-        assert abs(model.dual_objective() - oracle) <= 1e-4
+        assert abs(dual_objective(model) - oracle) <= 1e-4
 
     def test_xor_rbf(self):
         model = smo_train(XOR_X, XOR_Y_PM, Kernel("rbf", gamma=1.0),
-                          SmoConfig(C=10.0, seed=0))
+                          SmoConfig(C=10.0))
         assert ((decision_values(model, XOR_X) > 0) == (XOR_Y_PM > 0)).all()
 
     def test_kkt_on_random_instances(self):
@@ -120,7 +121,7 @@ class TestSmo:
             X = rng.normal(size=(n, 3))
             y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
             y[0], y[1] = 1.0, -1.0
-            cfg = SmoConfig(C=1.0, tolerance=1e-3, seed=trial)
+            cfg = SmoConfig(C=1.0, tolerance=1e-3)
             model = smo_train(X, y, Kernel("rbf", gamma=0.5), cfg)
             assert kkt_violations(model, X, y, cfg.tolerance) == 0
             assert abs(model.coefficients.sum()) <= 1e-9
@@ -133,16 +134,33 @@ class TestSmo:
             y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
             y[0], y[1] = 1.0, -1.0
             kernel = Kernel("rbf", gamma=0.5)
-            model = smo_train(X, y, kernel, SmoConfig(C=1.0, seed=trial))
+            model = smo_train(X, y, kernel, SmoConfig(C=1.0))
             _, oracle = qp_dual_oracle(kernel_matrix(kernel, X, X), y, 1.0)
-            assert abs(model.dual_objective() - oracle) <= 1e-4
+            assert abs(dual_objective(model) - oracle) <= 1e-4
 
-    def test_deterministic_under_seed(self):
+    def test_deterministic_rerun(self):
         X, y = separable_2d(seed=4)
-        runs = [smo_train(X, y, Kernel("rbf", gamma=0.5), SmoConfig(seed=7))
+        runs = [smo_train(X, y, Kernel("rbf", gamma=0.5), SmoConfig())
                 for _ in range(2)]
         np.testing.assert_array_equal(runs[0].coefficients, runs[1].coefficients)
         assert runs[0].bias == runs[1].bias
+
+    def test_memory_stays_below_gram_size(self):
+        # The 3000 x 3000 Gram matrix alone would take 72 MB.
+        X, y = separable_2d(n_per_class=1500, seed=18)
+        tracemalloc.start()
+        try:
+            smo_train(X, y, Kernel("rbf", gamma=0.5), SmoConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
+
+    def test_iteration_cap_flags_model(self):
+        X, y = separable_2d()
+        model = smo_train(X, y, Kernel("linear"),
+                          SmoConfig(C=1e3, max_iterations=1))
+        assert not model.converged
 
     def test_bad_labels_rejected(self):
         with pytest.raises(ValueError, match="internal labels"):
@@ -164,7 +182,7 @@ class TestDecision:
 
     def test_weight_path_equals_sv_path(self):
         X, y = separable_2d(seed=5)
-        model = smo_train(X, y, Kernel("linear"), SmoConfig(C=10.0, seed=5))
+        model = smo_train(X, y, Kernel("linear"), SmoConfig(C=10.0))
         rng = np.random.default_rng(6)
         for _ in range(20):
             x = rng.normal(size=2)
@@ -177,7 +195,7 @@ class TestDecision:
 
     def test_margin_support_vectors_on_unit_margin(self):
         X, y = separable_2d(seed=7)
-        cfg = SmoConfig(C=1e3, tolerance=1e-3, seed=7)
+        cfg = SmoConfig(C=1e3, tolerance=1e-3)
         model = smo_train(X, y, Kernel("linear"), cfg)
         alphas = full_alphas(model, X)
         margins = y * decision_values(model, X)
@@ -212,7 +230,7 @@ class TestPredict:
         X, y = separable_2d(seed=8)
         labels = (y > 0).astype(int)
         models = train_ovr(X, labels, 2, Kernel("rbf", gamma=0.5),
-                           SmoConfig(seed=8))
+                           SmoConfig())
         rng = np.random.default_rng(9)
         points = rng.normal(size=(30, 2))
         before = predict_batch(models, points)
@@ -227,7 +245,7 @@ class TestPredict:
         X, y = separable_2d(seed=10, gap=1.5)
         labels = (y > 0).astype(int)  # class 1 = positive side
         models = train_ovr(X, labels, 2, Kernel("rbf", gamma=0.5),
-                           SmoConfig(seed=10))
+                           SmoConfig())
         rng = np.random.default_rng(11)
         points = rng.normal(size=(100, 2)) * 2.0
         agree = 0
@@ -242,7 +260,7 @@ class TestTrainOvr:
     def test_two_models_for_binary_problem(self, two_cluster_dataset):
         ds = two_cluster_dataset
         models = train_ovr(ds.X, ds.y, 2, Kernel("rbf", gamma=0.5),
-                           SmoConfig(seed=1))
+                           SmoConfig())
         assert len(models) == 2
         assert [m.positive_class for m in models] == [0, 1]
         predictions = predict_batch(models, ds.X)
@@ -250,8 +268,26 @@ class TestTrainOvr:
 
     def test_default_kernel_gamma(self, two_cluster_dataset):
         ds = two_cluster_dataset
-        models = train_ovr(ds.X, ds.y, 2, None, SmoConfig(seed=2))
+        models = train_ovr(ds.X, ds.y, 2, None, SmoConfig())
         assert models[0].kernel.gamma == pytest.approx(1.0 / ds.n_features)
+
+    @pytest.mark.parametrize("kernel", [Kernel("rbf", gamma=0.5),
+                                        Kernel("linear")])
+    def test_class0_model_is_negated_class1(self, kernel):
+        X, y = separable_2d(seed=10, gap=1.5)
+        negated, model = train_ovr(X, (y > 0).astype(int), 2, kernel,
+                                   SmoConfig())
+        assert (negated.positive_class, model.positive_class) == (0, 1)
+        np.testing.assert_array_equal(negated.support_vectors,
+                                      model.support_vectors)
+        np.testing.assert_array_equal(negated.coefficients, -model.coefficients)
+        assert negated.bias == -model.bias
+        if kernel.kind == "linear":
+            np.testing.assert_array_equal(negated.weights, -model.weights)
+        points = np.random.default_rng(11).normal(size=(100, 2)) * 2.0
+        sign_rule = (decision_values(model, points) > 0).astype(int)
+        np.testing.assert_array_equal(predict_batch([negated, model], points),
+                                      sign_rule)
 
     def test_empty_class_rejected(self):
         X = np.zeros((3, 2))
@@ -262,7 +298,7 @@ class TestTrainOvr:
 class TestPrimal:
     def test_separable_solution_has_zero_slack(self):
         X, y = separable_2d(seed=12)
-        cfg = SmoConfig(C=1e3, tolerance=1e-4, seed=12)
+        cfg = SmoConfig(C=1e3, tolerance=1e-4)
         model = smo_train(X, y, Kernel("linear"), cfg)
         gram = kernel_matrix(model.kernel, model.support_vectors,
                              model.support_vectors)
@@ -278,16 +314,16 @@ class TestPrimal:
             y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
             y[0], y[1] = 1.0, -1.0
             model = smo_train(X, y, Kernel("rbf", gamma=1.0),
-                              SmoConfig(C=2.0, seed=trial))
-            assert primal_objective(model, X, y) >= model.dual_objective() - 1e-9
+                              SmoConfig(C=2.0))
+            assert primal_objective(model, X, y) >= dual_objective(model) - 1e-9
 
     def test_duality_gap_small_at_convergence(self):
         X, y = separable_2d(seed=14, gap=1.2)
         model = smo_train(X, y, Kernel("rbf", gamma=0.5),
-                          SmoConfig(C=1.0, seed=14))
+                          SmoConfig(C=1.0))
         assert model.converged
         primal = primal_objective(model, X, y)
-        gap = primal - model.dual_objective()
+        gap = primal - dual_objective(model)
         assert gap < 1e-3 * (1.0 + abs(primal))
 
 
@@ -296,7 +332,7 @@ class TestSerialization:
         X, y = separable_2d(seed=15)
         labels = (y > 0).astype(int)
         models = train_ovr(X, labels, 2, Kernel("rbf", gamma=0.25),
-                           SmoConfig(seed=15))
+                           SmoConfig())
         scaler = Scaler(mean=np.array([0.5, -0.5]), std=np.array([1.5, 2.0]),
                         passthrough=np.array([False, False]))
         path = tmp_path / "svm.txt"
@@ -321,7 +357,7 @@ class TestSerialization:
     def test_linear_round_trip_restores_weights(self, tmp_path):
         X, y = separable_2d(seed=17)
         models = train_ovr(X, (y > 0).astype(int), 2, Kernel("linear"),
-                           SmoConfig(C=5.0, seed=17))
+                           SmoConfig(C=5.0))
         path = tmp_path / "svm.txt"
         save_models(path, models, ("a", "b"))
         loaded, _ = load_models(path)
