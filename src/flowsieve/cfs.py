@@ -45,6 +45,8 @@ class SearchConfig:
     def __post_init__(self):
         if self.max_stale_expansions < 1:
             raise ValueError("max_stale_expansions must be at least 1")
+        if self.max_subset_size is not None and self.max_subset_size < 1:
+            raise ValueError("max_subset_size must be at least 1")
 
 
 def correlation(x, y) -> float:

@@ -34,10 +34,16 @@ def _require_file(path: str) -> Path:
     return p
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _config(args) -> tuple[PipelineConfig, Path]:
+    """The --config file with each flag given that sets a config key (its
+    dest is "section:key") laid over it, and the out dir, created."""
+    overrides = {tuple(dest.split(":")): value for dest, value in vars(args).items()
+                 if ":" in dest and value is not None}
+    cfg = load_config(args.config, seed=args.seed, overrides=overrides)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    cfg.out_dir = str(out_dir)
+    return cfg, out_dir
 
 
 def _load_flows(path, cfg: PipelineConfig) -> Dataset:
@@ -68,17 +74,10 @@ def run_meter(packets_path, out_dir, meter_cfg: MeterConfig, label: str) -> Path
 
 def cmd_meter(args) -> int:
     packets_path = _require_file(args.packets)
-    out_dir = _out_dir(args)
-    cfg = load_config(args.config, seed=args.seed, out_dir=str(out_dir))
-    if args.activity_timeout_us or args.flow_timeout_us:
-        cfg.meter = MeterConfig(
-            activity_timeout_us=args.activity_timeout_us
-            or cfg.meter.activity_timeout_us,
-            flow_timeout_us=args.flow_timeout_us or cfg.meter.flow_timeout_us)
-    label = args.label or cfg.meter_label
+    cfg, out_dir = _config(args)
     timer = StageTimer()
     timer.start("meter")
-    out = run_meter(packets_path, out_dir, cfg.meter, label)
+    out = run_meter(packets_path, out_dir, cfg.meter, cfg.meter_label)
     timer.stop()
     write_manifest(out_dir, "meter", cfg, [packets_path], ["flows.csv"],
                    timer.timings)
@@ -90,9 +89,9 @@ def cmd_meter(args) -> int:
 
 
 def run_select(flows_path, out_dir,
-               cfg: PipelineConfig) -> tuple[Path, Dataset | None]:
-    """Write selected.csv; return its path and, when it is a copy of the
-    input, the input's Dataset.
+               cfg: PipelineConfig) -> tuple[list[str], Dataset | None]:
+    """Write selected.csv; return the names of the files written and, when
+    selected.csv is a copy of the input, the input's Dataset.
 
     With selection on the Dataset is None: the written cells are rounded to
     6 significant digits, so training must read the file back.
@@ -103,7 +102,7 @@ def run_select(flows_path, out_dir,
     if not cfg.select_enabled:
         shutil.copyfile(flows_path, reduced_path)  # validated verbatim copy
         print("selection disabled; pass-through copy written")
-        return reduced_path, ds
+        return ["selected.csv"], ds
     stats = cfs.build_stats(ds)
     subset = cfs.best_first_search(stats, cfg.search)
     names = [ds.schema[i] for i in subset.path]
@@ -136,24 +135,17 @@ def run_select(flows_path, out_dir,
 
     print(report_lines[0])
     print(report_lines[-1])
-    return reduced_path, None
+    return ["selected.csv", "selection.txt", "correlation_matrix.csv"], None
 
 
 def cmd_select(args) -> int:
     flows_path = _require_file(args.flows)
-    out_dir = _out_dir(args)
-    cfg = load_config(args.config, seed=args.seed, out_dir=str(out_dir))
-    if args.disable:
-        cfg.select_enabled = False
-    if args.max_stale_expansions:
-        cfg.search.max_stale_expansions = args.max_stale_expansions
+    cfg, out_dir = _config(args)
     timer = StageTimer()
     timer.start("select")
-    run_select(flows_path, out_dir, cfg)
+    written, _ = run_select(flows_path, out_dir, cfg)
     timer.stop()
-    write_manifest(out_dir, "select", cfg, [flows_path],
-                   ["selected.csv", "selection.txt", "correlation_matrix.csv"],
-                   timer.timings)
+    write_manifest(out_dir, "select", cfg, [flows_path], written, timer.timings)
     return EXIT_OK
 
 
@@ -210,14 +202,7 @@ def run_train(ds: Dataset, out_dir, cfg: PipelineConfig) -> dict[str, Path]:
 
 def cmd_train(args) -> int:
     flows_path = _require_file(args.flows)
-    out_dir = _out_dir(args)
-    cfg = load_config(args.config, seed=args.seed, out_dir=str(out_dir))
-    if args.classifier:
-        cfg.classifier = args.classifier
-    if args.hidden:
-        cfg.mlp_hidden = args.hidden
-    if args.mode:
-        cfg.mlp_train.mode = args.mode
+    cfg, out_dir = _config(args)
     timer = StageTimer()
     timer.start("train")
     artifacts = run_train(_load_flows(flows_path, cfg), out_dir, cfg)
@@ -276,8 +261,7 @@ def run_eval(flows_path, out_dir, cfg: PipelineConfig, model_paths: list[Path],
 def cmd_eval(args) -> int:
     flows_path = _require_file(args.flows)
     model_paths = [_require_file(m) for m in args.model]
-    out_dir = _out_dir(args)
-    cfg = load_config(args.config, seed=args.seed, out_dir=str(out_dir))
+    cfg, out_dir = _config(args)
     timer = StageTimer()
     timer.start("eval")
     run_eval(flows_path, out_dir, cfg, model_paths,
@@ -299,17 +283,7 @@ def run_synth(out_dir, cfg: PipelineConfig) -> Path:
 
 
 def cmd_synth(args) -> int:
-    out_dir = _out_dir(args)
-    cfg = load_config(args.config, seed=args.seed, out_dir=str(out_dir))
-    if args.rows_per_class:
-        spec = cfg.synth_spec
-        n_classes = len(spec.rows_per_class)
-        cfg.synth_spec = type(spec)(
-            class_means=spec.class_means,
-            rows_per_class=(args.rows_per_class,) * n_classes,
-            covariance=spec.covariance, duplicates=spec.duplicates,
-            n_noise=spec.n_noise, noise_scale=spec.noise_scale,
-            feature_names=spec.feature_names)
+    cfg, out_dir = _config(args)
     timer = StageTimer()
     timer.start("synth")
     out = run_synth(out_dir, cfg)
@@ -324,8 +298,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    out_dir = _out_dir(args)
-    cfg = load_config(args.config, seed=args.seed, out_dir=str(out_dir))
+    cfg, out_dir = _config(args)
     timer = StageTimer()
     inputs: list[Path] = []
     artifacts: list[str] = []
@@ -349,15 +322,13 @@ def cmd_pipeline(args) -> int:
         raise UsageError("config must provide [input] packets, flows or synth")
 
     timer.start("select")
-    selected_path, selected_ds = run_select(flows, out_dir, cfg)
+    written, selected_ds = run_select(flows, out_dir, cfg)
     timer.stop()
-    artifacts.append("selected.csv")
-    if cfg.select_enabled:
-        artifacts += ["selection.txt", "correlation_matrix.csv"]
+    artifacts += written
 
     timer.start("train")
     if selected_ds is None:
-        selected_ds = _load_flows(selected_path, cfg)
+        selected_ds = _load_flows(out_dir / "selected.csv", cfg)
     trained = run_train(selected_ds, out_dir, cfg)
     timer.stop()
     artifacts += list(trained)
@@ -392,25 +363,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("meter", help="packet records -> flow feature CSV")
     p.add_argument("packets")
-    p.add_argument("--label", choices=["Tor", "NonTor", "Unlabeled"])
-    p.add_argument("--activity-timeout-us", type=int, default=None)
-    p.add_argument("--flow-timeout-us", type=int, default=None)
+    p.add_argument("--label", dest="input:label", help="sets [input] label")
+    p.add_argument("--activity-timeout-us", dest="meter:activity_timeout_us",
+                   help="sets [meter] activity_timeout_us")
+    p.add_argument("--flow-timeout-us", dest="meter:flow_timeout_us",
+                   help="sets [meter] flow_timeout_us")
     common(p)
     p.set_defaults(func=cmd_meter)
 
     p = sub.add_parser("select", help="correlation-based feature selection")
     p.add_argument("flows")
-    p.add_argument("--disable", action="store_true",
-                   help="pass the CSV through unchanged")
-    p.add_argument("--max-stale-expansions", type=int, default=None)
+    p.add_argument("--disable", dest="select:enabled", action="store_const",
+                   const="false", help="sets [select] enabled = false")
+    p.add_argument("--max-stale-expansions", dest="select:max_stale_expansions",
+                   help="sets [select] max_stale_expansions")
     common(p)
     p.set_defaults(func=cmd_select)
 
     p = sub.add_parser("train", help="split, scale and train classifiers")
     p.add_argument("flows")
-    p.add_argument("--classifier", choices=["ann", "svm", "both"])
-    p.add_argument("--hidden", type=int, default=None)
-    p.add_argument("--mode", choices=["bp-sgd", "lm"])
+    p.add_argument("--classifier", dest="train:classifier", help="sets [train] classifier")
+    p.add_argument("--hidden", dest="mlp:hidden", help="sets [mlp] hidden")
+    p.add_argument("--mode", dest="mlp:mode", help="sets [mlp] mode")
     common(p)
     p.set_defaults(func=cmd_train)
 
@@ -424,7 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("synth", help="generate a synthetic flow CSV")
-    p.add_argument("--rows-per-class", type=int, default=None)
+    p.add_argument("--rows-per-class", dest="synth:rows_per_class",
+                   help="sets [synth] rows_per_class")
     common(p)
     p.set_defaults(func=cmd_synth)
 

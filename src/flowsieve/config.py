@@ -6,13 +6,14 @@ import configparser
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 from pathlib import Path
 
 from . import __version__, mlp, svm
 from .cfs import SearchConfig
-from .dataset import SplitSpec, SyntheticSpec, default_synthetic_spec
-from .flow_meter import MeterConfig
+from .dataset import (BAD_VALUE_POLICIES, SplitSpec, SyntheticSpec,
+                      default_synthetic_spec)
+from .flow_meter import LABELS, MeterConfig
 from .mlp import TrainConfig
 from .svm import Kernel, SmoConfig
 
@@ -30,20 +31,6 @@ ARTIFACT_FORMATS = {
 
 class UsageError(Exception):
     """Bad flags, unknown config keys, or missing input paths (exit code 2)."""
-
-
-_KNOWN_KEYS = {
-    "input": {"packets", "flows", "synth", "label", "bad_value_policy"},
-    "meter": {"activity_timeout_us", "flow_timeout_us"},
-    "split": {"train", "validation", "test"},
-    "select": {"enabled", "max_stale_expansions", "max_subset_size"},
-    "train": {"classifier"},
-    "mlp": {"mode", "hidden", "max_epochs", "learning_rate", "batch_size",
-            "patience", "mu_init", "mu_up", "mu_down", "mu_max"},
-    "svm": {"kernel", "gamma", "c", "tolerance", "max_iterations"},
-    "synth": {"rows_per_class", "class0_mean", "class1_mean", "covariance_scale",
-              "duplicates", "duplicate_noise", "noise_features", "noise_scale"},
-}
 
 
 @dataclass
@@ -70,9 +57,15 @@ class PipelineConfig:
     out_dir: str = "out"
 
     def __post_init__(self):
-        if self.classifier not in ("ann", "svm", "both"):
-            raise UsageError(f"classifier must be ann, svm or both, "
-                             f"got {self.classifier!r}")
+        for name, allowed in (("classifier", ("ann", "svm", "both")),
+                              ("meter_label", LABELS),
+                              ("bad_value_policy", BAD_VALUE_POLICIES)):
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"{name} must be one of {', '.join(allowed)}, "
+                                 f"got {getattr(self, name)!r}")
+        if self.mlp_hidden < 1:
+            raise ValueError(f"mlp_hidden must be at least 1, got {self.mlp_hidden}")
+        make_kernel(self, n_features=1)  # checks svm_kernel_kind and svm_gamma
 
     def apply_seed(self, seed: int) -> None:
         """One seed controls split, init and synthesis deterministically."""
@@ -86,133 +79,140 @@ class PipelineConfig:
         return json.loads(json.dumps(raw, default=str))
 
 
-def _parse_vector(text: str) -> tuple[float, ...]:
+def _bool(text: str) -> bool:
+    if text.lower() not in configparser.ConfigParser.BOOLEAN_STATES:
+        raise ValueError(f"not a boolean: {text!r}")
+    return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+
+
+def _optional(parse):
+    """An empty value leaves the setting at None."""
+    return lambda text: parse(text) if text else None
+
+
+def _numbers(text: str) -> tuple[float, ...]:
     return tuple(float(v) for v in text.replace(",", " ").split())
 
 
+# Every config key: [section] key -> (the PipelineConfig attribute it sets,
+# dotted for a nested config or a default_synthetic_spec argument, and the
+# parser of its text). The constructors check every range and choice.
+SETTINGS = {
+    ("input", "packets"): ("packets_path", str),
+    ("input", "flows"): ("flows_path", str),
+    ("input", "synth"): ("use_synth", _bool),
+    ("input", "label"): ("meter_label", str),
+    ("input", "bad_value_policy"): ("bad_value_policy", str),
+    ("meter", "activity_timeout_us"): ("meter.activity_timeout_us", int),
+    ("meter", "flow_timeout_us"): ("meter.flow_timeout_us", int),
+    ("split", "train"): ("split.train", float),
+    ("split", "validation"): ("split.validation", float),
+    ("split", "test"): ("split.test", float),
+    ("select", "enabled"): ("select_enabled", _bool),
+    ("select", "max_stale_expansions"): ("search.max_stale_expansions", int),
+    ("select", "max_subset_size"): ("search.max_subset_size", _optional(int)),
+    ("train", "classifier"): ("classifier", str),
+    ("mlp", "mode"): ("mlp_train.mode", str),
+    ("mlp", "hidden"): ("mlp_hidden", int),
+    ("mlp", "max_epochs"): ("mlp_train.max_epochs", int),
+    ("mlp", "learning_rate"): ("mlp_train.learning_rate", float),
+    ("mlp", "batch_size"): ("mlp_train.batch_size", int),
+    ("mlp", "patience"): ("mlp_train.patience", int),
+    ("mlp", "mu_init"): ("mlp_train.lm_mu_init", float),
+    ("mlp", "mu_up"): ("mlp_train.lm_mu_up", float),
+    ("mlp", "mu_down"): ("mlp_train.lm_mu_down", float),
+    ("mlp", "mu_max"): ("mlp_train.lm_mu_max", float),
+    ("svm", "kernel"): ("svm_kernel_kind", str),
+    ("svm", "gamma"): ("svm_gamma", _optional(float)),
+    ("svm", "c"): ("smo.C", float),
+    ("svm", "tolerance"): ("smo.tolerance", float),
+    ("svm", "max_iterations"): ("smo.max_iterations", _optional(int)),
+    ("synth", "rows_per_class"): ("synth_spec.rows_per_class", int),
+    ("synth", "class0_mean"): ("synth_spec.class0_mean", _numbers),
+    ("synth", "class1_mean"): ("synth_spec.class1_mean", _numbers),
+    ("synth", "covariance_scale"): ("synth_spec.covariance_scale", float),
+    ("synth", "duplicates"): ("synth_spec.duplicates", int),
+    ("synth", "duplicate_noise"): ("synth_spec.duplicate_noise", float),
+    ("synth", "noise_features"): ("synth_spec.noise_features", int),
+    ("synth", "noise_scale"): ("synth_spec.noise_scale", float),
+}
+
+
 def load_config(path: str | None, seed: int | None = None,
-                out_dir: str | None = None) -> PipelineConfig:
-    """Build a PipelineConfig from an INI-style key-value file plus overrides."""
-    cfg = PipelineConfig()
-    if path is not None:
-        if not Path(path).exists():
-            raise UsageError(f"config file not found: {path}")
-        parser = configparser.ConfigParser()
-        try:
-            parser.read(path)
-        except configparser.Error as exc:
-            raise UsageError(f"{path}: {exc}") from None
-        for section in parser.sections():
-            if section not in _KNOWN_KEYS:
-                raise UsageError(f"{path}: unknown section [{section}]")
-            for key in parser[section]:
-                if key not in _KNOWN_KEYS[section]:
-                    raise UsageError(f"{path}: unknown key {key!r} in [{section}]")
-        try:
-            _apply_file(cfg, parser)
-        except (ValueError, KeyError) as exc:
-            raise UsageError(f"{path}: {exc}") from None
-    if seed is not None:
-        cfg.apply_seed(seed)
-    else:
-        cfg.apply_seed(cfg.seed)
-    if out_dir is not None:
-        cfg.out_dir = out_dir
+                overrides: dict[tuple[str, str], str] | None = None) -> PipelineConfig:
+    """A PipelineConfig from an INI-style key-value file, then `overrides`
+    (command-line values keyed by the (section, key) they set), parsed and
+    checked alike: a fault is a UsageError naming the file or the command
+    line, and the [section] key."""
+    if seed is not None and seed < 0:
+        raise UsageError(f"command line: --seed must be at least 0, got {seed}")
+    texts = _read_settings(path) if path is not None else {}
+    texts.update({key: ("command line", text) for key, text in (overrides or {}).items()})
+    cfg = _build(texts)
+    cfg.apply_seed(cfg.seed if seed is None else seed)
     return cfg
 
 
-def _apply_file(cfg: PipelineConfig, parser: configparser.ConfigParser) -> None:
-    if parser.has_section("input"):
-        sec = parser["input"]
-        cfg.packets_path = sec.get("packets", cfg.packets_path)
-        cfg.flows_path = sec.get("flows", cfg.flows_path)
-        cfg.use_synth = sec.getboolean("synth", cfg.use_synth)
-        cfg.meter_label = sec.get("label", cfg.meter_label)
-        cfg.bad_value_policy = sec.get("bad_value_policy", cfg.bad_value_policy)
-    if parser.has_section("meter"):
-        sec = parser["meter"]
-        cfg.meter = MeterConfig(
-            activity_timeout_us=sec.getint("activity_timeout_us",
-                                           cfg.meter.activity_timeout_us),
-            flow_timeout_us=sec.getint("flow_timeout_us",
-                                       cfg.meter.flow_timeout_us))
-    if parser.has_section("split"):
-        sec = parser["split"]
-        cfg.split = SplitSpec(
-            train=sec.getfloat("train", cfg.split.train),
-            validation=sec.getfloat("validation", cfg.split.validation),
-            test=sec.getfloat("test", cfg.split.test),
-            seed=cfg.split.seed)
-    if parser.has_section("select"):
-        sec = parser["select"]
-        cfg.select_enabled = sec.getboolean("enabled", cfg.select_enabled)
-        max_size = sec.get("max_subset_size", None)
-        cfg.search = SearchConfig(
-            max_stale_expansions=sec.getint("max_stale_expansions",
-                                            cfg.search.max_stale_expansions),
-            max_subset_size=int(max_size) if max_size else None)
-    if parser.has_section("train"):
-        cfg.classifier = parser["train"].get("classifier", cfg.classifier)
-        if cfg.classifier not in ("ann", "svm", "both"):
-            raise ValueError(f"classifier must be ann, svm or both, "
-                             f"got {cfg.classifier!r}")
-    if parser.has_section("mlp"):
-        sec = parser["mlp"]
-        cfg.mlp_hidden = sec.getint("hidden", cfg.mlp_hidden)
-        t = cfg.mlp_train
-        cfg.mlp_train = TrainConfig(
-            mode=sec.get("mode", t.mode),
-            max_epochs=sec.getint("max_epochs", t.max_epochs),
-            learning_rate=sec.getfloat("learning_rate", t.learning_rate),
-            batch_size=sec.getint("batch_size", t.batch_size),
-            lm_mu_init=sec.getfloat("mu_init", t.lm_mu_init),
-            lm_mu_up=sec.getfloat("mu_up", t.lm_mu_up),
-            lm_mu_down=sec.getfloat("mu_down", t.lm_mu_down),
-            lm_mu_max=sec.getfloat("mu_max", t.lm_mu_max),
-            patience=sec.getint("patience", t.patience),
-            seed=t.seed)
-    if parser.has_section("svm"):
-        sec = parser["svm"]
-        cfg.svm_kernel_kind = sec.get("kernel", cfg.svm_kernel_kind)
-        gamma = sec.get("gamma", None)
-        cfg.svm_gamma = float(gamma) if gamma else cfg.svm_gamma
-        s = cfg.smo
-        max_iter = sec.get("max_iterations", None)
-        cfg.smo = SmoConfig(
-            C=sec.getfloat("c", s.C),
-            tolerance=sec.getfloat("tolerance", s.tolerance),
-            max_iterations=int(max_iter) if max_iter else s.max_iterations)
-    if parser.has_section("synth"):
-        sec = parser["synth"]
-        base = cfg.synth_spec
-        rows = sec.getint("rows_per_class", base.rows_per_class[0])
-        mean0 = _parse_vector(sec.get("class0_mean", "0 0 0 0"))
-        mean1 = _parse_vector(sec.get("class1_mean", "4 4 4 4"))
-        cov_scale = sec.getfloat("covariance_scale", 1.0)
-        n_dup = sec.getint("duplicates", len(base.duplicates))
-        dup_eps = sec.getfloat("duplicate_noise", 0.05)
-        n_noise = sec.getint("noise_features", base.n_noise)
-        m = len(mean0)
-        covariance = tuple(tuple(cov_scale * (1.0 if i == j else 0.0)
-                                 for j in range(m)) for i in range(m))
-        n_features = m + n_dup + n_noise
-        names = base.feature_names if (base.feature_names is not None
-                                       and len(base.feature_names) == n_features) else None
-        cfg.synth_spec = SyntheticSpec(
-            class_means=(mean0, mean1),
-            rows_per_class=(rows, rows),
-            covariance=covariance,
-            duplicates=tuple((i % m, dup_eps) for i in range(n_dup)),
-            n_noise=n_noise,
-            noise_scale=sec.getfloat("noise_scale", base.noise_scale),
-            feature_names=names)
+def _read_settings(path) -> dict[tuple[str, str], tuple[str, str]]:
+    """(section, key) -> (path, text) for each key in an INI file; an
+    unknown section or key is an error."""
+    parser = configparser.ConfigParser()
+    try:
+        with open(path, encoding="utf-8") as handle:
+            parser.read_file(handle)
+        texts = {(section, key): (path, parser[section][key])
+                 for section in parser.sections() for key in parser[section]}
+    except (OSError, UnicodeDecodeError, configparser.Error) as exc:
+        raise UsageError(f"{path}: {exc}") from None
+    unknown = [f"section [{section}]" for section in parser.sections()
+               if section not in {section for section, _ in SETTINGS}]
+    unknown += [f"key {key!r} in [{section}]" for section, key in texts
+                if (section, key) not in SETTINGS]
+    if unknown:
+        raise UsageError(f"{path}: unknown {unknown[0]}")
+    return texts
+
+
+def _build(texts: dict) -> PipelineConfig:
+    """The PipelineConfig that `texts` describe, each nested config built
+    once from all its keys, so a check that spans keys (the split ratios,
+    the timeouts) sees their final values."""
+    cfg = PipelineConfig()
+    groups: dict[str, dict] = {}  # owner attribute ("" = top level) -> keys
+    for key, source_text in texts.items():
+        groups.setdefault(SETTINGS[key][0].rpartition(".")[0], {})[key] = source_text
+
+    def make(owner, group):
+        kwargs = {SETTINGS[key][0].rpartition(".")[2]: SETTINGS[key][1](text)
+                  for key, (_, text) in group.items()}
+        if owner == "synth_spec":
+            return default_synthetic_spec(**kwargs)
+        return replace(getattr(cfg, owner) if owner else cfg, **kwargs)
+
+    def checked(owner, group):
+        try:
+            return make(owner, group)
+        except ValueError as exc:
+            # Blame the keys that fail alone, else all (a check spans them).
+            blamed = []
+            for key in group:
+                try:
+                    make(owner, {key: group[key]})
+                except ValueError:
+                    blamed.append(key)
+            raise UsageError("; ".join(f"{group[key][0]}: [{key[0]}] {key[1]}"
+                                       for key in blamed or group) + f": {exc}") from None
+
+    for owner, group in groups.items():
+        if owner:
+            setattr(cfg, owner, checked(owner, group))
+    return checked("", groups.get("", {}))
 
 
 def make_kernel(cfg: PipelineConfig, n_features: int) -> Kernel:
-    if cfg.svm_kernel_kind == "linear":
-        return Kernel("linear")
+    """The configured kernel; rbf gamma defaults to 1/n_features."""
     gamma = cfg.svm_gamma if cfg.svm_gamma is not None else 1.0 / n_features
-    return Kernel("rbf", gamma=gamma)
+    return Kernel(cfg.svm_kernel_kind, gamma if cfg.svm_kernel_kind == "rbf" else None)
 
 
 def sha256_file(path) -> str:
@@ -251,11 +251,11 @@ def write_manifest(out_dir, command: str, cfg: PipelineConfig,
         "package_version": __version__,
         "seed": cfg.seed,
         "config": cfg.snapshot(),
-        "inputs": {str(p): sha256_file(p) for p in inputs if Path(p).exists()},
+        "inputs": {str(p): sha256_file(p) for p in inputs},
         "artifacts": {
             name: {"format": ARTIFACT_FORMATS[name],
                    "sha256": sha256_file(out_dir / name)}
-            for name in artifacts if (out_dir / name).exists()
+            for name in artifacts
         },
         "timings_s": timings,
     }

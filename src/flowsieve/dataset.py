@@ -15,6 +15,7 @@ from .flow_meter import FEATURE_COLUMNS, format_cells, parse_ipv4
 
 CLASS_NAMES = ("NonTor", "Tor")
 LABEL_TO_ID = {"nontor": 0, "tor": 1}
+BAD_VALUE_POLICIES = ("error", "drop")
 
 # Column names as published with the UNB-CIC Tor traffic CSVs.
 UNB_CIC_ALIASES = {
@@ -158,7 +159,7 @@ def load_flow_csv(path, bad_value_policy: str = "error") -> Dataset:
     or "drop" (skip the row and count it in Dataset.dropped; the published
     dataset contains Infinity rates).
     """
-    if bad_value_policy not in ("error", "drop"):
+    if bad_value_policy not in BAD_VALUE_POLICIES:
         raise ValueError(f"unknown bad_value_policy {bad_value_policy!r}")
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
@@ -227,7 +228,7 @@ class SplitSpec:
 
     def __post_init__(self):
         ratios = (self.train, self.validation, self.test)
-        if any(r <= 0 for r in ratios):
+        if not all(r > 0 for r in ratios):  # NaN fails too
             raise ValueError("all split ratios must be positive")
         if abs(sum(ratios) - 1.0) > 1e-9:
             raise ValueError(f"split ratios must sum to 1, got {sum(ratios)}")
@@ -358,6 +359,11 @@ class SyntheticSpec:
             raise ValueError("class means must share one width")
         if len(self.rows_per_class) != len(self.class_means):
             raise ValueError("rows_per_class must match the class count")
+        if min(self.rows_per_class) < 1 or self.n_noise < 0:
+            raise ValueError("rows_per_class must be at least 1 and n_noise at least 0")
+        if not np.isfinite([*np.ravel(self.class_means), self.noise_scale,
+                            *(eps for _, eps in self.duplicates)]).all():
+            raise ValueError("class means and noise scales must be finite")
         for src, _ in self.duplicates:
             if not 0 <= src < self.n_informative:
                 raise ValueError(f"duplicate source {src} out of range")
@@ -365,16 +371,36 @@ class SyntheticSpec:
             raise ValueError("feature_names width mismatch")
 
 
-def default_synthetic_spec() -> SyntheticSpec:
-    """Two well-separated clusters, two planted duplicates, 22 noise columns;
-    28 features total so the output matches the flow-CSV layout."""
+def default_synthetic_spec(rows_per_class: int = 500,
+                           class0_mean: tuple[float, ...] = (0.0, 0.0, 0.0, 0.0),
+                           class1_mean: tuple[float, ...] = (4.0, 4.0, 4.0, 4.0),
+                           covariance_scale: float | None = None,
+                           duplicates: int = 2, duplicate_noise: float = 0.05,
+                           noise_features: int = 22,
+                           noise_scale: float = 1.0) -> SyntheticSpec:
+    """The two-class spec the [synth] config keys describe: covariance
+    covariance_scale * I (None: the identity), duplicates copying informative
+    columns round-robin. The defaults give 28 columns named as in the
+    flow-CSV layout: 4 informative, 2 duplicates and 22 noise."""
+    m = len(class0_mean)
+    n_features = m + duplicates + noise_features
+    if m < 1 or duplicates < 0 or n_features > 10_000:  # keeps the spec buildable
+        raise ValueError("need at least one mean, duplicates at least 0 and at "
+                         "most 10000 columns")
+    if covariance_scale is not None and not 0 <= covariance_scale < math.inf:
+        raise ValueError("covariance_scale must be finite and at least 0")
+    covariance = None if covariance_scale is None else tuple(
+        tuple(covariance_scale * (1.0 if i == j else 0.0) for j in range(m))
+        for i in range(m))
     return SyntheticSpec(
-        class_means=((0.0, 0.0, 0.0, 0.0), (4.0, 4.0, 4.0, 4.0)),
-        rows_per_class=(500, 500),
-        duplicates=((0, 0.05), (1, 0.05)),
-        n_noise=22,
-        feature_names=FEATURE_COLUMNS,
-    )
+        class_means=(tuple(class0_mean), tuple(class1_mean)),
+        rows_per_class=(rows_per_class, rows_per_class),
+        covariance=covariance,
+        duplicates=tuple((i % m, duplicate_noise) for i in range(duplicates)),
+        n_noise=noise_features,
+        noise_scale=noise_scale,
+        feature_names=(FEATURE_COLUMNS if n_features == len(FEATURE_COLUMNS)
+                       else None))
 
 
 def _covariance_factor(spec: SyntheticSpec) -> np.ndarray:

@@ -41,20 +41,19 @@ def _split(theta: np.ndarray, n_inputs: int, n_hidden: int,
 
 
 class MlpModel:
-    """Parameters held in one flat vector `theta` (a copy of the arrays
-    given); w1, b1, w2 and b2 are views into it, so an in-place update of
-    theta updates them."""
+    """Parameters held in one flat vector `theta` (a copy of the vector
+    given), laid out by _blocks for the given layer sizes; w1, b1, w2 and b2
+    are views into it, so an in-place update of theta updates them."""
 
-    def __init__(self, w1, b1, w2, b2):
-        self.theta = np.concatenate([np.ravel(w1), b1, np.ravel(w2), b2],
-                                    dtype=np.float64)
+    def __init__(self, theta, n_inputs: int, n_hidden: int, n_outputs: int = 2):
+        self.theta = np.array(theta, dtype=np.float64)
         self.n_parameters = self.theta.size
-        self.n_inputs, self.n_hidden, self.n_outputs = np.shape(w1)[1], len(b1), len(b2)
+        self.n_inputs, self.n_hidden, self.n_outputs = n_inputs, n_hidden, n_outputs
         self.w1, self.b1, self.w2, self.b2 = _split(
-            self.theta, self.n_inputs, self.n_hidden, self.n_outputs)
+            self.theta, n_inputs, n_hidden, n_outputs)
 
     def copy(self) -> "MlpModel":
-        return MlpModel(self.w1, self.b1, self.w2, self.b2)
+        return MlpModel(self.theta, self.n_inputs, self.n_hidden, self.n_outputs)
 
 
 @dataclass
@@ -75,8 +74,12 @@ class TrainConfig:
             raise ValueError(f"unknown training mode {self.mode!r}")
         if self.max_epochs < 1 or self.patience < 1:
             raise ValueError("max_epochs and patience must be positive")
-        if self.learning_rate <= 0 or self.batch_size < 1:
+        if not self.learning_rate > 0 or self.batch_size < 1:  # NaN fails too
             raise ValueError("learning_rate and batch_size must be positive")
+        if not (0 < self.lm_mu_init <= self.lm_mu_max and self.lm_mu_up > 1
+                and self.lm_mu_down > 0):
+            raise ValueError("LM damping needs 0 < mu_init <= mu_max, "
+                             "mu_up > 1 and mu_down > 0")
 
 
 @dataclass
@@ -103,12 +106,10 @@ def init_model(n_inputs: int, n_hidden: int, seed: int = 0,
     rng = np.random.default_rng(seed)
     limit1 = np.sqrt(6.0 / (n_inputs + n_hidden))
     limit2 = np.sqrt(6.0 / (n_hidden + n_outputs))
-    return MlpModel(
-        w1=rng.uniform(-limit1, limit1, (n_hidden, n_inputs)),
-        b1=np.zeros(n_hidden),
-        w2=rng.uniform(-limit2, limit2, (n_outputs, n_hidden)),
-        b2=np.zeros(n_outputs),
-    )
+    theta = np.concatenate([
+        rng.uniform(-limit1, limit1, n_hidden * n_inputs), np.zeros(n_hidden),
+        rng.uniform(-limit2, limit2, n_outputs * n_hidden), np.zeros(n_outputs)])
+    return MlpModel(theta, n_inputs, n_hidden, n_outputs)
 
 
 def _forward_batch(model: MlpModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -134,18 +135,8 @@ def loss(model: MlpModel, X: np.ndarray, T: np.ndarray) -> float:
     return 0.5 * float(((Y - T) ** 2).sum(axis=1).mean())
 
 
-def pack_parameters(model: MlpModel) -> np.ndarray:
-    return model.theta.copy()
-
-
-def unpack_parameters(theta: np.ndarray, n_inputs: int, n_hidden: int,
-                      n_outputs: int = 2) -> MlpModel:
-    return MlpModel(*_split(np.asarray(theta, dtype=np.float64), n_inputs,
-                            n_hidden, n_outputs))
-
-
 def gradient(model: MlpModel, X: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """Analytic gradient of loss(), flattened in pack_parameters order."""
+    """Analytic gradient of loss(), laid out as theta."""
     if len(X) == 0:
         raise ValueError("empty batch")
     n = len(X)
@@ -286,22 +277,26 @@ def train_lm(model: MlpModel, X: np.ndarray, T: np.ndarray,
     """
     cfg = cfg or TrainConfig(mode="lm")
     tracker = _BestEpoch(model, X_val, T_val, cfg.patience)
-    layout = (model.n_inputs, model.n_hidden, model.n_outputs)
+    work = model.copy()  # each callback loads its theta into this one model
+
+    def at(theta: np.ndarray) -> MlpModel:
+        work.theta[:] = theta
+        return work
 
     def residual_fn(theta: np.ndarray) -> np.ndarray:
-        _, Y = _forward_batch(unpack_parameters(theta, *layout), X)
+        _, Y = _forward_batch(at(theta), X)
         return (Y - T).ravel()
 
     def normal_fn(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return normal_equations(unpack_parameters(theta, *layout), X, T)
+        return normal_equations(at(theta), X, T)
 
     def on_step(theta: np.ndarray, cost: float) -> bool:
         # cost is 0.5*||r||^2 summed over all examples
-        return tracker.keep_going(unpack_parameters(theta, *layout), cost / len(X))
+        return tracker.keep_going(at(theta), cost / len(X))
 
     # With no accepted step, on_step never runs and the initial model stays best.
     result = minimize_least_squares(
-        residual_fn, normal_fn, pack_parameters(model),
+        residual_fn, normal_fn, model.theta,
         mu_init=cfg.lm_mu_init, mu_up=cfg.lm_mu_up, mu_down=cfg.lm_mu_down,
         mu_max=cfg.lm_mu_max, max_iterations=cfg.max_epochs,
         callback=on_step)
@@ -352,8 +347,7 @@ def read_body(doc: modelfile.ModelFile) -> MlpModel:
         rows_read += [doc.values(None, cols) for _ in range(rows)]
     if doc.peek_key() is not None:
         raise doc.error("unexpected line after the b2 block")
-    return unpack_parameters(np.concatenate(rows_read), n_inputs, n_hidden,
-                             n_outputs)
+    return MlpModel(np.concatenate(rows_read), n_inputs, n_hidden, n_outputs)
 
 
 def load_model(path) -> tuple[MlpModel, dict]:

@@ -48,8 +48,10 @@ class SmoConfig:
     max_iterations: int | None = None  # pair updates; default 100 * N
 
     def __post_init__(self):
-        if self.C <= 0 or self.tolerance <= 0:
+        if not (self.C > 0 and self.tolerance > 0):  # NaN fails too
             raise ValueError("C and tolerance must be positive")
+        if self.max_iterations is not None and self.max_iterations < 1:
+            raise ValueError("max_iterations must be at least 1")
 
 
 @dataclass

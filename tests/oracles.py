@@ -185,16 +185,15 @@ def fd_gradient(model, X, T, step=1e-6) -> np.ndarray:
     """Central finite differences of the loss over the packed parameters."""
     from flowsieve import mlp
 
-    theta = mlp.pack_parameters(model)
+    theta = model.theta.copy()
+    layout = (model.n_inputs, model.n_hidden, model.n_outputs)
     grad = np.zeros_like(theta)
     for i in range(len(theta)):
         bumped = theta.copy()
         bumped[i] = theta[i] + step
-        up = mlp.loss(mlp.unpack_parameters(bumped, model.n_inputs,
-                                            model.n_hidden, model.n_outputs), X, T)
+        up = mlp.loss(mlp.MlpModel(bumped, *layout), X, T)
         bumped[i] = theta[i] - step
-        down = mlp.loss(mlp.unpack_parameters(bumped, model.n_inputs,
-                                              model.n_hidden, model.n_outputs), X, T)
+        down = mlp.loss(mlp.MlpModel(bumped, *layout), X, T)
         grad[i] = (up - down) / (2 * step)
     return grad
 

@@ -172,6 +172,16 @@ class TestSelect:
                      "--out-dir", str(out_dir)]) == 0
         assert (out_dir / "selected.csv").read_bytes() == flows.read_bytes()
 
+    def test_disabled_manifest_lists_only_files_written(self, tmp_path):
+        # An earlier run with selection on left its reports in the out-dir.
+        flows = synth_csv(tmp_path)
+        out_dir = tmp_path / "out"
+        assert main(["select", str(flows), "--out-dir", str(out_dir)]) == 0
+        assert main(["select", str(flows), "--disable",
+                     "--out-dir", str(out_dir)]) == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert list(manifest["artifacts"]) == ["selected.csv"]
+
     def test_duplicates_absent_from_output(self, tmp_path):
         # Exact duplicate planted for feature 0 under a distinct column name.
         spec = SyntheticSpec(

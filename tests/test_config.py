@@ -1,0 +1,125 @@
+import json
+import re
+from dataclasses import replace
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from flowsieve.cli import main
+from flowsieve.config import (SETTINGS, PipelineConfig, UsageError, load_config,
+                              write_manifest)
+from flowsieve.dataset import default_synthetic_spec
+from conftest import REPO_ROOT
+from test_cli import TEN_PACKETS, synth_csv
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("mlp", "hidden", "0"),
+    ("mlp", "hidden", ""),
+    ("svm", "kernel", "poly"),
+    ("svm", "gamma", "-1"),
+    ("input", "bad_value_policy", "foo"),
+    ("svm", "max_iterations", "-5"),
+])
+def test_bad_file_value_names_file_and_key(tmp_path, capsys, section, key, value):
+    sections = {"input": {"synth": "true"}, "synth": {"rows_per_class": "20"}}
+    sections.setdefault(section, {})[key] = value
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text("".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+        for name, keys in sections.items()))
+    rc = main(["pipeline", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{cfg}: [{section}] {key}:" in err
+
+
+@pytest.fixture
+def inputs(tmp_path):
+    packets = tmp_path / "packets.txt"
+    packets.write_text(TEN_PACKETS)
+    return {"packets": str(packets), "flows": str(synth_csv(tmp_path))}
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["train", "{flows}", "--hidden", "0"], "[mlp] hidden"),
+    (["meter", "{packets}", "--flow-timeout-us", "0"], "[meter] flow_timeout_us"),
+    (["meter", "{packets}", "--flow-timeout-us", "-1"], "[meter] flow_timeout_us"),
+    (["synth", "--rows-per-class", "0"], "[synth] rows_per_class"),
+    (["synth", "--rows-per-class", "-3"], "[synth] rows_per_class"),
+])
+def test_bad_flag_value_names_command_line_and_key(tmp_path, capsys, inputs,
+                                                   argv, key):
+    argv = [arg.format(**inputs) for arg in argv]
+    assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
+    assert f"command line: {key}:" in capsys.readouterr().err
+
+
+def test_flags_override_file_keys(tmp_path):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[mlp]\nhidden = 4\nmode = lm\n")
+    loaded = load_config(str(cfg), overrides={("mlp", "hidden"): "3"})
+    assert (loaded.mlp_hidden, loaded.mlp_train.mode) == (3, "lm")
+
+
+def test_split_checked_on_final_values(tmp_path):
+    # 0.8 alone would not sum to 1; the check sees all three keys at once.
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[split]\ntrain = 0.8\nvalidation = 0.1\ntest = 0.1\n")
+    assert load_config(str(cfg)).split.train == 0.8
+
+
+def test_rows_flag_alone_keeps_default_spec_otherwise():
+    loaded = load_config(None, overrides={("synth", "rows_per_class"): "30"})
+    assert loaded.synth_spec == replace(default_synthetic_spec(),
+                                        rows_per_class=(30, 30))
+    assert loaded.synth_spec.covariance is None
+
+
+def test_meter_label_flag_recorded_in_manifest(tmp_path, inputs):
+    out_dir = tmp_path / "out"
+    assert main(["meter", inputs["packets"], "--label", "Tor",
+                 "--out-dir", str(out_dir)]) == 0
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest["config"]["meter_label"] == "Tor"
+    assert (out_dir / "flows.csv").read_text().splitlines()[1].endswith(",Tor")
+
+
+def test_manifest_refuses_a_listed_artifact_that_is_missing(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        write_manifest(tmp_path, "select", PipelineConfig(), [],
+                       ["selection.txt"], {})
+
+
+# Values that reach each parser's edge cases, plus arbitrary short text.
+VALUE_TEXT = st.one_of(
+    st.sampled_from(["", "0", "-1", "1", "0.5", "nan", "inf", "-inf", "1e999",
+                     "true", "off", "lm", "rbf", "both", "Tor", "drop", "1 2",
+                     "1,2,3,4", "%", "%(x)s", "99999999"]),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=8))
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(key=st.sampled_from(sorted(SETTINGS)), value=VALUE_TEXT)
+def test_any_value_loads_or_is_usage_error_naming_file(tmp_path, key, value):
+    path = tmp_path / "fuzz.ini"
+    path.write_text(f"[{key[0]}]\n{key[1]} = {value}\n", encoding="utf-8")
+    try:
+        assert isinstance(load_config(str(path)), PipelineConfig)
+    except UsageError as exc:
+        assert str(path) in str(exc)
+
+
+def _readme_rows() -> dict[tuple[str, str], str]:
+    rows = {}
+    for line in (REPO_ROOT / "README.md").read_text(encoding="utf-8").splitlines():
+        match = re.match(r"\| `\[(\w+)\] (\w+)` \|", line)
+        if match:
+            rows[match.groups()] = line
+    return rows
+
+
+def test_readme_table_lists_every_key():
+    assert set(_readme_rows()) == set(SETTINGS)

@@ -45,8 +45,7 @@ class TestInit:
 
 class TestForward:
     def test_zero_model_outputs_half(self):
-        model = mlp.MlpModel(np.zeros((3, 2)), np.zeros(3),
-                             np.zeros((2, 3)), np.zeros(2))
+        model = mlp.MlpModel(np.zeros(17), n_inputs=2, n_hidden=3)
         _, y = mlp.forward(model, np.array([1.0, -2.0]))
         np.testing.assert_allclose(y, [0.5, 0.5])
 
@@ -84,8 +83,7 @@ class TestLoss:
         assert mlp.loss(model, np.zeros((1, 2)), y[None, :]) == pytest.approx(0.0)
 
     def test_half_outputs_quarter_loss(self):
-        model = mlp.MlpModel(np.zeros((2, 2)), np.zeros(2),
-                             np.zeros((2, 2)), np.zeros(2))
+        model = mlp.MlpModel(np.zeros(12), n_inputs=2, n_hidden=2)
         value = mlp.loss(model, np.zeros((1, 2)), np.array([[1.0, 0.0]]))
         assert value == pytest.approx(0.25)
 
@@ -108,8 +106,7 @@ class TestGradient:
             assert max_relative_error(analytic, numeric) < 1e-6
 
     def test_zero_at_constructed_stationary_point(self):
-        model = mlp.MlpModel(np.zeros((3, 2)), np.zeros(3),
-                             np.zeros((2, 3)), np.zeros(2))
+        model = mlp.MlpModel(np.zeros(17), n_inputs=2, n_hidden=3)
         X = np.array([[0.3, -0.7]])
         T = np.array([[0.5, 0.5]])  # outputs are exactly (0.5, 0.5)
         np.testing.assert_array_equal(mlp.gradient(model, X, T), 0.0)
@@ -193,8 +190,7 @@ class TestTrainBp:
     def test_patience_stops_exactly_after_best(self):
         # Gradient is exactly zero at this stationary point, so the
         # validation loss never improves after the first epoch.
-        model = mlp.MlpModel(np.zeros((2, 2)), np.zeros(2),
-                             np.zeros((2, 2)), np.zeros(2))
+        model = mlp.MlpModel(np.zeros(12), n_inputs=2, n_hidden=2)
         X = np.array([[0.1, 0.2], [0.3, 0.4]])
         T = np.full((2, 2), 0.5)
         cfg = mlp.TrainConfig(mode="bp-sgd", max_epochs=100, patience=6, seed=0)
