@@ -23,7 +23,6 @@ class CorrelationStats:
 
     feature_class: np.ndarray  # (n,) |r|
     feature_feature: np.ndarray  # (n, n) |r|
-    names: tuple[str, ...] | None = None
 
     @property
     def n_features(self) -> int:
@@ -84,7 +83,7 @@ def build_stats(train: Dataset) -> CorrelationStats:
     ff = np.triu(ff, 1)
     ff = ff + ff.T  # force exact symmetry
     np.fill_diagonal(ff, 1.0)
-    return CorrelationStats(feature_class, ff, names=tuple(train.schema))
+    return CorrelationStats(feature_class, ff)
 
 
 def merit(indices, stats: CorrelationStats) -> float:

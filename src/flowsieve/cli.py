@@ -18,8 +18,8 @@ from .config import (PipelineConfig, StageTimer, UsageError, load_config,
 from .dataset import (Dataset, apply_scaler, fit_scaler, generate_synthetic,
                       load_flow_csv, one_hot, stratified_split, write_csv)
 from .errors import DataError, TrainingDiverged
-from .flow_meter import (FEATURE_COLUMNS, MeterConfig, meter_packets,
-                         read_packet_file, write_flow_csv)
+from .flow_meter import (MeterConfig, meter_packets, read_packet_file,
+                         write_flow_csv)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -62,13 +62,12 @@ def _load_flows(path, cfg: PipelineConfig) -> Dataset:
 def run_meter(packets_path, out_dir, meter_cfg: MeterConfig, label: str) -> Path:
     try:
         packets = read_packet_file(packets_path)
-        if not packets:
-            raise DataError("no packets")
-        flows = meter_packets(packets, meter_cfg, label)
     except DataError as exc:
         raise DataError(f"{packets_path}: {exc}") from None
+    if not packets:
+        raise DataError(f"{packets_path}: no packets")
     out = Path(out_dir) / "flows.csv"
-    write_flow_csv(flows, out)
+    write_flow_csv(meter_packets(packets, meter_cfg), out, label)
     return out
 
 

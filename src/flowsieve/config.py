@@ -155,8 +155,9 @@ def load_config(path: str | None, seed: int | None = None,
 
 def _read_settings(path) -> dict[tuple[str, str], tuple[str, str]]:
     """(section, key) -> (path, text) for each key in an INI file; an
-    unknown section or key is an error."""
-    parser = configparser.ConfigParser()
+    unknown section or key is an error. Values are read literally: "%" is
+    a plain character, not interpolation syntax."""
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, encoding="utf-8") as handle:
             parser.read_file(handle)

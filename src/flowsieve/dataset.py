@@ -279,26 +279,6 @@ def stratified_split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Da
     return ds.subset(idx_train), ds.subset(idx_val), ds.subset(idx_test)
 
 
-def kfold_indices(y: np.ndarray, k: int, seed: int = 0) -> list[np.ndarray]:
-    """k stratified folds: disjoint, exhaustive, class-proportional within 1."""
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    classes = np.unique(y)
-    for c in classes:
-        if int((y == c).sum()) < k:
-            raise DataError(f"class {c} has fewer than k={k} examples")
-    rng = np.random.default_rng(seed)
-    folds: list[list[int]] = [[] for _ in range(k)]
-    start = 0  # rotate the deal across classes so remainders balance out
-    for c in classes:
-        idx = np.flatnonzero(y == c)
-        rng.shuffle(idx)
-        for offset, example in enumerate(idx):
-            folds[(start + offset) % k].append(int(example))
-        start = (start + len(idx)) % k
-    return [np.sort(np.array(part, dtype=int)) for part in folds]
-
-
 @dataclass
 class Scaler:
     """Z-score parameters fit on a training split; constant columns pass through."""
@@ -311,12 +291,6 @@ class Scaler:
         out = np.array(X, dtype=np.float64, copy=True)
         active = ~self.passthrough
         out[:, active] = (out[:, active] - self.mean[active]) / self.std[active]
-        return out
-
-    def inverse_transform(self, X: np.ndarray) -> np.ndarray:
-        out = np.array(X, dtype=np.float64, copy=True)
-        active = ~self.passthrough
-        out[:, active] = out[:, active] * self.std[active] + self.mean[active]
         return out
 
 
@@ -339,7 +313,7 @@ class SyntheticSpec:
 
     class_means: tuple[tuple[float, ...], ...]
     rows_per_class: tuple[int, ...]
-    covariance: tuple[tuple[float, ...], ...] | None = None  # None = identity
+    covariance_scale: float | None = None  # covariance scale * I; None = I
     duplicates: tuple[tuple[int, float], ...] = ()  # (source index, noise eps)
     n_noise: int = 0
     noise_scale: float = 1.0
@@ -364,6 +338,9 @@ class SyntheticSpec:
         if not np.isfinite([*np.ravel(self.class_means), self.noise_scale,
                             *(eps for _, eps in self.duplicates)]).all():
             raise ValueError("class means and noise scales must be finite")
+        if (self.covariance_scale is not None
+                and not 0 <= self.covariance_scale < math.inf):
+            raise ValueError("covariance_scale must be finite and at least 0")
         for src, _ in self.duplicates:
             if not 0 <= src < self.n_informative:
                 raise ValueError(f"duplicate source {src} out of range")
@@ -387,15 +364,10 @@ def default_synthetic_spec(rows_per_class: int = 500,
     if m < 1 or duplicates < 0 or n_features > 10_000:  # keeps the spec buildable
         raise ValueError("need at least one mean, duplicates at least 0 and at "
                          "most 10000 columns")
-    if covariance_scale is not None and not 0 <= covariance_scale < math.inf:
-        raise ValueError("covariance_scale must be finite and at least 0")
-    covariance = None if covariance_scale is None else tuple(
-        tuple(covariance_scale * (1.0 if i == j else 0.0) for j in range(m))
-        for i in range(m))
     return SyntheticSpec(
         class_means=(tuple(class0_mean), tuple(class1_mean)),
         rows_per_class=(rows_per_class, rows_per_class),
-        covariance=covariance,
+        covariance_scale=covariance_scale,
         duplicates=tuple((i % m, duplicate_noise) for i in range(duplicates)),
         n_noise=noise_features,
         noise_scale=noise_scale,
@@ -403,31 +375,17 @@ def default_synthetic_spec(rows_per_class: int = 500,
                        else None))
 
 
-def _covariance_factor(spec: SyntheticSpec) -> np.ndarray:
-    m = spec.n_informative
-    if spec.covariance is None:
-        return np.eye(m)
-    cov = np.asarray(spec.covariance, dtype=np.float64)
-    if cov.shape != (m, m):
-        raise DataError(f"covariance must be {m}x{m}")
-    eigvals, eigvecs = np.linalg.eigh((cov + cov.T) / 2.0)
-    tol = 1e-10 * max(1.0, float(eigvals.max(initial=0.0)))
-    if eigvals.min() < -tol:
-        raise DataError("covariance is not positive semi-definite")
-    return eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
-
-
 def generate_synthetic(spec: SyntheticSpec,
                        seed: int = 0) -> tuple[Dataset, dict[str, object]]:
     """Sample a labeled dataset; returns (dataset, ground-truth feature roles)."""
     rng = np.random.default_rng(seed)
-    factor = _covariance_factor(spec)
+    std = 1.0 if spec.covariance_scale is None else math.sqrt(spec.covariance_scale)
     m = spec.n_informative
     blocks = []
     labels = []
     for class_id, (mean, rows) in enumerate(zip(spec.class_means, spec.rows_per_class)):
         z = rng.standard_normal((rows, m))
-        blocks.append(z @ factor.T + np.asarray(mean))
+        blocks.append(std * z + np.asarray(mean))
         labels.append(np.full(rows, class_id, dtype=np.int64))
     informative = np.vstack(blocks)
     y = np.concatenate(labels)

@@ -2,9 +2,9 @@
 
 Packets sharing a canonical 5-tuple key are grouped into flows (split when
 the gap to the previous packet exceeds the flow timeout) and summarized into
-28 numeric features: endpoint identifiers, duration, byte and packet rates,
-inter-arrival time statistics (overall and per direction), and active/idle
-burst statistics.
+one row of 28 floats in FEATURE_COLUMNS order: endpoint identifiers,
+duration, byte and packet rates, inter-arrival time statistics (overall and
+per direction), and active/idle burst statistics.
 """
 
 from __future__ import annotations
@@ -42,11 +42,7 @@ class ParseError(DataError):
 
 
 class OutOfOrderError(DataError):
-    """Packet stream not sorted by timestamp."""
-
-    def __init__(self, message: str, index: int):
-        super().__init__(message)
-        self.index = index
+    """Packet file not sorted by timestamp; message names the line."""
 
 
 class FourStats(NamedTuple):
@@ -108,38 +104,6 @@ class FlowAccumulator:
     @property
     def packet_count(self) -> int:
         return len(self.timestamps_fwd) + len(self.timestamps_bwd)
-
-
-@dataclass(frozen=True)
-class FlowFeatures:
-    """The 28-feature vector of one completed flow plus its class label."""
-
-    src_ip: int
-    src_port: int
-    dst_ip: int
-    dst_port: int
-    protocol: int
-    flow_duration: float
-    flow_bytes_per_s: float
-    flow_packets_per_s: float
-    flow_iat: FourStats
-    fwd_iat: FourStats
-    bwd_iat: FourStats
-    active: FourStats
-    idle: FourStats
-    label: str = "Unlabeled"
-
-    def as_row(self) -> list[float]:
-        """Feature values flattened in the canonical FEATURE_COLUMNS order."""
-        row = [
-            float(self.src_ip), float(self.src_port), float(self.dst_ip),
-            float(self.dst_port), float(self.protocol),
-            self.flow_duration, self.flow_bytes_per_s, self.flow_packets_per_s,
-        ]
-        for stats in (self.flow_iat, self.fwd_iat, self.bwd_iat,
-                      self.active, self.idle):
-            row.extend(stats)
-        return row
 
 
 def parse_ipv4(text: str) -> int | None:
@@ -269,7 +233,7 @@ def read_packet_file(path) -> list[PacketRecord]:
             if record[0] < prev_ts:
                 raise OutOfOrderError(
                     f"line {line_number}: out-of-order timestamp: "
-                    f"{record[0]} < {prev_ts}", len(records))
+                    f"{record[0]} < {prev_ts}")
             prev_ts = record[0]
             records.append(record)
     return records
@@ -281,7 +245,8 @@ def assemble_flows(packets: Iterable[PacketRecord],
 
     A packet joins the open flow with its key iff the gap since that flow's
     last packet is within the flow timeout; otherwise the flow is closed and
-    a new one opened. Raises OutOfOrderError on a timestamp regression.
+    a new one opened. The stream must be in timestamp order, as
+    read_packet_file checks.
     """
     cfg = cfg or MeterConfig()
     timeout = cfg.flow_timeout_us
@@ -290,13 +255,7 @@ def assemble_flows(packets: Iterable[PacketRecord],
     # stored on the flow.
     open_flows: dict[tuple, FlowAccumulator] = {}
     closed: list[FlowAccumulator] = []
-    prev_ts = None
-    for index, (ts, src_ip, src_port, dst_ip, dst_port, protocol,
-                size) in enumerate(packets):
-        if prev_ts is not None and ts < prev_ts:
-            raise OutOfOrderError(
-                f"out-of-order timestamp at index {index}: {ts} < {prev_ts}", index)
-        prev_ts = ts
+    for ts, src_ip, src_port, dst_ip, dst_port, protocol, size in packets:
         src = (src_ip, src_port)
         dst = (dst_ip, dst_port)
         key = (src, dst, protocol) if src <= dst else (dst, src, protocol)
@@ -356,9 +315,10 @@ def segment_active_idle(timestamps: list[int],
     return active, idle
 
 
-def compute_features(flow: FlowAccumulator, cfg: MeterConfig | None = None,
-                     label: str = "Unlabeled") -> FlowFeatures:
-    """Summarize a completed flow into the 28-feature vector."""
+def compute_features(flow: FlowAccumulator,
+                     cfg: MeterConfig | None = None) -> list[float]:
+    """Summarize a completed flow into its 28 features, in FEATURE_COLUMNS
+    order."""
     cfg = cfg or MeterConfig()
     duration_us = flow.last_ts - flow.first_ts
     duration_s = duration_us / 1e6
@@ -372,22 +332,13 @@ def compute_features(flow: FlowAccumulator, cfg: MeterConfig | None = None,
         return [b - a for a, b in zip(ts, ts[1:])]
 
     active, idle = segment_active_idle(flow.timestamps_all, cfg.activity_timeout_us)
-    return FlowFeatures(
-        src_ip=flow.initiator[0],
-        src_port=flow.initiator[1],
-        dst_ip=flow.responder[0],
-        dst_port=flow.responder[1],
-        protocol=flow.key.protocol,
-        flow_duration=duration_s,
-        flow_bytes_per_s=bytes_per_s,
-        flow_packets_per_s=packets_per_s,
-        flow_iat=stats_summary(iats(flow.timestamps_all)),
-        fwd_iat=stats_summary(iats(flow.timestamps_fwd)),
-        bwd_iat=stats_summary(iats(flow.timestamps_bwd)),
-        active=stats_summary(active),
-        idle=stats_summary(idle),
-        label=label,
-    )
+    row = [float(flow.initiator[0]), float(flow.initiator[1]),
+           float(flow.responder[0]), float(flow.responder[1]),
+           float(flow.key.protocol), duration_s, bytes_per_s, packets_per_s]
+    for values in (iats(flow.timestamps_all), iats(flow.timestamps_fwd),
+                   iats(flow.timestamps_bwd), active, idle):
+        row.extend(stats_summary(values))
+    return row
 
 
 def format_cell(value: float) -> str:
@@ -417,18 +368,17 @@ def format_cells(values: list[float]) -> list[str]:
             else format_cell(v) for v in values]
 
 
-def write_flow_csv(features: Iterable[FlowFeatures], path) -> None:
-    """Write the 29-column flow CSV (header + one row per flow)."""
+def write_flow_csv(rows: Iterable[list[float]], path, label: str) -> None:
+    """Write the 29-column flow CSV: the header, then each feature row with
+    the capture's one label."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(",".join(CSV_COLUMNS) + "\n")
-        for feat in features:
-            cells = format_cells(feat.as_row())
-            cells.append(feat.label)
-            handle.write(",".join(cells) + "\n")
+        for row in rows:
+            handle.write(",".join(format_cells(row)) + f",{label}\n")
 
 
-def meter_packets(packets: list[PacketRecord], cfg: MeterConfig | None = None,
-                  label: str = "Unlabeled") -> list[FlowFeatures]:
-    """Assemble flows and compute features in one pass."""
+def meter_packets(packets: list[PacketRecord],
+                  cfg: MeterConfig | None = None) -> list[list[float]]:
+    """Assemble flows and compute each one's feature row."""
     cfg = cfg or MeterConfig()
-    return [compute_features(flow, cfg, label) for flow in assemble_flows(packets, cfg)]
+    return [compute_features(flow, cfg) for flow in assemble_flows(packets, cfg)]

@@ -17,7 +17,6 @@ import numpy as np
 @dataclass
 class LmResult:
     theta: np.ndarray
-    initial_cost: float
     cost_history: list[float] = field(default_factory=list)  # accepted steps
     reason: str = ""
     iterations: int = 0
@@ -48,7 +47,7 @@ def minimize_least_squares(
     r = residual_fn(theta)
     hessian_approx, gradient = normal_fn(theta)
     cost = 0.5 * float(r @ r)
-    result = LmResult(theta=theta, initial_cost=cost)
+    result = LmResult(theta=theta)
     mu = float(mu_init)
     identity = np.eye(len(theta))
 

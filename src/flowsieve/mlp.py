@@ -90,12 +90,9 @@ class TrainHistory:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """Logistic function; exp is taken of -|z| only, so it cannot overflow."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def init_model(n_inputs: int, n_hidden: int, seed: int = 0,
@@ -112,26 +109,22 @@ def init_model(n_inputs: int, n_hidden: int, seed: int = 0,
     return MlpModel(theta, n_inputs, n_hidden, n_outputs)
 
 
-def _forward_batch(model: MlpModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def forward(model: MlpModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pass a batch of rows through the network; returns (hidden
+    activations (N, h), outputs (N, o))."""
+    if X.ndim != 2 or X.shape[1] != model.n_inputs:
+        raise ValueError(f"expected rows of input width {model.n_inputs}, "
+                         f"got shape {X.shape}")
     A = np.tanh(X @ model.w1.T + model.b1)
     Y = _sigmoid(A @ model.w2.T + model.b2)
     return A, Y
-
-
-def forward(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Single-example pass; returns (hidden activations, output pair)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.n_inputs,):
-        raise ValueError(f"expected input width {model.n_inputs}, got {x.shape}")
-    A, Y = _forward_batch(model, x[None, :])
-    return A[0], Y[0]
 
 
 def loss(model: MlpModel, X: np.ndarray, T: np.ndarray) -> float:
     """Mean over examples of half the squared error of both outputs."""
     if len(X) == 0:
         raise ValueError("empty batch")
-    _, Y = _forward_batch(model, X)
+    _, Y = forward(model, X)
     return 0.5 * float(((Y - T) ** 2).sum(axis=1).mean())
 
 
@@ -140,7 +133,7 @@ def gradient(model: MlpModel, X: np.ndarray, T: np.ndarray) -> np.ndarray:
     if len(X) == 0:
         raise ValueError("empty batch")
     n = len(X)
-    A, Y = _forward_batch(model, X)
+    A, Y = forward(model, X)
     grad = np.empty(model.n_parameters)
     d_w1, d_b1, d_w2, d_b2 = _split(grad, model.n_inputs, model.n_hidden,
                                     model.n_outputs)
@@ -160,7 +153,7 @@ def residual_jacobian(model: MlpModel, X: np.ndarray,
     o = model.n_outputs
     h = model.n_hidden
     d = model.n_inputs
-    A, Y = _forward_batch(model, X)
+    A, Y = forward(model, X)
     residuals = (Y - T).ravel()  # row 2i+o corresponds to example i, output o
     jac = np.zeros((n * o, model.n_parameters))
     sens = Y * (1.0 - Y)  # (N, o)
@@ -197,14 +190,9 @@ def normal_equations(model: MlpModel, X: np.ndarray,
     return jtj, jtr
 
 
-def predict(model: MlpModel, x: np.ndarray) -> int:
-    """Class of the larger output; an exact tie maps to class 0."""
-    _, y = forward(model, x)
-    return int(np.argmax(y))
-
-
 def predict_batch(model: MlpModel, X: np.ndarray) -> np.ndarray:
-    _, Y = _forward_batch(model, X)
+    """Class of the larger output per row; an exact tie maps to class 0."""
+    _, Y = forward(model, X)
     return np.argmax(Y, axis=1)
 
 
@@ -284,7 +272,7 @@ def train_lm(model: MlpModel, X: np.ndarray, T: np.ndarray,
         return work
 
     def residual_fn(theta: np.ndarray) -> np.ndarray:
-        _, Y = _forward_batch(at(theta), X)
+        _, Y = forward(at(theta), X)
         return (Y - T).ravel()
 
     def normal_fn(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -349,8 +337,3 @@ def read_body(doc: modelfile.ModelFile) -> MlpModel:
         raise doc.error("unexpected line after the b2 block")
     return MlpModel(np.concatenate(rows_read), n_inputs, n_hidden, n_outputs)
 
-
-def load_model(path) -> tuple[MlpModel, dict]:
-    """Inverse of save_model; returns (model, metadata dict)."""
-    doc = modelfile.ModelFile(path, (MODEL_FORMAT,))
-    return read_body(doc), doc.meta

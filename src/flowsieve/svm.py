@@ -231,8 +231,3 @@ def read_body(doc: modelfile.ModelFile) -> list[SvmModel]:
         raise doc.error(f"expected {n_classes} model blocks, got {len(models)}")
     return models
 
-
-def load_models(path) -> tuple[list[SvmModel], dict]:
-    """Inverse of save_models; returns (models, metadata dict)."""
-    doc = modelfile.ModelFile(path, (MODEL_FORMAT,))
-    return read_body(doc), doc.meta

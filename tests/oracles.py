@@ -181,6 +181,17 @@ def random_mlp_case(rng: np.random.Generator, n_max=6, h_max=5, batch_max=8):
     return model, X, T
 
 
+def masked_sigmoid(z: np.ndarray) -> np.ndarray:
+    """The logistic function evaluated separately on z >= 0 and z < 0, each
+    side with the exp that cannot overflow there."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
 def fd_gradient(model, X, T, step=1e-6) -> np.ndarray:
     """Central finite differences of the loss over the packed parameters."""
     from flowsieve import mlp

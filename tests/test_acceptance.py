@@ -60,7 +60,7 @@ def test_criterion_1_flow_meter_oracle_equivalence():
             groups = oracle_flows(packets, cfg.flow_timeout_us)
             assert len(flows) == len(groups)
             for flow, group in zip(flows, groups):
-                got = compute_features(flow, cfg).as_row()
+                got = compute_features(flow, cfg)
                 want = oracle_features(group, cfg.activity_timeout_us)
                 assert_close(got, want, rel=1e-9, abs_tol=1e-9)
 

@@ -21,6 +21,8 @@ from test_cli import TEN_PACKETS, synth_csv
     ("svm", "gamma", "-1"),
     ("input", "bad_value_policy", "foo"),
     ("svm", "max_iterations", "-5"),
+    ("synth", "covariance_scale", "-1"),
+    ("synth", "covariance_scale", "nan"),
 ])
 def test_bad_file_value_names_file_and_key(tmp_path, capsys, section, key, value):
     sections = {"input": {"synth": "true"}, "synth": {"rows_per_class": "20"}}
@@ -74,7 +76,7 @@ def test_rows_flag_alone_keeps_default_spec_otherwise():
     loaded = load_config(None, overrides={("synth", "rows_per_class"): "30"})
     assert loaded.synth_spec == replace(default_synthetic_spec(),
                                         rows_per_class=(30, 30))
-    assert loaded.synth_spec.covariance is None
+    assert loaded.synth_spec.covariance_scale is None
 
 
 def test_meter_label_flag_recorded_in_manifest(tmp_path, inputs):
@@ -84,6 +86,20 @@ def test_meter_label_flag_recorded_in_manifest(tmp_path, inputs):
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert manifest["config"]["meter_label"] == "Tor"
     assert (out_dir / "flows.csv").read_text().splitlines()[1].endswith(",Tor")
+
+
+@pytest.mark.parametrize("dir_name", ["100%data", "50%%off"])
+def test_percent_in_flows_path_is_read_literally(tmp_path, dir_name):
+    data_dir = tmp_path / dir_name
+    data_dir.mkdir()
+    flows = synth_csv(data_dir)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[input]\nflows = {flows}\n[select]\nenabled = false\n",
+                   encoding="utf-8")
+    assert load_config(str(cfg)).flows_path == str(flows)
+    out_dir = tmp_path / "out"
+    assert main(["pipeline", "--config", str(cfg), "--out-dir", str(out_dir)]) == 0
+    assert (out_dir / "report.csv").is_file()
 
 
 def test_manifest_refuses_a_listed_artifact_that_is_missing(tmp_path):

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from flowsieve.dataset import (Dataset, Scaler, SplitSpec, SyntheticSpec,
                                apply_scaler, default_synthetic_spec,
-                               fit_scaler, generate_synthetic, kfold_indices,
-                               load_flow_csv, one_hot, stratified_split,
+                               fit_scaler, generate_synthetic, load_flow_csv,
+                               one_hot, stratified_split,
                                stratified_split_indices, write_csv)
 from flowsieve.errors import DataError
 from flowsieve.flow_meter import FEATURE_COLUMNS, format_cell, format_cells
@@ -287,45 +287,6 @@ class TestScaler:
         np.testing.assert_allclose(scaled.X.mean(axis=0), 0.0, atol=1e-9)
         np.testing.assert_allclose(scaled.X.std(axis=0), 1.0, atol=1e-9)
 
-    @settings(max_examples=50)
-    @given(st.integers(0, 10_000))
-    def test_roundtrip(self, seed):
-        rng = np.random.default_rng(seed)
-        X = rng.normal(0, 10, (20, 4))
-        ds = Dataset(tuple(f"f{i}" for i in range(4)), X, rng.integers(0, 2, 20))
-        scaler = fit_scaler(ds)
-        back = scaler.inverse_transform(scaler.transform(X))
-        assert np.abs(back - X).max() <= 1e-12 * max(1.0, np.abs(X).max())
-
-
-class TestKfold:
-    def test_balanced_ten_fold(self):
-        y = np.array([0] * 50 + [1] * 50)
-        folds = kfold_indices(y, 10, seed=0)
-        assert all(len(f) == 10 for f in folds)
-        for fold in folds:
-            counts = np.bincount(y[fold], minlength=2)
-            assert counts.tolist() == [5, 5]
-
-    def test_two_fold(self):
-        y = np.array([0, 1] * 5)
-        folds = kfold_indices(y, 2, seed=0)
-        assert [len(f) for f in folds] == [5, 5]
-
-    def test_partition(self):
-        y = np.array([0] * 13 + [1] * 17)
-        folds = kfold_indices(y, 5, seed=3)
-        merged = np.sort(np.concatenate(folds))
-        np.testing.assert_array_equal(merged, np.arange(30))
-        for i in range(len(folds)):
-            for j in range(i + 1, len(folds)):
-                assert not set(folds[i]) & set(folds[j])
-
-    def test_undersized_class(self):
-        y = np.array([0] * 10 + [1] * 3)
-        with pytest.raises(DataError, match="fewer than k"):
-            kfold_indices(y, 5)
-
 
 class TestSynthetic:
     def test_linear_separability(self):
@@ -379,13 +340,6 @@ class TestSynthetic:
         assert ds.schema == FEATURE_COLUMNS
         assert np.bincount(ds.y).tolist() == [500, 500]
         assert len(roles["noise"]) == 22
-
-    def test_non_psd_covariance_rejected(self):
-        spec = SyntheticSpec(class_means=((0.0, 0.0), (1.0, 1.0)),
-                             rows_per_class=(10, 10),
-                             covariance=((1.0, 2.0), (2.0, 1.0)))
-        with pytest.raises(DataError, match="positive semi-definite"):
-            generate_synthetic(spec, seed=0)
 
 
 def test_one_hot():

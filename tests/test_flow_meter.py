@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from flowsieve.flow_meter import (FEATURE_COLUMNS, FlowKey, FourStats,
-                                  MeterConfig, OutOfOrderError, PacketRecord,
+                                  MeterConfig, PacketRecord,
                                   ParseError, assemble_flows,
                                   compute_features, meter_packets,
                                   parse_ipv4, parse_packet_record,
@@ -24,6 +24,19 @@ def ip(text: str) -> int:
 def pkt(ts, src="10.0.0.1", sport=443, dst="10.0.0.2", dport=80,
         proto=6, size=100) -> PacketRecord:
     return PacketRecord(ts, ip(src), sport, ip(dst), dport, proto, size)
+
+
+def features(flow) -> dict[str, float]:
+    """A flow's feature row keyed by FEATURE_COLUMNS name."""
+    return dict(zip(FEATURE_COLUMNS, compute_features(flow)))
+
+
+def stats_of(feat: dict[str, float], prefix: str) -> FourStats:
+    """The (mean, std, max, min) columns named `prefix`_*."""
+    return FourStats(*(feat[f"{prefix}_{name}"] for name in FourStats._fields))
+
+
+STATS_PREFIXES = ("flow_iat", "fwd_iat", "bwd_iat", "active", "idle")
 
 
 class TestParse:
@@ -263,12 +276,6 @@ class TestAssemble:
         assert len(flows) == len(expected) == 2
         assert [f.packet_count for f in flows] == [len(g) for g in expected]
 
-    def test_out_of_order_rejected(self):
-        with pytest.raises(OutOfOrderError) as err:
-            assemble_flows([pkt(100), pkt(50)])
-        assert err.value.index == 1
-        assert "out-of-order" in str(err.value)
-
     def test_direction_tracking(self):
         packets = [pkt(0), pkt(10, src="10.0.0.2", sport=80,
                                dst="10.0.0.1", dport=443)]
@@ -332,20 +339,19 @@ class TestActiveIdle:
 class TestComputeFeatures:
     def test_single_packet_flow(self):
         flow = assemble_flows([pkt(0, size=60)])[0]
-        feat = compute_features(flow)
-        assert feat.flow_duration == 0
-        assert feat.flow_bytes_per_s == 0 and feat.flow_packets_per_s == 0
-        for stats in (feat.flow_iat, feat.fwd_iat, feat.bwd_iat,
-                      feat.active, feat.idle):
+        feat = features(flow)
+        assert feat["flow_duration"] == 0
+        assert feat["flow_bytes_per_s"] == 0 and feat["flow_packets_per_s"] == 0
+        for stats in (stats_of(feat, prefix) for prefix in STATS_PREFIXES):
             assert stats == FourStats(0, 0, 0, 0)
 
     def test_two_packet_flow(self):
         flow = assemble_flows([pkt(0, size=40), pkt(1_000_000, size=60)])[0]
-        feat = compute_features(flow)
-        assert feat.flow_duration == 1.0
-        assert feat.flow_bytes_per_s == 100.0
-        assert feat.flow_packets_per_s == 2.0
-        assert feat.flow_iat.mean == 1_000_000
+        feat = features(flow)
+        assert feat["flow_duration"] == 1.0
+        assert feat["flow_bytes_per_s"] == 100.0
+        assert feat["flow_packets_per_s"] == 2.0
+        assert feat["flow_iat_mean"] == 1_000_000
 
     def test_bidirectional_iat_split(self):
         packets = [
@@ -354,17 +360,17 @@ class TestComputeFeatures:
             pkt(2_000_000),
             pkt(3_000_000, src="10.0.0.2", sport=80, dst="10.0.0.1", dport=443),
         ]
-        feat = compute_features(assemble_flows(packets)[0])
-        assert feat.flow_iat == FourStats(1e6, 0, 1e6, 1e6)
-        assert feat.fwd_iat == FourStats(2e6, 0, 2e6, 2e6)
-        assert feat.bwd_iat == FourStats(2e6, 0, 2e6, 2e6)
+        feat = features(assemble_flows(packets)[0])
+        assert stats_of(feat, "flow_iat") == FourStats(1e6, 0, 1e6, 1e6)
+        assert stats_of(feat, "fwd_iat") == FourStats(2e6, 0, 2e6, 2e6)
+        assert stats_of(feat, "bwd_iat") == FourStats(2e6, 0, 2e6, 2e6)
 
     def test_source_fields_from_initiator(self):
         # Initiator is the lexicographically larger endpoint here.
         packets = [pkt(0, src="10.0.0.9", sport=50000, dst="10.0.0.1", dport=80)]
-        feat = compute_features(assemble_flows(packets)[0])
-        assert feat.src_ip == ip("10.0.0.9") and feat.src_port == 50000
-        assert feat.dst_ip == ip("10.0.0.1") and feat.dst_port == 80
+        feat = features(assemble_flows(packets)[0])
+        assert feat["src_ip"] == ip("10.0.0.9") and feat["src_port"] == 50000
+        assert feat["dst_ip"] == ip("10.0.0.1") and feat["dst_port"] == 80
 
 
 class TestInvariants:
@@ -380,16 +386,16 @@ class TestInvariants:
                 # IAT counts: per direction packet count - 1, floored at 0
                 assert max(n_fwd - 1, 0) + max(n_bwd - 1, 0) \
                     <= flow.packet_count - 1
-                feat = compute_features(flow)
+                feat = features(flow)
                 if flow.packet_count == 1:
-                    assert feat.flow_iat == FourStats(0, 0, 0, 0)
+                    assert stats_of(feat, "flow_iat") == FourStats(0, 0, 0, 0)
 
     def test_stats_quadruple_ordering(self):
         rng = np.random.default_rng(4)
         for _ in range(30):
-            for feat in meter_packets(random_trace(rng, 40)):
-                for stats in (feat.flow_iat, feat.fwd_iat, feat.bwd_iat,
-                              feat.active, feat.idle):
+            for row in meter_packets(random_trace(rng, 40)):
+                feat = dict(zip(FEATURE_COLUMNS, row))
+                for stats in (stats_of(feat, prefix) for prefix in STATS_PREFIXES):
                     assert stats.min <= stats.mean <= stats.max
                     assert stats.std >= 0
 
@@ -398,12 +404,12 @@ class TestInvariants:
         packets = random_trace(rng, 40)
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
         for path in paths:
-            write_flow_csv(meter_packets(packets, label="Tor"), path)
+            write_flow_csv(meter_packets(packets), path, "Tor")
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_csv_has_29_columns(self, tmp_path):
         path = tmp_path / "flows.csv"
-        write_flow_csv(meter_packets([pkt(0)]), path)
+        write_flow_csv(meter_packets([pkt(0)]), path, "Unlabeled")
         lines = path.read_text().splitlines()
         assert lines[0].split(",") == list(FEATURE_COLUMNS) + ["label"]
         assert len(lines[1].split(",")) == 29
@@ -419,6 +425,6 @@ class TestOracleEquivalence:
             expected = oracle_flows(packets, cfg.flow_timeout_us)
             assert len(flows) == len(expected)
             for flow, group in zip(flows, expected):
-                got = compute_features(flow, cfg).as_row()
+                got = compute_features(flow, cfg)
                 want = oracle_features(group, cfg.activity_timeout_us)
                 assert_close(got, want)

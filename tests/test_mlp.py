@@ -5,15 +5,28 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from flowsieve import mlp
+from flowsieve import mlp, modelfile
 from flowsieve.dataset import Scaler, one_hot
 from flowsieve.errors import DataError, TrainingDiverged
 from flowsieve.lm import minimize_least_squares
-from oracles import fd_gradient, max_relative_error, random_mlp_case as random_case
+from oracles import fd_gradient, masked_sigmoid, max_relative_error
+from oracles import random_mlp_case as random_case
 
 XOR_X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
 XOR_Y = np.array([0, 1, 1, 0])
 XOR_T = one_hot(XOR_Y)
+
+
+def forward_one(model, x):
+    """mlp.forward on a one-row batch; returns that row's (hidden, outputs)."""
+    A, Y = mlp.forward(model, np.asarray(x, dtype=np.float64)[None, :])
+    return A[0], Y[0]
+
+
+def load_model(path):
+    """Read a saved MLP model file the way `flowsieve eval` does."""
+    doc = modelfile.ModelFile(path, (mlp.MODEL_FORMAT,))
+    return mlp.read_body(doc), doc.meta
 
 
 class TestInit:
@@ -46,19 +59,19 @@ class TestInit:
 class TestForward:
     def test_zero_model_outputs_half(self):
         model = mlp.MlpModel(np.zeros(17), n_inputs=2, n_hidden=3)
-        _, y = mlp.forward(model, np.array([1.0, -2.0]))
+        _, y = forward_one(model, np.array([1.0, -2.0]))
         np.testing.assert_allclose(y, [0.5, 0.5])
 
     def test_zero_input_zero_bias(self):
         model = mlp.init_model(4, 3, seed=2)  # biases are zero at init
-        _, y = mlp.forward(model, np.zeros(4))
+        _, y = forward_one(model, np.zeros(4))
         np.testing.assert_allclose(y, [0.5, 0.5])
 
     def test_matches_direct_recomputation(self):
         rng = np.random.default_rng(3)
         model = mlp.init_model(5, 4, seed=31)
         x = rng.normal(size=5)
-        a, y = mlp.forward(model, x)
+        a, y = forward_one(model, x)
         hidden = np.tanh(model.w1 @ x + model.b1)
         out = 1.0 / (1.0 + np.exp(-(model.w2 @ hidden + model.b2)))
         np.testing.assert_allclose(a, hidden, rtol=1e-12)
@@ -66,20 +79,28 @@ class TestForward:
 
     def test_width_mismatch(self):
         with pytest.raises(ValueError, match="width"):
-            mlp.forward(mlp.init_model(3, 2), np.zeros(4))
+            mlp.forward(mlp.init_model(3, 2), np.zeros((1, 4)))
+
+    def test_sigmoid_bits_match_masked_reference(self):
+        rng = np.random.default_rng(7)
+        z = np.concatenate([scale * rng.normal(size=200)
+                            for scale in (1e-3, 1.0, 10.0, 100.0, 800.0)]
+                           + [np.array([0.0, -0.0, 745.0, -745.0])])
+        got, want = mlp._sigmoid(z), masked_sigmoid(z)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_outputs_in_open_interval(self):
         rng = np.random.default_rng(4)
         model = mlp.init_model(3, 5, seed=8)
         for _ in range(20):
-            _, y = mlp.forward(model, rng.normal(size=3))
+            _, y = forward_one(model, rng.normal(size=3))
             assert ((y > 0) & (y < 1)).all()
 
 
 class TestLoss:
     def test_perfect_outputs(self):
         model = mlp.init_model(2, 2, seed=0)
-        _, y = mlp.forward(model, np.zeros(2))
+        _, y = forward_one(model, np.zeros(2))
         assert mlp.loss(model, np.zeros((1, 2)), y[None, :]) == pytest.approx(0.0)
 
     def test_half_outputs_quarter_loss(self):
@@ -304,8 +325,8 @@ class TestPredict:
     def test_predict_uses_argmax(self):
         model = mlp.init_model(3, 4, seed=15)
         x = np.array([0.1, -0.2, 0.3])
-        _, y = mlp.forward(model, x)
-        assert mlp.predict(model, x) == int(np.argmax(y))
+        _, y = forward_one(model, x)
+        assert mlp.predict_batch(model, x[None, :])[0] == int(np.argmax(y))
 
     @settings(max_examples=50)
     @given(st.floats(0.01, 0.99), st.floats(0.01, 0.99),
@@ -327,7 +348,7 @@ class TestSerialization:
                         passthrough=np.array([False, False, True, False]))
         path = tmp_path / "model.txt"
         mlp.save_model(path, model, ("a", "b", "c", "d"), scaler)
-        loaded, meta = mlp.load_model(path)
+        loaded, meta = load_model(path)
         np.testing.assert_array_equal(loaded.w1, model.w1)
         np.testing.assert_array_equal(loaded.b1, model.b1)
         np.testing.assert_array_equal(loaded.w2, model.w2)
@@ -346,4 +367,4 @@ class TestSerialization:
         path = tmp_path / "junk.txt"
         path.write_text("something else\n")
         with pytest.raises(DataError, match="not a"):
-            mlp.load_model(path)
+            load_model(path)

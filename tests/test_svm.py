@@ -4,14 +4,21 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from flowsieve import modelfile, svm
 from flowsieve.dataset import Scaler
 from flowsieve.errors import DataError
 from flowsieve.svm import (Kernel, SmoConfig, SvmModel, decision_values,
-                           kernel_matrix, load_models, predict_batch,
-                           save_models, smo_train, train_ovr)
+                           kernel_matrix, predict_batch, save_models,
+                           smo_train, train_ovr)
 from oracles import (decision_value, dual_objective, kernel_eval,
                      primal_objective, qp_dual_oracle)
 from oracles import svm_predict as predict
+
+
+def load_models(path):
+    """Read a saved SVM model file the way `flowsieve eval` does."""
+    doc = modelfile.ModelFile(path, (svm.MODEL_FORMAT,))
+    return svm.read_body(doc), doc.meta
 
 
 def separable_2d(n_per_class=10, seed=0, gap=2.5):
