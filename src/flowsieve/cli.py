@@ -189,10 +189,11 @@ def _train_models(train_ds: Dataset, val_ds: Dataset, cfg: PipelineConfig,
 def run_train(ds: Dataset, out_dir, cfg: PipelineConfig) -> dict[str, Path]:
     out_dir = Path(out_dir)
     train_ds, val_ds, test_ds = stratified_split(ds, cfg.split)
+    del ds  # the splits are copies; models train on only the splits they use
     scaler = fit_scaler(train_ds)
-    train_scaled = apply_scaler(scaler, train_ds)
-    val_scaled = apply_scaler(scaler, val_ds)
-    artifacts = _train_models(train_scaled, val_scaled, cfg, scaler, out_dir)
+    train_ds = apply_scaler(scaler, train_ds)
+    val_ds = apply_scaler(scaler, val_ds)
+    artifacts = _train_models(train_ds, val_ds, cfg, scaler, out_dir)
     test_path = out_dir / "test.csv"
     write_csv(test_ds, test_path)  # unscaled; models carry their scaler
     artifacts["test.csv"] = test_path
@@ -321,14 +322,14 @@ def cmd_pipeline(args) -> int:
         raise UsageError("config must provide [input] packets, flows or synth")
 
     timer.start("select")
-    written, selected_ds = run_select(flows, out_dir, cfg)
+    written, *selected = run_select(flows, out_dir, cfg)  # [Dataset or None]
     timer.stop()
     artifacts += written
 
     timer.start("train")
-    if selected_ds is None:
-        selected_ds = _load_flows(out_dir / "selected.csv", cfg)
-    trained = run_train(selected_ds, out_dir, cfg)
+    # pop() leaves run_train the only reference, so it frees the rows once split
+    trained = run_train(selected.pop() or _load_flows(out_dir / "selected.csv", cfg),
+                        out_dir, cfg)
     timer.stop()
     artifacts += list(trained)
 

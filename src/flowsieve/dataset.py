@@ -288,9 +288,8 @@ class Scaler:
     passthrough: np.ndarray  # bool per feature
 
     def transform(self, X: np.ndarray) -> np.ndarray:
-        out = np.array(X, dtype=np.float64, copy=True)
-        active = ~self.passthrough
-        out[:, active] = (out[:, active] - self.mean[active]) / self.std[active]
+        out = np.subtract(X, np.where(self.passthrough, 0.0, self.mean))
+        out /= np.where(self.passthrough, 1.0, self.std)
         return out
 
 

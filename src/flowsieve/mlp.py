@@ -146,45 +146,45 @@ def gradient(model: MlpModel, X: np.ndarray, T: np.ndarray) -> np.ndarray:
     return grad
 
 
-def residual_jacobian(model: MlpModel, X: np.ndarray,
-                      T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Residuals (y - t) and their Jacobian, one row per (example, output)."""
-    n = len(X)
-    o = model.n_outputs
-    h = model.n_hidden
-    d = model.n_inputs
+def _fill_jacobian(buffer: np.ndarray, model: MlpModel, X: np.ndarray,
+                   T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Residuals (y - t) and their Jacobian, one row per (example, output),
+    written into buffer's leading rows; only w2 and b2 columns need zeroing."""
+    n, o, h, d = len(X), model.n_outputs, model.n_hidden, model.n_inputs
+    jac = buffer[:n * o]
     A, Y = forward(model, X)
-    residuals = (Y - T).ravel()  # row 2i+o corresponds to example i, output o
-    jac = np.zeros((n * o, model.n_parameters))
     sens = Y * (1.0 - Y)  # (N, o)
     tanh_grad = 1.0 - A ** 2  # (N, h)
     w1, b1, w2, b2 = (block for block, _, _ in _blocks(d, h, o).values())
+    jac[:, w2.start:] = 0.0
     for out in range(o):
-        rows = slice(out, n * o, o)
+        rows = slice(out, n * o, o)  # row o*i+out is example i, output out
         s = sens[:, out]  # (N,)
         delta_hidden = s[:, None] * model.w2[out][None, :] * tanh_grad  # (N, h)
-        jac[rows, w1] = np.einsum("nh,nd->nhd", delta_hidden, X).reshape(n, h * d)
+        np.multiply(delta_hidden[:, :, None], X[:, None, :],
+                    out=jac[rows, w1].reshape(n, h, d))
         jac[rows, b1] = delta_hidden
         jac[rows, w2.start + out * h:w2.start + (out + 1) * h] = s[:, None] * A
         jac[rows, b2.start + out] = s
-    return residuals, jac
+    return (Y - T).ravel(), jac
 
 
-# Rows per residual_jacobian call in normal_equations: the Jacobian held at
-# once is outputs*4096 x P whatever N is, and a batch of 4096 rows or fewer
-# gets exactly the products of the full Jacobian.
+# Rows per Jacobian chunk in normal_equations: the Jacobian held at once is
+# outputs*4096 x P whatever N is, and a batch of 4096 rows or fewer gets
+# exactly the products of the full Jacobian.
 _CHUNK_ROWS = 4096
 
 
 def normal_equations(model: MlpModel, X: np.ndarray,
                      T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """J^T J and J^T r of residual_jacobian over the whole batch, summed
-    over _CHUNK_ROWS-row slices so the full Jacobian is never built."""
+    """J^T J and J^T r of the residual Jacobian over the whole batch, summed
+    over _CHUNK_ROWS-row slices filled in turn into one reused buffer."""
+    buffer = np.empty((model.n_outputs * min(len(X), _CHUNK_ROWS), model.n_parameters))
     jtj = np.zeros((model.n_parameters, model.n_parameters))
     jtr = np.zeros(model.n_parameters)
     for start in range(0, len(X), _CHUNK_ROWS):
         chunk = slice(start, start + _CHUNK_ROWS)
-        residuals, jac = residual_jacobian(model, X[chunk], T[chunk])
+        residuals, jac = _fill_jacobian(buffer, model, X[chunk], T[chunk])
         jtj += jac.T @ jac
         jtr += jac.T @ residuals
     return jtj, jtr

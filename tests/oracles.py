@@ -192,6 +192,43 @@ def masked_sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def residual_jacobian(model, X, T) -> tuple[np.ndarray, np.ndarray]:
+    """Residuals (y - t) and their whole-batch Jacobian, one row per
+    (example, output), built in a fresh zeroed matrix with einsum; the
+    reference for flowsieve.mlp._fill_jacobian."""
+    from flowsieve import mlp
+
+    n = len(X)
+    o = model.n_outputs
+    h = model.n_hidden
+    d = model.n_inputs
+    A, Y = mlp.forward(model, X)
+    residuals = (Y - T).ravel()  # row 2i+o corresponds to example i, output o
+    jac = np.zeros((n * o, model.n_parameters))
+    sens = Y * (1.0 - Y)  # (N, o)
+    tanh_grad = 1.0 - A ** 2  # (N, h)
+    w1, b1, w2, b2 = (block for block, _, _ in mlp._blocks(d, h, o).values())
+    for out in range(o):
+        rows = slice(out, n * o, o)
+        s = sens[:, out]  # (N,)
+        delta_hidden = s[:, None] * model.w2[out][None, :] * tanh_grad  # (N, h)
+        jac[rows, w1] = np.einsum("nh,nd->nhd", delta_hidden, X).reshape(n, h * d)
+        jac[rows, b1] = delta_hidden
+        jac[rows, w2.start + out * h:w2.start + (out + 1) * h] = s[:, None] * A
+        jac[rows, b2.start + out] = s
+    return residuals, jac
+
+
+def masked_transform(scaler, X) -> np.ndarray:
+    """Scaler.transform by gathering the active columns, scaling them and
+    scattering them back into a float64 copy of X; passthrough columns are
+    copied untouched."""
+    out = np.array(X, dtype=np.float64, copy=True)
+    active = ~scaler.passthrough
+    out[:, active] = (out[:, active] - scaler.mean[active]) / scaler.std[active]
+    return out
+
+
 def fd_gradient(model, X, T, step=1e-6) -> np.ndarray:
     """Central finite differences of the loss over the packed parameters."""
     from flowsieve import mlp

@@ -1,4 +1,5 @@
 import json
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -431,6 +432,49 @@ class TestPipeline:
         rc = main(["pipeline", "--config", str(cfg),
                    "--out-dir", str(tmp_path / "out")])
         assert rc == 3  # single-class data cannot be split; clean data error
+
+
+class TestTrainingDataReleased:
+    """When training starts, the loaded rows and the unscaled train and val
+    splits are gone: the process holds only the splits the models use."""
+
+    @pytest.mark.parametrize("command, select", [
+        ("train", "true"), ("train", "false"),
+        ("pipeline", "true"), ("pipeline", "false"),
+    ])
+    def test_dead_when_training_starts(self, tmp_path, monkeypatch, command,
+                                       select):
+        from flowsieve import cli
+
+        load, split, train = cli.load_flow_csv, cli.stratified_split, cli._train_models
+        watched, alive_at_train = [], []  # weakrefs; (watched, alive) per train
+
+        def watched_load(*args):
+            ds = load(*args)
+            watched.append(weakref.ref(ds.X))
+            return ds
+
+        def watched_split(*args):
+            parts = split(*args)
+            watched.extend(weakref.ref(part.X) for part in parts[:2])
+            return parts
+
+        def checked_train(*args):
+            alive_at_train.append(
+                (len(watched), sum(ref() is not None for ref in watched)))
+            return train(*args)
+
+        monkeypatch.setattr(cli, "load_flow_csv", watched_load)
+        monkeypatch.setattr(cli, "stratified_split", watched_split)
+        monkeypatch.setattr(cli, "_train_models", checked_train)
+        flows = synth_csv(tmp_path)
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[input]\nflows = {flows}\n[select]\nenabled = {select}\n"
+                       "[mlp]\nmax_epochs = 3\n")
+        argv = [command, "--config", str(cfg), "--out-dir", str(tmp_path / "out")]
+        assert main(argv + ([str(flows)] if command == "train" else [])) == 0
+        loads = 2 if (command, select) == ("pipeline", "true") else 1
+        assert alive_at_train == [(loads + 2, 0)]
 
 
 SMALL_RUN_INI = """\

@@ -12,7 +12,7 @@ from flowsieve.dataset import (Dataset, Scaler, SplitSpec, SyntheticSpec,
                                stratified_split_indices, write_csv)
 from flowsieve.errors import DataError
 from flowsieve.flow_meter import FEATURE_COLUMNS, format_cell, format_cells
-from oracles import oracle_load_flow_csv, oracle_write_csv
+from oracles import masked_transform, oracle_load_flow_csv, oracle_write_csv
 
 
 def make_flow_csv(tmp_path, rows, header=None, name="flows.csv"):
@@ -278,6 +278,26 @@ class TestScaler:
         scaler = fit_scaler(ds)
         out = scaler.transform(np.array([[2.0, 20.0]]))
         np.testing.assert_allclose(out, [[0.0, 0.0]])
+
+    @pytest.mark.parametrize("fitted", [True, False])
+    def test_bits_match_masked_reference(self, fitted):
+        """transform's subtract-then-divide gives the masked gather/scatter
+        form's bits, passthrough columns (with -0.0, inf and nan) included;
+        a loaded scaler may carry any mean and std on a passthrough column."""
+        rng = np.random.default_rng(11)
+        X = rng.normal(3.0, 2.5, (50, 6)) * np.array([1, 1e-8, 1e8, 1, 1, 1])
+        X[:, 3] = 7.0  # constant: passthrough when fitted
+        if fitted:
+            scaler = fit_scaler(Dataset(tuple(f"f{i}" for i in range(6)), X,
+                                        rng.integers(0, 2, 50)))
+            assert scaler.passthrough.tolist() == [False] * 3 + [True] + [False] * 2
+        else:
+            scaler = Scaler(mean=rng.normal(size=6), std=rng.uniform(0.5, 2.0, 6),
+                            passthrough=np.array([True, False, True, False, False, True]))
+        X[:4, 3] = [-0.0, np.inf, -np.inf, np.nan]
+        X[:2, 5] = [-0.0, 0.0]
+        got, want = scaler.transform(X), masked_transform(scaler, X)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_scaled_train_is_standardized(self):
         rng = np.random.default_rng(0)

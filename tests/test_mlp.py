@@ -9,7 +9,8 @@ from flowsieve import mlp, modelfile
 from flowsieve.dataset import Scaler, one_hot
 from flowsieve.errors import DataError, TrainingDiverged
 from flowsieve.lm import minimize_least_squares
-from oracles import fd_gradient, masked_sigmoid, max_relative_error
+from oracles import (fd_gradient, masked_sigmoid, max_relative_error,
+                     residual_jacobian)
 from oracles import random_mlp_case as random_case
 
 XOR_X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
@@ -142,7 +143,7 @@ class TestGradient:
     def test_jacobian_consistent_with_gradient(self):
         rng = np.random.default_rng(8)
         model, X, T = random_case(rng)
-        residuals, jac = mlp.residual_jacobian(model, X, T)
+        residuals, jac = residual_jacobian(model, X, T)
         np.testing.assert_allclose(jac.T @ residuals / len(X),
                                    mlp.gradient(model, X, T),
                                    rtol=1e-10, atol=1e-14)
@@ -161,7 +162,7 @@ class TestNormalEquations:
         X = rng.normal(size=(n, 5))
         T = one_hot(rng.integers(0, 2, n))
         jtj, jtr = mlp.normal_equations(model, X, T)
-        residuals, jac = mlp.residual_jacobian(model, X, T)
+        residuals, jac = residual_jacobian(model, X, T)
         want_jtj, want_jtr = jac.T @ jac, jac.T @ residuals
         if n <= self.CHUNK:  # one chunk: the very same products
             assert np.array_equal(jtj, want_jtj)
@@ -185,6 +186,59 @@ class TestNormalEquations:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.1 * peaks[0], peaks
+
+    @pytest.mark.parametrize("n_outputs", [1, 2, 3])
+    @pytest.mark.parametrize("n_hidden", [1, 4])
+    @pytest.mark.parametrize("n", [1, CHUNK, 2 * CHUNK + 3])
+    def test_fill_bits_match_oracle(self, monkeypatch, n, n_hidden, n_outputs):
+        """Each chunk's in-place fill, into a buffer still holding the last
+        chunk (or NaN before the first), equals the oracle's zeroed einsum
+        Jacobian of the same rows, bit for bit."""
+        monkeypatch.setattr(mlp, "_CHUNK_ROWS", self.CHUNK)
+        rng = np.random.default_rng(40 + n + 10 * n_hidden + n_outputs)
+        model = mlp.init_model(5, n_hidden, seed=n, n_outputs=n_outputs)
+        X = rng.normal(size=(n, 5))
+        T = rng.random((n, n_outputs))
+        fill, fills = mlp._fill_jacobian, []
+
+        def recording(buffer, model, X, T):
+            if not fills:
+                buffer[:] = np.nan
+            residuals, jac = fill(buffer, model, X, T)
+            assert np.shares_memory(jac, buffer)
+            fills.append((jac.copy(), residuals))
+            return residuals, jac
+
+        monkeypatch.setattr(mlp, "_fill_jacobian", recording)
+        mlp.normal_equations(model, X, T)
+        starts = range(0, n, self.CHUNK)
+        assert len(fills) == len(starts)
+        for start, (jac, residuals) in zip(starts, fills):
+            rows = slice(start, start + self.CHUNK)
+            want_residuals, want_jac = residual_jacobian(model, X[rows], T[rows])
+            assert np.array_equal(jac, want_jac)
+            assert np.array_equal(residuals, want_residuals)
+
+    def test_peak_memory_within_one_chunk(self, monkeypatch):
+        """One chunk's Jacobian is held at a time, with no second one and no
+        full-size temporary beside it: the peak stays within 1.25 chunk
+        Jacobians plus the J^T J and J^T r accumulators."""
+        chunk = 2048
+        monkeypatch.setattr(mlp, "_CHUNK_ROWS", chunk)
+        rng = np.random.default_rng(32)
+        model = mlp.init_model(28, 4, seed=32)
+        n, P = 3 * chunk + 17, model.n_parameters
+        X = rng.normal(size=(n, 28))
+        T = one_hot(rng.integers(0, 2, n))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            mlp.normal_equations(model, X, T)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        chunk_jacobian = model.n_outputs * chunk * P * 8
+        assert peak <= 1.25 * chunk_jacobian + P * P * 8 + P * 8, peak
 
 
 class TestTrainBp:
@@ -286,7 +340,7 @@ class TestTrainLm:
     def test_large_mu_step_approaches_negative_gradient(self):
         rng = np.random.default_rng(13)
         model, X, T = random_case(rng)
-        residuals, jac = mlp.residual_jacobian(model, X, T)
+        residuals, jac = residual_jacobian(model, X, T)
         gradient = jac.T @ residuals
         hessian = jac.T @ jac
         mu = 1e9 * np.linalg.norm(hessian)
