@@ -15,11 +15,11 @@ from pathlib import Path
 from . import cfs, metrics, mlp, modelfile, svm
 from .config import (PipelineConfig, StageTimer, UsageError, load_config,
                      make_kernel, write_manifest)
-from .dataset import (Dataset, apply_scaler, fit_scaler, generate_synthetic,
+from .dataset import (CLASS_NAMES, Dataset, apply_scaler, fit_scaler, generate_synthetic,
                       load_flow_csv, one_hot, stratified_split, write_csv)
 from .errors import DataError, TrainingDiverged
-from .flow_meter import (MeterConfig, meter_packets, read_packet_file,
-                         write_flow_csv)
+from .flow_meter import (MeterConfig, OutOfOrderError, ParseError, meter_packets,
+                         read_packet_file, write_flow_csv)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -59,10 +59,13 @@ def _load_flows(path, cfg: PipelineConfig) -> Dataset:
 # ---------------------------------------------------------------- meter
 
 
-def run_meter(packets_path, out_dir, meter_cfg: MeterConfig, label: str) -> Path:
+def run_meter(packets_path, out_dir, meter_cfg: MeterConfig, label: str | None) -> Path:
+    if label is None:  # checked before the capture is read
+        raise UsageError(f"[input] label (--label) must be {' or '.join(CLASS_NAMES)} "
+                         "to meter")
     try:
         packets = read_packet_file(packets_path)
-    except DataError as exc:
+    except (ParseError, OutOfOrderError) as exc:  # these name only the line
         raise DataError(f"{packets_path}: {exc}") from None
     if not packets:
         raise DataError(f"{packets_path}: no packets")
@@ -102,6 +105,9 @@ def run_select(flows_path, out_dir,
         shutil.copyfile(flows_path, reduced_path)  # validated verbatim copy
         print("selection disabled; pass-through copy written")
         return ["selected.csv"], ds
+    if ds.n_examples < 2:  # a correlation needs two rows
+        raise DataError(f"{flows_path}: selection needs at least 2 rows, "
+                        f"got {ds.n_examples}")
     stats = cfs.build_stats(ds)
     subset = cfs.best_first_search(stats, cfg.search)
     names = [ds.schema[i] for i in subset.path]
@@ -161,8 +167,7 @@ def _train_models(train_ds: Dataset, val_ds: Dataset, cfg: PipelineConfig,
             model, train_ds.X, one_hot(train_ds.y), val_ds.X, one_hot(val_ds.y),
             cfg.mlp_train)
         model_path = out_dir / "ann_model.txt"
-        mlp.save_model(model_path, model, train_ds.schema, scaler,
-                       train_ds.class_names)
+        mlp.save_model(model_path, model, train_ds.schema, scaler)
         history_path = out_dir / "ann_history.csv"
         with open(history_path, "w", encoding="utf-8") as handle:
             handle.write("epoch,train_loss,val_loss\n")
@@ -175,20 +180,21 @@ def _train_models(train_ds: Dataset, val_ds: Dataset, cfg: PipelineConfig,
               f"stop: {history.stopping_reason}")
     if cfg.classifier in ("svm", "both"):
         kernel = make_kernel(cfg, train_ds.n_features)
-        models = svm.train_ovr(train_ds.X, train_ds.y,
-                               len(train_ds.class_names), kernel, cfg.smo)
+        models = svm.train_ovr(train_ds.X, train_ds.y, kernel, cfg.smo)
         model_path = out_dir / "svm_model.txt"
-        svm.save_models(model_path, models, train_ds.schema, scaler,
-                        train_ds.class_names)
+        svm.save_models(model_path, models, train_ds.schema, scaler)
         artifacts["svm_model.txt"] = model_path
         print("svm: " + ("converged" if models[1].converged
                          else "not fully converged"))
     return artifacts
 
 
-def run_train(ds: Dataset, out_dir, cfg: PipelineConfig) -> dict[str, Path]:
+def run_train(ds: Dataset, out_dir, cfg: PipelineConfig, flows_path) -> dict[str, Path]:
     out_dir = Path(out_dir)
-    train_ds, val_ds, test_ds = stratified_split(ds, cfg.split)
+    try:  # a class too small to split ends the run before any model trains
+        train_ds, val_ds, test_ds = stratified_split(ds, cfg.split)
+    except DataError as exc:
+        raise DataError(f"{flows_path}: {exc}") from None
     del ds  # the splits are copies; models train on only the splits they use
     scaler = fit_scaler(train_ds)
     train_ds = apply_scaler(scaler, train_ds)
@@ -205,7 +211,7 @@ def cmd_train(args) -> int:
     cfg, out_dir = _config(args)
     timer = StageTimer()
     timer.start("train")
-    artifacts = run_train(_load_flows(flows_path, cfg), out_dir, cfg)
+    artifacts = run_train(_load_flows(flows_path, cfg), out_dir, cfg, flows_path)
     timer.stop()
     write_manifest(out_dir, "train", cfg, [flows_path], list(artifacts),
                    timer.timings)
@@ -329,7 +335,7 @@ def cmd_pipeline(args) -> int:
     timer.start("train")
     # pop() leaves run_train the only reference, so it frees the rows once split
     trained = run_train(selected.pop() or _load_flows(out_dir / "selected.csv", cfg),
-                        out_dir, cfg)
+                        out_dir, cfg, flows)
     timer.stop()
     artifacts += list(trained)
 

@@ -11,9 +11,9 @@ from pathlib import Path
 
 from . import __version__, mlp, svm
 from .cfs import SearchConfig
-from .dataset import (BAD_VALUE_POLICIES, SplitSpec, SyntheticSpec,
+from .dataset import (BAD_VALUE_POLICIES, CLASS_NAMES, SplitSpec, SyntheticSpec,
                       default_synthetic_spec)
-from .flow_meter import LABELS, MeterConfig
+from .flow_meter import MeterConfig
 from .mlp import TrainConfig
 from .svm import Kernel, SmoConfig
 
@@ -40,7 +40,7 @@ class PipelineConfig:
     packets_path: str | None = None
     flows_path: str | None = None
     use_synth: bool = False
-    meter_label: str = "Unlabeled"
+    meter_label: str | None = None  # the class of a metered capture; None = unset
     bad_value_policy: str = "error"
     meter: MeterConfig = field(default_factory=MeterConfig)
     split: SplitSpec = field(default_factory=SplitSpec)
@@ -58,10 +58,11 @@ class PipelineConfig:
 
     def __post_init__(self):
         for name, allowed in (("classifier", ("ann", "svm", "both")),
-                              ("meter_label", LABELS),
+                              ("meter_label", (None, *CLASS_NAMES)),
                               ("bad_value_policy", BAD_VALUE_POLICIES)):
             if getattr(self, name) not in allowed:
-                raise ValueError(f"{name} must be one of {', '.join(allowed)}, "
+                raise ValueError(f"{name} must be one of "
+                                 f"{', '.join(filter(None, allowed))}, "
                                  f"got {getattr(self, name)!r}")
         if self.mlp_hidden < 1:
             raise ValueError(f"mlp_hidden must be at least 1, got {self.mlp_hidden}")

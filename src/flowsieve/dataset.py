@@ -10,11 +10,12 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, open_text
 from .flow_meter import FEATURE_COLUMNS, format_cells, parse_ipv4
 
+# The two classes of the study; a class id is its index here.
 CLASS_NAMES = ("NonTor", "Tor")
-LABEL_TO_ID = {"nontor": 0, "tor": 1}
+LABEL_TO_ID = {name.lower(): class_id for class_id, name in enumerate(CLASS_NAMES)}
 BAD_VALUE_POLICIES = ("error", "drop")
 
 # Column names as published with the UNB-CIC Tor traffic CSVs.
@@ -59,8 +60,7 @@ class Dataset:
 
     schema: tuple[str, ...]
     X: np.ndarray  # (N, n) float64
-    y: np.ndarray  # (N,) int
-    class_names: tuple[str, ...] = CLASS_NAMES
+    y: np.ndarray  # (N,) class ids, indices into CLASS_NAMES
     dropped: int = field(default=0, compare=False)  # rows load_flow_csv skipped
 
     def __post_init__(self):
@@ -80,7 +80,7 @@ class Dataset:
         return self.X.shape[1]
 
     def subset(self, indices: np.ndarray) -> "Dataset":
-        return Dataset(self.schema, self.X[indices], self.y[indices], self.class_names)
+        return Dataset(self.schema, self.X[indices], self.y[indices])
 
     def select_features(self, names: Iterable[str]) -> "Dataset":
         """Project columns by name; unknown names raise DataError."""
@@ -89,7 +89,7 @@ class Dataset:
         if missing:
             raise DataError(f"features not in dataset: {', '.join(missing)}")
         cols = [self.schema.index(n) for n in names]
-        return Dataset(tuple(names), self.X[:, cols], self.y, self.class_names)
+        return Dataset(tuple(names), self.X[:, cols], self.y)
 
 
 def _normalize_header(cells: list[str]) -> list[str]:
@@ -161,14 +161,15 @@ def load_flow_csv(path, bad_value_policy: str = "error") -> Dataset:
     """
     if bad_value_policy not in BAD_VALUE_POLICIES:
         raise ValueError(f"unknown bad_value_policy {bad_value_policy!r}")
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    with open_text(path, newline="") as handle:
         reader = csv.reader(handle)
         try:
             header = _normalize_header(next(reader))
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
-        if header[-1].lower() != "label":
-            raise DataError(f"{path}: last column must be 'label', got {header[-1]!r}")
+        last = header[-1] if header else ""  # a blank first line has no cells
+        if last.lower() != "label":
+            raise DataError(f"{path}: last column must be 'label', got {last!r}")
         feature_names = tuple(header[:-1])
         unknown = [n for n in feature_names if n not in FEATURE_COLUMNS]
         if unknown:
@@ -216,7 +217,7 @@ def write_csv(ds: Dataset, path) -> None:
         handle.write(",".join(ds.schema + ("label",)) + "\n")
         for row, label in zip(ds.X, ds.y.tolist()):
             handle.write(",".join(format_cells(row.tolist())
-                                  + [ds.class_names[label]]) + "\n")
+                                  + [CLASS_NAMES[label]]) + "\n")
 
 
 @dataclass
@@ -243,16 +244,16 @@ def stratified_split_indices(y: np.ndarray,
     below its global target, so class-level rounding errors cancel.
     """
     ratios = (spec.train, spec.validation, spec.test)
-    classes = np.unique(y)
-    for c in classes:
-        if int((y == c).sum()) < 3:
-            raise DataError(f"class {c} has fewer than 3 examples")
+    for c, name in enumerate(CLASS_NAMES):
+        if (count := int((y == c).sum())) < 3:
+            raise DataError(f"class {name} has {count} rows, fewer than 3; "
+                            "training needs at least 3 of each class")
     rng = np.random.default_rng(spec.seed)
     n_total = len(y)
     global_targets = [n_total * r for r in ratios]
     assigned = [0, 0, 0]
     buckets: list[list[np.ndarray]] = [[], [], []]
-    for c in classes:
+    for c in range(len(CLASS_NAMES)):
         idx = np.flatnonzero(y == c)
         rng.shuffle(idx)
         m = len(idx)
@@ -269,8 +270,7 @@ def stratified_split_indices(y: np.ndarray,
             buckets[i].append(idx[start:start + counts[i]])
             assigned[i] += counts[i]
             start += counts[i]
-    parts = [np.sort(np.concatenate(b)) if b else np.array([], dtype=int)
-             for b in buckets]
+    parts = [np.sort(np.concatenate(b)) for b in buckets]
     return parts[0], parts[1], parts[2]
 
 
@@ -302,7 +302,7 @@ def fit_scaler(train: Dataset) -> Scaler:
 
 
 def apply_scaler(scaler: Scaler, ds: Dataset) -> Dataset:
-    return Dataset(ds.schema, scaler.transform(ds.X), ds.y, ds.class_names)
+    return Dataset(ds.schema, scaler.transform(ds.X), ds.y)
 
 
 @dataclass
@@ -408,7 +408,7 @@ def generate_synthetic(spec: SyntheticSpec,
     return Dataset(tuple(names), X, y), roles
 
 
-def one_hot(y: np.ndarray, n_classes: int = 2) -> np.ndarray:
-    out = np.zeros((len(y), n_classes))
+def one_hot(y: np.ndarray) -> np.ndarray:
+    out = np.zeros((len(y), len(CLASS_NAMES)))
     out[np.arange(len(y)), y] = 1.0
     return out

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
-from .errors import DataError
+from .errors import DataError, open_text
 
 TCP = 6
 UDP = 17
@@ -21,8 +21,6 @@ SUPPORTED_PROTOCOLS = (TCP, UDP)
 
 DEFAULT_ACTIVITY_TIMEOUT_US = 5_000_000
 DEFAULT_FLOW_TIMEOUT_US = 120_000_000
-
-LABELS = ("NonTor", "Tor", "Unlabeled")
 
 # Canonical feature order; the flow CSV is these 28 columns plus "label".
 FEATURE_COLUMNS = (
@@ -219,7 +217,7 @@ def read_packet_file(path) -> list[PacketRecord]:
     records = []
     ips: dict[str, int] = {}
     prev_ts = 0
-    with open(path, "r", encoding="utf-8") as handle:
+    with open_text(path) as handle:
         for line_number, line in enumerate(handle, start=1):
             if line.isspace():
                 continue

@@ -106,9 +106,10 @@ class ClassReport:
 
 def build_report(predictions: Sequence[int], labels: Sequence[int]) -> ClassReport:
     """Per-class DR/FPR/PPV with each class treated as positive in turn,
-    plus the shared overall accuracy."""
-    tor = rates(confusion(predictions, labels, positive_class=1))
-    nontor = rates(confusion(predictions, labels, positive_class=0))
+    plus the shared overall accuracy. The table is counted once, with Tor
+    positive; nonTor's rates read the same counts with the roles swapped."""
+    cm = confusion(predictions, labels, positive_class=1)
+    tor, nontor = rates(cm), rates(ConfusionMatrix(tp=cm.tn, tn=cm.tp, fp=cm.fn, fn=cm.fp))
 
     def pct(v: float | None) -> float | None:
         return None if v is None else 100.0 * v

@@ -2,7 +2,7 @@
 
 The loss is the mean over examples of half the squared output error, so the
 same objective is shared by the mini-batch gradient-descent trainer and the
-damped-least-squares trainer. Output index 0 is NonTor, index 1 is Tor.
+damped-least-squares trainer. Output i scores class i of CLASS_NAMES.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import modelfile
+from .dataset import CLASS_NAMES
 from .errors import TrainingDiverged
 from .lm import minimize_least_squares
 
@@ -45,7 +46,8 @@ class MlpModel:
     given), laid out by _blocks for the given layer sizes; w1, b1, w2 and b2
     are views into it, so an in-place update of theta updates them."""
 
-    def __init__(self, theta, n_inputs: int, n_hidden: int, n_outputs: int = 2):
+    def __init__(self, theta, n_inputs: int, n_hidden: int,
+                 n_outputs: int = len(CLASS_NAMES)):
         self.theta = np.array(theta, dtype=np.float64)
         self.n_parameters = self.theta.size
         self.n_inputs, self.n_hidden, self.n_outputs = n_inputs, n_hidden, n_outputs
@@ -96,7 +98,7 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def init_model(n_inputs: int, n_hidden: int, seed: int = 0,
-               n_outputs: int = 2) -> MlpModel:
+               n_outputs: int = len(CLASS_NAMES)) -> MlpModel:
     """Uniform +-sqrt(6/(fan_in+fan_out)) weights, zero biases."""
     if n_inputs < 1 or n_hidden < 1 or n_outputs < 1:
         raise ValueError("all layer sizes must be at least 1")
@@ -308,8 +310,7 @@ def train(model: MlpModel, X: np.ndarray, T: np.ndarray,
 MODEL_FORMAT = "flowsieve-mlp 1"
 
 
-def save_model(path, model: MlpModel, feature_names: tuple[str, ...],
-               scaler=None, class_names: tuple[str, ...] = ("NonTor", "Tor")) -> None:
+def save_model(path, model: MlpModel, feature_names: tuple[str, ...], scaler=None) -> None:
     """Versioned flat text format: model-file header, layout line, then each
     parameter block as a name line and its rows."""
     def body():
@@ -320,15 +321,16 @@ def save_model(path, model: MlpModel, feature_names: tuple[str, ...],
             for row in model.theta[block].reshape(rows, cols):
                 yield modelfile.format_row(row)
 
-    modelfile.write(path, MODEL_FORMAT, feature_names, class_names, scaler, body())
+    modelfile.write(path, MODEL_FORMAT, feature_names, scaler, body())
 
 
 def read_body(doc: modelfile.ModelFile) -> MlpModel:
     """Parse the body of a model file whose header `doc` has read."""
     n_inputs, n_hidden, n_outputs = (int(v) for v in doc.values("layout", 3, int))
-    if n_inputs != len(doc.meta["features"]) or min(n_hidden, n_outputs) < 1:
-        raise doc.error(f"layout needs {len(doc.meta['features'])} inputs and "
-                        "positive hidden and output counts")
+    if (n_inputs != len(doc.meta["features"]) or n_hidden < 1
+            or n_outputs != len(CLASS_NAMES)):
+        raise doc.error(f"layout needs {len(doc.meta['features'])} inputs, "
+                        f"at least 1 hidden unit and {len(CLASS_NAMES)} outputs")
     rows_read = []
     for name, (_, rows, cols) in _blocks(n_inputs, n_hidden, n_outputs).items():
         doc.keyed(name)

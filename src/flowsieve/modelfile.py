@@ -3,7 +3,8 @@
 The header is the format line, the `features` and `classes` lines and, when
 the model carries a scaler, the three `scaler_*` lines. The model's module
 writes and parses the body that follows. Reading turns every malformed or
-truncated file into a DataError that names the file and the line.
+truncated file, and a `classes` line other than CLASS_NAMES, into a
+DataError that names the file and the line.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .dataset import Scaler
-from .errors import DataError
+from .dataset import CLASS_NAMES, Scaler
+from .errors import DataError, open_text
 
 
 def format_row(values) -> str:
@@ -22,11 +23,10 @@ def format_row(values) -> str:
 
 
 def write(path, model_format: str, feature_names: tuple[str, ...],
-          class_names: tuple[str, ...], scaler: Scaler | None,
-          body: Iterable[str]) -> None:
+          scaler: Scaler | None, body: Iterable[str]) -> None:
     """Write the format line and the header, then each line of `body`."""
     header = [model_format, "features " + ",".join(feature_names),
-              "classes " + ",".join(class_names)]
+              "classes " + ",".join(CLASS_NAMES)]
     if scaler is not None:
         header += ["scaler_mean " + format_row(scaler.mean),
                    "scaler_std " + format_row(scaler.std),
@@ -38,23 +38,20 @@ def write(path, model_format: str, feature_names: tuple[str, ...],
 
 class ModelFile:
     """A model file read once: its format line, its header as `meta`
-    (features, classes, scaler) and a cursor over the body lines."""
+    (features, scaler) and a cursor over the body lines."""
 
     def __init__(self, path, formats: tuple[str, ...]):
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                self._lines = [line.rstrip("\n") for line in handle]
-        except UnicodeDecodeError:
-            raise DataError(f"{path}: not a UTF-8 text file") from None
+        with open_text(path) as handle:
+            self._lines = [line.rstrip("\n") for line in handle]
         self.path = path
         self._pos = 1  # lines read so far
         self.format = self._lines[0] if self._lines else ""
         if self.format not in formats:
             raise DataError(f"{path}:1: not a {' or '.join(formats)} file")
         features = tuple(self.keyed("features").split(","))
-        self.meta: dict = {"features": features,
-                           "classes": tuple(self.keyed("classes").split(",")),
-                           "scaler": None}
+        if self.keyed("classes") != ",".join(CLASS_NAMES):
+            raise self.error(f"classes must read {','.join(CLASS_NAMES)}")
+        self.meta: dict = {"features": features, "scaler": None}
         if self.peek_key() == "scaler_mean":
             width = len(features)
             self.meta["scaler"] = Scaler(

@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import modelfile
+from .dataset import CLASS_NAMES
 from .errors import DataError
 
 
@@ -77,13 +78,11 @@ def decision_values(model: SvmModel, X: np.ndarray) -> np.ndarray:
 
 
 def predict_batch(models: list[SvmModel], X: np.ndarray) -> np.ndarray:
-    """Per row, the `positive_class` of the model with the largest decision
-    value; ties go to the lowest class, so the order of `models` does not
-    matter."""
+    """Per row, the class whose model has the largest decision value, given
+    one model for each class of CLASS_NAMES; ties go to the lowest class, so
+    the order of `models` does not matter."""
     models = sorted(models, key=lambda m: m.positive_class)
-    values = np.column_stack([decision_values(m, X) for m in models])
-    classes = np.array([m.positive_class for m in models])
-    return classes[np.argmax(values, axis=1)]
+    return np.argmax(np.column_stack([decision_values(m, X) for m in models]), axis=1)
 
 
 def smo_train(X: np.ndarray, y_pm: np.ndarray, kernel: Kernel,
@@ -151,20 +150,17 @@ def smo_train(X: np.ndarray, y_pm: np.ndarray, kernel: Kernel,
     )
 
 
-def train_ovr(X: np.ndarray, y: np.ndarray, n_classes: int,
-              kernel: Kernel | None = None,
+def train_ovr(X: np.ndarray, y: np.ndarray, kernel: Kernel | None = None,
               cfg: SmoConfig | None = None) -> list[SvmModel]:
-    """One model per class of a binary problem, from one solve: class 1 is
+    """One model per class of CLASS_NAMES, from one solve: class 1 is
     trained +1 against class 0, and the class-0 model is its exact negation
     (same support vectors; coefficients, bias and weights negated)."""
     cfg = cfg or SmoConfig()
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
-    if n_classes != 2:
-        raise ValueError(f"the SVM solves a binary problem, got {n_classes} classes")
-    for class_id in range(n_classes):
+    for class_id, name in enumerate(CLASS_NAMES):
         if not (y == class_id).any():
-            raise DataError(f"class {class_id} has no training examples")
+            raise DataError(f"class {name} has no training examples")
     if kernel is None:
         kernel = Kernel("rbf", gamma=1.0 / X.shape[1])
     model = smo_train(X, np.where(y == 1, 1.0, -1.0), kernel, cfg, positive_class=1)
@@ -178,7 +174,7 @@ MODEL_FORMAT = "flowsieve-svm 1"
 
 
 def save_models(path, models: list[SvmModel], feature_names: tuple[str, ...],
-                scaler=None, class_names: tuple[str, ...] = ("NonTor", "Tor")) -> None:
+                scaler=None) -> None:
     """Versioned text format: model-file header, then per model its class,
     kernel, C, bias and convergence lines, support-vector rows and `end`."""
     def body():
@@ -194,18 +190,17 @@ def save_models(path, models: list[SvmModel], feature_names: tuple[str, ...],
                        + modelfile.format_row(sv))
             yield "end"
 
-    modelfile.write(path, MODEL_FORMAT, feature_names, class_names, scaler, body())
+    modelfile.write(path, MODEL_FORMAT, feature_names, scaler, body())
 
 
 def read_body(doc: modelfile.ModelFile) -> list[SvmModel]:
     """Parse the body of a model file whose header `doc` has read: one
-    block for each class in `classes`, in any order."""
+    block for each class of CLASS_NAMES, in any order."""
     width = len(doc.meta["features"])
-    n_classes = len(doc.meta["classes"])
     models = []
     while doc.peek_key() is not None:
         positive_class = int(doc.values("model", 1, int)[0])
-        if (not 0 <= positive_class < n_classes
+        if (not 0 <= positive_class < len(CLASS_NAMES)
                 or any(m.positive_class == positive_class for m in models)):
             raise doc.error(f"unexpected model block for class {positive_class}")
         kind, _, gamma = doc.keyed("kernel").partition(" ")
@@ -227,7 +222,7 @@ def read_body(doc: modelfile.ModelFile) -> list[SvmModel]:
             coefficients=coefficients, bias=bias, positive_class=positive_class,
             converged=converged,
             weights=support.T @ coefficients if kernel.kind == "linear" else None))
-    if len(models) != n_classes:
-        raise doc.error(f"expected {n_classes} model blocks, got {len(models)}")
+    if len(models) != len(CLASS_NAMES):
+        raise doc.error(f"expected {len(CLASS_NAMES)} model blocks, got {len(models)}")
     return models
 

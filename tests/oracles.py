@@ -400,8 +400,9 @@ def oracle_load_flow_csv(path, bad_value_policy: str = "error"):
                       for c in next(reader)]
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
-        if header[-1].lower() != "label":
-            raise DataError(f"{path}: last column must be 'label', got {header[-1]!r}")
+        last = header[-1] if header else ""
+        if last.lower() != "label":
+            raise DataError(f"{path}: last column must be 'label', got {last!r}")
         feature_names = tuple(header[:-1])
         unknown = [n for n in feature_names if n not in FEATURE_COLUMNS]
         if unknown:
@@ -456,13 +457,14 @@ def oracle_load_flow_csv(path, bad_value_policy: str = "error"):
 
 def oracle_write_csv(ds, path) -> None:
     """Write a Dataset one row and one format_cell call at a time."""
+    from flowsieve.dataset import CLASS_NAMES
     from flowsieve.flow_meter import format_cell
 
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(",".join(ds.schema + ("label",)) + "\n")
         for row, label in zip(ds.X, ds.y):
             cells = [format_cell(float(v)) for v in row]
-            cells.append(ds.class_names[label])
+            cells.append(CLASS_NAMES[label])
             handle.write(",".join(cells) + "\n")
 
 

@@ -1,14 +1,16 @@
 import json
 import weakref
+from ipaddress import IPv4Address
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from flowsieve.cli import main
-from flowsieve.dataset import (Dataset, SyntheticSpec, generate_synthetic,
-                               load_flow_csv, write_csv)
-from flowsieve.flow_meter import FEATURE_COLUMNS, MeterConfig
+from flowsieve.dataset import (CLASS_NAMES, UNB_CIC_ALIASES, Dataset,
+                               SyntheticSpec, generate_synthetic, load_flow_csv,
+                               write_csv)
+from flowsieve.flow_meter import FEATURE_COLUMNS, MeterConfig, format_cells
 from conftest import assert_close
 from oracles import oracle_features, oracle_flows, random_trace
 
@@ -46,6 +48,38 @@ def synth_csv(tmp_path, name="flows.csv", rows=120, seed=3):
     path = tmp_path / name
     write_csv(ds, path)
     return path
+
+
+def unb_cic_csv(tmp_path, rows=120, seed=3, infinity_every=8):
+    """A synth_csv table in the form the UNB-CIC CSVs are published in, and
+    its kept rows in canonical form; returns (published, canonical, dropped).
+
+    The published form has the UNB_CIC_ALIASES headers, 32-bit integer
+    addresses in src_ip and dst_ip written as dotted quads, and `Infinity`
+    in `Flow Bytes/s` on every `infinity_every`-th row, which
+    bad_value_policy = drop skips. The other cells are written as write_csv
+    writes them, so both files load to the same kept rows.
+    """
+    ds = load_flow_csv(synth_csv(tmp_path, "synth.csv", rows, seed))
+    X = ds.X.copy()
+    ip_cols = [ds.schema.index("src_ip"), ds.schema.index("dst_ip")]
+    X[:, ip_cols] = np.random.default_rng(seed).integers(0, 2 ** 32, (len(X), 2))
+    bytes_col = ds.schema.index("flow_bytes_per_s")
+    published_names = {name: alias for alias, name in UNB_CIC_ALIASES.items()}
+    lines = [",".join(published_names[name] for name in ds.schema + ("label",))]
+    for i, (row, label) in enumerate(zip(X, ds.y)):
+        cells = format_cells(row.tolist())
+        for col in ip_cols:
+            cells[col] = str(IPv4Address(int(row[col])))
+        if i % infinity_every == 0:
+            cells[bytes_col] = "Infinity"
+        lines.append(",".join(cells + [CLASS_NAMES[label]]))
+    published = tmp_path / "published.csv"
+    published.write_text("\n".join(lines) + "\n")
+    kept = np.arange(len(X)) % infinity_every != 0
+    canonical = tmp_path / "canonical.csv"
+    write_csv(Dataset(ds.schema, X[kept], ds.y[kept]), canonical)
+    return published, canonical, int((~kept).sum())
 
 
 def spy_loads(monkeypatch) -> list[str]:
@@ -88,7 +122,7 @@ class TestMeter:
         outputs = []
         for name in ("a", "b"):
             out_dir = tmp_path / name
-            assert main(["meter", str(packet_file),
+            assert main(["meter", str(packet_file), "--label", "Tor",
                          "--out-dir", str(out_dir)]) == 0
             outputs.append((out_dir / "flows.csv").read_bytes())
         assert outputs[0] == outputs[1]
@@ -96,14 +130,16 @@ class TestMeter:
     def test_empty_input_is_data_error(self, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("")
-        rc = main(["meter", str(path), "--out-dir", str(tmp_path / "out")])
+        rc = main(["meter", str(path), "--label", "Tor",
+                   "--out-dir", str(tmp_path / "out")])
         assert rc == 3
 
     def test_unsorted_input_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "unsorted.txt"
         path.write_text("1000,10.0.0.1,443,10.0.0.2,80,6,60\n"
                         "500,10.0.0.1,443,10.0.0.2,80,6,60\n")
-        rc = main(["meter", str(path), "--out-dir", str(tmp_path / "out")])
+        rc = main(["meter", str(path), "--label", "Tor",
+                   "--out-dir", str(tmp_path / "out")])
         assert rc == 3
         assert capsys.readouterr().err == (
             f"data error: {path}: line 2: out-of-order timestamp: 500 < 1000\n")
@@ -115,7 +151,8 @@ class TestMeter:
                         "\n"
                         "1000,10.0.0.1,443,10.0.0.2,80,6,60\n"
                         "999,10.0.0.1,443,10.0.0.2,80,6,60\n")
-        rc = main(["meter", str(path), "--out-dir", str(tmp_path / "out")])
+        rc = main(["meter", str(path), "--label", "Tor",
+                   "--out-dir", str(tmp_path / "out")])
         assert rc == 3
         assert capsys.readouterr().err == (
             f"data error: {path}: line 5: out-of-order timestamp: 999 < 1000\n")
@@ -124,21 +161,22 @@ class TestMeter:
         path = tmp_path / "bad_ip.txt"
         path.write_text("1000,10.0.0.1,443,10.0.0.2,80,6,60\n"
                         "1500,10.0.0.1,443,999.0.0.2,80,6,60\n")
-        rc = main(["meter", str(path), "--out-dir", str(tmp_path / "out")])
+        rc = main(["meter", str(path), "--label", "Tor",
+                   "--out-dir", str(tmp_path / "out")])
         assert rc == 3
         assert capsys.readouterr().err == (
             f"data error: {path}: line 2: dst_ip: "
             f"malformed IPv4 address '999.0.0.2'\n")
 
     def test_missing_file_is_usage_error(self, tmp_path):
-        rc = main(["meter", str(tmp_path / "nope.txt"),
+        rc = main(["meter", str(tmp_path / "nope.txt"), "--label", "Tor",
                    "--out-dir", str(tmp_path / "out")])
         assert rc == 2
 
     def test_manifest_written(self, packet_file, tmp_path):
         out_dir = tmp_path / "out"
-        main(["meter", str(packet_file), "--out-dir", str(out_dir),
-              "--seed", "5"])
+        main(["meter", str(packet_file), "--label", "Tor",
+              "--out-dir", str(out_dir), "--seed", "5"])
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["seed"] == 5
         assert manifest["command"] == "meter"
@@ -210,6 +248,14 @@ class TestSelect:
         assert main(["select", str(flows), *flags,
                      "--out-dir", str(tmp_path / "out")]) == 0
         assert calls == ["flows.csv"]
+
+    def test_one_row_is_data_error(self, tmp_path, capsys):
+        lines = synth_csv(tmp_path).read_text().splitlines()
+        path = tmp_path / "one_row.csv"
+        path.write_text("\n".join(lines[:2]) + "\n")
+        assert main(["select", str(path), "--out-dir", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == (
+            f"data error: {path}: selection needs at least 2 rows, got 1\n")
 
     def test_unlabeled_rejected(self, tmp_path):
         path = tmp_path / "unlabeled.csv"
@@ -423,6 +469,25 @@ class TestPipeline:
         assert main(["pipeline", "--config", str(cfg),
                      "--out-dir", str(tmp_path / "out")]) == 0
         assert calls == loaded
+
+    def test_unb_cic_form_gives_the_canonical_artifacts(self, tmp_path, capsys):
+        published, canonical, dropped = unb_cic_csv(tmp_path)
+        assert dropped == 15
+        runs = {}
+        for name, flows in (("published", published), ("canonical", canonical)):
+            cfg = tmp_path / f"{name}.ini"
+            cfg.write_text(f"[input]\nflows = {flows}\nbad_value_policy = drop\n"
+                           "[mlp]\nmax_epochs = 20\n")
+            assert main(["pipeline", "--config", str(cfg), "--seed", "3",
+                         "--out-dir", str(tmp_path / name)]) == 0
+            runs[name] = capsys.readouterr().err
+        assert runs == {
+            "published": f"{published}: dropped {dropped} rows with non-finite "
+                         "cells (bad_value_policy = drop)\n",
+            "canonical": ""}
+        for artifact in ("report.csv", "ann_model.txt", "test.csv"):
+            assert ((tmp_path / "published" / artifact).read_bytes()
+                    == (tmp_path / "canonical" / artifact).read_bytes())
 
     def test_pipeline_from_packets(self, packet_file, tmp_path):
         # Metered flows are too few to train on, so label them and only
@@ -642,3 +707,109 @@ class TestBadModelFiles:
         end = start + text[start:].index(" ")
         self.assert_data_error(small_run, tmp_path, capsys,
                                text[:start] + "0.5x" + text[end:])
+
+
+class TestDeclaredClasses:
+    """Inputs that contradict the two declared classes, NonTor and Tor, end
+    in exit 2 or 3 naming the input, and no model is written."""
+
+    @staticmethod
+    def eval_rejects(small_run, tmp_path, capsys, text, line):
+        path = tmp_path / "bad_model.txt"
+        path.write_text(text)
+        capsys.readouterr()
+        assert TestBadModelFiles.run_eval(small_run, path, tmp_path) == 3
+        assert f"data error: {path}:{line}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["ann_model.txt", "svm_model.txt"])
+    @pytest.mark.parametrize("classes", ["Tor,NonTor", "nonTor,Tor",
+                                         "Benign,Tor", "NonTor,Tor,Other"])
+    def test_classes_line_must_be_declared_classes(self, small_run, tmp_path,
+                                                   capsys, name, classes):
+        text = (small_run / name).read_text()
+        assert text.splitlines()[2] == "classes NonTor,Tor"
+        self.eval_rejects(small_run, tmp_path, capsys,
+                          text.replace("classes NonTor,Tor", f"classes {classes}"), 3)
+
+    def test_mlp_with_three_outputs(self, small_run, tmp_path, capsys):
+        # A whole 3-output network: the layout, a third w2 row and b2 value.
+        lines = (small_run / "ann_model.txt").read_text().splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith("layout "))
+        lines[at] = lines[at][:-1] + "3"
+        b2 = lines.index("b2")
+        lines[b2 - 1:b2] = [lines[b2 - 1]] * 2
+        lines[-1] += " 0"
+        self.eval_rejects(small_run, tmp_path, capsys, "\n".join(lines) + "\n",
+                          at + 1)
+
+    def test_svm_with_a_third_block(self, small_run, tmp_path, capsys):
+        # As a three-class file would be written: one more class and block.
+        text = (small_run / "svm_model.txt").read_text()
+        start = text.index("\nmodel 1\n") + 1
+        third = text[start:].replace("model 1\n", "model 2\n", 1)
+        self.eval_rejects(small_run, tmp_path, capsys,
+                          text.replace("classes NonTor,Tor", "classes NonTor,Tor,Other")
+                          + third, 3)
+
+    @pytest.mark.parametrize("command", ["train", "pipeline"])
+    @pytest.mark.parametrize("kept", [0, 2])
+    def test_too_few_rows_of_a_class(self, tmp_path, capsys, command, kept):
+        lines = synth_csv(tmp_path).read_text().splitlines()
+        tor = [line for line in lines[1:] if line.endswith(",Tor")]
+        flows = tmp_path / "one_class.csv"
+        flows.write_text("\n".join([lines[0]] + tor[:kept] + [
+            line for line in lines[1:] if line.endswith(",NonTor")]) + "\n")
+        out_dir = tmp_path / "out"
+        if command == "train":
+            argv = ["train", str(flows), "--classifier", "ann"]
+        else:
+            cfg = tmp_path / "run.ini"
+            cfg.write_text(f"[input]\nflows = {flows}\n")
+            argv = ["pipeline", "--config", str(cfg)]
+        assert main(argv + ["--out-dir", str(out_dir)]) == 3
+        assert capsys.readouterr().err == (
+            f"data error: {flows}: class Tor has {kept} rows, fewer than 3; "
+            "training needs at least 3 of each class\n")
+        assert not (out_dir / "ann_model.txt").exists()
+
+    @pytest.mark.parametrize("label_args", [[], ["--label", "Unlabeled"]])
+    def test_meter_needs_a_declared_label(self, tmp_path, capsys, label_args):
+        # The label is checked before the capture, which here is not text.
+        path = tmp_path / "packets.txt"
+        path.write_bytes(b"\xff\n")
+        assert main(["meter", str(path), *label_args,
+                     "--out-dir", str(tmp_path / "out")]) == 2
+        assert "[input] label" in capsys.readouterr().err
+
+    def test_metering_pipeline_needs_a_label(self, packet_file, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[input]\npackets = {packet_file}\n")
+        assert main(["pipeline", "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "out")]) == 2
+        assert "[input] label" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "flows.csv").exists()
+
+
+class TestNonUtf8Input:
+    """A byte that is not UTF-8 is a data error naming the file and the
+    line, also past the reader's first decoded chunk."""
+
+    def test_packet_file(self, tmp_path, capsys):
+        lines = [f"{i * 1000},10.0.0.1,443,10.0.0.2,5555,6,100" for i in range(1000)]
+        lines[699] = lines[699].replace("443", "4\xff3")
+        path = tmp_path / "packets.txt"
+        path.write_bytes("\n".join(lines).encode("latin-1") + b"\n")
+        assert main(["meter", str(path), "--label", "Tor",
+                     "--out-dir", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == (
+            f"data error: {path}: line 700: not UTF-8 text\n")
+
+    def test_flow_csv(self, tmp_path, capsys):
+        path = synth_csv(tmp_path)
+        data = path.read_bytes()
+        at = [i for i, byte in enumerate(data) if byte == ord("\n")][99] - 1
+        path.write_bytes(data[:at] + b"\xc3" + data[at + 1:])  # a cut-off sequence
+        assert len(data) > 8192
+        assert main(["select", str(path), "--out-dir", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == (
+            f"data error: {path}: line 100: not UTF-8 text\n")

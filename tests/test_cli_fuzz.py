@@ -1,0 +1,85 @@
+"""Hostile CLI inputs: packet files and flow CSVs that are truncated,
+mutated byte by byte (non-UTF-8 bytes included) or relabelled end in exit
+0, 2, 3 or 4 from `main`, never in an exception, and a data error names
+the input file."""
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from flowsieve.cli import main
+from test_cli import TEN_PACKETS, synth_csv
+
+# Small enough that a train or select run takes milliseconds.
+FUZZ_INI = "[mlp]\nmax_epochs = 2\n[select]\nmax_stale_expansions = 1\n"
+LABELS = ["Tor", "NonTor", "Unlabeled"]
+
+
+@pytest.fixture(scope="module")
+def seeds(tmp_path_factory):
+    """The unmutated inputs, the config and a model for eval to load."""
+    root = tmp_path_factory.mktemp("fuzz_seeds")
+    flows = synth_csv(root, rows=24)
+    config = root / "fuzz.ini"
+    config.write_text(FUZZ_INI)
+    assert main(["train", str(flows), "--config", str(config),
+                 "--out-dir", str(root / "model")]) == 0
+    return {"packets": TEN_PACKETS.encode(), "flows": flows.read_bytes(),
+            "config": config, "model": root / "model" / "ann_model.txt"}
+
+
+@st.composite
+def relabelled(draw, data: bytes) -> bytes:
+    """Every row given one label, or a few rows given any of LABELS."""
+    header, *rows = data.decode().splitlines()
+    one = draw(st.sampled_from([None, *LABELS]))
+    changed = draw(st.sets(st.integers(0, len(rows) - 1), max_size=3))
+    rows = [row.rsplit(",", 1)[0] + "," + (one or draw(st.sampled_from(LABELS)))
+            if one or i in changed else row for i, row in enumerate(rows)]
+    return "\n".join([header, *rows]).encode() + b"\n"
+
+
+# Any byte, or one that often keeps a cell numeric or moves a cell or row
+# boundary; 0xff and 0xc3 are not UTF-8 on their own.
+BYTES = st.one_of(st.integers(0, 255),
+                  st.sampled_from(b"0123456789.-+eE,\n\r \xff\xc3"))
+
+
+@st.composite
+def hostile(draw, data: bytes, relabel: bool) -> bytes:
+    """`data` relabelled (flow CSVs only), with up to 3 bytes replaced, then
+    perhaps cut short at any byte or after a line."""
+    if relabel and draw(st.booleans()):
+        data = draw(relabelled(data))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(data) - 1))
+        data = data[:at] + bytes([draw(BYTES)]) + data[at + 1:]
+    cut = draw(st.sampled_from([None, "byte", "line"]))
+    if cut == "byte":
+        data = data[:draw(st.integers(0, len(data)))]
+    elif cut == "line":
+        data = b"".join(data.splitlines(keepends=True)[:draw(st.integers(0, 30))])
+    return data
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_hostile_input_exits_cleanly(seeds, tmp_path, capsys, data):
+    command = data.draw(st.sampled_from(["meter", "select", "train", "eval"]))
+    if command == "meter":
+        path = tmp_path / "packets.txt"
+        path.write_bytes(data.draw(hostile(seeds["packets"], relabel=False)))
+        extra = data.draw(st.sampled_from(
+            [[], *(["--label", label] for label in LABELS)]))
+    else:
+        path = tmp_path / "flows.csv"
+        path.write_bytes(data.draw(hostile(seeds["flows"], relabel=True)))
+        extra = ["--model", str(seeds["model"])] if command == "eval" else []
+    capsys.readouterr()
+    rc = main([command, str(path), *extra, "--config", str(seeds["config"]),
+               "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc in (0, 2, 3, 4)
+    if rc == 3:
+        assert str(path) in err

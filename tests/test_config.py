@@ -139,3 +139,28 @@ def _readme_rows() -> dict[tuple[str, str], str]:
 
 def test_readme_table_lists_every_key():
     assert set(_readme_rows()) == set(SETTINGS)
+
+
+def _parser_flags() -> dict[tuple[str, str], set[str]]:
+    """(section, key) -> the flags of every subcommand that set that key."""
+    from flowsieve.cli import build_parser
+
+    flags: dict[tuple[str, str], set[str]] = {}
+    subcommands = next(action for action in build_parser()._actions
+                       if action.choices and action.dest == "command")
+    for subparser in subcommands.choices.values():
+        for action in subparser._actions:
+            if ":" in action.dest:
+                flags.setdefault(tuple(action.dest.split(":")), set()).update(
+                    action.option_strings)
+    return flags
+
+
+def test_readme_table_matches_settings_and_flags():
+    rows = _readme_rows()
+    assert len(rows) == len(SETTINGS) == 37
+    assert set(rows) == set(SETTINGS)
+    readme_flags = {key: set(re.findall(r"`(--[\w-]+)`", line.rsplit("|", 2)[1]))
+                    for key, line in rows.items()}
+    parser_flags = _parser_flags()
+    assert readme_flags == {key: parser_flags.get(key, set()) for key in SETTINGS}

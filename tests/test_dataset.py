@@ -33,8 +33,13 @@ class TestLoad:
             flow_row("NonTor", 3), flow_row("NonTor", 4)])
         ds = load_flow_csv(path)
         assert ds.n_examples == 4
-        assert len(ds.class_names) == 2
         assert sorted(ds.y.tolist()) == [0, 0, 1, 1]
+
+    def test_blank_first_line_is_data_error(self, tmp_path):
+        path = make_flow_csv(tmp_path, [flow_row("Tor")])
+        path.write_text("\n" + path.read_text())
+        with pytest.raises(DataError, match="last column must be 'label', got ''"):
+            load_flow_csv(path)
 
     def test_case_insensitive_labels(self, tmp_path):
         path = make_flow_csv(tmp_path, [flow_row("TOR"), flow_row("nonTOR")])

@@ -409,7 +409,7 @@ class TestInvariants:
 
     def test_csv_has_29_columns(self, tmp_path):
         path = tmp_path / "flows.csv"
-        write_flow_csv(meter_packets([pkt(0)]), path, "Unlabeled")
+        write_flow_csv(meter_packets([pkt(0)]), path, "NonTor")
         lines = path.read_text().splitlines()
         assert lines[0].split(",") == list(FEATURE_COLUMNS) + ["label"]
         assert len(lines[1].split(",")) == 29

@@ -236,7 +236,7 @@ class TestPredict:
     def test_uniform_bias_shift_preserves_argmax(self):
         X, y = separable_2d(seed=8)
         labels = (y > 0).astype(int)
-        models = train_ovr(X, labels, 2, Kernel("rbf", gamma=0.5),
+        models = train_ovr(X, labels, Kernel("rbf", gamma=0.5),
                            SmoConfig())
         rng = np.random.default_rng(9)
         points = rng.normal(size=(30, 2))
@@ -251,7 +251,7 @@ class TestPredict:
     def test_binary_argmax_agrees_with_sign_rule(self):
         X, y = separable_2d(seed=10, gap=1.5)
         labels = (y > 0).astype(int)  # class 1 = positive side
-        models = train_ovr(X, labels, 2, Kernel("rbf", gamma=0.5),
+        models = train_ovr(X, labels, Kernel("rbf", gamma=0.5),
                            SmoConfig())
         rng = np.random.default_rng(11)
         points = rng.normal(size=(100, 2)) * 2.0
@@ -266,7 +266,7 @@ class TestPredict:
 class TestTrainOvr:
     def test_two_models_for_binary_problem(self, two_cluster_dataset):
         ds = two_cluster_dataset
-        models = train_ovr(ds.X, ds.y, 2, Kernel("rbf", gamma=0.5),
+        models = train_ovr(ds.X, ds.y, Kernel("rbf", gamma=0.5),
                            SmoConfig())
         assert len(models) == 2
         assert [m.positive_class for m in models] == [0, 1]
@@ -275,14 +275,14 @@ class TestTrainOvr:
 
     def test_default_kernel_gamma(self, two_cluster_dataset):
         ds = two_cluster_dataset
-        models = train_ovr(ds.X, ds.y, 2, None, SmoConfig())
+        models = train_ovr(ds.X, ds.y, None, SmoConfig())
         assert models[0].kernel.gamma == pytest.approx(1.0 / ds.n_features)
 
     @pytest.mark.parametrize("kernel", [Kernel("rbf", gamma=0.5),
                                         Kernel("linear")])
     def test_class0_model_is_negated_class1(self, kernel):
         X, y = separable_2d(seed=10, gap=1.5)
-        negated, model = train_ovr(X, (y > 0).astype(int), 2, kernel,
+        negated, model = train_ovr(X, (y > 0).astype(int), kernel,
                                    SmoConfig())
         assert (negated.positive_class, model.positive_class) == (0, 1)
         np.testing.assert_array_equal(negated.support_vectors,
@@ -299,7 +299,7 @@ class TestTrainOvr:
     def test_empty_class_rejected(self):
         X = np.zeros((3, 2))
         with pytest.raises(DataError, match="no training examples"):
-            train_ovr(X, np.array([0, 0, 0]), 2, Kernel("linear"), SmoConfig())
+            train_ovr(X, np.array([0, 0, 0]), Kernel("linear"), SmoConfig())
 
 
 class TestPrimal:
@@ -312,6 +312,32 @@ class TestPrimal:
         w_norm_sq = float(model.coefficients @ gram @ model.coefficients)
         slack = primal_objective(model, X, y) - 0.5 * w_norm_sq
         assert slack <= 1e-6 * cfg.C
+
+    def test_points_inside_the_box_have_slack_within_tolerance(self):
+        """What the stopping rule guarantees, on every seed that converges.
+
+        smo_train keeps v_t = y_t - g_t, where g_t = sum_s alpha_s y_s K_st,
+        so a point's hinge slack is max(0, 1 - y_t (g_t + b)) =
+        max(0, y_t (v_t - b)). A converged solve has v_max - v_min <=
+        tolerance, with v_max = max(v, I_up) and v_min = min(v, I_low). The
+        bias lies between v_min and v_max: it is v of a free point, which is
+        in both sets, or the midpoint of the two. A point with alpha < C and
+        y = +1 is in I_up, so v_t - b <= v_max - v_min; one with y = -1 is in
+        I_low, so b - v_t <= v_max - v_min. Either way its slack is at most
+        the tolerance. Points at alpha = C may have any slack.
+        """
+        cfg = SmoConfig(C=1e3, tolerance=1e-4)
+        converged = 0
+        for seed in range(100):
+            X, y = separable_2d(seed=seed)
+            model = smo_train(X, y, Kernel("linear"), cfg)
+            if not model.converged:  # seed 92 stops at the pair-update cap
+                continue
+            converged += 1
+            slack = np.maximum(0.0, 1.0 - y * decision_values(model, X))
+            inside = full_alphas(model, X) < cfg.C
+            assert slack[inside].max() <= cfg.tolerance, f"seed {seed}"
+        assert converged >= 99
 
     def test_weak_duality(self):
         rng = np.random.default_rng(13)
@@ -338,7 +364,7 @@ class TestSerialization:
     def test_round_trip(self, tmp_path):
         X, y = separable_2d(seed=15)
         labels = (y > 0).astype(int)
-        models = train_ovr(X, labels, 2, Kernel("rbf", gamma=0.25),
+        models = train_ovr(X, labels, Kernel("rbf", gamma=0.25),
                            SmoConfig())
         scaler = Scaler(mean=np.array([0.5, -0.5]), std=np.array([1.5, 2.0]),
                         passthrough=np.array([False, False]))
@@ -363,7 +389,7 @@ class TestSerialization:
 
     def test_linear_round_trip_restores_weights(self, tmp_path):
         X, y = separable_2d(seed=17)
-        models = train_ovr(X, (y > 0).astype(int), 2, Kernel("linear"),
+        models = train_ovr(X, (y > 0).astype(int), Kernel("linear"),
                            SmoConfig(C=5.0))
         path = tmp_path / "svm.txt"
         save_models(path, models, ("a", "b"))
