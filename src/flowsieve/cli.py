@@ -180,12 +180,11 @@ def _train_models(train_ds: Dataset, val_ds: Dataset, cfg: PipelineConfig,
               f"stop: {history.stopping_reason}")
     if cfg.classifier in ("svm", "both"):
         kernel = make_kernel(cfg, train_ds.n_features)
-        models = svm.train_ovr(train_ds.X, train_ds.y, kernel, cfg.smo)
+        [model] = svm.train_ovr(train_ds.X, train_ds.y, kernel, cfg.smo)
         model_path = out_dir / "svm_model.txt"
-        svm.save_models(model_path, models, train_ds.schema, scaler)
+        svm.save_models(model_path, model, train_ds.schema, scaler)
         artifacts["svm_model.txt"] = model_path
-        print("svm: " + ("converged" if models[1].converged
-                         else "not fully converged"))
+        print("svm: " + ("converged" if model.converged else "not fully converged"))
     return artifacts
 
 

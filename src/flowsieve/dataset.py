@@ -265,6 +265,9 @@ def stratified_split_indices(y: np.ndarray,
         order = sorted(range(3), key=lambda i: (-remainders[i], -deficits[i], i))
         for i in order[:leftovers]:
             counts[i] += 1
+        if counts[0] == 0:
+            raise DataError(f"class {CLASS_NAMES[c]} has {m} rows and none falls "
+                            f"in the training split at train = {spec.train:g}")
         start = 0
         for i in range(3):
             buckets[i].append(idx[start:start + counts[i]])
@@ -327,6 +330,9 @@ class SyntheticSpec:
         return self.n_informative + len(self.duplicates) + self.n_noise
 
     def __post_init__(self):
+        if len(self.class_means) != len(CLASS_NAMES):
+            raise ValueError(f"need one class mean for each of {len(CLASS_NAMES)} "
+                             f"classes, got {len(self.class_means)}")
         widths = {len(m) for m in self.class_means}
         if len(widths) != 1:
             raise ValueError("class means must share one width")

@@ -335,7 +335,6 @@ def read_body(doc: modelfile.ModelFile) -> MlpModel:
     for name, (_, rows, cols) in _blocks(n_inputs, n_hidden, n_outputs).items():
         doc.keyed(name)
         rows_read += [doc.values(None, cols) for _ in range(rows)]
-    if doc.peek_key() is not None:
-        raise doc.error("unexpected line after the b2 block")
+    doc.end("the b2 block")
     return MlpModel(np.concatenate(rows_read), n_inputs, n_hidden, n_outputs)
 

@@ -75,6 +75,13 @@ class ModelFile:
         self._pos += 1
         return self._lines[self._pos - 1]
 
+    def end(self, after: str) -> None:
+        """The body must end here: a further line is an error that names
+        that line."""
+        if self._pos < len(self._lines):
+            self._pos += 1
+            raise self.error(f"unexpected line after {after}")
+
     def keyed(self, key: str) -> str:
         """The text after `key` on the next line, which must start with `key`."""
         line = self._next_line(f"the {key!r} line")

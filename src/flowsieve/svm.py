@@ -4,14 +4,13 @@ second-order working-set selection (WSS2: Fan, Chen & Lin, JMLR 6, 2005).
 One dual problem is solved with internal labels +1/-1. Each step picks the
 maximal violating index i, then the partner j with the largest second-order
 gain, and moves the pair in closed form inside the box. Kernel rows are
-computed when a pair needs them; no Gram matrix is stored. Class prediction
-is the argmax of the per-class decision values; the class-0 model is the
-exact negation of the class-1 model.
+computed when a pair needs them; no Gram matrix is stored. Tor (class 1)
+is the +1 side: a row is predicted Tor where its decision value is > 0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,14 +56,13 @@ class SmoConfig:
 
 @dataclass
 class SvmModel:
-    """One-vs-rest binary model: class `positive_class` against the rest."""
+    """Binary model: Tor (class 1) where the decision value is > 0."""
 
     kernel: Kernel
     C: float
     support_vectors: np.ndarray  # (m, d)
     coefficients: np.ndarray  # (m,) alpha_i * y_i, signed
     bias: float
-    positive_class: int = 1
     converged: bool = True
     weights: np.ndarray | None = None  # materialized for linear kernels
 
@@ -77,16 +75,14 @@ def decision_values(model: SvmModel, X: np.ndarray) -> np.ndarray:
     return gram @ model.coefficients + model.bias
 
 
-def predict_batch(models: list[SvmModel], X: np.ndarray) -> np.ndarray:
-    """Per row, the class whose model has the largest decision value, given
-    one model for each class of CLASS_NAMES; ties go to the lowest class, so
-    the order of `models` does not matter."""
-    models = sorted(models, key=lambda m: m.positive_class)
-    return np.argmax(np.column_stack([decision_values(m, X) for m in models]), axis=1)
+def predict_batch(model: SvmModel, X: np.ndarray) -> np.ndarray:
+    """Class 1 (Tor) where the decision value is > 0, else class 0; a value
+    of exactly 0 or NaN gives class 0."""
+    return (decision_values(model, X) > 0).astype(np.int64)
 
 
 def smo_train(X: np.ndarray, y_pm: np.ndarray, kernel: Kernel,
-              cfg: SmoConfig, positive_class: int = 1) -> SvmModel:
+              cfg: SmoConfig) -> SvmModel:
     """Solve one binary problem with labels in {+1, -1}, both present.
 
     The solver keeps v = -y * grad f of the dual, so that with the sets
@@ -144,7 +140,6 @@ def smo_train(X: np.ndarray, y_pm: np.ndarray, kernel: Kernel,
         support_vectors=X[support].copy(),
         coefficients=coefficients,
         bias=bias,
-        positive_class=positive_class,
         converged=converged,
         weights=weights,
     )
@@ -152,9 +147,9 @@ def smo_train(X: np.ndarray, y_pm: np.ndarray, kernel: Kernel,
 
 def train_ovr(X: np.ndarray, y: np.ndarray, kernel: Kernel | None = None,
               cfg: SmoConfig | None = None) -> list[SvmModel]:
-    """One model per class of CLASS_NAMES, from one solve: class 1 is
-    trained +1 against class 0, and the class-0 model is its exact negation
-    (same support vectors; coefficients, bias and weights negated)."""
+    """The one binary model, Tor (class 1) trained +1 against NonTor, as a
+    one-element list: the benchmark's tracer iterates the result to count
+    support vectors."""
     cfg = cfg or SmoConfig()
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
@@ -163,66 +158,51 @@ def train_ovr(X: np.ndarray, y: np.ndarray, kernel: Kernel | None = None,
             raise DataError(f"class {name} has no training examples")
     if kernel is None:
         kernel = Kernel("rbf", gamma=1.0 / X.shape[1])
-    model = smo_train(X, np.where(y == 1, 1.0, -1.0), kernel, cfg, positive_class=1)
-    negated = replace(model, coefficients=-model.coefficients, bias=-model.bias,
-                      positive_class=0,
-                      weights=None if model.weights is None else -model.weights)
-    return [negated, model]
+    return [smo_train(X, np.where(y == 1, 1.0, -1.0), kernel, cfg)]
 
 
-MODEL_FORMAT = "flowsieve-svm 1"
+MODEL_FORMAT = "flowsieve-svm 2"
 
 
-def save_models(path, models: list[SvmModel], feature_names: tuple[str, ...],
+def save_models(path, model: SvmModel, feature_names: tuple[str, ...],
                 scaler=None) -> None:
-    """Versioned text format: model-file header, then per model its class,
-    kernel, C, bias and convergence lines, support-vector rows and `end`."""
+    """Versioned text format: model-file header, then the kernel, C, bias
+    and convergence lines, the support-vector rows and `end`."""
     def body():
-        for model in models:
-            yield f"model {model.positive_class}"
-            yield (f"kernel rbf {model.kernel.gamma:.17g}"
-                   if model.kernel.kind == "rbf" else "kernel linear")
-            yield f"C {model.C:.17g}"
-            yield f"bias {model.bias:.17g}"
-            yield f"converged {int(model.converged)}"
-            for coeff, sv in zip(model.coefficients, model.support_vectors):
-                yield ("sv " + modelfile.format_row([coeff]) + " "
-                       + modelfile.format_row(sv))
-            yield "end"
+        yield (f"kernel rbf {model.kernel.gamma:.17g}"
+               if model.kernel.kind == "rbf" else "kernel linear")
+        yield f"C {model.C:.17g}"
+        yield f"bias {model.bias:.17g}"
+        yield f"converged {int(model.converged)}"
+        for coeff, sv in zip(model.coefficients, model.support_vectors):
+            yield ("sv " + modelfile.format_row([coeff]) + " "
+                   + modelfile.format_row(sv))
+        yield "end"
 
     modelfile.write(path, MODEL_FORMAT, feature_names, scaler, body())
 
 
-def read_body(doc: modelfile.ModelFile) -> list[SvmModel]:
-    """Parse the body of a model file whose header `doc` has read: one
-    block for each class of CLASS_NAMES, in any order."""
+def read_body(doc: modelfile.ModelFile) -> SvmModel:
+    """Parse the body of a model file whose header `doc` has read; nothing
+    may follow its `end` line."""
     width = len(doc.meta["features"])
-    models = []
-    while doc.peek_key() is not None:
-        positive_class = int(doc.values("model", 1, int)[0])
-        if (not 0 <= positive_class < len(CLASS_NAMES)
-                or any(m.positive_class == positive_class for m in models)):
-            raise doc.error(f"unexpected model block for class {positive_class}")
-        kind, _, gamma = doc.keyed("kernel").partition(" ")
-        try:
-            kernel = Kernel(kind, gamma=float(gamma) if gamma else None)
-        except ValueError as exc:
-            raise doc.error(f"bad kernel: {exc}") from None
-        c_value = float(doc.values("C", 1)[0])
-        bias = float(doc.values("bias", 1)[0])
-        converged = bool(doc.values("converged", 1, int)[0])
-        rows = []
-        while doc.peek_key() == "sv":
-            rows.append(doc.values("sv", 1 + width))
-        doc.keyed("end")
-        table = np.array(rows).reshape(len(rows), 1 + width)
-        coefficients, support = table[:, 0].copy(), table[:, 1:].copy()
-        models.append(SvmModel(
-            kernel=kernel, C=c_value, support_vectors=support,
-            coefficients=coefficients, bias=bias, positive_class=positive_class,
-            converged=converged,
-            weights=support.T @ coefficients if kernel.kind == "linear" else None))
-    if len(models) != len(CLASS_NAMES):
-        raise doc.error(f"expected {len(CLASS_NAMES)} model blocks, got {len(models)}")
-    return models
+    kind, _, gamma = doc.keyed("kernel").partition(" ")
+    try:
+        kernel = Kernel(kind, gamma=float(gamma) if gamma else None)
+    except ValueError as exc:
+        raise doc.error(f"bad kernel: {exc}") from None
+    c_value = float(doc.values("C", 1)[0])
+    bias = float(doc.values("bias", 1)[0])
+    converged = bool(doc.values("converged", 1, int)[0])
+    rows = []
+    while doc.peek_key() == "sv":
+        rows.append(doc.values("sv", 1 + width))
+    doc.keyed("end")
+    doc.end("the 'end' line")
+    table = np.array(rows).reshape(len(rows), 1 + width)
+    coefficients, support = table[:, 0].copy(), table[:, 1:].copy()
+    return SvmModel(
+        kernel=kernel, C=c_value, support_vectors=support,
+        coefficients=coefficients, bias=bias, converged=converged,
+        weights=support.T @ coefficients if kernel.kind == "linear" else None)
 

@@ -488,13 +488,21 @@ def decision_value(model, x) -> float:
     return float(decision_values(model, np.asarray(x)[None, :])[0])
 
 
-def svm_predict(models, x) -> int:
+def svm_predict(model, x) -> int:
     """flowsieve.svm.predict_batch for one example."""
     from flowsieve.svm import predict_batch
 
-    if not models:
-        raise ValueError("need at least one model")
-    return int(predict_batch(models, np.asarray(x)[None, :])[0])
+    return int(predict_batch(model, np.asarray(x)[None, :])[0])
+
+
+def svm_argmax_rule(model, X) -> np.ndarray:
+    """The two-model rule that flowsieve.svm.predict_batch replaces: per row,
+    the argmax over a NonTor model, the exact negation -f of the decision
+    function, and the Tor model f. Ties and NaN go to NonTor (class 0)."""
+    from flowsieve.svm import decision_values
+
+    f = decision_values(model, X)
+    return np.argmax(np.column_stack([-f, f]), axis=1)
 
 
 def dual_objective(model) -> float:

@@ -1,4 +1,5 @@
 import json
+import re
 import weakref
 from ipaddress import IPv4Address
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from flowsieve import mlp, svm
 from flowsieve.cli import main
 from flowsieve.dataset import (CLASS_NAMES, UNB_CIC_ALIASES, Dataset,
                                SyntheticSpec, generate_synthetic, load_flow_csv,
@@ -565,10 +567,16 @@ def small_run(tmp_path_factory):
     return root / "out"
 
 
+def test_readme_names_the_current_model_formats():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    named = set(re.findall(r"flowsieve-(?:mlp|svm) \d+", readme))
+    assert named == {mlp.MODEL_FORMAT, svm.MODEL_FORMAT}
+
+
 class TestManifestFormats:
     MODELS = {"ann_model.txt": "flowsieve-mlp 1",
               "ann_history.csv": "ann-history-csv 1",
-              "svm_model.txt": "flowsieve-svm 1",
+              "svm_model.txt": "flowsieve-svm 2",
               "test.csv": "flow-csv 1"}
 
     @staticmethod
@@ -594,25 +602,6 @@ class TestManifestFormats:
             "report.txt": "report 1",
             "report.csv": "report 1",
         }
-
-
-def test_svm_model_block_order_does_not_matter(small_run, tmp_path):
-    text = (small_run / "svm_model.txt").read_text()
-    first, second = text.index("\nmodel 0\n") + 1, text.index("\nmodel 1\n") + 1
-    assert first < second
-    swapped_dir = tmp_path / "swapped"
-    swapped_dir.mkdir()
-    (swapped_dir / "svm_model.txt").write_text(
-        text[:first] + text[second:] + text[first:second])
-    reports = []
-    for model_dir in (small_run, swapped_dir):
-        out_dir = tmp_path / f"eval_{len(reports)}"
-        assert main(["eval", str(small_run / "test.csv"),
-                     "--model", str(model_dir / "svm_model.txt"),
-                     "--out-dir", str(out_dir)]) == 0
-        reports.append([(out_dir / name).read_bytes()
-                        for name in ("report.txt", "report.csv")])
-    assert reports[0] == reports[1]
 
 
 class TestBadModelFiles:
@@ -671,17 +660,18 @@ class TestBadModelFiles:
         self.assert_data_error(small_run, tmp_path, capsys,
                                text[:text.index("\nend\n") + 1])
 
-    def test_cut_after_first_svm_block(self, small_run, tmp_path, capsys):
-        text = (small_run / "svm_model.txt").read_text()
-        self.assert_data_error(small_run, tmp_path, capsys,
-                               text[:text.index("\nend\n") + len("\nend\n")])
-
     def test_repeated_svm_block(self, small_run, tmp_path, capsys):
         text = (small_run / "svm_model.txt").read_text()
-        first = text.index("\nmodel ") + 1
-        end = text.index("\nend\n") + len("\nend\n")
-        self.assert_data_error(small_run, tmp_path, capsys,
-                               text[:end] + text[first:end])
+        TestDeclaredClasses.eval_rejects(small_run, tmp_path, capsys,
+                                         text + text[text.index("\nkernel ") + 1:],
+                                         text.count("\n") + 1)
+
+    @pytest.mark.parametrize("extra", ["\n", "end\n", "kernel linear\n",
+                                       "sv 1 2 3\n", "model 1"])
+    def test_line_after_svm_end(self, small_run, tmp_path, capsys, extra):
+        text = (small_run / "svm_model.txt").read_text()
+        TestDeclaredClasses.eval_rejects(small_run, tmp_path, capsys,
+                                         text + extra, text.count("\n") + 1)
 
     @pytest.mark.parametrize("name, old, new", [
         ("ann_model.txt", "features ", "featurse "),
@@ -707,6 +697,20 @@ class TestBadModelFiles:
         end = start + text[start:].index(" ")
         self.assert_data_error(small_run, tmp_path, capsys,
                                text[:start] + "0.5x" + text[end:])
+
+    def test_line_after_mlp_b2_block(self, small_run, tmp_path, capsys):
+        text = (small_run / "ann_model.txt").read_text()
+        TestDeclaredClasses.eval_rejects(small_run, tmp_path, capsys,
+                                         text + "b2\n", text.count("\n") + 1)
+
+    def test_svm_format_1_names_line_1(self, small_run, tmp_path, capsys):
+        # Format 1 held one block per class, each opened by a `model` line.
+        lines = (small_run / "svm_model.txt").read_text().splitlines()
+        assert lines[0] == "flowsieve-svm 2"
+        body = next(i for i, line in enumerate(lines) if line.startswith("kernel "))
+        text = "\n".join(["flowsieve-svm 1", *lines[1:body], "model 0",
+                          *lines[body:], "model 1", *lines[body:]]) + "\n"
+        TestDeclaredClasses.eval_rejects(small_run, tmp_path, capsys, text, 1)
 
 
 class TestDeclaredClasses:
@@ -743,10 +747,10 @@ class TestDeclaredClasses:
                           at + 1)
 
     def test_svm_with_a_third_block(self, small_run, tmp_path, capsys):
-        # As a three-class file would be written: one more class and block.
+        # As a three-class file might be written: one more class, and one
+        # more block after `end`.
         text = (small_run / "svm_model.txt").read_text()
-        start = text.index("\nmodel 1\n") + 1
-        third = text[start:].replace("model 1\n", "model 2\n", 1)
+        third = text[text.index("\nkernel ") + 1:]
         self.eval_rejects(small_run, tmp_path, capsys,
                           text.replace("classes NonTor,Tor", "classes NonTor,Tor,Other")
                           + third, 3)
@@ -770,6 +774,21 @@ class TestDeclaredClasses:
         assert capsys.readouterr().err == (
             f"data error: {flows}: class Tor has {kept} rows, fewer than 3; "
             "training needs at least 3 of each class\n")
+        assert not (out_dir / "ann_model.txt").exists()
+
+    @pytest.mark.parametrize("classifier", ["ann", "both"])
+    def test_class_without_a_training_row(self, tmp_path, capsys, classifier):
+        # 4 rows per class at train = 0.1: NonTor gets the one leftover
+        # training seat, and Tor none.
+        flows = synth_csv(tmp_path, rows=8)
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[split]\ntrain = 0.1\nvalidation = 0.1\ntest = 0.8\n")
+        out_dir = tmp_path / "out"
+        assert main(["train", str(flows), "--classifier", classifier,
+                     "--config", str(cfg), "--out-dir", str(out_dir)]) == 3
+        assert capsys.readouterr().err == (
+            f"data error: {flows}: class Tor has 4 rows and none falls in the "
+            "training split at train = 0.1\n")
         assert not (out_dir / "ann_model.txt").exists()
 
     @pytest.mark.parametrize("label_args", [[], ["--label", "Unlabeled"]])

@@ -1,7 +1,7 @@
-"""Hostile CLI inputs: packet files and flow CSVs that are truncated,
-mutated byte by byte (non-UTF-8 bytes included) or relabelled end in exit
-0, 2, 3 or 4 from `main`, never in an exception, and a data error names
-the input file."""
+"""Hostile CLI inputs: packet files, flow CSVs and model files that are
+truncated, mutated byte by byte (non-UTF-8 bytes included) or relabelled
+end in exit 0, 2, 3 or 4 from `main`, never in an exception, and a data
+error names the input file."""
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -17,15 +17,18 @@ LABELS = ["Tor", "NonTor", "Unlabeled"]
 
 @pytest.fixture(scope="module")
 def seeds(tmp_path_factory):
-    """The unmutated inputs, the config and a model for eval to load."""
+    """The unmutated inputs, the config and the models for eval to load."""
     root = tmp_path_factory.mktemp("fuzz_seeds")
     flows = synth_csv(root, rows=24)
     config = root / "fuzz.ini"
     config.write_text(FUZZ_INI)
-    assert main(["train", str(flows), "--config", str(config),
-                 "--out-dir", str(root / "model")]) == 0
+    assert main(["train", str(flows), "--classifier", "both", "--config",
+                 str(config), "--out-dir", str(root / "model")]) == 0
     return {"packets": TEN_PACKETS.encode(), "flows": flows.read_bytes(),
-            "config": config, "model": root / "model" / "ann_model.txt"}
+            "flows_path": flows, "config": config,
+            "model": root / "model" / "ann_model.txt",
+            "models": {name: (root / "model" / name).read_bytes()
+                       for name in ("ann_model.txt", "svm_model.txt")}}
 
 
 @st.composite
@@ -81,5 +84,21 @@ def test_hostile_input_exits_cleanly(seeds, tmp_path, capsys, data):
                "--out-dir", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert rc in (0, 2, 3, 4)
+    if rc == 3:
+        assert str(path) in err
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_hostile_model_file_exits_cleanly(seeds, tmp_path, capsys, data):
+    name = data.draw(st.sampled_from(sorted(seeds["models"])))
+    path = tmp_path / name
+    path.write_bytes(data.draw(hostile(seeds["models"][name], relabel=False)))
+    capsys.readouterr()
+    rc = main(["eval", str(seeds["flows_path"]), "--model", str(path), "--config",
+               str(seeds["config"]), "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc in (0, 3)
     if rc == 3:
         assert str(path) in err

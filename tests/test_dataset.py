@@ -358,6 +358,12 @@ class TestSynthetic:
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    @pytest.mark.parametrize("n_classes", [1, 3])
+    def test_one_mean_per_declared_class(self, n_classes):
+        with pytest.raises(ValueError, match="one class mean for each of 2"):
+            SyntheticSpec(class_means=tuple((float(c),) for c in range(n_classes)),
+                          rows_per_class=(3,) * n_classes)
+
     def test_default_spec_shape(self):
         ds, roles = generate_synthetic(default_synthetic_spec(), seed=0)
         assert ds.n_examples == 1000

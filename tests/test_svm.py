@@ -11,11 +11,11 @@ from flowsieve.svm import (Kernel, SmoConfig, SvmModel, decision_values,
                            kernel_matrix, predict_batch, save_models,
                            smo_train, train_ovr)
 from oracles import (decision_value, dual_objective, kernel_eval,
-                     primal_objective, qp_dual_oracle)
+                     primal_objective, qp_dual_oracle, svm_argmax_rule)
 from oracles import svm_predict as predict
 
 
-def load_models(path):
+def load_model(path):
     """Read a saved SVM model file the way `flowsieve eval` does."""
     doc = modelfile.ModelFile(path, (svm.MODEL_FORMAT,))
     return svm.read_body(doc), doc.meta
@@ -212,89 +212,66 @@ class TestDecision:
 
 
 class TestPredict:
-    def _constant_models(self, *values):
-        """One constant-decision model per value, for classes 0, 1, ..."""
-        return [SvmModel(kernel=Kernel("linear"), C=1.0,
-                         support_vectors=np.zeros((0, 2)),
-                         coefficients=np.zeros(0), bias=value,
-                         positive_class=class_id, weights=np.zeros(2))
-                for class_id, value in enumerate(values)]
+    """predict_batch is the sign rule. oracles.svm_argmax_rule is the
+    argmax over the two models that files of format 1 held, f and -f; the
+    two rules agree on every row, ties and NaN included."""
+
+    @staticmethod
+    def constant_model(bias):
+        return SvmModel(kernel=Kernel("linear"), C=1.0,
+                        support_vectors=np.zeros((0, 2)),
+                        coefficients=np.zeros(0), bias=bias,
+                        weights=np.zeros(2))
 
     def test_argmax(self):
-        models = self._constant_models(0.5, -0.2)
-        assert predict(models, np.zeros(2)) == 0
-
-    def test_argmax_over_negatives(self):
-        models = self._constant_models(-1.0, -0.5)
-        assert predict(models, np.zeros(2)) == 1
+        points = np.zeros((3, 2))
+        for bias in (0.0, -0.0, math.nan, math.inf, -math.inf, 0.5, -0.2):
+            model = self.constant_model(bias)
+            np.testing.assert_array_equal(predict_batch(model, points),
+                                          svm_argmax_rule(model, points))
+        assert predict(self.constant_model(0.5), np.zeros(2)) == 1
+        assert predict(self.constant_model(-0.2), np.zeros(2)) == 0
 
     def test_tie_goes_to_lowest_class(self):
-        models = self._constant_models(0.3, 0.3)
-        assert predict(models, np.zeros(2)) == 0
-        assert predict(models[::-1], np.zeros(2)) == 0  # by class, not position
-
-    def test_uniform_bias_shift_preserves_argmax(self):
-        X, y = separable_2d(seed=8)
-        labels = (y > 0).astype(int)
-        models = train_ovr(X, labels, Kernel("rbf", gamma=0.5),
-                           SmoConfig())
-        rng = np.random.default_rng(9)
-        points = rng.normal(size=(30, 2))
-        before = predict_batch(models, points)
-        shifted = [SvmModel(kernel=m.kernel, C=m.C,
-                            support_vectors=m.support_vectors,
-                            coefficients=m.coefficients, bias=m.bias + 2.5,
-                            positive_class=m.positive_class, weights=m.weights)
-                   for m in models]
-        np.testing.assert_array_equal(predict_batch(shifted, points), before)
+        for bias in (0.0, -0.0, math.nan):
+            assert predict(self.constant_model(bias), np.zeros(2)) == 0
 
     def test_binary_argmax_agrees_with_sign_rule(self):
         X, y = separable_2d(seed=10, gap=1.5)
-        labels = (y > 0).astype(int)  # class 1 = positive side
-        models = train_ovr(X, labels, Kernel("rbf", gamma=0.5),
-                           SmoConfig())
-        rng = np.random.default_rng(11)
-        points = rng.normal(size=(100, 2)) * 2.0
-        agree = 0
-        for x in points:
-            argmax_rule = predict(models, x)
-            sign_rule = 1 if decision_value(models[1], x) > 0 else 0
-            agree += argmax_rule == sign_rule
-        assert agree >= 95  # decision surfaces are near-negations
+        points = np.random.default_rng(11).normal(size=(100, 2)) * 2.0
+        for kernel in (Kernel("rbf", gamma=0.5), Kernel("linear")):
+            [model] = train_ovr(X, (y > 0).astype(int), kernel, SmoConfig())
+            predictions = predict_batch(model, points)
+            assert predictions.dtype == np.int64
+            np.testing.assert_array_equal(
+                predictions, (decision_values(model, points) > 0).astype(int))
+            np.testing.assert_array_equal(predictions,
+                                          svm_argmax_rule(model, points))
+            assert 0 < predictions.sum() < len(points)
 
 
 class TestTrainOvr:
-    def test_two_models_for_binary_problem(self, two_cluster_dataset):
+    def test_one_model_for_binary_problem(self, two_cluster_dataset):
         ds = two_cluster_dataset
         models = train_ovr(ds.X, ds.y, Kernel("rbf", gamma=0.5),
                            SmoConfig())
-        assert len(models) == 2
-        assert [m.positive_class for m in models] == [0, 1]
-        predictions = predict_batch(models, ds.X)
-        assert (predictions == ds.y).mean() >= 0.99
+        assert len(models) == 1
+        assert (predict_batch(models[0], ds.X) == ds.y).mean() >= 0.99
 
     def test_default_kernel_gamma(self, two_cluster_dataset):
         ds = two_cluster_dataset
-        models = train_ovr(ds.X, ds.y, None, SmoConfig())
-        assert models[0].kernel.gamma == pytest.approx(1.0 / ds.n_features)
+        [model] = train_ovr(ds.X, ds.y, None, SmoConfig())
+        assert model.kernel.gamma == pytest.approx(1.0 / ds.n_features)
 
     @pytest.mark.parametrize("kernel", [Kernel("rbf", gamma=0.5),
                                         Kernel("linear")])
-    def test_class0_model_is_negated_class1(self, kernel):
+    def test_tor_is_the_positive_side(self, kernel):
         X, y = separable_2d(seed=10, gap=1.5)
-        negated, model = train_ovr(X, (y > 0).astype(int), kernel,
-                                   SmoConfig())
-        assert (negated.positive_class, model.positive_class) == (0, 1)
-        np.testing.assert_array_equal(negated.support_vectors,
-                                      model.support_vectors)
-        np.testing.assert_array_equal(negated.coefficients, -model.coefficients)
-        assert negated.bias == -model.bias
-        if kernel.kind == "linear":
-            np.testing.assert_array_equal(negated.weights, -model.weights)
-        points = np.random.default_rng(11).normal(size=(100, 2)) * 2.0
-        sign_rule = (decision_values(model, points) > 0).astype(int)
-        np.testing.assert_array_equal(predict_batch([negated, model], points),
-                                      sign_rule)
+        [model] = train_ovr(X, (y > 0).astype(int), kernel, SmoConfig())
+        direct = smo_train(X, y, kernel, SmoConfig())
+        np.testing.assert_array_equal(model.coefficients, direct.coefficients)
+        assert model.bias == direct.bias
+        assert (predict_batch(model, X) == (y > 0)).all()
 
     def test_empty_class_rejected(self):
         X = np.zeros((3, 2))
@@ -363,37 +340,32 @@ class TestPrimal:
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         X, y = separable_2d(seed=15)
-        labels = (y > 0).astype(int)
-        models = train_ovr(X, labels, Kernel("rbf", gamma=0.25),
-                           SmoConfig())
+        [model] = train_ovr(X, (y > 0).astype(int), Kernel("rbf", gamma=0.25),
+                            SmoConfig())
         scaler = Scaler(mean=np.array([0.5, -0.5]), std=np.array([1.5, 2.0]),
                         passthrough=np.array([False, False]))
         path = tmp_path / "svm.txt"
-        save_models(path, models, ("a", "b"), scaler)
-        loaded, meta = load_models(path)
+        save_models(path, model, ("a", "b"), scaler)
+        restored, meta = load_model(path)
         assert meta["features"] == ("a", "b")
         np.testing.assert_array_equal(meta["scaler"].std, scaler.std)
-        assert len(loaded) == 2
-        for original, restored in zip(models, loaded):
-            np.testing.assert_array_equal(restored.coefficients,
-                                          original.coefficients)
-            np.testing.assert_array_equal(restored.support_vectors,
-                                          original.support_vectors)
-            assert restored.bias == original.bias
-            assert restored.kernel == original.kernel
-            rng = np.random.default_rng(16)
-            for _ in range(5):
-                x = rng.normal(size=2)
-                assert decision_value(restored, x) == pytest.approx(
-                    decision_value(original, x), rel=1e-15, abs=1e-15)
+        np.testing.assert_array_equal(restored.coefficients, model.coefficients)
+        np.testing.assert_array_equal(restored.support_vectors,
+                                      model.support_vectors)
+        assert restored.bias == model.bias
+        assert restored.kernel == model.kernel
+        assert restored.converged == model.converged
+        rng = np.random.default_rng(16)
+        for _ in range(5):
+            x = rng.normal(size=2)
+            assert decision_value(restored, x) == pytest.approx(
+                decision_value(model, x), rel=1e-15, abs=1e-15)
 
     def test_linear_round_trip_restores_weights(self, tmp_path):
         X, y = separable_2d(seed=17)
-        models = train_ovr(X, (y > 0).astype(int), Kernel("linear"),
-                           SmoConfig(C=5.0))
+        [model] = train_ovr(X, (y > 0).astype(int), Kernel("linear"),
+                            SmoConfig(C=5.0))
         path = tmp_path / "svm.txt"
-        save_models(path, models, ("a", "b"))
-        loaded, _ = load_models(path)
-        for restored, original in zip(loaded, models):
-            np.testing.assert_allclose(restored.weights, original.weights,
-                                       rtol=1e-15)
+        save_models(path, model, ("a", "b"))
+        restored, _ = load_model(path)
+        np.testing.assert_allclose(restored.weights, model.weights, rtol=1e-15)
