@@ -67,7 +67,7 @@ def run_meter(packets_path, out_dir, meter_cfg: MeterConfig, label: str | None) 
         packets = read_packet_file(packets_path)
     except (ParseError, OutOfOrderError) as exc:  # these name only the line
         raise DataError(f"{packets_path}: {exc}") from None
-    if not packets:
+    if len(packets) == 0:
         raise DataError(f"{packets_path}: no packets")
     out = Path(out_dir) / "flows.csv"
     write_flow_csv(meter_packets(packets, meter_cfg), out, label)

@@ -4,20 +4,30 @@ Packets sharing a canonical 5-tuple key are grouped into flows (split when
 the gap to the previous packet exceeds the flow timeout) and summarized into
 one row of 28 floats in FEATURE_COLUMNS order: endpoint identifiers,
 duration, byte and packet rates, inter-arrival time statistics (overall and
-per direction), and active/idle burst statistics.
+per direction), and active/idle burst statistics. Packets are held as the
+columns of one int64 array, and flows are grouped and summarized with
+numpy, all flows at once.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple
+
+import numpy as np
 
 from .errors import DataError, open_text
 
 TCP = 6
 UDP = 17
 SUPPORTED_PROTOCOLS = (TCP, UDP)
+
+# Exclusive field bounds that keep the int64 packet columns exact: float64
+# holds every integer below 2**53, and the bytes of up to 2**31 packets
+# below 2**32 each sum below 2**63.
+TIMESTAMP_LIMIT = 2 ** 53
+BYTES_LIMIT = 2 ** 32
 
 DEFAULT_ACTIVITY_TIMEOUT_US = 5_000_000
 DEFAULT_FLOW_TIMEOUT_US = 120_000_000
@@ -43,16 +53,6 @@ class OutOfOrderError(DataError):
     """Packet file not sorted by timestamp; message names the line."""
 
 
-class FourStats(NamedTuple):
-    mean: float
-    std: float
-    max: float
-    min: float
-
-
-ZERO_STATS = FourStats(0.0, 0.0, 0.0, 0.0)
-
-
 class PacketRecord(NamedTuple):
     """One timestamped packet observation. IPs are 32-bit unsigned ints."""
 
@@ -65,14 +65,6 @@ class PacketRecord(NamedTuple):
     payload_bytes: int
 
 
-class FlowKey(NamedTuple):
-    """Direction-independent conversation key; endpoint_a <= endpoint_b."""
-
-    endpoint_a: tuple[int, int]
-    endpoint_b: tuple[int, int]
-    protocol: int
-
-
 @dataclass
 class MeterConfig:
     activity_timeout_us: int = DEFAULT_ACTIVITY_TIMEOUT_US
@@ -83,25 +75,6 @@ class MeterConfig:
             raise ValueError("timeouts must be positive")
         if self.activity_timeout_us > self.flow_timeout_us:
             raise ValueError("activity timeout must not exceed flow timeout")
-
-
-@dataclass
-class FlowAccumulator:
-    """In-progress state of one flow. Forward = orientation of first packet."""
-
-    key: FlowKey
-    initiator: tuple[int, int]
-    responder: tuple[int, int]
-    first_ts: int
-    last_ts: int
-    byte_count: int = 0
-    timestamps_fwd: list[int] = field(default_factory=list)
-    timestamps_bwd: list[int] = field(default_factory=list)
-    timestamps_all: list[int] = field(default_factory=list)
-
-    @property
-    def packet_count(self) -> int:
-        return len(self.timestamps_fwd) + len(self.timestamps_bwd)
 
 
 def parse_ipv4(text: str) -> int | None:
@@ -163,6 +136,9 @@ def _record(fields: list[str], line_number: int,
         ts = _stripped_int(ts_text, "timestamp_us", line_number)
     if ts < 0:
         raise ParseError(f"line {line_number}: timestamp_us: negative value {ts}")
+    if ts >= TIMESTAMP_LIMIT:
+        raise ParseError(f"line {line_number}: timestamp_us: too large: {ts} "
+                         "(must be below 2**53)")
     src_ip = ips.get(src_text)
     if src_ip is None:
         src_ip = _parse_ip(src_text, "src_ip", line_number, ips)
@@ -193,6 +169,9 @@ def _record(fields: list[str], line_number: int,
         payload = _stripped_int(size_text, "bytes", line_number)
     if payload < 0:
         raise ParseError(f"line {line_number}: bytes: negative value {payload}")
+    if payload >= BYTES_LIMIT:
+        raise ParseError(f"line {line_number}: bytes: too large: {payload} "
+                         "(must be below 2**32)")
     # tuple.__new__ skips the Python-level NamedTuple constructor.
     return tuple.__new__(PacketRecord, (ts, src_ip, src_port, dst_ip, dst_port,
                                         protocol, payload))
@@ -207,27 +186,29 @@ def parse_packet_record(row: str, line_number: int = 0) -> PacketRecord:
     return _record(row.split(","), line_number, {})
 
 
-def read_packet_file(path) -> list[PacketRecord]:
-    """Read a packet-record text file; a non-numeric first field marks a header.
+def _is_header(line: str) -> bool:
+    """A first line whose first field is not an integer is a header."""
+    if line.isspace():
+        return False
+    try:
+        int(line.split(",")[0].strip())
+    except ValueError:
+        return True
+    return False
 
-    Address texts are parsed once per file: a record's IPs are looked up in
-    a dict of the distinct address strings seen so far. Records must be in
-    timestamp order; a regression raises OutOfOrderError naming its line.
-    """
+
+def _read_records(path) -> list[PacketRecord]:
+    """Parse a packet file line by line, raising the error of the first bad
+    line. Address texts are parsed once per file: a record's IPs are looked
+    up in a dict of the distinct address strings seen so far."""
     records = []
     ips: dict[str, int] = {}
     prev_ts = 0
     with open_text(path) as handle:
         for line_number, line in enumerate(handle, start=1):
-            if line.isspace():
+            if line.isspace() or (line_number == 1 and _is_header(line)):
                 continue
-            fields = line.split(",")
-            if line_number == 1:
-                try:
-                    int(fields[0].strip())
-                except ValueError:
-                    continue  # header line
-            record = _record(fields, line_number, ips)
+            record = _record(line.split(","), line_number, ips)
             if record[0] < prev_ts:
                 raise OutOfOrderError(
                     f"line {line_number}: out-of-order timestamp: "
@@ -237,106 +218,169 @@ def read_packet_file(path) -> list[PacketRecord]:
     return records
 
 
-def assemble_flows(packets: Iterable[PacketRecord],
-                   cfg: MeterConfig | None = None) -> list[FlowAccumulator]:
-    """Group a time-sorted packet stream into bidirectional flows.
+def _load_columns(path) -> np.ndarray | None:
+    """The records of a packet file parsed by numpy's C reader, or None when
+    numpy rejects the text or a record fails a check _record makes.
 
-    A packet joins the open flow with its key iff the gap since that flow's
-    last packet is within the flow timeout; otherwise the flow is closed and
-    a new one opened. The stream must be in timestamp order, as
-    read_packet_file checks.
+    numpy accepts a subset of what _read_records accepts: it rejects, for
+    example, blank lines that hold spaces, `1_000` and non-ASCII digits.
+    """
+    ips: dict[str, int] = {}
+
+    def ip(text: str) -> int:  # numpy turns a ParseError into a ValueError
+        value = ips.get(text)
+        return _parse_ip(text, "ip", 0, ips) if value is None else value
+
+    with open_text(path) as handle, warnings.catch_warnings():
+        # An empty input warns; any warning sends the file to the per-line reader.
+        warnings.simplefilter("error")
+        try:
+            if not _is_header(handle.readline()):
+                handle.seek(0)
+            packets = np.loadtxt(handle, delimiter=",", dtype=np.int64,
+                                 comments=None, ndmin=2,
+                                 converters={1: ip, 3: ip})
+        except (ValueError, Warning):
+            # Also a UnicodeDecodeError, caught here so that the per-line
+            # reader decides which error a file with several reports.
+            return None
+    if packets.shape[1] != len(PacketRecord._fields):
+        return None
+    ts, ports, protocol, size = packets[:, 0], packets[:, 2:5:2], packets[:, 5], packets[:, 6]
+    valid = (np.all((ts >= 0) & (ts < TIMESTAMP_LIMIT)) and np.all(ts[1:] >= ts[:-1])
+             and np.all((ports >= 0) & (ports <= 65535))
+             and np.all((protocol == TCP) | (protocol == UDP))
+             and np.all((size >= 0) & (size < BYTES_LIMIT)))
+    return packets if valid else None
+
+
+def read_packet_file(path) -> np.ndarray:
+    """Read a packet-record text file into an (n, 7) int64 array whose
+    columns are the PacketRecord fields; a non-numeric first field marks a
+    header. A file numpy's reader rejects is read again line by line, which
+    accepts what int() accepts and raises ParseError or OutOfOrderError
+    naming the first bad line."""
+    packets = _load_columns(path)
+    if packets is None:
+        packets = np.array(_read_records(path), dtype=np.int64).reshape(
+            -1, len(PacketRecord._fields))
+    return packets
+
+
+class Flows(NamedTuple):
+    """Packets grouped into bidirectional flows, the flows in
+    (first_ts, endpoint_a, endpoint_b, protocol) order. Each flow's packets
+    are contiguous and in time order, and its first packet, sent by the
+    initiator, is at its index in `starts`."""
+
+    packets: np.ndarray
+    starts: np.ndarray
+
+    @property
+    def sizes(self) -> np.ndarray:
+        """Packets per flow."""
+        return np.diff(self.starts, append=len(self.packets))
+
+
+def assemble_flows(packets: np.ndarray, cfg: MeterConfig | None = None) -> Flows:
+    """Group a time-sorted (n, 7) packet array into bidirectional flows.
+
+    Packets share a flow key when they join the same two (ip, port)
+    endpoints over the same protocol. A packet joins the flow of the key's
+    previous packet iff the gap between them is within the flow timeout.
+    The array must be in timestamp order, as read_packet_file checks.
     """
     cfg = cfg or MeterConfig()
-    timeout = cfg.flow_timeout_us
-    # Keyed by the plain (endpoint_a, endpoint_b, protocol) tuple, endpoints
-    # ordered by (ip, port); it hashes and compares equal to the FlowKey
-    # stored on the flow.
-    open_flows: dict[tuple, FlowAccumulator] = {}
-    closed: list[FlowAccumulator] = []
-    for ts, src_ip, src_port, dst_ip, dst_port, protocol, size in packets:
-        src = (src_ip, src_port)
-        dst = (dst_ip, dst_port)
-        key = (src, dst, protocol) if src <= dst else (dst, src, protocol)
-        flow = open_flows.get(key)
-        if flow is not None and ts - flow.last_ts > timeout:
-            closed.append(flow)
-            flow = None
-        if flow is None:
-            flow = FlowAccumulator(FlowKey._make(key), src, dst, ts, ts)
-            open_flows[key] = flow
-        if src == flow.initiator:
-            flow.timestamps_fwd.append(ts)
-        else:
-            flow.timestamps_bwd.append(ts)
-        flow.timestamps_all.append(ts)
-        flow.byte_count += size
-        flow.last_ts = ts
-    closed.extend(open_flows.values())
-    closed.sort(key=lambda f: (f.first_ts, f.key.endpoint_a, f.key.endpoint_b,
-                               f.key.protocol))
-    return closed
+    src = packets[:, 1] << 16 | packets[:, 2]  # (ip, port) order as one integer
+    dst = packets[:, 3] << 16 | packets[:, 4]
+    endpoint_a = np.minimum(src, dst)
+    endpoint_b = np.maximum(src, dst) << 1 | (packets[:, 5] == UDP)  # and the protocol
+    by_key = np.lexsort((endpoint_b, endpoint_a))  # stable: time order within a key
+    endpoint_a, endpoint_b = endpoint_a[by_key], endpoint_b[by_key]
+    ts = packets[by_key, 0]
+    new_flow = np.ones(len(ts), dtype=bool)
+    new_flow[1:] = ((endpoint_a[1:] != endpoint_a[:-1]) | (endpoint_b[1:] != endpoint_b[:-1])
+                    | (ts[1:] - ts[:-1] > cfg.flow_timeout_us))
+    starts = np.flatnonzero(new_flow)
+    sizes = np.diff(starts, append=len(ts))
+    order = np.lexsort((endpoint_b[starts], endpoint_a[starts], ts[starts]))
+    # Each packet moves with its flow to the flow's place in `order`.
+    grouped = by_key[np.argsort(np.repeat(np.argsort(order), sizes), kind="stable")]
+    sizes = sizes[order]
+    return Flows(packets[grouped], np.cumsum(sizes) - sizes)
 
 
-def stats_summary(values: list[float]) -> FourStats:
-    """(mean, population std, max, min); the empty list maps to all zeros."""
-    if not values:
-        return ZERO_STATS
-    n = len(values)
-    mean = sum(values) / n
-    var = sum((v - mean) ** 2 for v in values) / n
-    return FourStats(float(mean), math.sqrt(var), float(max(values)), float(min(values)))
+def _four_stats(values: np.ndarray, flow: np.ndarray, n_flows: int) -> np.ndarray:
+    """(mean, population std, max, min) of the int64 `values` of each flow,
+    where `flow` (non-decreasing) names each value's flow; a flow without
+    values gets zeros.
 
-
-def segment_active_idle(timestamps: list[int],
-                        activity_timeout_us: int) -> tuple[list[int], list[int]]:
-    """Split a flow's timeline into active bursts and idle gaps.
-
-    Gaps within the activity timeout extend the current burst; larger gaps
-    close it and are recorded as idle durations. Zero-length bursts
-    (single-packet bursts) are dropped so active minima stay meaningful.
+    Each variance is Python's sum() of Python's `d ** 2` over the flow's
+    deviations in order: numpy's pairwise sums and `d * d` can round
+    differently, and the rows must not move by a bit.
     """
-    if not timestamps:
-        raise ValueError("empty timestamp list")
-    active: list[int] = []
-    idle: list[int] = []
-    burst_start = prev = timestamps[0]
-    for ts in timestamps[1:]:
-        gap = ts - prev
-        if gap > activity_timeout_us:
-            if prev > burst_start:
-                active.append(prev - burst_start)
-            idle.append(gap)
-            burst_start = ts
-        prev = ts
-    if prev > burst_start:
-        active.append(prev - burst_start)
-    return active, idle
+    stats = np.zeros((n_flows, 4))
+    new_flow = np.ones(len(flow), dtype=bool)
+    new_flow[1:] = flow[1:] != flow[:-1]
+    starts = np.flatnonzero(new_flow)
+    counts = np.diff(starts, append=len(values))
+    # Sums stay below 2**53 (timestamps do), so each mean is correctly rounded.
+    means = np.add.reduceat(values, starts) / counts
+    squares = [d ** 2 for d in (values - np.repeat(means, counts)).tolist()]
+    variances = [sum(squares[start:start + count]) / count
+                 for start, count in zip(starts.tolist(), counts.tolist())]
+    rows = flow[starts]
+    stats[rows, 0] = means
+    stats[rows, 1] = np.sqrt(variances)
+    stats[rows, 2] = np.maximum.reduceat(values, starts)
+    stats[rows, 3] = np.minimum.reduceat(values, starts)
+    return stats
 
 
-def compute_features(flow: FlowAccumulator,
-                     cfg: MeterConfig | None = None) -> list[float]:
-    """Summarize a completed flow into its 28 features, in FEATURE_COLUMNS
-    order."""
+def _gaps(ts: np.ndarray, flow: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The gaps between consecutive timestamps of one flow, and their flows."""
+    same = flow[1:] == flow[:-1]
+    return (ts[1:] - ts[:-1])[same], flow[1:][same]
+
+
+def compute_features(flows: Flows, cfg: MeterConfig | None = None) -> np.ndarray:
+    """Summarize each flow into its 28 features, in FEATURE_COLUMNS order:
+    an (n_flows, 28) float64 array.
+
+    Forward packets are those the initiator sent. Active bursts are the runs
+    of packets whose gaps are within the activity timeout; a burst of zero
+    length is dropped. Idle periods are the gaps above that timeout.
+    """
     cfg = cfg or MeterConfig()
-    duration_us = flow.last_ts - flow.first_ts
-    duration_s = duration_us / 1e6
-    if duration_s > 0:
-        bytes_per_s = flow.byte_count / duration_s
-        packets_per_s = flow.packet_count / duration_s
-    else:
-        bytes_per_s = packets_per_s = 0.0  # zero-duration policy
+    packets, starts = flows
+    sizes = flows.sizes
+    n_flows = len(starts)
+    flow = np.repeat(np.arange(n_flows), sizes)
+    ts = packets[:, 0]
+    first = packets[starts]
+    table = np.zeros((n_flows, len(FEATURE_COLUMNS)))
+    table[:, 0:5] = first[:, 1:6]  # src_ip, src_port, dst_ip, dst_port, protocol
+    duration_s = (ts[starts + sizes - 1] - first[:, 0]) / 1e6
+    table[:, 5] = duration_s
+    moving = duration_s > 0  # a zero-duration flow has zero rates
+    np.divide(np.add.reduceat(packets[:, 6], starts), duration_s, out=table[:, 6],
+              where=moving)
+    np.divide(sizes, duration_s, out=table[:, 7], where=moving)
 
-    def iats(ts: list[int]) -> list[int]:
-        return [b - a for a, b in zip(ts, ts[1:])]
-
-    active, idle = segment_active_idle(flow.timestamps_all, cfg.activity_timeout_us)
-    row = [float(flow.initiator[0]), float(flow.initiator[1]),
-           float(flow.responder[0]), float(flow.responder[1]),
-           float(flow.key.protocol), duration_s, bytes_per_s, packets_per_s]
-    for values in (iats(flow.timestamps_all), iats(flow.timestamps_fwd),
-                   iats(flow.timestamps_bwd), active, idle):
-        row.extend(stats_summary(values))
-    return row
+    gap, gap_flow = _gaps(ts, flow)
+    forward = (packets[:, 1] == first[flow, 1]) & (packets[:, 2] == first[flow, 2])
+    idle = gap > cfg.activity_timeout_us
+    new_burst = np.ones(len(ts), dtype=bool)
+    new_burst[1:] = (flow[1:] != flow[:-1]) | (ts[1:] - ts[:-1] > cfg.activity_timeout_us)
+    burst_starts = np.flatnonzero(new_burst)
+    active = np.maximum.reduceat(ts, burst_starts) - ts[burst_starts]
+    groups = [(gap, gap_flow), _gaps(ts[forward], flow[forward]),
+              _gaps(ts[~forward], flow[~forward]),
+              (active[active > 0], flow[burst_starts][active > 0]),
+              (gap[idle], gap_flow[idle])]
+    for column, (values, value_flow) in zip(range(8, 28, 4), groups):
+        table[:, column:column + 4] = _four_stats(values, value_flow, n_flows)
+    return table
 
 
 def format_cell(value: float) -> str:
@@ -375,8 +419,9 @@ def write_flow_csv(rows: Iterable[list[float]], path, label: str) -> None:
             handle.write(",".join(format_cells(row)) + f",{label}\n")
 
 
-def meter_packets(packets: list[PacketRecord],
+def meter_packets(packets: np.ndarray,
                   cfg: MeterConfig | None = None) -> list[list[float]]:
-    """Assemble flows and compute each one's feature row."""
+    """Assemble flows and compute each one's feature row, in the flows'
+    (first_ts, endpoint_a, endpoint_b, protocol) order."""
     cfg = cfg or MeterConfig()
-    return [compute_features(flow, cfg) for flow in assemble_flows(packets, cfg)]
+    return compute_features(assemble_flows(packets, cfg), cfg).tolist()

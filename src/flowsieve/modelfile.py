@@ -92,7 +92,7 @@ class ModelFile:
 
     def values(self, key: str | None, count: int, kind=float) -> np.ndarray:
         """The next line: `key`, or no key when it is None, then exactly
-        `count` values of type `kind`."""
+        `count` finite values of type `kind`."""
         text = (self._next_line("a row of values") if key is None
                 else self.keyed(key))
         try:
@@ -101,4 +101,6 @@ class ModelFile:
             raise self.error(f"non-numeric value in {text[:40]!r}") from None
         if len(values) != count:
             raise self.error(f"expected {count} values, got {len(values)}")
+        if not np.all(np.isfinite(values)):
+            raise self.error(f"non-finite value in {text[:40]!r}")
         return values

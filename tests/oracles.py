@@ -1,10 +1,16 @@
 """Independent brute-force oracles used to cross-check the implementation.
 
 Everything here is deliberately written from the definitions, on a different
-code path (numpy statistics, repeated filtering) than the production code.
+code path (numpy statistics, repeated filtering) than the production code,
+or is an implementation the production code replaced, kept as the reference
+it must match (the per-packet meter, the per-cell flow CSV reader).
 """
 
 from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -84,6 +90,158 @@ def oracle_features(flow_packets, activity_timeout_us: int) -> list[float]:
     row.extend(oracle_stats(active))
     row.extend(oracle_stats(idle))
     return row
+
+
+# ---------------------------------------------------------------- reference meter
+# The per-packet meter flowsieve.flow_meter replaced with numpy columns:
+# one accumulator per flow, fed one packet tuple at a time. The columnar
+# meter must give the same rows, bit for bit.
+
+
+class FourStats(NamedTuple):
+    mean: float
+    std: float
+    max: float
+    min: float
+
+
+ZERO_STATS = FourStats(0.0, 0.0, 0.0, 0.0)
+
+
+class FlowKey(NamedTuple):
+    """Direction-independent conversation key; endpoint_a <= endpoint_b."""
+
+    endpoint_a: tuple[int, int]
+    endpoint_b: tuple[int, int]
+    protocol: int
+
+
+@dataclass
+class FlowAccumulator:
+    """In-progress state of one flow. Forward = orientation of first packet."""
+
+    key: FlowKey
+    initiator: tuple[int, int]
+    responder: tuple[int, int]
+    first_ts: int
+    last_ts: int
+    byte_count: int = 0
+    timestamps_fwd: list[int] = field(default_factory=list)
+    timestamps_bwd: list[int] = field(default_factory=list)
+    timestamps_all: list[int] = field(default_factory=list)
+
+    @property
+    def packet_count(self) -> int:
+        return len(self.timestamps_fwd) + len(self.timestamps_bwd)
+
+
+def accumulate_flows(packets, cfg=None) -> list[FlowAccumulator]:
+    """Group a time-sorted stream of packet tuples into bidirectional flows.
+
+    A packet joins the open flow with its key iff the gap since that flow's
+    last packet is within the flow timeout; otherwise the flow is closed and
+    a new one opened. Flows come in (first_ts, key) order.
+    """
+    from flowsieve.flow_meter import MeterConfig
+
+    timeout = (cfg or MeterConfig()).flow_timeout_us
+    open_flows: dict[tuple, FlowAccumulator] = {}
+    closed: list[FlowAccumulator] = []
+    for ts, src_ip, src_port, dst_ip, dst_port, protocol, size in packets:
+        src = (src_ip, src_port)
+        dst = (dst_ip, dst_port)
+        key = (src, dst, protocol) if src <= dst else (dst, src, protocol)
+        flow = open_flows.get(key)
+        if flow is not None and ts - flow.last_ts > timeout:
+            closed.append(flow)
+            flow = None
+        if flow is None:
+            flow = FlowAccumulator(FlowKey._make(key), src, dst, ts, ts)
+            open_flows[key] = flow
+        if src == flow.initiator:
+            flow.timestamps_fwd.append(ts)
+        else:
+            flow.timestamps_bwd.append(ts)
+        flow.timestamps_all.append(ts)
+        flow.byte_count += size
+        flow.last_ts = ts
+    closed.extend(open_flows.values())
+    closed.sort(key=lambda f: (f.first_ts, f.key.endpoint_a, f.key.endpoint_b,
+                               f.key.protocol))
+    return closed
+
+
+def stats_summary(values: list[float]) -> FourStats:
+    """(mean, population std, max, min); the empty list maps to all zeros."""
+    if not values:
+        return ZERO_STATS
+    n = len(values)
+    mean = sum(values) / n
+    var = sum((v - mean) ** 2 for v in values) / n
+    return FourStats(float(mean), math.sqrt(var), float(max(values)), float(min(values)))
+
+
+def segment_active_idle(timestamps: list[int],
+                        activity_timeout_us: int) -> tuple[list[int], list[int]]:
+    """Split a flow's timeline into active bursts and idle gaps.
+
+    Gaps within the activity timeout extend the current burst; larger gaps
+    close it and are recorded as idle durations. Zero-length bursts
+    (single-packet bursts) are dropped so active minima stay meaningful.
+    """
+    if not timestamps:
+        raise ValueError("empty timestamp list")
+    active: list[int] = []
+    idle: list[int] = []
+    burst_start = prev = timestamps[0]
+    for ts in timestamps[1:]:
+        gap = ts - prev
+        if gap > activity_timeout_us:
+            if prev > burst_start:
+                active.append(prev - burst_start)
+            idle.append(gap)
+            burst_start = ts
+        prev = ts
+    if prev > burst_start:
+        active.append(prev - burst_start)
+    return active, idle
+
+
+def flow_features(flow: FlowAccumulator, cfg=None) -> list[float]:
+    """Summarize a completed flow into its 28 features, in FEATURE_COLUMNS
+    order."""
+    from flowsieve.flow_meter import MeterConfig
+
+    cfg = cfg or MeterConfig()
+    duration_us = flow.last_ts - flow.first_ts
+    duration_s = duration_us / 1e6
+    if duration_s > 0:
+        bytes_per_s = flow.byte_count / duration_s
+        packets_per_s = flow.packet_count / duration_s
+    else:
+        bytes_per_s = packets_per_s = 0.0  # zero-duration policy
+
+    def iats(ts: list[int]) -> list[int]:
+        return [b - a for a, b in zip(ts, ts[1:])]
+
+    active, idle = segment_active_idle(flow.timestamps_all, cfg.activity_timeout_us)
+    row = [float(flow.initiator[0]), float(flow.initiator[1]),
+           float(flow.responder[0]), float(flow.responder[1]),
+           float(flow.key.protocol), duration_s, bytes_per_s, packets_per_s]
+    for values in (iats(flow.timestamps_all), iats(flow.timestamps_fwd),
+                   iats(flow.timestamps_bwd), active, idle):
+        row.extend(stats_summary(values))
+    return row
+
+
+def reference_meter(packets, cfg=None) -> list[list[float]]:
+    """The per-packet meter's rows for a stream of packet tuples."""
+    return [flow_features(flow, cfg) for flow in accumulate_flows(packets, cfg)]
+
+
+def packet_array(packets) -> np.ndarray:
+    """Packet tuples as the (n, 7) int64 array read_packet_file returns."""
+    return np.array(packets, dtype=np.int64).reshape(-1, 7)
 
 
 def direct_merit(indices, stats) -> float:
@@ -362,6 +520,9 @@ def oracle_packet_record(row: str, line_number: int = 0) -> tuple:
     ts = as_int(fields[0], "timestamp_us")
     if ts < 0:
         raise ParseError(f"line {line_number}: timestamp_us: negative value {ts}")
+    if ts >= 2 ** 53:
+        raise ParseError(f"line {line_number}: timestamp_us: too large: {ts} "
+                         "(must be below 2**53)")
     src_ip = as_ip(fields[1], "src_ip")
     src_port = as_int(fields[2], "src_port")
     dst_ip = as_ip(fields[3], "dst_ip")
@@ -375,6 +536,9 @@ def oracle_packet_record(row: str, line_number: int = 0) -> tuple:
     payload = as_int(fields[6], "bytes")
     if payload < 0:
         raise ParseError(f"line {line_number}: bytes: negative value {payload}")
+    if payload >= 2 ** 32:
+        raise ParseError(f"line {line_number}: bytes: too large: {payload} "
+                         "(must be below 2**32)")
     return (ts, src_ip, src_port, dst_ip, dst_port, protocol, payload)
 
 

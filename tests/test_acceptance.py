@@ -15,12 +15,13 @@ from flowsieve import cfs, metrics, mlp, svm
 from flowsieve.cli import main
 from flowsieve.dataset import (SyntheticSpec, generate_synthetic,
                                load_flow_csv)
-from flowsieve.flow_meter import MeterConfig, assemble_flows, compute_features
+from flowsieve.flow_meter import MeterConfig, meter_packets
 from conftest import REPO_ROOT, assert_close
 from oracles import (direct_merit, dual_objective, exhaustive_search,
                      fd_gradient, max_relative_error, oracle_features,
-                     oracle_flows, qp_dual_oracle, random_mlp_case,
-                     random_realizable_stats, random_stats, random_trace)
+                     oracle_flows, packet_array, qp_dual_oracle,
+                     random_mlp_case, random_realizable_stats, random_stats,
+                     random_trace)
 
 TOR_DATASET_ENV = "TOR_DATASET_CSV"
 
@@ -56,11 +57,10 @@ def test_criterion_1_flow_meter_oracle_equivalence():
         rng = np.random.default_rng(1001)
         for _ in range(200):
             packets = random_trace(rng, max_packets=50)
-            flows = assemble_flows(packets, cfg)
+            rows = meter_packets(packet_array(packets), cfg)
             groups = oracle_flows(packets, cfg.flow_timeout_us)
-            assert len(flows) == len(groups)
-            for flow, group in zip(flows, groups):
-                got = compute_features(flow, cfg)
+            assert len(rows) == len(groups)
+            for got, group in zip(rows, groups):
                 want = oracle_features(group, cfg.activity_timeout_us)
                 assert_close(got, want, rel=1e-9, abs_tol=1e-9)
 

@@ -129,12 +129,13 @@ class TestMeter:
             outputs.append((out_dir / "flows.csv").read_bytes())
         assert outputs[0] == outputs[1]
 
-    def test_empty_input_is_data_error(self, tmp_path):
+    def test_empty_input_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "empty.txt"
         path.write_text("")
         rc = main(["meter", str(path), "--label", "Tor",
                    "--out-dir", str(tmp_path / "out")])
         assert rc == 3
+        assert capsys.readouterr().err == f"data error: {path}: no packets\n"
 
     def test_unsorted_input_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "unsorted.txt"
@@ -169,6 +170,24 @@ class TestMeter:
         assert capsys.readouterr().err == (
             f"data error: {path}: line 2: dst_ip: "
             f"malformed IPv4 address '999.0.0.2'\n")
+
+    @pytest.mark.parametrize("field, name, limit", [(0, "timestamp_us", 2 ** 53),
+                                                    (6, "bytes", 2 ** 32)])
+    @pytest.mark.parametrize("past", [0, 1, 2 ** 64])
+    def test_field_bounds(self, tmp_path, capsys, field, name, limit, past):
+        fields = TEN_PACKETS.splitlines()[0].split(",")
+        fields[field] = str(limit - 1 + past)
+        path = tmp_path / "bounds.txt"
+        path.write_text(TEN_PACKETS.splitlines()[0] + "\n" + ",".join(fields) + "\n")
+        rc = main(["meter", str(path), "--label", "Tor",
+                   "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        if past:
+            assert rc == 3
+            assert err == (f"data error: {path}: line 2: {name}: too large: "
+                           f"{limit - 1 + past} (must be below 2**{limit.bit_length() - 1})\n")
+        else:
+            assert rc == 0 and err == ""
 
     def test_missing_file_is_usage_error(self, tmp_path):
         rc = main(["meter", str(tmp_path / "nope.txt"), "--label", "Tor",
@@ -697,6 +716,19 @@ class TestBadModelFiles:
         end = start + text[start:].index(" ")
         self.assert_data_error(small_run, tmp_path, capsys,
                                text[:start] + "0.5x" + text[end:])
+
+    @pytest.mark.parametrize("name, after, cell", [
+        ("svm_model.txt", "\nbias ", "nan"),
+        ("ann_model.txt", "\nw2\n", "inf"),
+    ])
+    def test_non_finite_parameter_names_its_line(self, small_run, tmp_path, capsys,
+                                                 name, after, cell):
+        text = (small_run / name).read_text()
+        start = text.index(after) + len(after)
+        end = start + len(re.match(r"[^ \n]*", text[start:]).group())
+        TestDeclaredClasses.eval_rejects(small_run, tmp_path, capsys,
+                                         text[:start] + cell + text[end:],
+                                         text[:start].count("\n") + 1)
 
     def test_line_after_mlp_b2_block(self, small_run, tmp_path, capsys):
         text = (small_run / "ann_model.txt").read_text()

@@ -1,20 +1,24 @@
 import ipaddress
+import struct
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowsieve.flow_meter import (FEATURE_COLUMNS, FlowKey, FourStats,
-                                  MeterConfig, PacketRecord,
-                                  ParseError, assemble_flows,
-                                  compute_features, meter_packets,
-                                  parse_ipv4, parse_packet_record,
-                                  read_packet_file, segment_active_idle,
-                                  stats_summary, write_flow_csv)
+from flowsieve.errors import DataError
+from flowsieve.flow_meter import (FEATURE_COLUMNS, MeterConfig, PacketRecord,
+                                  ParseError, _load_columns, _read_records,
+                                  assemble_flows, compute_features,
+                                  meter_packets, parse_ipv4,
+                                  parse_packet_record, read_packet_file,
+                                  write_flow_csv)
 from conftest import assert_close
-from oracles import (oracle_features, oracle_flows, oracle_key,
-                     oracle_packet_record, random_trace)
+from oracles import (FlowKey, FourStats, accumulate_flows, oracle_features,
+                     oracle_flows, oracle_key, oracle_packet_record,
+                     packet_array, random_trace, reference_meter,
+                     segment_active_idle, stats_summary)
 
 
 def ip(text: str) -> int:
@@ -26,9 +30,9 @@ def pkt(ts, src="10.0.0.1", sport=443, dst="10.0.0.2", dport=80,
     return PacketRecord(ts, ip(src), sport, ip(dst), dport, proto, size)
 
 
-def features(flow) -> dict[str, float]:
-    """A flow's feature row keyed by FEATURE_COLUMNS name."""
-    return dict(zip(FEATURE_COLUMNS, compute_features(flow)))
+def features(*packets, cfg=None) -> dict[str, float]:
+    """The first flow's feature row, keyed by FEATURE_COLUMNS name."""
+    return dict(zip(FEATURE_COLUMNS, meter_packets(packet_array(packets), cfg)[0]))
 
 
 def stats_of(feat: dict[str, float], prefix: str) -> FourStats:
@@ -65,7 +69,7 @@ class TestParse:
         path.write_text("timestamp_us,src_ip,src_port,dst_ip,dst_port,protocol,bytes\n"
                         "1000,10.0.0.1,443,10.0.0.2,80,6,60\n")
         records = read_packet_file(path)
-        assert len(records) == 1 and records[0].timestamp_us == 1000
+        assert records.shape == (1, 7) and records[0, 0] == 1000
 
 
 def reference_ipv4(text: str):
@@ -141,6 +145,10 @@ class TestParseMessages:
         (with_field(5, "1"), "line 5: protocol: unsupported protocol 1"),
         (with_field(6, ""), "line 5: bytes: not an integer: ''"),
         (with_field(6, "-60"), "line 5: bytes: negative value -60"),
+        (with_field(0, str(2 ** 53)),
+         "line 5: timestamp_us: too large: 9007199254740992 (must be below 2**53)"),
+        (with_field(6, str(2 ** 32)),
+         "line 5: bytes: too large: 4294967296 (must be below 2**32)"),
         ("1000,10.0.0.1,443,10.0.0.2,80,6", "line 5: expected 7 fields, got 6"),
         (",".join(GOOD_FIELDS + ["1"]), "line 5: expected 7 fields, got 8"),
         ("", "line 5: expected 7 fields, got 1"),
@@ -181,7 +189,7 @@ class TestReadPacketFile:
             b"  2000 , 10.0.0.2 ,80, 10.0.0.1,443 ,6, 40 \r\n"
             b"   \r\n"
             b"3000,10.0.0.3,53,10.0.0.1,5353,17,100")
-        assert read_packet_file(path) == [
+        assert [tuple(r) for r in read_packet_file(path).tolist()] == [
             PacketRecord(1000, ip("10.0.0.1"), 443, ip("10.0.0.2"), 80, 6, 60),
             PacketRecord(2000, ip("10.0.0.2"), 80, ip("10.0.0.1"), 443, 6, 40),
             PacketRecord(3000, ip("10.0.0.3"), 53, ip("10.0.0.1"), 5353, 17, 100),
@@ -222,7 +230,15 @@ class TestReadPacketFile:
 
 
 def flow_keys(*packets):
-    return [flow.key for flow in assemble_flows(list(packets))]
+    """The canonical key of each metered flow, from its first packet."""
+    flows = assemble_flows(packet_array(packets))
+    return [oracle_key(PacketRecord(*flows.packets[start].tolist()))
+            for start in flows.starts]
+
+
+def initiator_ports(*packets):
+    """The src_port column of the metered rows, in output order."""
+    return [row[1] for row in meter_packets(packet_array(packets))]
 
 
 class TestCanonicalKey:
@@ -234,12 +250,18 @@ class TestCanonicalKey:
 
     def test_lexicographic_order(self):
         [key] = flow_keys(pkt(0, "10.0.0.1", 443, "10.0.0.2", 80))
-        assert key.endpoint_a == (ip("10.0.0.1"), 443)
         assert key == FlowKey((ip("10.0.0.1"), 443), (ip("10.0.0.2"), 80), 6)
+        # Flows that start together come out in key order: endpoint_a is
+        # the lower (ip, port) of the two, whichever end sent first.
+        assert initiator_ports(pkt(0, "10.0.0.9", 1, "10.0.0.5", 2),
+                               pkt(0, "10.0.0.3", 7, "10.0.0.8", 1)) == [7, 1]
 
     def test_port_tiebreak_on_equal_ips(self):
-        [key] = flow_keys(pkt(0, "10.0.0.1", 9999, "10.0.0.1", 80))
+        [key] = [flow.key for flow in accumulate_flows(
+            [pkt(0, "10.0.0.1", 9999, "10.0.0.1", 80)])]
         assert key.endpoint_a == (ip("10.0.0.1"), 80)
+        assert initiator_ports(pkt(0, "10.0.0.1", 443, "10.0.0.2", 80),
+                               pkt(0, "10.0.0.1", 9999, "10.0.0.1", 80)) == [9999, 443]
 
     @given(st.integers(0, 2**32 - 1), st.integers(0, 65535),
            st.integers(0, 2**32 - 1), st.integers(0, 65535))
@@ -250,42 +272,46 @@ class TestCanonicalKey:
         assert flow_keys(fwd, bwd) == flow_keys(fwd)
 
 
+def flow_sizes(*packets, cfg=None) -> list[int]:
+    return assemble_flows(packet_array(packets), cfg).sizes.tolist()
+
+
 class TestAssemble:
     def test_single_conversation(self):
-        packets = [pkt(0), pkt(500_000), pkt(1_000_000)]
-        flows = assemble_flows(packets)
-        assert len(flows) == 1
-        assert flows[0].packet_count == 3
+        assert flow_sizes(pkt(0), pkt(500_000), pkt(1_000_000)) == [3]
 
     def test_flow_timeout_splits(self):
-        flows = assemble_flows([pkt(0), pkt(121_000_000)])
-        assert len(flows) == 2
-        assert all(f.packet_count == 1 for f in flows)
+        assert flow_sizes(pkt(0), pkt(121_000_000)) == [1, 1]
 
     def test_exactly_at_timeout_joins(self):
-        flows = assemble_flows([pkt(0), pkt(120_000_000)])
-        assert len(flows) == 1
+        assert flow_sizes(pkt(0), pkt(120_000_000)) == [2]
 
     def test_interleaved_keys_match_oracle(self):
         packets = [
             pkt(0, dport=80), pkt(100, dport=8080), pkt(200, dport=80),
             pkt(300, dport=8080), pkt(400, dport=80),
         ]
-        flows = assemble_flows(packets)
         expected = oracle_flows(packets, MeterConfig().flow_timeout_us)
-        assert len(flows) == len(expected) == 2
-        assert [f.packet_count for f in flows] == [len(g) for g in expected]
+        assert flow_sizes(*packets) == [len(g) for g in expected] == [3, 2]
+        flows = assemble_flows(packet_array(packets))
+        assert flows.packets.tolist() == [list(p) for g in expected for p in g]
 
     def test_direction_tracking(self):
         packets = [pkt(0), pkt(10, src="10.0.0.2", sport=80,
                                dst="10.0.0.1", dport=443)]
-        flow = assemble_flows(packets)[0]
-        assert flow.timestamps_fwd == [0]
-        assert flow.timestamps_bwd == [10]
-        assert flow.initiator == (ip("10.0.0.1"), 443)
+        flows = assemble_flows(packet_array(packets))
+        assert flows.starts.tolist() == [0]
+        assert flows.packets.tolist() == [list(p) for p in packets]
+        feat = features(*packets, pkt(30), pkt(70, src="10.0.0.2", sport=80,
+                                             dst="10.0.0.1", dport=443))
+        assert (feat["src_ip"], feat["src_port"]) == (ip("10.0.0.1"), 443)
+        assert feat["fwd_iat_mean"] == 30 and feat["bwd_iat_mean"] == 60
 
 
 class TestStatsSummary:
+    """The reference meter's statistics, which the columnar meter matches
+    bit for bit (TestReferenceMeter)."""
+
     def test_empty(self):
         assert stats_summary([]) == FourStats(0, 0, 0, 0)
 
@@ -305,9 +331,18 @@ class TestStatsSummary:
         assert_close(got.mean, arr.mean())
         assert_close(got.std, arr.std())
         assert got.max == arr.max() and got.min == arr.min()
+        # A flow whose gaps are all past a 1 us activity timeout has them as
+        # both its IATs and its idle periods, summarized the same way.
+        gaps = [v + 2 for v in values]
+        ts = np.concatenate(([0], np.cumsum(gaps))).tolist()
+        row = features(*(pkt(t) for t in ts), cfg=MeterConfig(1, 2 * 10**9))
+        assert stats_of(row, "flow_iat") == stats_of(row, "idle") == stats_summary(gaps)
 
 
 class TestActiveIdle:
+    """The reference meter's burst segmentation; the columnar meter's
+    active and idle columns are checked against it in TestReferenceMeter."""
+
     def test_one_burst(self):
         active, idle = segment_active_idle([0, 1_000_000, 2_000_000], 5_000_000)
         assert active == [2_000_000]
@@ -317,13 +352,19 @@ class TestActiveIdle:
         active, idle = segment_active_idle([0, 10_000_000], 5_000_000)
         assert active == []
         assert idle == [10_000_000]
+        feat = features(pkt(0), pkt(10_000_000))
+        assert stats_of(feat, "active") == FourStats(0, 0, 0, 0)
+        assert stats_of(feat, "idle") == FourStats(1e7, 0, 1e7, 1e7)
 
     def test_hand_traced_sequence(self):
         # gaps 1e6 (extend), 8e6 (split), 1e6 (extend)
-        active, idle = segment_active_idle(
-            [0, 1_000_000, 9_000_000, 10_000_000], 5_000_000)
+        ts = [0, 1_000_000, 9_000_000, 10_000_000]
+        active, idle = segment_active_idle(ts, 5_000_000)
         assert active == [1_000_000, 1_000_000]
         assert idle == [8_000_000]
+        feat = features(*(pkt(t) for t in ts))
+        assert stats_of(feat, "active") == FourStats(1e6, 0, 1e6, 1e6)
+        assert stats_of(feat, "idle") == FourStats(8e6, 0, 8e6, 8e6)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -338,16 +379,14 @@ class TestActiveIdle:
 
 class TestComputeFeatures:
     def test_single_packet_flow(self):
-        flow = assemble_flows([pkt(0, size=60)])[0]
-        feat = features(flow)
+        feat = features(pkt(0, size=60))
         assert feat["flow_duration"] == 0
         assert feat["flow_bytes_per_s"] == 0 and feat["flow_packets_per_s"] == 0
         for stats in (stats_of(feat, prefix) for prefix in STATS_PREFIXES):
             assert stats == FourStats(0, 0, 0, 0)
 
     def test_two_packet_flow(self):
-        flow = assemble_flows([pkt(0, size=40), pkt(1_000_000, size=60)])[0]
-        feat = features(flow)
+        feat = features(pkt(0, size=40), pkt(1_000_000, size=60))
         assert feat["flow_duration"] == 1.0
         assert feat["flow_bytes_per_s"] == 100.0
         assert feat["flow_packets_per_s"] == 2.0
@@ -360,17 +399,22 @@ class TestComputeFeatures:
             pkt(2_000_000),
             pkt(3_000_000, src="10.0.0.2", sport=80, dst="10.0.0.1", dport=443),
         ]
-        feat = features(assemble_flows(packets)[0])
+        feat = features(*packets)
         assert stats_of(feat, "flow_iat") == FourStats(1e6, 0, 1e6, 1e6)
         assert stats_of(feat, "fwd_iat") == FourStats(2e6, 0, 2e6, 2e6)
         assert stats_of(feat, "bwd_iat") == FourStats(2e6, 0, 2e6, 2e6)
 
     def test_source_fields_from_initiator(self):
         # Initiator is the lexicographically larger endpoint here.
-        packets = [pkt(0, src="10.0.0.9", sport=50000, dst="10.0.0.1", dport=80)]
-        feat = features(assemble_flows(packets)[0])
+        feat = features(pkt(0, src="10.0.0.9", sport=50000, dst="10.0.0.1", dport=80))
         assert feat["src_ip"] == ip("10.0.0.9") and feat["src_port"] == 50000
         assert feat["dst_ip"] == ip("10.0.0.1") and feat["dst_port"] == 80
+
+    def test_table_shape(self):
+        flows = assemble_flows(packet_array([pkt(0), pkt(5, dport=81)]))
+        assert compute_features(flows).shape == (2, len(FEATURE_COLUMNS))
+        empty = assemble_flows(packet_array([]))
+        assert compute_features(empty).shape == (0, len(FEATURE_COLUMNS))
 
 
 class TestInvariants:
@@ -378,22 +422,27 @@ class TestInvariants:
         rng = np.random.default_rng(3)
         for _ in range(20):
             packets = random_trace(rng, 30)
-            for flow in assemble_flows(packets):
-                n_fwd = len(flow.timestamps_fwd)
-                n_bwd = len(flow.timestamps_bwd)
-                assert n_fwd + n_bwd == flow.packet_count
-                assert len(flow.timestamps_all) == flow.packet_count
+            flows = assemble_flows(packet_array(packets))
+            # Every packet lands in exactly one flow.
+            assert sorted(map(tuple, flows.packets.tolist())) == sorted(packets)
+            rows = compute_features(flows)
+            for start, size, row in zip(flows.starts, flows.sizes, rows):
+                flow = flows.packets[start:start + size]
+                assert len({oracle_key(PacketRecord(*p)) for p in flow.tolist()}) == 1
+                assert np.all(np.diff(flow[:, 0]) >= 0)
+                forward = np.all(flow[:, 1:3] == flow[0, 1:3], axis=1)
+                n_fwd, n_bwd = int(forward.sum()), int((~forward).sum())
+                assert n_fwd + n_bwd == size
                 # IAT counts: per direction packet count - 1, floored at 0
-                assert max(n_fwd - 1, 0) + max(n_bwd - 1, 0) \
-                    <= flow.packet_count - 1
-                feat = features(flow)
-                if flow.packet_count == 1:
+                assert max(n_fwd - 1, 0) + max(n_bwd - 1, 0) <= size - 1
+                if size == 1:
+                    feat = dict(zip(FEATURE_COLUMNS, row))
                     assert stats_of(feat, "flow_iat") == FourStats(0, 0, 0, 0)
 
     def test_stats_quadruple_ordering(self):
         rng = np.random.default_rng(4)
         for _ in range(30):
-            for row in meter_packets(random_trace(rng, 40)):
+            for row in meter_packets(packet_array(random_trace(rng, 40))):
                 feat = dict(zip(FEATURE_COLUMNS, row))
                 for stats in (stats_of(feat, prefix) for prefix in STATS_PREFIXES):
                     assert stats.min <= stats.mean <= stats.max
@@ -401,7 +450,7 @@ class TestInvariants:
 
     def test_csv_deterministic(self, tmp_path):
         rng = np.random.default_rng(5)
-        packets = random_trace(rng, 40)
+        packets = packet_array(random_trace(rng, 40))
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
         for path in paths:
             write_flow_csv(meter_packets(packets), path, "Tor")
@@ -409,7 +458,7 @@ class TestInvariants:
 
     def test_csv_has_29_columns(self, tmp_path):
         path = tmp_path / "flows.csv"
-        write_flow_csv(meter_packets([pkt(0)]), path, "NonTor")
+        write_flow_csv(meter_packets(packet_array([pkt(0)])), path, "NonTor")
         lines = path.read_text().splitlines()
         assert lines[0].split(",") == list(FEATURE_COLUMNS) + ["label"]
         assert len(lines[1].split(",")) == 29
@@ -421,10 +470,167 @@ class TestOracleEquivalence:
         rng = np.random.default_rng(20)
         for _ in range(25):
             packets = random_trace(rng)
-            flows = assemble_flows(packets, cfg)
+            rows = meter_packets(packet_array(packets), cfg)
             expected = oracle_flows(packets, cfg.flow_timeout_us)
-            assert len(flows) == len(expected)
-            for flow, group in zip(flows, expected):
-                got = compute_features(flow, cfg)
-                want = oracle_features(group, cfg.activity_timeout_us)
-                assert_close(got, want)
+            assert len(rows) == len(expected)
+            for got, group in zip(rows, expected):
+                assert_close(got, oracle_features(group, cfg.activity_timeout_us))
+
+
+def row_bits(rows) -> list[bytes]:
+    return [struct.pack("28d", *row) for row in rows]
+
+
+@st.composite
+def packet_streams(draw):
+    """A time-sorted packet stream and meter timeouts. A few addresses and
+    ports make keys collide and give equal IPs with different ports; gaps
+    of zero, near each timeout and far past them give zero-duration flows,
+    single-packet flows, bursts and flow splits."""
+    activity = draw(st.sampled_from([1, 7, 1000, 5_000_000, 10**9]))
+    flow = activity * draw(st.sampled_from([1, 2, 24, 1000]))
+    ips = draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3))
+    ports = draw(st.lists(st.integers(0, 65535), min_size=1, max_size=3))
+    endpoint = st.tuples(st.sampled_from(ips), st.sampled_from(ports))
+    gap = st.one_of(st.just(0), st.integers(1, 3),
+                    st.integers(max(activity - 1, 0), activity + 1),
+                    st.integers(flow - 1, flow + 1), st.integers(0, 10**10))
+    ts = draw(st.sampled_from([0, 1_000_000, 2**53 - 2**45]))
+    packets = []
+    for _ in range(draw(st.integers(1, 40))):
+        ts += draw(gap)
+        (src_ip, src_port), (dst_ip, dst_port) = draw(endpoint), draw(endpoint)
+        packets.append(PacketRecord(ts, src_ip, src_port, dst_ip, dst_port,
+                                    draw(st.sampled_from([6, 17])),
+                                    draw(st.integers(0, 2**32 - 1))))
+    return packets, MeterConfig(activity, flow)
+
+
+class TestReferenceMeter:
+    """The columnar meter gives the per-packet reference meter's rows bit
+    for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(packet_streams())
+    def test_random_streams(self, stream):
+        packets, cfg = stream
+        assert row_bits(meter_packets(packet_array(packets), cfg)) == \
+            row_bits(reference_meter(packets, cfg))
+
+    def test_variance_squares_as_python_does(self):
+        # d ** 2 and d * d round these deviations differently: the IAT std
+        # is 1851451574.0389767 one way and 1851451574.0389764 the other.
+        gaps = [9501872522, 9235450554, 5447922744]
+        ts = np.cumsum([0] + gaps).tolist()
+        row = features(*(pkt(t) for t in ts), cfg=MeterConfig(5_000_000, 10**10))
+        assert row["flow_iat_std"] == stats_summary(gaps).std == 1851451574.0389767
+
+    @pytest.mark.parametrize("activity, flow", [
+        (5_000_000, 120_000_000), (1, 1), (1_000_000, 1_000_000), (10**9, 10**9)])
+    def test_random_traces(self, activity, flow):
+        cfg = MeterConfig(activity, flow)
+        rng = np.random.default_rng(21)
+        for _ in range(50):
+            packets = random_trace(rng)
+            assert row_bits(meter_packets(packet_array(packets), cfg)) == \
+                row_bits(reference_meter(packets, cfg))
+
+
+# ---------------------------------------------------------------- reader paths
+
+RECORD = ["1000", "10.0.0.1", "443", "10.0.0.2", "80", "6", "60"]
+HEADER = "timestamp_us,src_ip,src_port,dst_ip,dst_port,protocol,bytes"
+# Values at and past each bound, per field index.
+BOUND_TEXTS = {0: ["9007199254740991", "9007199254740992", "-1",
+                   "9223372036854775808"],
+               2: ["0", "65535", "65536", "-1"], 4: ["65535", "65536"],
+               5: ["6", "17", "1"],
+               6: ["0", "4294967295", "4294967296", "-1", "99999999999999999999"]}
+MUTATIONS = [
+    lambda t: f" {t} ", lambda t: f"\x1c{t}\x1f", lambda t: "\t" + t,
+    lambda t: "+" + t, lambda t: "00" + t, lambda t: t[:1] + "_" + t[1:],
+    lambda t: t + ".0", lambda t: f'"{t}"', lambda t: "١" + t, lambda t: "",
+]
+
+
+@st.composite
+def packet_files(draw) -> bytes:
+    """A packet file: records with rising timestamps, some fields mutated,
+    some records short or long, with or without a header, blank lines, CRLF
+    line ends and a byte that is not UTF-8."""
+    lines = [HEADER] if draw(st.booleans()) else []
+    ts = 0
+    for _ in range(draw(st.integers(0, 6))):
+        ts += draw(st.integers(0, 3)) * 500
+        fields = [str(ts), *RECORD[1:]]
+        fields[2] = str(draw(st.integers(0, 65535)))
+        for _ in range(draw(st.sampled_from([0, 0, 0, 0, 1, 2]))):
+            at = draw(st.integers(0, 6))
+            fields[at] = draw(st.one_of(
+                st.sampled_from(BOUND_TEXTS.get(at, ["10.0.0.01"])),
+                st.sampled_from(MUTATIONS).map(lambda f: f(fields[at]))))
+        count = draw(st.sampled_from([7] * 20 + [6, 8]))
+        lines.append(",".join((fields + ["1"])[:count]))
+        if draw(st.integers(0, 19)) == 0:
+            lines.append(draw(st.sampled_from(["", " ", "\t "])))
+    if draw(st.integers(0, 9)) == 0 and len(lines) > 1:  # two records out of order
+        at = draw(st.integers(0, len(lines) - 2))
+        lines[at], lines[at + 1] = lines[at + 1], lines[at]
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    data = (newline.join(lines) + draw(st.sampled_from(["", newline]))).encode()
+    if draw(st.integers(0, 9)) == 0:  # a byte that is not UTF-8
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+class TestReaderPaths:
+    """numpy's reader and the per-line reader agree: the fast path accepts
+    only files the per-line reader accepts, with the same records, and
+    read_packet_file gives the per-line reader's records or error text."""
+
+    @staticmethod
+    def assert_readers_agree(path):
+        try:
+            want, error = [list(r) for r in _read_records(path)], None
+        except DataError as exc:
+            want, error = None, str(exc)
+        fast = _load_columns(path)
+        if fast is not None:
+            assert error is None and fast.tolist() == want
+        if error is None:
+            assert read_packet_file(path).tolist() == want
+        else:
+            with pytest.raises(DataError) as info:
+                read_packet_file(path)
+            assert str(info.value) == error
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=packet_files())
+    def test_fast_path_matches_per_line_reader(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("packets") / "packets.txt"
+        path.write_bytes(data)
+        self.assert_readers_agree(path)
+
+    @pytest.mark.parametrize("at, text", [(at, text) for at, texts in BOUND_TEXTS.items()
+                                          for text in texts])
+    def test_values_at_and_past_each_bound(self, tmp_path, at, text):
+        fields = list(RECORD)
+        fields[at] = text
+        path = tmp_path / "packets.txt"
+        path.write_text(",".join(RECORD) + "\n" + ",".join(fields) + "\n")
+        self.assert_readers_agree(path)
+
+    def test_plain_file_takes_the_fast_path(self, tmp_path):
+        path = tmp_path / "packets.txt"
+        path.write_text(HEADER + "\n" + ",".join(RECORD) + "\n")
+        assert _load_columns(path).tolist() == [[1000, ip("10.0.0.1"), 443,
+                                                 ip("10.0.0.2"), 80, 6, 60]]
+
+    @pytest.mark.parametrize("text", ["", "\n\n", HEADER + "\n", " \n"])
+    def test_no_records_and_no_warning(self, tmp_path, text):
+        path = tmp_path / "packets.txt"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert read_packet_file(path).shape == (0, 7)
