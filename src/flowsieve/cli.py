@@ -10,11 +10,13 @@ from __future__ import annotations
 import argparse
 import shutil
 import sys
+import time
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import cfs, metrics, mlp, modelfile, svm
-from .config import (PipelineConfig, StageTimer, UsageError, load_config,
-                     make_kernel, write_manifest)
+from .config import (PipelineConfig, UsageError, load_config, make_kernel,
+                     write_manifest)
 from .dataset import (CLASS_NAMES, Dataset, apply_scaler, fit_scaler, generate_synthetic,
                       load_flow_csv, one_hot, stratified_split, write_csv)
 from .errors import DataError, TrainingDiverged
@@ -46,6 +48,34 @@ def _config(args) -> tuple[PipelineConfig, Path]:
     return cfg, out_dir
 
 
+class _Run:
+    """A running command's manifest: its config and out dir, the input files
+    it read, the artifacts it wrote and the seconds each stage took."""
+
+    def __init__(self, inputs: list[Path], cfg: PipelineConfig, out_dir: Path):
+        self.inputs, self.cfg, self.out_dir = inputs, cfg, out_dir
+        self.artifacts: list[str] = []
+        self.timings: dict[str, float] = {}
+
+    @contextmanager
+    def stage(self, name: str):
+        start = time.perf_counter()
+        yield
+        self.timings[name] = round(time.perf_counter() - start, 6)
+
+
+@contextmanager
+def _command(args, *paths: str):
+    """The one runner of every subcommand: check each input file (before
+    the config, so a missing file is reported ahead of a bad --config), load
+    the config, run the body's stages, then write the manifest."""
+    inputs = [_require_file(path) for path in paths]
+    run = _Run(inputs, *_config(args))
+    yield run
+    write_manifest(run.out_dir, args.command, run.cfg, run.inputs, run.artifacts,
+                   run.timings)
+
+
 def _load_flows(path, cfg: PipelineConfig) -> Dataset:
     """load_flow_csv under the config's bad_value_policy, reporting dropped
     rows on stderr so a drop is never silent."""
@@ -75,14 +105,9 @@ def run_meter(packets_path, out_dir, meter_cfg: MeterConfig, label: str | None) 
 
 
 def cmd_meter(args) -> int:
-    packets_path = _require_file(args.packets)
-    cfg, out_dir = _config(args)
-    timer = StageTimer()
-    timer.start("meter")
-    out = run_meter(packets_path, out_dir, cfg.meter, cfg.meter_label)
-    timer.stop()
-    write_manifest(out_dir, "meter", cfg, [packets_path], ["flows.csv"],
-                   timer.timings)
+    with _command(args, args.packets) as run, run.stage("meter"):
+        out = run_meter(run.inputs[0], run.out_dir, run.cfg.meter, run.cfg.meter_label)
+        run.artifacts.append("flows.csv")
     print(f"wrote {out}")
     return EXIT_OK
 
@@ -144,13 +169,8 @@ def run_select(flows_path, out_dir,
 
 
 def cmd_select(args) -> int:
-    flows_path = _require_file(args.flows)
-    cfg, out_dir = _config(args)
-    timer = StageTimer()
-    timer.start("select")
-    written, _ = run_select(flows_path, out_dir, cfg)
-    timer.stop()
-    write_manifest(out_dir, "select", cfg, [flows_path], written, timer.timings)
+    with _command(args, args.flows) as run, run.stage("select"):
+        run.artifacts += run_select(run.inputs[0], run.out_dir, run.cfg)[0]
     return EXIT_OK
 
 
@@ -206,14 +226,10 @@ def run_train(ds: Dataset, out_dir, cfg: PipelineConfig, flows_path) -> dict[str
 
 
 def cmd_train(args) -> int:
-    flows_path = _require_file(args.flows)
-    cfg, out_dir = _config(args)
-    timer = StageTimer()
-    timer.start("train")
-    artifacts = run_train(_load_flows(flows_path, cfg), out_dir, cfg, flows_path)
-    timer.stop()
-    write_manifest(out_dir, "train", cfg, [flows_path], list(artifacts),
-                   timer.timings)
+    with _command(args, args.flows) as run, run.stage("train"):
+        [flows] = run.inputs
+        run.artifacts += run_train(_load_flows(flows, run.cfg), run.out_dir, run.cfg,
+                                   flows)
     return EXIT_OK
 
 
@@ -224,21 +240,6 @@ def cmd_train(args) -> int:
 _MODEL_MODULES = {mlp.MODEL_FORMAT: mlp, svm.MODEL_FORMAT: svm}
 
 
-def _load_any_model(path: Path):
-    doc = modelfile.ModelFile(path, tuple(_MODEL_MODULES))
-    module = _MODEL_MODULES[doc.format]
-    return module, module.read_body(doc), doc.meta
-
-
-def _project(ds: Dataset, feature_names: tuple[str, ...], model_path) -> Dataset:
-    missing = [n for n in feature_names if n not in ds.schema]
-    if missing:
-        raise DataError(
-            f"{model_path}: evaluation data is missing model features: "
-            f"{', '.join(missing)}")
-    return ds.select_features(feature_names)
-
-
 def run_eval(flows_path, out_dir, cfg: PipelineConfig, model_paths: list[Path],
              column_names: list[str] | None = None,
              include_reference: bool = False) -> dict[str, metrics.ClassReport]:
@@ -246,13 +247,18 @@ def run_eval(flows_path, out_dir, cfg: PipelineConfig, model_paths: list[Path],
     out_dir = Path(out_dir)
     columns: dict[str, metrics.ClassReport] = {}
     for position, model_path in enumerate(model_paths):
-        module, model, meta = _load_any_model(Path(model_path))
+        doc = modelfile.ModelFile(Path(model_path), tuple(_MODEL_MODULES))
+        module = _MODEL_MODULES[doc.format]
+        model = module.read_body(doc)
         name = (column_names[position] if column_names
                 else Path(model_path).stem)
-        projected = _project(ds, meta["features"], model_path)
+        try:
+            projected = ds.select_features(doc.meta["features"])
+        except DataError as exc:
+            raise DataError(f"{model_path}: evaluation data is {exc}") from None
         X = projected.X
-        if meta["scaler"] is not None:
-            X = meta["scaler"].transform(X)
+        if doc.meta["scaler"] is not None:
+            X = doc.meta["scaler"].transform(X)
         predictions = module.predict_batch(model, X)
         columns[name] = metrics.build_report(predictions, projected.y)
     table = metrics.render_table(columns, include_reference)
@@ -264,16 +270,10 @@ def run_eval(flows_path, out_dir, cfg: PipelineConfig, model_paths: list[Path],
 
 
 def cmd_eval(args) -> int:
-    flows_path = _require_file(args.flows)
-    model_paths = [_require_file(m) for m in args.model]
-    cfg, out_dir = _config(args)
-    timer = StageTimer()
-    timer.start("eval")
-    run_eval(flows_path, out_dir, cfg, model_paths,
-             include_reference=args.reference)
-    timer.stop()
-    write_manifest(out_dir, "eval", cfg, [flows_path] + model_paths,
-                   ["report.txt", "report.csv"], timer.timings)
+    with _command(args, args.flows, *args.model) as run, run.stage("eval"):
+        flows, *models = run.inputs
+        run_eval(flows, run.out_dir, run.cfg, models, include_reference=args.reference)
+        run.artifacts += ["report.txt", "report.csv"]
     return EXIT_OK
 
 
@@ -288,13 +288,9 @@ def run_synth(out_dir, cfg: PipelineConfig) -> Path:
 
 
 def cmd_synth(args) -> int:
-    cfg, out_dir = _config(args)
-    timer = StageTimer()
-    timer.start("synth")
-    out = run_synth(out_dir, cfg)
-    timer.stop()
-    write_manifest(out_dir, "synth", cfg, [], ["synthetic_flows.csv"],
-                   timer.timings)
+    with _command(args) as run, run.stage("synth"):
+        out = run_synth(run.out_dir, run.cfg)
+        run.artifacts.append("synthetic_flows.csv")
     print(f"wrote {out}")
     return EXIT_OK
 
@@ -303,52 +299,41 @@ def cmd_synth(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    cfg, out_dir = _config(args)
-    timer = StageTimer()
-    inputs: list[Path] = []
-    artifacts: list[str] = []
+    with _command(args) as run:
+        cfg, out_dir = run.cfg, run.out_dir
+        if cfg.packets_path:
+            run.inputs.append(_require_file(cfg.packets_path))
+            with run.stage("meter"):
+                flows = run_meter(run.inputs[0], out_dir, cfg.meter, cfg.meter_label)
+            run.artifacts.append("flows.csv")
+        elif cfg.flows_path:
+            run.inputs.append(_require_file(cfg.flows_path))
+            flows = run.inputs[0]
+        elif cfg.use_synth:
+            with run.stage("synth"):
+                flows = run_synth(out_dir, cfg)
+            run.artifacts.append("synthetic_flows.csv")
+        else:
+            raise UsageError("config must provide [input] packets, flows or synth")
 
-    if cfg.packets_path:
-        packets_path = _require_file(cfg.packets_path)
-        inputs.append(packets_path)
-        timer.start("meter")
-        flows = run_meter(packets_path, out_dir, cfg.meter, cfg.meter_label)
-        timer.stop()
-        artifacts.append("flows.csv")
-    elif cfg.flows_path:
-        flows = _require_file(cfg.flows_path)
-        inputs.append(flows)
-    elif cfg.use_synth:
-        timer.start("synth")
-        flows = run_synth(out_dir, cfg)
-        timer.stop()
-        artifacts.append("synthetic_flows.csv")
-    else:
-        raise UsageError("config must provide [input] packets, flows or synth")
+        with run.stage("select"):
+            written, *selected = run_select(flows, out_dir, cfg)  # [Dataset or None]
+        run.artifacts += written
 
-    timer.start("select")
-    written, *selected = run_select(flows, out_dir, cfg)  # [Dataset or None]
-    timer.stop()
-    artifacts += written
+        with run.stage("train"):
+            # pop() leaves run_train the only reference, so it frees the rows once split
+            trained = run_train(selected.pop() or _load_flows(out_dir / "selected.csv", cfg),
+                                out_dir, cfg, flows)
+        run.artifacts += trained
 
-    timer.start("train")
-    # pop() leaves run_train the only reference, so it frees the rows once split
-    trained = run_train(selected.pop() or _load_flows(out_dir / "selected.csv", cfg),
-                        out_dir, cfg, flows)
-    timer.stop()
-    artifacts += list(trained)
-
-    prefix = "CFS-" if cfg.select_enabled else ""
-    models = {prefix + column: trained[name] for name, column
-              in (("ann_model.txt", "ANN"), ("svm_model.txt", "SVM"))
-              if name in trained}
-    timer.start("eval")
-    run_eval(out_dir / "test.csv", out_dir, cfg, list(models.values()),
-             list(models), include_reference=args.reference)
-    timer.stop()
-    artifacts += ["report.txt", "report.csv"]
-
-    write_manifest(out_dir, "pipeline", cfg, inputs, artifacts, timer.timings)
+        prefix = "CFS-" if cfg.select_enabled else ""
+        models = {prefix + column: trained[name] for name, column
+                  in (("ann_model.txt", "ANN"), ("svm_model.txt", "SVM"))
+                  if name in trained}
+        with run.stage("eval"):
+            run_eval(out_dir / "test.csv", out_dir, cfg, list(models.values()),
+                     list(models), include_reference=args.reference)
+        run.artifacts += ["report.txt", "report.csv"]
     return EXIT_OK
 
 

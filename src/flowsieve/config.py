@@ -5,7 +5,6 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
-import time
 from dataclasses import dataclass, field, asdict, replace
 from pathlib import Path
 
@@ -223,24 +222,6 @@ def sha256_file(path) -> str:
         for chunk in iter(lambda: handle.read(1 << 16), b""):
             digest.update(chunk)
     return digest.hexdigest()
-
-
-class StageTimer:
-    """Collects wall-clock stage durations for the manifest."""
-
-    def __init__(self):
-        self.timings: dict[str, float] = {}
-        self._start: float | None = None
-        self._stage: str | None = None
-
-    def start(self, stage: str) -> None:
-        self._stage = stage
-        self._start = time.perf_counter()
-
-    def stop(self) -> None:
-        if self._stage is not None and self._start is not None:
-            self.timings[self._stage] = round(time.perf_counter() - self._start, 6)
-        self._stage = self._start = None
 
 
 def write_manifest(out_dir, command: str, cfg: PipelineConfig,

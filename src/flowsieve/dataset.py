@@ -87,7 +87,7 @@ class Dataset:
         names = list(names)
         missing = [n for n in names if n not in self.schema]
         if missing:
-            raise DataError(f"features not in dataset: {', '.join(missing)}")
+            raise DataError(f"missing model features: {', '.join(missing)}")
         cols = [self.schema.index(n) for n in names]
         return Dataset(tuple(names), self.X[:, cols], self.y)
 
@@ -353,6 +353,10 @@ class SyntheticSpec:
             raise ValueError("feature_names width mismatch")
 
 
+# The most cells default_synthetic_spec allows: 800 MB of float64.
+MAX_SYNTH_CELLS = 10**8
+
+
 def default_synthetic_spec(rows_per_class: int = 500,
                            class0_mean: tuple[float, ...] = (0.0, 0.0, 0.0, 0.0),
                            class1_mean: tuple[float, ...] = (4.0, 4.0, 4.0, 4.0),
@@ -369,6 +373,9 @@ def default_synthetic_spec(rows_per_class: int = 500,
     if m < 1 or duplicates < 0 or n_features > 10_000:  # keeps the spec buildable
         raise ValueError("need at least one mean, duplicates at least 0 and at "
                          "most 10000 columns")
+    if 2 * rows_per_class * n_features > MAX_SYNTH_CELLS:  # checked before numpy allocates
+        raise ValueError(f"2 x {rows_per_class} rows x {n_features} columns is "
+                         f"more than {MAX_SYNTH_CELLS} cells")
     return SyntheticSpec(
         class_means=(tuple(class0_mean), tuple(class1_mean)),
         rows_per_class=(rows_per_class, rows_per_class),

@@ -1,5 +1,8 @@
+import hashlib
 import json
 import re
+import subprocess
+import sys
 import weakref
 from ipaddress import IPv4Address
 from pathlib import Path
@@ -864,3 +867,120 @@ class TestNonUtf8Input:
         assert main(["select", str(path), "--out-dir", str(tmp_path / "out")]) == 3
         assert capsys.readouterr().err == (
             f"data error: {path}: line 100: not UTF-8 text\n")
+
+
+class TestManifestContract:
+    """What each command records: its name and seed, the inputs it read,
+    each artifact's format and digest, and the stages it timed."""
+
+    SELECTED = ["selected.csv", "selection.txt", "correlation_matrix.csv"]
+    TRAINED = ["ann_model.txt", "ann_history.csv", "test.csv"]
+    REPORTS = ["report.txt", "report.csv"]
+
+    @classmethod
+    def run_of(cls, command, tmp_path, packet_file, small_run):
+        """(argv, inputs, artifacts, stages) of one recorded command."""
+        if command == "meter":
+            return (["meter", str(packet_file), "--label", "Tor"], [packet_file],
+                    ["flows.csv"], {"meter"})
+        if command == "select":
+            flows = synth_csv(tmp_path)
+            return ["select", str(flows)], [flows], cls.SELECTED, {"select"}
+        if command == "train":
+            flows = synth_csv(tmp_path)
+            return (["train", str(flows), "--classifier", "both"], [flows],
+                    cls.TRAINED + ["svm_model.txt"], {"train"})
+        if command == "eval":
+            inputs = [small_run / name for name in
+                      ("test.csv", "ann_model.txt", "svm_model.txt")]
+            return (["eval", str(inputs[0]), "--model", str(inputs[1]),
+                     "--model", str(inputs[2])], inputs, cls.REPORTS, {"eval"})
+        if command == "synth":
+            return ["synth"], [], ["synthetic_flows.csv"], {"synth"}
+        cfg = tmp_path / "run.ini"
+        if command == "pipeline-flows":
+            flows = synth_csv(tmp_path)
+            cfg.write_text(f"[input]\nflows = {flows}\n[mlp]\nmax_epochs = 3\n")
+            return (["pipeline", "--config", str(cfg)], [flows],
+                    cls.SELECTED + cls.TRAINED + cls.REPORTS,
+                    {"select", "train", "eval"})
+        cfg.write_text(SMALL_RUN_INI)
+        return (["pipeline", "--config", str(cfg)], [],
+                ["synthetic_flows.csv"] + cls.SELECTED + cls.TRAINED
+                + ["svm_model.txt"] + cls.REPORTS,
+                {"synth", "select", "train", "eval"})
+
+    @pytest.mark.parametrize("command", ["meter", "select", "train", "eval", "synth",
+                                         "pipeline-flows", "pipeline-synth"])
+    def test_manifest(self, command, tmp_path, packet_file, small_run):
+        from flowsieve.config import ARTIFACT_FORMATS
+
+        def sha256(path):
+            return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+        argv, inputs, artifacts, stages = self.run_of(command, tmp_path,
+                                                      packet_file, small_run)
+        out_dir = tmp_path / "out"
+        assert main(argv + ["--seed", "5", "--out-dir", str(out_dir)]) == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["command"] == argv[0]
+        assert manifest["seed"] == 5
+        assert manifest["inputs"] == {str(p): sha256(p) for p in inputs}
+        assert manifest["artifacts"] == {
+            name: {"format": ARTIFACT_FORMATS[name], "sha256": sha256(out_dir / name)}
+            for name in artifacts}
+        assert set(manifest["timings_s"]) == stages
+
+    @pytest.mark.parametrize("command", ["meter", "select", "train", "eval-flows",
+                                         "eval-model"])
+    def test_missing_input_is_reported_before_the_config(self, command, tmp_path,
+                                                         capsys):
+        missing = tmp_path / "absent.csv"
+        present = tmp_path / "present.csv"
+        present.write_text("not read\n")
+        argv = {"meter": ["meter", str(missing), "--label", "Tor"],
+                "select": ["select", str(missing)],
+                "train": ["train", str(missing)],
+                "eval-flows": ["eval", str(missing), "--model", str(present)],
+                "eval-model": ["eval", str(present), "--model", str(missing)],
+                }[command]
+        out_dir = tmp_path / "out"
+        assert main(argv + ["--config", str(tmp_path / "absent.ini"),
+                            "--out-dir", str(out_dir)]) == 2
+        assert capsys.readouterr().err == f"error: input file not found: {missing}\n"
+        assert not out_dir.exists()
+
+
+# Runs a metering command and a pipeline that trains both models under
+# perfbench's tracer; prints the names of the spans it recorded.
+TRACED_RUN = """\
+import json, sys
+sys.path[:0] = [sys.argv[1] + "/perfbench", sys.argv[1] + "/src"]
+import tracing
+from flowsieve import cli
+tracer = tracing.Tracer(0)
+tracing.install(tracer)
+out = sys.argv[2]
+assert cli.main(["meter", sys.argv[3], "--label", "Tor", "--out-dir", out]) == 0
+assert cli.main(["pipeline", "--config", sys.argv[4], "--out-dir", out]) == 0
+print(json.dumps(sorted({span["name"] for span in tracer.spans})))
+"""
+
+
+def test_every_name_the_tracer_wraps_on_cli_is_called_through_cli(
+        tmp_path, packet_file, repo_root):
+    """perfbench's tracer replaces these `cli` globals; a call through a
+    reference taken at import time would skip its span without a word."""
+    install = (repo_root / "perfbench" / "tracing.py").read_text()
+    wrapped = dict(re.findall(r'\(cli, "(\w+)", "([\w.]+)"', install))
+    assert {"run_meter", "run_eval", "load_config", "write_manifest"} <= set(wrapped)
+    config = (repo_root / "configs" / "two_cluster.ini").read_text()
+    assert "classifier = ann\n" in config
+    cfg = tmp_path / "both.ini"
+    cfg.write_text(config.replace("classifier = ann\n", "classifier = both\n"))
+    run = subprocess.run(
+        [sys.executable, "-c", TRACED_RUN, str(repo_root), str(tmp_path / "out"),
+         str(packet_file), str(cfg)],
+        capture_output=True, text=True, check=True)
+    recorded = set(json.loads(run.stdout.splitlines()[-1]))
+    assert sorted(set(wrapped.values()) - recorded) == []

@@ -50,6 +50,7 @@ def inputs(tmp_path):
     (["meter", "{packets}", "--flow-timeout-us", "-1"], "[meter] flow_timeout_us"),
     (["synth", "--rows-per-class", "0"], "[synth] rows_per_class"),
     (["synth", "--rows-per-class", "-3"], "[synth] rows_per_class"),
+    (["synth", "--rows-per-class", "1000000000000000"], "[synth] rows_per_class"),
 ])
 def test_bad_flag_value_names_command_line_and_key(tmp_path, capsys, inputs,
                                                    argv, key):

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowsieve.dataset import (Dataset, Scaler, SplitSpec, SyntheticSpec,
-                               apply_scaler, default_synthetic_spec,
+from flowsieve.dataset import (MAX_SYNTH_CELLS, Dataset, Scaler, SplitSpec,
+                               SyntheticSpec, apply_scaler, default_synthetic_spec,
                                fit_scaler, generate_synthetic, load_flow_csv,
                                one_hot, stratified_split,
                                stratified_split_indices, write_csv)
@@ -363,6 +363,15 @@ class TestSynthetic:
         with pytest.raises(ValueError, match="one class mean for each of 2"):
             SyntheticSpec(class_means=tuple((float(c),) for c in range(n_classes)),
                           rows_per_class=(3,) * n_classes)
+
+    def test_default_spec_cell_bound(self):
+        # Only the spec is built: nothing of the table is allocated.
+        rows = MAX_SYNTH_CELLS // (2 * 28)
+        assert default_synthetic_spec(rows_per_class=rows).rows_per_class == (rows, rows)
+        with pytest.raises(ValueError, match=f"more than {MAX_SYNTH_CELLS} cells"):
+            default_synthetic_spec(rows_per_class=rows + 1)
+        with pytest.raises(ValueError, match="more than"):
+            default_synthetic_spec(rows_per_class=6_000, noise_features=9_000)
 
     def test_default_spec_shape(self):
         ds, roles = generate_synthetic(default_synthetic_spec(), seed=0)

@@ -1,6 +1,8 @@
-"""Every name a flowsieve module imports is referenced in that module."""
+"""Every name a flowsieve module imports is referenced in that module, and
+every name it defines at top level is referenced somewhere else."""
 
 import ast
+import re
 
 import pytest
 
@@ -34,3 +36,45 @@ def test_checker_flags_an_unused_name():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unreferenced(modules: dict[str, str], others: list[str]) -> list[str]:
+    """Top-level functions, classes and assigned names of each module
+    source in `modules` that no word of the corpus spells outside their
+    own definition. The corpus is every module and every text in `others`."""
+    unused = []
+    for module, source in modules.items():
+        lines = source.splitlines()
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            first = min([node.lineno] + [d.lineno for d in
+                                         getattr(node, "decorator_list", [])])
+            rest = "\n".join(lines[:first - 1] + lines[node.end_lineno:])
+            corpus = [rest] + [text for name, text in modules.items()
+                               if name != module] + others
+            unused += [f"{module}: {name}" for name in names
+                       if not any(re.search(rf"\b{name}\b", text) for text in corpus)]
+    return unused
+
+
+def test_checker_flags_an_unreferenced_definition():
+    modules = {"a.py": "LIMIT = 3\n\n\ndef used():\n    return LIMIT\n\n\n"
+                       "class Stale:\n    '''Stale, recursive.'''\n    Stale = 1\n",
+               "b.py": "from a import used\n"}
+    assert unreferenced(modules, []) == ["a.py: Stale"]
+    assert unreferenced(modules, ["Stale()"]) == []
+
+
+def test_every_definition_is_referenced():
+    modules = {path.name: path.read_text(encoding="utf-8")
+               for path in (REPO_ROOT / "src" / "flowsieve").glob("*.py")}
+    others = [path.read_text(encoding="utf-8")
+              for folder in ("tests", "scripts", "perfbench")
+              for path in (REPO_ROOT / folder).rglob("*.py")]
+    assert unreferenced(modules, others) == []
