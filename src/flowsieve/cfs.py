@@ -19,7 +19,8 @@ from .dataset import Dataset
 @dataclass(frozen=True)
 class CorrelationStats:
     """Absolute correlations: feature-vs-class vector and feature-vs-feature
-    matrix (symmetric, unit diagonal), computed on a training split."""
+    matrix (symmetric, unit diagonal). `select` computes them on every row
+    of the table it reads, before any split."""
 
     feature_class: np.ndarray  # (n,) |r|
     feature_feature: np.ndarray  # (n, n) |r|
@@ -48,42 +49,21 @@ class SearchConfig:
             raise ValueError("max_subset_size must be at least 1")
 
 
-def correlation(x, y) -> float:
-    """Pearson correlation; either column constant gives 0 by convention."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise ValueError(f"length mismatch: {x.shape} vs {y.shape}")
-    if len(x) < 2:
-        raise ValueError("need at least 2 observations")
-    xc = x - x.mean()
-    yc = y - y.mean()
-    sxx = float(xc @ xc)
-    syy = float(yc @ yc)
-    if sxx == 0.0 or syy == 0.0:
-        return 0.0
-    r = float(xc @ yc) / math.sqrt(sxx * syy)
-    return min(1.0, max(-1.0, r))
-
-
-def build_stats(train: Dataset) -> CorrelationStats:
-    """Absolute-correlation statistics over the training split."""
-    X = train.X
-    y = train.y.astype(np.float64)
-    n = X.shape[1]
-    feature_class = np.array(
-        [abs(correlation(X[:, j], y)) for j in range(n)])
-    xc = X - X.mean(axis=0)
-    norms = np.sqrt((xc * xc).sum(axis=0))
-    cross = xc.T @ xc
+def build_stats(table: Dataset) -> CorrelationStats:
+    """Absolute Pearson correlations from one centred matrix product, with
+    the class stacked on as the last column; a constant column gives 0."""
+    Z = np.column_stack([table.X, table.y.astype(np.float64)])
+    Z -= Z.mean(axis=0)
+    norms = np.sqrt((Z * Z).sum(axis=0))
+    cross = Z.T @ Z
     denom = np.outer(norms, norms)
     with np.errstate(invalid="ignore", divide="ignore"):
-        ff = np.where(denom > 0.0, cross / denom, 0.0)
-    ff = np.abs(np.clip(ff, -1.0, 1.0))
-    ff = np.triu(ff, 1)
+        r = np.where(denom > 0.0, cross / denom, 0.0)
+    r = np.abs(np.clip(r, -1.0, 1.0))
+    ff = np.triu(r[:-1, :-1], 1)
     ff = ff + ff.T  # force exact symmetry
     np.fill_diagonal(ff, 1.0)
-    return CorrelationStats(feature_class, ff)
+    return CorrelationStats(r[:-1, -1], ff)
 
 
 def merit(indices, stats: CorrelationStats) -> float:
@@ -102,47 +82,25 @@ def merit(indices, stats: CorrelationStats) -> float:
     return numerator / math.sqrt(denom_sq)
 
 
-def _better(candidate: tuple[tuple[int, ...], float],
-            incumbent: tuple[tuple[int, ...], float] | None) -> bool:
-    # Higher merit wins; ties go to the smaller, then lexicographically
-    # earlier, subset.
-    if incumbent is None:
-        return True
-    c_idx, c_merit = candidate
-    i_idx, i_merit = incumbent
-    return (-c_merit, len(c_idx), c_idx) < (-i_merit, len(i_idx), i_idx)
-
-
 def best_first_search(stats: CorrelationStats,
                       cfg: SearchConfig | None = None) -> FeatureSubset:
     """Forward best-first search over feature subsets.
 
-    The frontier is ordered by merit (ties: smaller subset, then
-    lexicographic indices); the best frontier node is expanded by all
-    single-feature additions. The search stops after max_stale_expansions
-    consecutive expansions that fail to improve the global best merit.
+    A node is (-merit, size, indices, path); the least node is the best
+    (higher merit, then smaller, then lexicographically earlier subset).
+    The heap pops the least frontier node and adds each feature to it; the
+    search stops after max_stale_expansions consecutive expansions that
+    fail to raise the best merit, and returns the least node seen.
     """
     cfg = cfg or SearchConfig()
     n = stats.n_features
-    frontier: list[tuple[float, int, tuple[int, ...], tuple[int, ...]]] = []
-    visited: set[tuple[int, ...]] = set()
-    best: tuple[tuple[int, ...], float] | None = None
-    best_path: tuple[int, ...] = ()
-
-    def evaluate(indices: tuple[int, ...], path: tuple[int, ...]) -> float:
-        score = merit(indices, stats)
-        heapq.heappush(frontier, (-score, len(indices), indices, path))
-        visited.add(indices)
-        return score
-
-    for f in range(n):
-        score = evaluate((f,), (f,))
-        if _better(((f,), score), best):
-            best = ((f,), score)
-            best_path = (f,)
+    frontier = [(-merit((f,), stats), 1, (f,), (f,)) for f in range(n)]
+    heapq.heapify(frontier)
+    visited = {(f,) for f in range(n)}
+    best = frontier[0]  # the heap's least node
     stale = 0
     while frontier and stale < cfg.max_stale_expansions:
-        neg_score, size, indices, path = heapq.heappop(frontier)
+        _, size, indices, path = heapq.heappop(frontier)
         if cfg.max_subset_size is not None and size >= cfg.max_subset_size:
             continue
         improved_any = False
@@ -152,15 +110,14 @@ def best_first_search(stats: CorrelationStats,
             child = tuple(sorted(indices + (f,)))
             if child in visited:
                 continue
-            score = evaluate(child, path + (f,))
-            if best is not None and score > best[1]:
-                improved_any = True
-            if _better((child, score), best):
-                best = (child, score)
-                best_path = path + (f,)
+            visited.add(child)
+            node = (-merit(child, stats), size + 1, child, path + (f,))
+            heapq.heappush(frontier, node)
+            improved_any = improved_any or node[0] < best[0]
+            best = min(best, node)
         stale = 0 if improved_any else stale + 1
-    assert best is not None
-    return FeatureSubset(indices=best[0], merit=best[1], path=best_path)
+    neg_merit, _, indices, path = best
+    return FeatureSubset(indices=indices, merit=-neg_merit, path=path)
 
 
 def merit_trajectory(subset: FeatureSubset,

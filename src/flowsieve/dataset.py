@@ -171,6 +171,8 @@ def load_flow_csv(path, bad_value_policy: str = "error") -> Dataset:
         if last.lower() != "label":
             raise DataError(f"{path}: last column must be 'label', got {last!r}")
         feature_names = tuple(header[:-1])
+        if not feature_names:
+            raise DataError(f"{path}: no feature columns before 'label'")
         unknown = [n for n in feature_names if n not in FEATURE_COLUMNS]
         if unknown:
             raise DataError(f"{path}: unknown feature columns: {', '.join(unknown)}")

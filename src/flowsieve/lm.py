@@ -8,7 +8,7 @@ J^T J and J^T r, never J itself, so it may build them without holding J.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -17,7 +17,6 @@ import numpy as np
 @dataclass
 class LmResult:
     theta: np.ndarray
-    cost_history: list[float] = field(default_factory=list)  # accepted steps
     reason: str = ""
     iterations: int = 0
 
@@ -77,7 +76,6 @@ def minimize_least_squares(
         if not accepted:
             break
         result.iterations = iteration + 1
-        result.cost_history.append(cost)
         if callback is not None and not callback(theta, cost):
             result.reason = "callback"
             break

@@ -145,19 +145,16 @@ def smo_train(X: np.ndarray, y_pm: np.ndarray, kernel: Kernel,
     )
 
 
-def train_ovr(X: np.ndarray, y: np.ndarray, kernel: Kernel | None = None,
-              cfg: SmoConfig | None = None) -> list[SvmModel]:
+def train_ovr(X: np.ndarray, y: np.ndarray, kernel: Kernel,
+              cfg: SmoConfig) -> list[SvmModel]:
     """The one binary model, Tor (class 1) trained +1 against NonTor, as a
     one-element list: the benchmark's tracer iterates the result to count
     support vectors."""
-    cfg = cfg or SmoConfig()
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
     for class_id, name in enumerate(CLASS_NAMES):
         if not (y == class_id).any():
             raise DataError(f"class {name} has no training examples")
-    if kernel is None:
-        kernel = Kernel("rbf", gamma=1.0 / X.shape[1])
     return [smo_train(X, np.where(y == 1, 1.0, -1.0), kernel, cfg)]
 
 

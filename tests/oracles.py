@@ -3,7 +3,8 @@
 Everything here is deliberately written from the definitions, on a different
 code path (numpy statistics, repeated filtering) than the production code,
 or is an implementation the production code replaced, kept as the reference
-it must match (the per-packet meter, the per-cell flow CSV reader).
+it must match (the per-packet meter, the per-cell flow CSV reader, the
+per-column Pearson correlation).
 """
 
 from __future__ import annotations
@@ -242,6 +243,37 @@ def reference_meter(packets, cfg=None) -> list[list[float]]:
 def packet_array(packets) -> np.ndarray:
     """Packet tuples as the (n, 7) int64 array read_packet_file returns."""
     return np.array(packets, dtype=np.int64).reshape(-1, 7)
+
+
+def correlation(x, y) -> float:
+    """Pearson correlation; either column constant gives 0 by convention."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.shape != y.shape:
+        raise ValueError(f"length mismatch: {x.shape} vs {y.shape}")
+    if len(x) < 2:
+        raise ValueError("need at least 2 observations")
+    xc = x - x.mean()
+    yc = y - y.mean()
+    sxx = float(xc @ xc)
+    syy = float(yc @ yc)
+    if sxx == 0.0 or syy == 0.0:
+        return 0.0
+    r = float(xc @ yc) / math.sqrt(sxx * syy)
+    return min(1.0, max(-1.0, r))
+
+
+def reference_stats(ds):
+    """CorrelationStats built pair by pair from correlation() above."""
+    from flowsieve.cfs import CorrelationStats
+
+    n = ds.n_features
+    rcf = np.array([abs(correlation(ds.X[:, j], ds.y)) for j in range(n)])
+    rff = np.eye(n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            rff[i, j] = rff[j, i] = abs(correlation(ds.X[:, i], ds.X[:, j]))
+    return CorrelationStats(rcf, rff)
 
 
 def direct_merit(indices, stats) -> float:

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowsieve.cfs import (CorrelationStats, SearchConfig, best_first_search,
-                           build_stats, correlation, merit, merit_trajectory)
+                           build_stats, merit, merit_trajectory)
+from flowsieve.config import load_config
 from flowsieve.dataset import Dataset, generate_synthetic
-from oracles import (direct_merit, exhaustive_search, random_realizable_stats,
-                     random_stats)
+from oracles import (correlation, direct_merit, exhaustive_search,
+                     random_realizable_stats, random_stats, reference_stats)
 
 
 def make_stats(rcf, rff=None) -> CorrelationStats:
@@ -69,6 +70,31 @@ class TestBuildStats:
         np.testing.assert_array_equal(np.diag(stats.feature_feature),
                                       np.ones(3))
         assert ((stats.feature_feature >= 0) & (stats.feature_feature <= 1)).all()
+
+    def test_matches_per_column_reference(self):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            rows = int(rng.integers(2, 200))
+            y = rng.integers(0, 2, rows)
+            scale = rng.uniform(0.1, 10.0, 6)
+            X = rng.normal(size=(rows, 6)) * scale + rng.normal(size=6) * scale
+            X[:, 1] = rng.normal()  # constant
+            X[:, 2] = y  # the class itself
+            X[:, 3] = X[:, 0]  # exact duplicate
+            ds = self._dataset(X, y)
+            got, ref = build_stats(ds), reference_stats(ds)
+            np.testing.assert_allclose(got.feature_class, ref.feature_class,
+                                       rtol=0, atol=1e-14)
+            np.testing.assert_allclose(got.feature_feature, ref.feature_feature,
+                                       rtol=0, atol=1e-14)
+
+    def test_selection_matches_per_column_reference(self, repo_root):
+        spec = load_config(str(repo_root / "configs" / "two_cluster.ini")).synth_spec
+        for seed in range(30):
+            ds, _ = generate_synthetic(spec, seed=seed)
+            got = best_first_search(build_stats(ds))
+            ref = best_first_search(reference_stats(ds))
+            assert (got.indices, got.path) == (ref.indices, ref.path), seed
 
 
 class TestMerit:

@@ -844,6 +844,19 @@ class TestDeclaredClasses:
         assert not (tmp_path / "out" / "flows.csv").exists()
 
 
+@pytest.mark.parametrize("argv", [["select"], ["select", "--disable"],
+                                  ["train"], ["train", "--classifier", "svm"]],
+                         ids=["select", "select-disable", "train", "train-svm"])
+def test_flow_csv_without_features_is_data_error(tmp_path, capsys, argv):
+    path = tmp_path / "labels_only.csv"
+    path.write_text("label\n" + "NonTor\nTor\n" * 4)
+    out_dir = tmp_path / "out"
+    assert main([argv[0], str(path), *argv[1:], "--out-dir", str(out_dir)]) == 3
+    assert capsys.readouterr().err == (
+        f"data error: {path}: no feature columns before 'label'\n")
+    assert not (out_dir / "selected.csv").exists()
+
+
 class TestNonUtf8Input:
     """A byte that is not UTF-8 is a data error naming the file and the
     line, also past the reader's first decoded chunk."""

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from flowsieve import modelfile, svm
+from flowsieve.config import PipelineConfig, make_kernel
 from flowsieve.dataset import Scaler
 from flowsieve.errors import DataError
 from flowsieve.svm import (Kernel, SmoConfig, SvmModel, decision_values,
@@ -259,9 +260,8 @@ class TestTrainOvr:
         assert (predict_batch(models[0], ds.X) == ds.y).mean() >= 0.99
 
     def test_default_kernel_gamma(self, two_cluster_dataset):
-        ds = two_cluster_dataset
-        [model] = train_ovr(ds.X, ds.y, None, SmoConfig())
-        assert model.kernel.gamma == pytest.approx(1.0 / ds.n_features)
+        n = two_cluster_dataset.n_features
+        assert make_kernel(PipelineConfig(), n).gamma == 1.0 / n
 
     @pytest.mark.parametrize("kernel", [Kernel("rbf", gamma=0.5),
                                         Kernel("linear")])
