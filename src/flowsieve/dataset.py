@@ -4,14 +4,13 @@ from __future__ import annotations
 
 import csv
 import math
-from array import array
 from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
 
 from .errors import DataError, open_text
-from .flow_meter import FEATURE_COLUMNS, format_cells, parse_ipv4
+from .flow_meter import FEATURE_COLUMNS, c_parse, format_cells, parse_ipv4
 
 # The two classes of the study; a class id is its index here.
 CLASS_NAMES = ("NonTor", "Tor")
@@ -68,6 +67,8 @@ class Dataset:
             raise ValueError("feature matrix and labels disagree on N")
         if self.X.shape[1] != len(self.schema):
             raise ValueError("schema width does not match feature matrix")
+        if self.X.shape[1] == 0:
+            raise DataError("dataset has no feature columns")
         if self.X.shape[0] < 1:
             raise DataError("dataset has no examples")
 
@@ -93,32 +94,7 @@ class Dataset:
 
 
 def _normalize_header(cells: list[str]) -> list[str]:
-    names = []
-    for cell in cells:
-        cell = cell.strip()
-        names.append(UNB_CIC_ALIASES.get(cell, cell))
-    return names
-
-
-def _row_floats(cells: list[str], ip_cols: list[int]) -> list[float] | None:
-    """A row's feature cells as floats, or None if float() rejects one.
-
-    Dotted-quad cells in IP columns count as their address. float() skips
-    the whitespace strip() removes, except U+001C-U+001F, so a row this
-    takes whole with a finite sum has the values _parse_cells would give it.
-    """
-    try:
-        return list(map(float, cells))
-    except ValueError:
-        pass
-    for i in ip_cols:
-        address = parse_ipv4(cells[i])
-        if address is not None:
-            cells[i] = address
-    try:
-        return list(map(float, cells))
-    except ValueError:
-        return None
+    return [UNB_CIC_ALIASES.get(cell.strip(), cell.strip()) for cell in cells]
 
 
 def _parse_cells(path, row_number: int, feature_names: tuple[str, ...],
@@ -150,6 +126,58 @@ def _parse_cells(path, row_number: int, feature_names: tuple[str, ...],
     return values
 
 
+def _ip_cell(text: str) -> float:
+    """c_parse's IP-column converter: a number or a dotted quad, or float(None) fails."""
+    try:
+        return float(text)
+    except ValueError:
+        return float(parse_ipv4(text))
+
+
+def _read_rows(path, reader, feature_names: tuple[str, ...],
+               bad_value_policy: str) -> tuple[np.ndarray, list[int], int]:
+    """The rows left in `reader`, each checked by _parse_cells: (the kept rows'
+    features, their labels, rows dropped). A bad row raises DataError naming it."""
+    labels: list[int] = []
+    dropped = 0
+
+    def kept_rows():
+        nonlocal dropped
+        for row_number, cells in enumerate(reader, start=2):
+            if not cells:
+                continue
+            if len(cells) != len(feature_names) + 1:
+                raise DataError(f"{path}: expected {len(feature_names) + 1} "
+                                f"columns at row {row_number}, got {len(cells)}")
+            values = _parse_cells(path, row_number, feature_names, cells,
+                                  bad_value_policy)
+            if values is None:
+                dropped += 1
+                continue
+            raw_label = cells[-1].strip()
+            label_id = LABEL_TO_ID.get(raw_label.lower())
+            if label_id is None:
+                raise DataError(
+                    f"{path}: row {row_number}: unknown label {raw_label!r}")
+            labels.append(label_id)
+            yield values
+
+    X = np.fromiter(kept_rows(), np.dtype((np.float64, len(feature_names))))
+    return X, labels, dropped
+
+
+def _front_cells(table: np.ndarray, keep: np.ndarray, width: int) -> np.ndarray:
+    """A C-contiguous table cut in place, with no second table, to its `keep`
+    rows and first `width` columns: they move block by block to its front."""
+    kept = 0
+    for start in range(0, len(table), 4096):
+        block = table[start:start + 4096][keep[start:start + 4096], :width].ravel()
+        table.reshape(-1)[kept * width:kept * width + block.size] = block
+        kept += block.size // width
+    table.resize((kept, width), refcheck=False)  # no view of it is left
+    return table
+
+
 def load_flow_csv(path, bad_value_policy: str = "error") -> Dataset:
     """Load a labeled flow CSV into a Dataset.
 
@@ -158,6 +186,9 @@ def load_flow_csv(path, bad_value_policy: str = "error") -> Dataset:
     bad_value_policy controls rows with non-finite cells: "error" (default)
     or "drop" (skip the row and count it in Dataset.dropped; the published
     dataset contains Infinity rates).
+
+    numpy's C reader parses the rows. A file it rejects, or with a non-finite
+    cell under "error", is read again row by row, as csv and float() read it.
     """
     if bad_value_policy not in BAD_VALUE_POLICIES:
         raise ValueError(f"unknown bad_value_policy {bad_value_policy!r}")
@@ -178,38 +209,25 @@ def load_flow_csv(path, bad_value_policy: str = "error") -> Dataset:
             raise DataError(f"{path}: unknown feature columns: {', '.join(unknown)}")
         if len(set(feature_names)) != len(feature_names):
             raise DataError(f"{path}: duplicate feature columns")
-        width = len(header)
-        ip_cols = [i for i, name in enumerate(feature_names)
-                   if name in _IP_COLUMNS]
-        values_read = array("d")  # every kept row's floats, row after row
-        labels: list[int] = []
-        dropped = 0
-        for row_number, cells in enumerate(reader, start=2):
-            if not cells:
-                continue
-            if len(cells) != width:
-                raise DataError(
-                    f"{path}: expected {width} columns at row {row_number}, "
-                    f"got {len(cells)}")
-            values = _row_floats(cells[:-1], ip_cols)
-            if values is None or not math.isfinite(sum(values)):
-                values = _parse_cells(path, row_number, feature_names, cells,
-                                      bad_value_policy)
-                if values is None:
-                    dropped += 1
-                    continue
-            raw_label = cells[-1].strip()
-            label_id = LABEL_TO_ID.get(raw_label.lower())
-            if label_id is None:
-                raise DataError(
-                    f"{path}: row {row_number}: unknown label {raw_label!r}")
-            values_read.extend(values)
-            labels.append(label_id)
-    if not labels:
+        n = len(feature_names)
+        converters = {i: _ip_cell for i, name in enumerate(feature_names)
+                      if name in _IP_COLUMNS}
+        converters[n] = lambda text: LABEL_TO_ID[text.strip().lower()]
+        table = c_parse(handle, np.float64, converters)
+        finite = (np.isfinite(table).all(axis=1)
+                  if table is not None and table.shape[1] == n + 1 else None)
+        if finite is None or (bad_value_policy == "error" and not finite.all()):
+            handle.seek(0)
+            next(reader)
+            X, labels, dropped = _read_rows(path, reader, feature_names,
+                                            bad_value_policy)
+        else:
+            labels = table[finite, n].astype(np.int64)
+            dropped = len(table) - len(labels)
+            X = _front_cells(table, finite, n)
+    if not len(labels):
         raise DataError(f"{path}: no data rows")
-    X = np.frombuffer(values_read, np.float64).reshape(len(labels),
-                                                       len(feature_names))
-    return Dataset(feature_names, X, np.array(labels, dtype=np.int64),
+    return Dataset(feature_names, X, np.asarray(labels, dtype=np.int64),
                    dropped=dropped)
 
 

@@ -177,15 +177,6 @@ def _record(fields: list[str], line_number: int,
                                         protocol, payload))
 
 
-def parse_packet_record(row: str, line_number: int = 0) -> PacketRecord:
-    """Parse one comma-separated packet record.
-
-    Expected fields: timestamp_us, src_ip, src_port, dst_ip, dst_port,
-    protocol, bytes. Raises ParseError naming the offending field and line.
-    """
-    return _record(row.split(","), line_number, {})
-
-
 def _is_header(line: str) -> bool:
     """A first line whose first field is not an integer is a header."""
     if line.isspace():
@@ -218,9 +209,23 @@ def _read_records(path) -> list[PacketRecord]:
     return records
 
 
+def c_parse(handle, dtype, converters) -> np.ndarray | None:
+    """The comma-separated lines left in `handle` as an (n, k) array from
+    numpy's C reader, or None when a cell fails, a converter raises or numpy
+    warns (as it does on no rows). A UnicodeDecodeError is caught too: the
+    caller's per-line reader decides which error a file with several reports."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return np.loadtxt(handle, delimiter=",", dtype=dtype, comments=None,
+                              ndmin=2, converters=converters)
+        except (ValueError, Warning):
+            return None
+
+
 def _load_columns(path) -> np.ndarray | None:
-    """The records of a packet file parsed by numpy's C reader, or None when
-    numpy rejects the text or a record fails a check _record makes.
+    """The records of a packet file parsed by c_parse, or None when c_parse
+    rejects the text or a record fails a check _record makes.
 
     numpy accepts a subset of what _read_records accepts: it rejects, for
     example, blank lines that hold spaces, `1_000` and non-ASCII digits.
@@ -231,20 +236,14 @@ def _load_columns(path) -> np.ndarray | None:
         value = ips.get(text)
         return _parse_ip(text, "ip", 0, ips) if value is None else value
 
-    with open_text(path) as handle, warnings.catch_warnings():
-        # An empty input warns; any warning sends the file to the per-line reader.
-        warnings.simplefilter("error")
+    with open_text(path) as handle:
         try:
             if not _is_header(handle.readline()):
                 handle.seek(0)
-            packets = np.loadtxt(handle, delimiter=",", dtype=np.int64,
-                                 comments=None, ndmin=2,
-                                 converters={1: ip, 3: ip})
-        except (ValueError, Warning):
-            # Also a UnicodeDecodeError, caught here so that the per-line
-            # reader decides which error a file with several reports.
+        except UnicodeDecodeError:  # left to the per-line reader
             return None
-    if packets.shape[1] != len(PacketRecord._fields):
+        packets = c_parse(handle, np.int64, {1: ip, 3: ip})
+    if packets is None or packets.shape[1] != len(PacketRecord._fields):
         return None
     ts, ports, protocol, size = packets[:, 0], packets[:, 2:5:2], packets[:, 5], packets[:, 6]
     valid = (np.all((ts >= 0) & (ts < TIMESTAMP_LIMIT)) and np.all(ts[1:] >= ts[:-1])
@@ -262,8 +261,7 @@ def read_packet_file(path) -> np.ndarray:
     naming the first bad line."""
     packets = _load_columns(path)
     if packets is None:
-        packets = np.array(_read_records(path), dtype=np.int64).reshape(
-            -1, len(PacketRecord._fields))
+        packets = np.array(_read_records(path), dtype=np.int64).reshape(-1, 7)
     return packets
 
 

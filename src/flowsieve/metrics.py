@@ -11,6 +11,8 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Sequence
 
+import numpy as np
+
 UNDEFINED_CELL = "-"
 
 # Report rows, in presentation order. Class 1 = Tor, class 0 = NonTor.
@@ -66,19 +68,12 @@ def confusion(predictions: Sequence[int], labels: Sequence[int],
         raise ValueError(f"length mismatch: {len(predictions)} vs {len(labels)}")
     if len(labels) == 0:
         raise ValueError("need at least one example")
-    tp = tn = fp = fn = 0
-    for pred, label in zip(predictions, labels):
-        pred_pos = pred == positive_class
-        label_pos = label == positive_class
-        if pred_pos and label_pos:
-            tp += 1
-        elif pred_pos:
-            fp += 1
-        elif label_pos:
-            fn += 1
-        else:
-            tn += 1
-    return ConfusionMatrix(tp=tp, tn=tn, fp=fp, fn=fn)
+    pred_pos = np.asarray(predictions) == positive_class
+    label_pos = np.asarray(labels) == positive_class
+    tp = int(np.count_nonzero(pred_pos & label_pos))
+    fp = int(np.count_nonzero(pred_pos)) - tp
+    fn = int(np.count_nonzero(label_pos)) - tp
+    return ConfusionMatrix(tp=tp, tn=len(labels) - tp - fp - fn, fp=fp, fn=fn)
 
 
 def _ratio(num: int, den: int) -> float | None:

@@ -64,14 +64,10 @@ class SvmModel:
     coefficients: np.ndarray  # (m,) alpha_i * y_i, signed
     bias: float
     converged: bool = True
-    weights: np.ndarray | None = None  # materialized for linear kernels
 
 
 def decision_values(model: SvmModel, X: np.ndarray) -> np.ndarray:
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if model.kernel.kind == "linear" and model.weights is not None:
-        return X @ model.weights + model.bias
-    gram = kernel_matrix(model.kernel, X, model.support_vectors)
+    gram = kernel_matrix(model.kernel, np.atleast_2d(X), model.support_vectors)
     return gram @ model.coefficients + model.bias
 
 
@@ -131,17 +127,12 @@ def smo_train(X: np.ndarray, y_pm: np.ndarray, kernel: Kernel,
     free = [t for t in pair if 0.0 < alphas[t] < c]
     bias = float(v[free[0]] if free else 0.5 * (v_max + v_min))
     support = np.flatnonzero(alphas > 1e-12)
-    coefficients = alphas[support] * y[support]
-    weights = None
-    if kernel.kind == "linear":
-        weights = X[support].T @ coefficients if len(support) else np.zeros(X.shape[1])
     return SvmModel(
         kernel=kernel, C=c,
         support_vectors=X[support].copy(),
-        coefficients=coefficients,
+        coefficients=alphas[support] * y[support],
         bias=bias,
         converged=converged,
-        weights=weights,
     )
 
 
@@ -197,9 +188,7 @@ def read_body(doc: modelfile.ModelFile) -> SvmModel:
     doc.keyed("end")
     doc.end("the 'end' line")
     table = np.array(rows).reshape(len(rows), 1 + width)
-    coefficients, support = table[:, 0].copy(), table[:, 1:].copy()
     return SvmModel(
-        kernel=kernel, C=c_value, support_vectors=support,
-        coefficients=coefficients, bias=bias, converged=converged,
-        weights=support.T @ coefficients if kernel.kind == "linear" else None)
+        kernel=kernel, C=c_value, support_vectors=table[:, 1:].copy(),
+        coefficients=table[:, 0].copy(), bias=bias, converged=converged)
 

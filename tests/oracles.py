@@ -522,11 +522,23 @@ def random_trace(rng: np.random.Generator, max_packets: int = 50):
     return packets
 
 
+def parse_packet_record(row: str, line_number: int = 0):
+    """Parse one comma-separated packet record with the reader's own field
+    checks, flowsieve.flow_meter._record.
+
+    Expected fields: timestamp_us, src_ip, src_port, dst_ip, dst_port,
+    protocol, bytes. Raises ParseError naming the offending field and line.
+    """
+    from flowsieve.flow_meter import _record
+
+    return _record(row.split(","), line_number, {})
+
+
 def oracle_packet_record(row: str, line_number: int = 0) -> tuple:
     """Parse one packet record with the standard library's IPv4 parser.
 
     Mirrors the documented field checks, in field order, with the same
-    ParseError messages as flowsieve.flow_meter.parse_packet_record.
+    ParseError messages as parse_packet_record.
     """
     import ipaddress
 
@@ -607,6 +619,7 @@ def oracle_load_flow_csv(path, bad_value_policy: str = "error"):
             raise DataError(f"{path}: duplicate feature columns")
         width = len(header)
         rows, labels = [], []
+        dropped = 0
         for row_number, cells in enumerate(reader, start=2):
             if not cells:
                 continue
@@ -637,6 +650,7 @@ def oracle_load_flow_csv(path, bad_value_policy: str = "error"):
                         f"non-finite value {cell!r}")
                 values.append(value)
             if bad:
+                dropped += 1
                 continue
             raw_label = cells[-1].strip()
             label_id = LABEL_TO_ID.get(raw_label.lower())
@@ -648,7 +662,7 @@ def oracle_load_flow_csv(path, bad_value_policy: str = "error"):
     if not rows:
         raise DataError(f"{path}: no data rows")
     return Dataset(feature_names, np.array(rows, dtype=np.float64),
-                   np.array(labels, dtype=np.int64))
+                   np.array(labels, dtype=np.int64), dropped=dropped)
 
 
 def oracle_write_csv(ds, path) -> None:

@@ -111,7 +111,7 @@ class TestMeter:
         assert lines[0].split(",") == list(FEATURE_COLUMNS) + ["label"]
         assert all(len(l.split(",")) == 29 for l in lines[1:])
 
-        from flowsieve.flow_meter import parse_packet_record
+        from oracles import parse_packet_record
         packets = [parse_packet_record(l, i + 1)
                    for i, l in enumerate(TEN_PACKETS.splitlines())]
         cfg = MeterConfig()

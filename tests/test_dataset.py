@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowsieve.dataset import (MAX_SYNTH_CELLS, Dataset, Scaler, SplitSpec,
-                               SyntheticSpec, apply_scaler, default_synthetic_spec,
+from flowsieve.dataset import (CLASS_NAMES, MAX_SYNTH_CELLS, Dataset, Scaler,
+                               SplitSpec, SyntheticSpec, apply_scaler,
+                               default_synthetic_spec,
                                fit_scaler, generate_synthetic, load_flow_csv,
                                one_hot, stratified_split,
                                stratified_split_indices, write_csv)
@@ -111,7 +112,23 @@ class TestLoad:
             tracemalloc.stop()
         nbytes = loaded.X.nbytes
         assert loaded.X.flags.c_contiguous and loaded.X.flags.writeable
+        np.testing.assert_array_equal(
+            loaded.X, np.loadtxt(path, delimiter=",", skiprows=1, usecols=range(28)))
         assert peak < 2 * nbytes + 2 * 2 ** 20, (peak, nbytes)
+
+    def test_drop_across_blocks_matches_reference(self, tmp_path):
+        rng = np.random.default_rng(6)
+        X = rng.normal(size=(9000, 4))
+        X[::7, 1] = np.inf
+        X[3::11, 3] = np.nan
+        path = make_flow_csv(tmp_path, [
+            ",".join(map(repr, row)) + "," + CLASS_NAMES[label]
+            for row, label in zip(X.tolist(), rng.integers(0, 2, 9000).tolist())],
+            header=",".join(_CODEC_SCHEMA + ("label",)))
+        ds = load_flow_csv(path, "drop")
+        assert ds.X.flags.c_contiguous and ds.dropped > 1000
+        assert (_load_outcome(load_flow_csv, path, "drop")
+                == _load_outcome(oracle_load_flow_csv, path, "drop"))
 
     def test_reduced_csv_roundtrip(self, tmp_path):
         ds = Dataset(("src_port", "idle_max"),
@@ -142,26 +159,47 @@ _LABELS = st.sampled_from(["Tor", "NonTor", " tor ", "NONTOR", "Mystery"])
 _CODEC_SCHEMA = ("src_ip", "flow_duration", "dst_ip", "idle_min")
 
 
+# Whole-line changes: the row as it stands (most often), quoted cells, a
+# `#`, a blank or whitespace-only line before it, a trailing comma, or a
+# dotted quad in a column that is not an IP column.
+_LINE_CHANGES = st.sampled_from(["none"] * 8 + ["quote", "comment", "blank",
+                                                "spaces", "comma", "dotted"])
+
+
+def _changed_lines(cells, label, change):
+    if change == "dotted":
+        cells = [cells[0], "10.0.0.1"] + cells[2:]
+    line = ",".join(cells + [label])
+    if change == "quote":
+        line = ",".join(f'"{cell}"' for cell in cells + [label])
+    return {"comment": ["#" + line], "blank": ["", line], "spaces": [" \t", line],
+            "comma": [line + ","]}.get(change, [line])
+
+
 def _load_outcome(load, path, policy):
     try:
         ds = load(path, policy)
     except DataError as exc:
         return str(exc)
-    return ds.schema, ds.X.tobytes(), ds.y.tolist()
+    return ds.schema, ds.X.tobytes(), ds.y.tolist(), ds.dropped
 
 
 class TestCsvCodecMatchesReference:
     """The bulk reader and writer against the per-cell reference versions."""
 
     @given(rows=st.lists(st.tuples(st.lists(_CELLS, min_size=4, max_size=4),
-                                   _LABELS), min_size=1, max_size=6),
-           policy=st.sampled_from(["error", "drop"]))
-    @settings(max_examples=200, deadline=None)
-    def test_reader_matches(self, tmp_path_factory, rows, policy):
+                                   _LABELS, _LINE_CHANGES), min_size=1, max_size=6),
+           policy=st.sampled_from(["error", "drop"]),
+           newline=st.sampled_from(["\n", "\r\n", "\r"]), last_newline=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_reader_matches(self, tmp_path_factory, rows, policy, newline,
+                            last_newline):
         lines = [",".join(_CODEC_SCHEMA + ("label",))]
-        lines += [",".join(cells + [label]) for cells, label in rows]
+        for cells, label, change in rows:
+            lines += _changed_lines(cells, label, change)
         path = tmp_path_factory.mktemp("codec") / "flows.csv"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        path.write_text(newline.join(lines) + newline * last_newline,
+                        encoding="utf-8", newline="")
         assert (_load_outcome(load_flow_csv, path, policy)
                 == _load_outcome(oracle_load_flow_csv, path, policy))
 
@@ -385,3 +423,8 @@ class TestSynthetic:
 def test_one_hot():
     out = one_hot(np.array([0, 1, 1]))
     np.testing.assert_array_equal(out, [[1, 0], [0, 1], [0, 1]])
+
+
+def test_no_feature_columns_is_data_error():
+    with pytest.raises(DataError, match="dataset has no feature columns"):
+        Dataset((), np.zeros((4, 0)), np.array([0, 1, 0, 1]))

@@ -7,18 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowsieve import dataset
 from flowsieve.errors import DataError
 from flowsieve.flow_meter import (FEATURE_COLUMNS, MeterConfig, PacketRecord,
                                   ParseError, _load_columns, _read_records,
                                   assemble_flows, compute_features,
-                                  meter_packets, parse_ipv4,
-                                  parse_packet_record, read_packet_file,
+                                  meter_packets, parse_ipv4, read_packet_file,
                                   write_flow_csv)
 from conftest import assert_close
 from oracles import (FlowKey, FourStats, accumulate_flows, oracle_features,
                      oracle_flows, oracle_key, oracle_packet_record,
-                     packet_array, random_trace, reference_meter,
-                     segment_active_idle, stats_summary)
+                     packet_array, parse_packet_record, random_trace,
+                     reference_meter, segment_active_idle, stats_summary)
 
 
 def ip(text: str) -> int:
@@ -587,7 +587,8 @@ def packet_files(draw) -> bytes:
 class TestReaderPaths:
     """numpy's reader and the per-line reader agree: the fast path accepts
     only files the per-line reader accepts, with the same records, and
-    read_packet_file gives the per-line reader's records or error text."""
+    read_packet_file gives the per-line reader's records or error text.
+    A plain file, packet records or flow CSV, takes the fast path."""
 
     @staticmethod
     def assert_readers_agree(path):
@@ -626,6 +627,18 @@ class TestReaderPaths:
         path.write_text(HEADER + "\n" + ",".join(RECORD) + "\n")
         assert _load_columns(path).tolist() == [[1000, ip("10.0.0.1"), 443,
                                                  ip("10.0.0.2"), 80, 6, 60]]
+
+    def test_plain_flow_csv_takes_the_fast_path(self, tmp_path, monkeypatch):
+        def per_row(*args):
+            raise AssertionError("read row by row")
+
+        monkeypatch.setattr(dataset, "_parse_cells", per_row)
+        path = tmp_path / "flows.csv"
+        path.write_text("src_ip,dst_ip,idle_min,label\n10.0.0.1,167772162,1.5,Tor\n"
+                        "1,2,Infinity, nontor\n3,4,5,NonTor\n")
+        ds = dataset.load_flow_csv(path, "drop")
+        assert ds.X.tolist() == [[ip("10.0.0.1"), 167772162, 1.5], [3, 4, 5]]
+        assert (ds.y.tolist(), ds.dropped) == ([1, 0], 1)
 
     @pytest.mark.parametrize("text", ["", "\n\n", HEADER + "\n", " \n"])
     def test_no_records_and_no_warning(self, tmp_path, text):

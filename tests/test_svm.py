@@ -181,25 +181,12 @@ class TestDecision:
         # w = (1,-1) as two unit support vectors with signed coefficients.
         return SvmModel(kernel=Kernel("linear"), C=1.0,
                         support_vectors=np.array([[1.0, 0.0], [0.0, 1.0]]),
-                        coefficients=np.array([w[0], w[1]]),
-                        bias=b, weights=np.array(w, dtype=float))
+                        coefficients=np.array([w[0], w[1]]), bias=b)
 
     def test_linear_arithmetic(self):
         model = self.linear_model([1.0, -1.0], 0.0)
         assert decision_value(model, np.array([3.0, 1.0])) == 2.0
-
-    def test_weight_path_equals_sv_path(self):
-        X, y = separable_2d(seed=5)
-        model = smo_train(X, y, Kernel("linear"), SmoConfig(C=10.0))
-        rng = np.random.default_rng(6)
-        for _ in range(20):
-            x = rng.normal(size=2)
-            via_w = float(model.weights @ x + model.bias)
-            sv_model = SvmModel(kernel=model.kernel, C=model.C,
-                                support_vectors=model.support_vectors,
-                                coefficients=model.coefficients,
-                                bias=model.bias, weights=None)
-            assert abs(via_w - decision_value(sv_model, x)) <= 1e-9
+        assert decision_values(model, np.array([3.0, 1.0])).tolist() == [2.0]
 
     def test_margin_support_vectors_on_unit_margin(self):
         X, y = separable_2d(seed=7)
@@ -221,8 +208,7 @@ class TestPredict:
     def constant_model(bias):
         return SvmModel(kernel=Kernel("linear"), C=1.0,
                         support_vectors=np.zeros((0, 2)),
-                        coefficients=np.zeros(0), bias=bias,
-                        weights=np.zeros(2))
+                        coefficients=np.zeros(0), bias=bias)
 
     def test_argmax(self):
         points = np.zeros((3, 2))
@@ -368,4 +354,9 @@ class TestSerialization:
         path = tmp_path / "svm.txt"
         save_models(path, model, ("a", "b"))
         restored, _ = load_model(path)
-        np.testing.assert_allclose(restored.weights, model.weights, rtol=1e-15)
+        np.testing.assert_array_equal(restored.coefficients, model.coefficients)
+        np.testing.assert_array_equal(restored.support_vectors,
+                                      model.support_vectors)
+        np.testing.assert_array_equal(
+            restored.support_vectors.T @ restored.coefficients,
+            model.support_vectors.T @ model.coefficients)
