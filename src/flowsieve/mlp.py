@@ -94,7 +94,8 @@ class TrainHistory:
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     """Logistic function; exp is taken of -|z| only, so it cannot overflow."""
     e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    denominator = 1.0 + e
+    return np.where(z >= 0, 1.0 / denominator, e / denominator)
 
 
 def init_model(n_inputs: int, n_hidden: int, seed: int = 0,
@@ -130,21 +131,25 @@ def loss(model: MlpModel, X: np.ndarray, T: np.ndarray) -> float:
     return 0.5 * float(((Y - T) ** 2).sum(axis=1).mean())
 
 
-def gradient(model: MlpModel, X: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """Analytic gradient of loss(), laid out as theta."""
+def gradient(model: MlpModel, X: np.ndarray, T: np.ndarray,
+             out: tuple[np.ndarray, tuple[np.ndarray, ...]] | None = None) -> np.ndarray:
+    """Analytic gradient of loss(), laid out as theta. Given `out`, a flat
+    vector and its _split views, it is written there and that vector is
+    returned. Each mean is np.add.reduce / n, as ndarray.mean computes it."""
     if len(X) == 0:
         raise ValueError("empty batch")
     n = len(X)
     A, Y = forward(model, X)
-    grad = np.empty(model.n_parameters)
-    d_w1, d_b1, d_w2, d_b2 = _split(grad, model.n_inputs, model.n_hidden,
-                                    model.n_outputs)
+    if out is None:
+        grad = np.empty(model.n_parameters)
+        out = grad, _split(grad, model.n_inputs, model.n_hidden, model.n_outputs)
+    grad, (d_w1, d_b1, d_w2, d_b2) = out
     delta_out = (Y - T) * Y * (1.0 - Y)  # (N, o)
-    d_w2[:] = delta_out.T @ A / n
-    d_b2[:] = delta_out.mean(axis=0)
+    np.divide(delta_out.T @ A, n, out=d_w2)
+    np.divide(np.add.reduce(delta_out, axis=0), n, out=d_b2)
     delta_hidden = (delta_out @ model.w2) * (1.0 - A ** 2)  # (N, h)
-    d_w1[:] = delta_hidden.T @ X / n
-    d_b1[:] = delta_hidden.mean(axis=0)
+    np.divide(delta_hidden.T @ X, n, out=d_w1)
+    np.divide(np.add.reduce(delta_hidden, axis=0), n, out=d_b1)
     return grad
 
 
@@ -244,11 +249,15 @@ def train_bp(model: MlpModel, X: np.ndarray, T: np.ndarray,
     tracker = _BestEpoch(model, X_val, T_val, cfg.patience)
     model = model.copy()
     rng = np.random.default_rng(cfg.seed)
+    grad, step = np.empty(model.n_parameters), np.empty(model.n_parameters)
+    out = grad, _split(grad, model.n_inputs, model.n_hidden, model.n_outputs)
     for _ in range(cfg.max_epochs):
         order = rng.permutation(len(X))
+        X_epoch, T_epoch = X[order], T[order]  # each batch is then a contiguous slice
         for start in range(0, len(X), cfg.batch_size):
-            batch = order[start:start + cfg.batch_size]
-            model.theta -= cfg.learning_rate * gradient(model, X[batch], T[batch])
+            batch = slice(start, start + cfg.batch_size)
+            gradient(model, X_epoch[batch], T_epoch[batch], out)
+            model.theta -= np.multiply(cfg.learning_rate, grad, out=step)
         if not tracker.keep_going(model, loss(model, X, T)):
             tracker.history.stopping_reason = "early_stop"
             break

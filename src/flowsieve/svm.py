@@ -4,8 +4,10 @@ second-order working-set selection (WSS2: Fan, Chen & Lin, JMLR 6, 2005).
 One dual problem is solved with internal labels +1/-1. Each step picks the
 maximal violating index i, then the partner j with the largest second-order
 gain, and moves the pair in closed form inside the box. Kernel rows are
-computed when a pair needs them; no Gram matrix is stored. Tor (class 1)
-is the +1 side: a row is predicted Tor where its decision value is > 0.
+computed when a pair needs them; no Gram matrix is stored. The rbf squared
+row norms those rows expand over are computed once per solve, and the
+working sets are updated at the pair only. Tor (class 1) is the +1 side: a
+row is predicted Tor where its decision value is > 0.
 """
 
 from __future__ import annotations
@@ -32,12 +34,18 @@ class Kernel:
                 raise ValueError("rbf kernel needs finite gamma > 0")
 
 
-def kernel_matrix(kernel: Kernel, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
+def kernel_matrix(kernel: Kernel, X: np.ndarray, Z: np.ndarray,
+                  z_norms: np.ndarray | None = None) -> np.ndarray:
+    """K(x, z) for every row pair. The rbf kernel expands ||x - z||^2 over
+    the squared row norms; a caller that takes many rows against one Z can
+    pass Z's as `z_norms`, which are otherwise computed here."""
     X = np.asarray(X, dtype=np.float64)
     Z = np.asarray(Z, dtype=np.float64)
     if kernel.kind == "linear":
         return X @ Z.T
-    sq = (X ** 2).sum(axis=1)[:, None] + (Z ** 2).sum(axis=1)[None, :] - 2.0 * X @ Z.T
+    if z_norms is None:
+        z_norms = (Z ** 2).sum(axis=1)
+    sq = (X ** 2).sum(axis=1)[:, None] + z_norms[None, :] - 2.0 * X @ Z.T
     return np.exp(-kernel.gamma * np.maximum(sq, 0.0))
 
 
@@ -96,22 +104,22 @@ def smo_train(X: np.ndarray, y_pm: np.ndarray, kernel: Kernel,
     n, c = len(y), cfg.C
     budget = cfg.max_iterations if cfg.max_iterations is not None else 100 * n
     diag = np.ones(n) if kernel.kind == "rbf" else np.einsum("ij,ij->i", X, X)
+    norms = (X ** 2).sum(axis=1)  # every rbf kernel row expands over these
     alphas = np.zeros(n)
     v = y.copy()
+    up, low = y > 0, y < 0  # every alpha starts at 0
     pair = ()
     updates = 0
     while True:
-        up = np.where(y > 0, alphas < c, alphas > 0)
-        low = np.where(y > 0, alphas > 0, alphas < c)
         i = int(np.argmax(np.where(up, v, -np.inf)))
         v_max, v_min = v[i], float(np.min(v[low]))
         converged = v_max - v_min <= cfg.tolerance
         if converged or updates >= budget:
             break
-        k_i = kernel_matrix(kernel, X[i:i + 1], X)[0]
+        k_i = kernel_matrix(kernel, X[i:i + 1], X, norms)[0]
         gain = np.where(low & (v < v_max), (v_max - v) ** 2, -np.inf)
         j = int(np.argmax(gain / np.maximum(k_i[i] + diag - 2.0 * k_i, 1e-12)))
-        k_j = kernel_matrix(kernel, X[j:j + 1], X)[0]
+        k_j = kernel_matrix(kernel, X[j:j + 1], X, norms)[0]
         # alpha_i moves toward end_i and alpha_j toward end_j as delta grows.
         end_i = c if y[i] > 0 else 0.0
         end_j = 0.0 if y[j] > 0 else c
@@ -121,6 +129,9 @@ def smo_train(X: np.ndarray, y_pm: np.ndarray, kernel: Kernel,
         alphas[i] = end_i if delta == room_i else alphas[i] + y[i] * delta
         alphas[j] = end_j if delta == room_j else alphas[j] - y[j] * delta
         v -= delta * (k_i - k_j)
+        for t in (i, j):  # only alpha_i and alpha_j moved
+            below_c, above_0 = alphas[t] < c, alphas[t] > 0
+            up[t], low[t] = (below_c, above_0) if y[t] > 0 else (above_0, below_c)
         pair = (i, j)
         updates += 1
 

@@ -409,6 +409,48 @@ def residual_jacobian(model, X, T) -> tuple[np.ndarray, np.ndarray]:
     return residuals, jac
 
 
+def reference_gradient(model, X, T) -> np.ndarray:
+    """flowsieve.mlp.gradient as it was before it took an output buffer: a
+    fresh vector per call, each mean by ndarray.mean."""
+    from flowsieve import mlp
+
+    n = len(X)
+    A, Y = mlp.forward(model, X)
+    grad = np.empty(model.n_parameters)
+    d_w1, d_b1, d_w2, d_b2 = mlp._split(grad, model.n_inputs, model.n_hidden,
+                                        model.n_outputs)
+    delta_out = (Y - T) * Y * (1.0 - Y)
+    d_w2[:] = delta_out.T @ A / n
+    d_b2[:] = delta_out.mean(axis=0)
+    delta_hidden = (delta_out @ model.w2) * (1.0 - A ** 2)
+    d_w1[:] = delta_hidden.T @ X / n
+    d_b1[:] = delta_hidden.mean(axis=0)
+    return grad
+
+
+def reference_train_bp(model, X, T, X_val, T_val, cfg):
+    """The per-batch SGD loop flowsieve.mlp.train_bp must match bit for bit:
+    each batch fancy-indexes X[batch] and T[batch] and steps along a fresh
+    reference_gradient vector."""
+    from flowsieve import mlp
+
+    tracker = mlp._BestEpoch(model, X_val, T_val, cfg.patience)
+    model = model.copy()
+    rng = np.random.default_rng(cfg.seed)
+    for _ in range(cfg.max_epochs):
+        order = rng.permutation(len(X))
+        for start in range(0, len(X), cfg.batch_size):
+            batch = order[start:start + cfg.batch_size]
+            model.theta -= cfg.learning_rate * reference_gradient(model, X[batch],
+                                                                  T[batch])
+        if not tracker.keep_going(model, mlp.loss(model, X, T)):
+            tracker.history.stopping_reason = "early_stop"
+            break
+    else:
+        tracker.history.stopping_reason = "max_epochs"
+    return tracker.best, tracker.history
+
+
 def masked_transform(scaler, X) -> np.ndarray:
     """Scaler.transform by gathering the active columns, scaling them and
     scattering them back into a float64 copy of X; passthrough columns are
@@ -733,3 +775,49 @@ def primal_objective(model, X, y_pm) -> float:
     margins = y_pm * (decision_values(model, X))
     hinge = np.maximum(0.0, 1.0 - margins).sum()
     return 0.5 * w_norm_sq + model.C * float(hinge)
+
+
+def reference_smo_train(X, y_pm, kernel, cfg):
+    """The SMO solver flowsieve.svm.smo_train must match bit for bit: it
+    rebuilds both working-set masks over all n rows at every update and takes
+    each kernel row from kernel_matrix, norms and all."""
+    from flowsieve.svm import SvmModel, kernel_matrix
+
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y_pm, dtype=np.float64)
+    n, c = len(y), cfg.C
+    budget = cfg.max_iterations if cfg.max_iterations is not None else 100 * n
+    diag = np.ones(n) if kernel.kind == "rbf" else np.einsum("ij,ij->i", X, X)
+    alphas = np.zeros(n)
+    v = y.copy()
+    pair = ()
+    updates = 0
+    while True:
+        up = np.where(y > 0, alphas < c, alphas > 0)
+        low = np.where(y > 0, alphas > 0, alphas < c)
+        i = int(np.argmax(np.where(up, v, -np.inf)))
+        v_max, v_min = v[i], float(np.min(v[low]))
+        converged = v_max - v_min <= cfg.tolerance
+        if converged or updates >= budget:
+            break
+        k_i = kernel_matrix(kernel, X[i:i + 1], X)[0]
+        gain = np.where(low & (v < v_max), (v_max - v) ** 2, -np.inf)
+        j = int(np.argmax(gain / np.maximum(k_i[i] + diag - 2.0 * k_i, 1e-12)))
+        k_j = kernel_matrix(kernel, X[j:j + 1], X)[0]
+        end_i = c if y[i] > 0 else 0.0
+        end_j = 0.0 if y[j] > 0 else c
+        room_i, room_j = abs(end_i - alphas[i]), abs(end_j - alphas[j])
+        delta = min((v_max - v[j]) / max(k_i[i] + k_j[j] - 2.0 * k_i[j], 1e-12),
+                    room_i, room_j)
+        alphas[i] = end_i if delta == room_i else alphas[i] + y[i] * delta
+        alphas[j] = end_j if delta == room_j else alphas[j] - y[j] * delta
+        v -= delta * (k_i - k_j)
+        pair = (i, j)
+        updates += 1
+
+    free = [t for t in pair if 0.0 < alphas[t] < c]
+    bias = float(v[free[0]] if free else 0.5 * (v_max + v_min))
+    support = np.flatnonzero(alphas > 1e-12)
+    return SvmModel(kernel=kernel, C=c, support_vectors=X[support].copy(),
+                    coefficients=alphas[support] * y[support], bias=bias,
+                    converged=converged)

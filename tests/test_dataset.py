@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowsieve import dataset
 from flowsieve.dataset import (CLASS_NAMES, MAX_SYNTH_CELLS, Dataset, Scaler,
                                SplitSpec, SyntheticSpec, apply_scaler,
                                default_synthetic_spec,
@@ -12,7 +13,7 @@ from flowsieve.dataset import (CLASS_NAMES, MAX_SYNTH_CELLS, Dataset, Scaler,
                                one_hot, stratified_split,
                                stratified_split_indices, write_csv)
 from flowsieve.errors import DataError
-from flowsieve.flow_meter import FEATURE_COLUMNS, format_cell, format_cells
+from flowsieve.flow_meter import FEATURE_COLUMNS, c_parse, format_cell, format_cells
 from oracles import masked_transform, oracle_load_flow_csv, oracle_write_csv
 
 
@@ -142,10 +143,13 @@ class TestLoad:
 
 
 # Cell texts the reader must treat exactly as the per-cell reference does.
-_NUMBER_CELLS = st.one_of(
+_NUMBER_TEXTS = (
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.floats(allow_nan=False, allow_infinity=False).map(lambda v: f"{v:.6g}"),
     st.integers(-2 ** 40, 2 ** 40).map(str),
+)
+_NUMBER_CELLS = st.one_of(
+    *_NUMBER_TEXTS,
     st.sampled_from(["1_0", "\u0661", "\u0661.\u0662", "1e308", "-1e308",
                      "1.7976931348623157e308"]),
 )
@@ -176,6 +180,17 @@ def _changed_lines(cells, label, change):
             "comma": [line + ","]}.get(change, [line])
 
 
+# All-numeric cells: plain numbers, sometimes padded with spaces or a tab,
+# and now and then a non-finite one. numpy's C reader accepts every such
+# file, so these exercise the fast path that the cells above mostly miss.
+_NUMERIC_CELLS = st.tuples(
+    st.sampled_from(["", " ", "\t"]),
+    st.one_of(*_NUMBER_TEXTS * 3,
+              st.sampled_from(["1e308", "-1e308", "1.7976931348623157e308",
+                               "inf", "-inf", "Infinity", "nan", "NaN"])),
+    st.sampled_from(["", " "])).map("".join)
+
+
 def _load_outcome(load, path, policy):
     try:
         ds = load(path, policy)
@@ -202,6 +217,44 @@ class TestCsvCodecMatchesReference:
                         encoding="utf-8", newline="")
         assert (_load_outcome(load_flow_csv, path, policy)
                 == _load_outcome(oracle_load_flow_csv, path, policy))
+
+    def test_numeric_reader_matches_on_the_c_path(self, tmp_path_factory,
+                                                  monkeypatch):
+        accepted, fallbacks = [], []
+
+        def counting_c_parse(*args):
+            table = c_parse(*args)
+            accepted.append(table is not None)
+            return table
+
+        def counting_read_rows(*args):
+            fallbacks.append(args[0])
+            return read_rows(*args)
+
+        read_rows = dataset._read_rows
+        monkeypatch.setattr(dataset, "c_parse", counting_c_parse)
+        monkeypatch.setattr(dataset, "_read_rows", counting_read_rows)
+
+        @given(rows=st.lists(st.tuples(st.lists(_NUMERIC_CELLS, min_size=4, max_size=4),
+                                       st.sampled_from(["Tor", "NonTor", " tor ", "NONTOR"])),
+                             min_size=1, max_size=6),
+               policy=st.sampled_from(["error", "drop"]),
+               newline=st.sampled_from(["\n", "\r\n", "\r"]), last_newline=st.booleans())
+        @settings(max_examples=200, deadline=None)
+        def reader_matches(rows, policy, newline, last_newline):
+            lines = [",".join(_CODEC_SCHEMA + ("label",))]
+            lines += [",".join(cells + [label]) for cells, label in rows]
+            path = tmp_path_factory.mktemp("numeric") / "flows.csv"
+            path.write_text(newline.join(lines) + newline * last_newline,
+                            encoding="utf-8", newline="")
+            assert (_load_outcome(load_flow_csv, path, policy)
+                    == _load_outcome(oracle_load_flow_csv, path, policy))
+
+        reader_matches()
+        # numpy takes every file; only a non-finite cell under "error" sends
+        # one back to the per-row reader, so most files use the C table.
+        assert all(accepted)
+        assert len(fallbacks) < 0.5 * len(accepted)
 
     def test_reader_errors_match(self, tmp_path):
         rows = ["1,2,3,4,Tor", "1,inf,x,4,Tor", "1,2,3.0.0.1,4,Tor",

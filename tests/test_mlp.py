@@ -10,7 +10,7 @@ from flowsieve.dataset import Scaler, one_hot
 from flowsieve.errors import DataError, TrainingDiverged
 from flowsieve.lm import minimize_least_squares
 from oracles import (fd_gradient, masked_sigmoid, max_relative_error,
-                     residual_jacobian)
+                     reference_gradient, reference_train_bp, residual_jacobian)
 from oracles import random_mlp_case as random_case
 
 XOR_X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
@@ -139,6 +139,19 @@ class TestGradient:
         doubled = mlp.gradient(model, np.vstack([X, X]), np.vstack([T, T]))
         np.testing.assert_allclose(doubled, mlp.gradient(model, X, T),
                                    rtol=1e-12, atol=1e-15)
+
+    def test_out_buffer_returned_with_the_same_bits(self):
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            model, X, T = random_case(rng, batch_max=40)
+            grad = np.full(model.n_parameters, np.nan)
+            out = grad, mlp._split(grad, model.n_inputs, model.n_hidden,
+                                   model.n_outputs)
+            assert mlp.gradient(model, X, T, out) is grad
+            fresh = mlp.gradient(model, X, T)
+            np.testing.assert_array_equal(grad.view(np.uint64), fresh.view(np.uint64))
+            np.testing.assert_array_equal(
+                fresh.view(np.uint64), reference_gradient(model, X, T).view(np.uint64))
 
     def test_jacobian_consistent_with_gradient(self):
         rng = np.random.default_rng(8)
@@ -294,6 +307,31 @@ class TestTrainBp:
             runs.append(history)
         assert runs[0].train_loss == runs[1].train_loss
         assert runs[0].val_loss == runs[1].val_loss
+
+    @pytest.mark.parametrize("n, batch_size, patience, stop", [
+        (64, 16, 40, "max_epochs"),  # the batch size divides N
+        (50, 16, 40, "max_epochs"),  # a short last batch
+        (13, 1, 40, "max_epochs"),
+        (20, 64, 40, "max_epochs"),  # one batch larger than N
+        (50, 8, 3, "early_stop"),
+    ])
+    def test_bits_match_reference_loop(self, n, batch_size, patience, stop):
+        rng = np.random.default_rng(n + batch_size)
+        X = rng.normal(size=(n, 3))
+        T = one_hot(rng.integers(0, 2, n))
+        X_val, T_val = rng.normal(size=(9, 3)), one_hot(rng.integers(0, 2, 9))
+        cfg = mlp.TrainConfig(mode="bp-sgd", max_epochs=40, learning_rate=0.5,
+                              batch_size=batch_size, patience=patience, seed=5)
+        model = mlp.init_model(3, 4, seed=5)
+        best, history = mlp.train_bp(model, X, T, X_val, T_val, cfg)
+        want, want_history = reference_train_bp(model, X, T, X_val, T_val, cfg)
+        assert history.stopping_reason == want_history.stopping_reason == stop
+        np.testing.assert_array_equal(best.theta.view(np.uint64),
+                                      want.theta.view(np.uint64))
+        for got, ref in ((history.train_loss, want_history.train_loss),
+                         (history.val_loss, want_history.val_loss)):
+            np.testing.assert_array_equal(np.array(got).view(np.uint64),
+                                          np.array(ref).view(np.uint64))
 
 
 class TestTrainLm:

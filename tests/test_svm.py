@@ -12,7 +12,8 @@ from flowsieve.svm import (Kernel, SmoConfig, SvmModel, decision_values,
                            kernel_matrix, predict_batch, save_models,
                            smo_train, train_ovr)
 from oracles import (decision_value, dual_objective, kernel_eval,
-                     primal_objective, qp_dual_oracle, svm_argmax_rule)
+                     primal_objective, qp_dual_oracle, reference_smo_train,
+                     svm_argmax_rule)
 from oracles import svm_predict as predict
 
 
@@ -169,6 +170,27 @@ class TestSmo:
         model = smo_train(X, y, Kernel("linear"),
                           SmoConfig(C=1e3, max_iterations=1))
         assert not model.converged
+
+    @pytest.mark.parametrize("kind", ["rbf", "linear"])
+    @pytest.mark.parametrize("C", [0.1, 1.0, 1e3])
+    @pytest.mark.parametrize("tolerance", [1e-3, 0.1])
+    @pytest.mark.parametrize("max_iterations", [None, 7])
+    def test_bits_match_reference_solver(self, kind, C, tolerance, max_iterations):
+        # Overlapping classes in 10 dimensions, with 12 rows repeated.
+        rng = np.random.default_rng(23)
+        y = np.where(rng.random(90) < 0.5, 1.0, -1.0)
+        X = rng.normal(size=(90, 10)) + 0.6 * y[:, None]
+        X, y = np.vstack([X, X[:12]]), np.concatenate([y, y[:12]])
+        kernel = Kernel(kind, gamma=0.1 if kind == "rbf" else None)
+        cfg = SmoConfig(C=C, tolerance=tolerance, max_iterations=max_iterations)
+        got, want = smo_train(X, y, kernel, cfg), reference_smo_train(X, y, kernel, cfg)
+        if max_iterations is not None:
+            assert not want.converged
+        assert got.converged == want.converged
+        assert np.float64(got.bias).view(np.uint64) == np.float64(want.bias).view(np.uint64)
+        np.testing.assert_array_equal(got.coefficients.view(np.uint64),
+                                      want.coefficients.view(np.uint64))
+        np.testing.assert_array_equal(got.support_vectors, want.support_vectors)
 
     def test_bad_labels_rejected(self):
         with pytest.raises(ValueError, match="internal labels"):
