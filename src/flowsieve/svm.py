@@ -7,7 +7,10 @@ gain, and moves the pair in closed form inside the box. Kernel rows are
 computed when a pair needs them; no Gram matrix is stored. The rbf squared
 row norms those rows expand over are computed once per solve, and the
 working sets are updated at the pair only. Tor (class 1) is the +1 side: a
-row is predicted Tor where its decision value is > 0.
+row is predicted Tor where its decision value is > 0. Prediction evaluates
+the kernel in blocks of at most 2**17 cells, so its memory does not grow
+with test rows x support vectors; the BLAS may sum a split product in
+another order, so blocking may move a decision value in its last bits.
 """
 
 from __future__ import annotations
@@ -45,8 +48,11 @@ def kernel_matrix(kernel: Kernel, X: np.ndarray, Z: np.ndarray,
         return X @ Z.T
     if z_norms is None:
         z_norms = (Z ** 2).sum(axis=1)
-    sq = (X ** 2).sum(axis=1)[:, None] + z_norms[None, :] - 2.0 * X @ Z.T
-    return np.exp(-kernel.gamma * np.maximum(sq, 0.0))
+    sq = (X ** 2).sum(axis=1)[:, None] + z_norms[None, :]
+    sq -= 2.0 * X @ Z.T
+    np.maximum(sq, 0.0, out=sq)
+    sq *= -kernel.gamma
+    return np.exp(sq, out=sq)
 
 
 @dataclass
@@ -74,9 +80,23 @@ class SvmModel:
     converged: bool = True
 
 
+_BLOCK_CELLS = 1 << 17  # kernel values per prediction block: 1 MiB of float64
+
+
 def decision_values(model: SvmModel, X: np.ndarray) -> np.ndarray:
-    gram = kernel_matrix(model.kernel, np.atleast_2d(X), model.support_vectors)
-    return gram @ model.coefficients + model.bias
+    """f(x) = sum_s coeff_s K(sv_s, x) + bias, with the test rows taken in
+    blocks of at most _BLOCK_CELLS kernel values against all support
+    vectors."""
+    X = np.atleast_2d(X)
+    sv = model.support_vectors
+    z_norms = (sv ** 2).sum(axis=1) if model.kernel.kind == "rbf" else None
+    step = max(1, _BLOCK_CELLS // max(1, len(sv)))
+    out = np.empty(len(X))
+    for lo in range(0, len(X), step):
+        # One expression, so each block is freed before the next is built.
+        out[lo:lo + step] = (kernel_matrix(model.kernel, X[lo:lo + step], sv, z_norms)
+                             @ model.coefficients + model.bias)
+    return out
 
 
 def predict_batch(model: SvmModel, X: np.ndarray) -> np.ndarray:
@@ -143,7 +163,7 @@ def smo_train(X: np.ndarray, y_pm: np.ndarray, kernel: Kernel,
         support_vectors=X[support].copy(),
         coefficients=alphas[support] * y[support],
         bias=bias,
-        converged=converged,
+        converged=bool(converged),
     )
 
 

@@ -777,11 +777,34 @@ def primal_objective(model, X, y_pm) -> float:
     return 0.5 * w_norm_sq + model.C * float(hinge)
 
 
+def reference_kernel_matrix(kernel, X: np.ndarray, Z: np.ndarray,
+                            z_norms: np.ndarray | None = None) -> np.ndarray:
+    """K(x, z) for every row pair. The rbf kernel expands ||x - z||^2 over
+    the squared row norms; a caller that takes many rows against one Z can
+    pass Z's as `z_norms`, which are otherwise computed here."""
+    X = np.asarray(X, dtype=np.float64)
+    Z = np.asarray(Z, dtype=np.float64)
+    if kernel.kind == "linear":
+        return X @ Z.T
+    if z_norms is None:
+        z_norms = (Z ** 2).sum(axis=1)
+    sq = (X ** 2).sum(axis=1)[:, None] + z_norms[None, :] - 2.0 * X @ Z.T
+    return np.exp(-kernel.gamma * np.maximum(sq, 0.0))
+
+
+def reference_decision_values(model, X) -> np.ndarray:
+    """The one-matrix rule flowsieve.svm.decision_values blocks: every test
+    row against every support vector in one kernel matrix."""
+    gram = reference_kernel_matrix(model.kernel, np.atleast_2d(X),
+                                   model.support_vectors)
+    return gram @ model.coefficients + model.bias
+
+
 def reference_smo_train(X, y_pm, kernel, cfg):
     """The SMO solver flowsieve.svm.smo_train must match bit for bit: it
     rebuilds both working-set masks over all n rows at every update and takes
-    each kernel row from kernel_matrix, norms and all."""
-    from flowsieve.svm import SvmModel, kernel_matrix
+    each kernel row from reference_kernel_matrix, norms and all."""
+    from flowsieve.svm import SvmModel
 
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y_pm, dtype=np.float64)
@@ -800,10 +823,10 @@ def reference_smo_train(X, y_pm, kernel, cfg):
         converged = v_max - v_min <= cfg.tolerance
         if converged or updates >= budget:
             break
-        k_i = kernel_matrix(kernel, X[i:i + 1], X)[0]
+        k_i = reference_kernel_matrix(kernel, X[i:i + 1], X)[0]
         gain = np.where(low & (v < v_max), (v_max - v) ** 2, -np.inf)
         j = int(np.argmax(gain / np.maximum(k_i[i] + diag - 2.0 * k_i, 1e-12)))
-        k_j = kernel_matrix(kernel, X[j:j + 1], X)[0]
+        k_j = reference_kernel_matrix(kernel, X[j:j + 1], X)[0]
         end_i = c if y[i] > 0 else 0.0
         end_j = 0.0 if y[j] > 0 else c
         room_i, room_j = abs(end_i - alphas[i]), abs(end_j - alphas[j])

@@ -12,8 +12,8 @@ from flowsieve.svm import (Kernel, SmoConfig, SvmModel, decision_values,
                            kernel_matrix, predict_batch, save_models,
                            smo_train, train_ovr)
 from oracles import (decision_value, dual_objective, kernel_eval,
-                     primal_objective, qp_dual_oracle, reference_smo_train,
-                     svm_argmax_rule)
+                     primal_objective, qp_dual_oracle, reference_decision_values,
+                     reference_smo_train, svm_argmax_rule)
 from oracles import svm_predict as predict
 
 
@@ -105,6 +105,7 @@ class TestSmo:
         X, y = separable_2d()
         cfg = SmoConfig(C=1e3, tolerance=1e-3)
         model = smo_train(X, y, Kernel("linear"), cfg)
+        assert model.converged is True  # a bool, as SvmModel declares
         assert ((decision_values(model, X) > 0) == (y > 0)).all()
         # hard-margin solution: boundary alphas strictly inside (0, C)
         assert (np.abs(model.coefficients) > 0).all()
@@ -169,7 +170,7 @@ class TestSmo:
         X, y = separable_2d()
         model = smo_train(X, y, Kernel("linear"),
                           SmoConfig(C=1e3, max_iterations=1))
-        assert not model.converged
+        assert model.converged is False  # a bool, as SvmModel declares
 
     @pytest.mark.parametrize("kind", ["rbf", "linear"])
     @pytest.mark.parametrize("C", [0.1, 1.0, 1e3])
@@ -219,6 +220,64 @@ class TestDecision:
         inside = (alphas > 1e-9) & (alphas < cfg.C - 1e-9)
         assert inside.any()
         assert np.abs(margins[inside] - 1.0).max() <= cfg.tolerance
+
+
+class TestDecisionBlocks:
+    """decision_values takes the test rows in blocks of at most
+    svm._BLOCK_CELLS kernel values; oracles.reference_decision_values builds
+    the one whole matrix. A row-split matrix product may differ in its last
+    bits under the host BLAS, so the values agree to 1e-12 * sum|coeff| and
+    the predictions exactly."""
+
+    @staticmethod
+    def random_model(kind, d, n_sv, seed):
+        rng = np.random.default_rng(seed)
+        kernel = Kernel(kind, gamma=1.0 / d if kind == "rbf" else None)
+        return SvmModel(kernel=kernel, C=1.0,
+                        support_vectors=rng.normal(size=(n_sv, d)),
+                        coefficients=rng.uniform(-1.0, 1.0, n_sv),
+                        bias=float(rng.normal()))
+
+    @pytest.mark.parametrize("kind", ["rbf", "linear"])
+    @pytest.mark.parametrize("d", [4, 28])
+    def test_no_support_vectors_gives_the_bias(self, kind, d):
+        model = self.random_model(kind, d, 0, seed=d)
+        for rows in (1, 5):
+            X = np.random.default_rng(rows).normal(size=(rows, d))
+            assert decision_values(model, X).tolist() == [model.bias] * rows
+            np.testing.assert_array_equal(predict_batch(model, X),
+                                          np.full(rows, int(model.bias > 0)))
+
+    @pytest.mark.parametrize("kind", ["rbf", "linear"])
+    @pytest.mark.parametrize("d", [4, 28])
+    @pytest.mark.parametrize("offset", [None, -1, 0, 1])
+    def test_matches_one_matrix_rule(self, kind, d, offset):
+        n_sv = 257
+        model = self.random_model(kind, d, n_sv, seed=d + n_sv)
+        block_rows = svm._BLOCK_CELLS // n_sv
+        rows = 1 if offset is None else block_rows + offset
+        X = np.random.default_rng(rows).normal(size=(rows, d))
+        got, want = decision_values(model, X), reference_decision_values(model, X)
+        assert got.shape == want.shape == (rows,)
+        bound = 1e-12 * np.abs(model.coefficients).sum()
+        assert np.abs(got - want).max() <= bound
+        np.testing.assert_array_equal(predict_batch(model, X),
+                                      (want > 0).astype(np.int64))
+
+    def test_peak_memory_independent_of_rows(self):
+        rng = np.random.default_rng(33)
+        model = self.random_model("rbf", 4, 1000, seed=33)
+        peaks = []
+        for n in (2000, 8000):
+            X = rng.normal(size=(n, 4))
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                predict_batch(model, X)
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 class TestPredict:
