@@ -242,16 +242,20 @@ _MODEL_MODULES = {mlp.MODEL_FORMAT: mlp, svm.MODEL_FORMAT: svm}
 
 def run_eval(flows_path, out_dir, cfg: PipelineConfig, model_paths: list[Path],
              column_names: list[str] | None = None,
-             include_reference: bool = False) -> dict[str, metrics.ClassReport]:
+             include_reference: bool = False) -> dict[str, dict]:
+    """Write report.txt and report.csv, one column per model; no two may share a name."""
+    names = column_names or [Path(model_path).stem for model_path in model_paths]
+    for position, name in enumerate(names):
+        if name in names[:position]:
+            raise UsageError(f"--model {model_paths[names.index(name)]} and "
+                             f"{model_paths[position]} both name report column {name!r}")
     ds = _load_flows(flows_path, cfg)
     out_dir = Path(out_dir)
-    columns: dict[str, metrics.ClassReport] = {}
-    for position, model_path in enumerate(model_paths):
+    columns: dict[str, dict] = {}
+    for name, model_path in zip(names, model_paths):
         doc = modelfile.ModelFile(Path(model_path), tuple(_MODEL_MODULES))
         module = _MODEL_MODULES[doc.format]
         model = module.read_body(doc)
-        name = (column_names[position] if column_names
-                else Path(model_path).stem)
         try:
             projected = ds.select_features(doc.meta["features"])
         except DataError as exc:

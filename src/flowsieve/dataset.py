@@ -97,6 +97,15 @@ def _normalize_header(cells: list[str]) -> list[str]:
     return [UNB_CIC_ALIASES.get(cell.strip(), cell.strip()) for cell in cells]
 
 
+def _ip_cell(text: str) -> float:
+    """An IP-column cell: a number or a dotted quad. Other text raises
+    TypeError, from float(None)."""
+    try:
+        return float(text)
+    except ValueError:
+        return float(parse_ipv4(text))
+
+
 def _parse_cells(path, row_number: int, feature_names: tuple[str, ...],
                  cells: list[str], bad_value_policy: str) -> list[float] | None:
     """One row's feature cells checked one at a time; None drops the row.
@@ -108,30 +117,17 @@ def _parse_cells(path, row_number: int, feature_names: tuple[str, ...],
     for col, (name, cell) in enumerate(zip(feature_names, cells), start=1):
         cell = cell.strip()
         try:
-            value = float(cell)
-        except ValueError:
-            address = parse_ipv4(cell) if name in _IP_COLUMNS else None
-            if address is None:
-                raise DataError(
-                    f"{path}: row {row_number} column {col} ({name}): "
-                    f"non-numeric cell {cell!r}") from None
-            value = float(address)
+            value = _ip_cell(cell) if name in _IP_COLUMNS else float(cell)
+        except (TypeError, ValueError):
+            raise DataError(f"{path}: row {row_number} column {col} ({name}): "
+                            f"non-numeric cell {cell!r}") from None
         if not math.isfinite(value):
             if bad_value_policy == "drop":
                 return None
-            raise DataError(
-                f"{path}: row {row_number} column {col} ({name}): "
-                f"non-finite value {cell!r}")
+            raise DataError(f"{path}: row {row_number} column {col} ({name}): "
+                            f"non-finite value {cell!r}")
         values.append(value)
     return values
-
-
-def _ip_cell(text: str) -> float:
-    """c_parse's IP-column converter: a number or a dotted quad, or float(None) fails."""
-    try:
-        return float(text)
-    except ValueError:
-        return float(parse_ipv4(text))
 
 
 def _read_rows(path, reader, feature_names: tuple[str, ...],
@@ -157,8 +153,7 @@ def _read_rows(path, reader, feature_names: tuple[str, ...],
             raw_label = cells[-1].strip()
             label_id = LABEL_TO_ID.get(raw_label.lower())
             if label_id is None:
-                raise DataError(
-                    f"{path}: row {row_number}: unknown label {raw_label!r}")
+                raise DataError(f"{path}: row {row_number}: unknown label {raw_label!r}")
             labels.append(label_id)
             yield values
 

@@ -99,20 +99,8 @@ def parse_ipv4(text: str) -> int | None:
     return value
 
 
-def _parse_ip(text: str, fieldname: str, line_number: int,
-              ips: dict[str, int]) -> int:
-    """parse_ipv4, remembered in `ips` under the raw field text."""
-    value = parse_ipv4(text)
-    if value is None:
-        raise ParseError(f"line {line_number}: {fieldname}: "
-                         f"malformed IPv4 address {text.strip()!r}")
-    ips[text] = value
-    return value
-
-
-def _stripped_int(text: str, fieldname: str, line_number: int) -> int:
-    """int() of a field that int() rejected as it stood. int() skips the
-    same surrounding whitespace as str.strip() except U+001C-U+001F."""
+def _integer(text: str, fieldname: str, line_number: int) -> int:
+    """int() of a stripped field."""
     try:
         return int(text.strip())
     except ValueError:
@@ -120,61 +108,50 @@ def _stripped_int(text: str, fieldname: str, line_number: int) -> int:
                          f"not an integer: {text.strip()!r}") from None
 
 
+def _address(text: str, fieldname: str, line_number: int,
+             ips: dict[str, int]) -> int:
+    """parse_ipv4 of a field, remembered in `ips` under the raw field text."""
+    value = ips.get(text)
+    if value is None:
+        value = parse_ipv4(text)
+        if value is None:
+            raise ParseError(f"line {line_number}: {fieldname}: "
+                             f"malformed IPv4 address {text.strip()!r}")
+        ips[text] = value
+    return value
+
+
+def _below(text: str, limit: int, fieldname: str, line_number: int) -> int:
+    """_integer of a field that must lie in [0, limit), a power of two."""
+    value = _integer(text, fieldname, line_number)
+    if value < 0:
+        raise ParseError(f"line {line_number}: {fieldname}: negative value {value}")
+    if value >= limit:
+        raise ParseError(f"line {line_number}: {fieldname}: too large: {value} "
+                         f"(must be below 2**{limit.bit_length() - 1})")
+    return value
+
+
 def _record(fields: list[str], line_number: int,
             ips: dict[str, int]) -> PacketRecord:
-    """Validate the split fields of one record, in field order.
-
-    int() skips surrounding whitespace itself, so a field is stripped only
-    when int() rejects it as it stands.
-    """
+    """Validate the split fields of one record, in field order; each port's
+    range is checked once both ports have parsed."""
     if len(fields) != 7:
         raise ParseError(f"line {line_number}: expected 7 fields, got {len(fields)}")
     ts_text, src_text, sport_text, dst_text, dport_text, proto_text, size_text = fields
-    try:
-        ts = int(ts_text)
-    except ValueError:
-        ts = _stripped_int(ts_text, "timestamp_us", line_number)
-    if ts < 0:
-        raise ParseError(f"line {line_number}: timestamp_us: negative value {ts}")
-    if ts >= TIMESTAMP_LIMIT:
-        raise ParseError(f"line {line_number}: timestamp_us: too large: {ts} "
-                         "(must be below 2**53)")
-    src_ip = ips.get(src_text)
-    if src_ip is None:
-        src_ip = _parse_ip(src_text, "src_ip", line_number, ips)
-    try:
-        src_port = int(sport_text)
-    except ValueError:
-        src_port = _stripped_int(sport_text, "src_port", line_number)
-    dst_ip = ips.get(dst_text)
-    if dst_ip is None:
-        dst_ip = _parse_ip(dst_text, "dst_ip", line_number, ips)
-    try:
-        dst_port = int(dport_text)
-    except ValueError:
-        dst_port = _stripped_int(dport_text, "dst_port", line_number)
-    if not 0 <= src_port <= 65535:
-        raise ParseError(f"line {line_number}: src_port: port out of range: {src_port}")
-    if not 0 <= dst_port <= 65535:
-        raise ParseError(f"line {line_number}: dst_port: port out of range: {dst_port}")
-    try:
-        protocol = int(proto_text)
-    except ValueError:
-        protocol = _stripped_int(proto_text, "protocol", line_number)
+    ts = _below(ts_text, TIMESTAMP_LIMIT, "timestamp_us", line_number)
+    src_ip = _address(src_text, "src_ip", line_number, ips)
+    src_port = _integer(sport_text, "src_port", line_number)
+    dst_ip = _address(dst_text, "dst_ip", line_number, ips)
+    dst_port = _integer(dport_text, "dst_port", line_number)
+    for fieldname, port in (("src_port", src_port), ("dst_port", dst_port)):
+        if not 0 <= port <= 65535:
+            raise ParseError(f"line {line_number}: {fieldname}: port out of range: {port}")
+    protocol = _integer(proto_text, "protocol", line_number)
     if protocol not in SUPPORTED_PROTOCOLS:
         raise ParseError(f"line {line_number}: protocol: unsupported protocol {protocol}")
-    try:
-        payload = int(size_text)
-    except ValueError:
-        payload = _stripped_int(size_text, "bytes", line_number)
-    if payload < 0:
-        raise ParseError(f"line {line_number}: bytes: negative value {payload}")
-    if payload >= BYTES_LIMIT:
-        raise ParseError(f"line {line_number}: bytes: too large: {payload} "
-                         "(must be below 2**32)")
-    # tuple.__new__ skips the Python-level NamedTuple constructor.
-    return tuple.__new__(PacketRecord, (ts, src_ip, src_port, dst_ip, dst_port,
-                                        protocol, payload))
+    payload = _below(size_text, BYTES_LIMIT, "bytes", line_number)
+    return PacketRecord(ts, src_ip, src_port, dst_ip, dst_port, protocol, payload)
 
 
 def _is_header(line: str) -> bool:
@@ -234,7 +211,7 @@ def _load_columns(path) -> np.ndarray | None:
 
     def ip(text: str) -> int:  # numpy turns a ParseError into a ValueError
         value = ips.get(text)
-        return _parse_ip(text, "ip", 0, ips) if value is None else value
+        return _address(text, "ip", 0, ips) if value is None else value
 
     with open_text(path) as handle:
         try:

@@ -89,19 +89,11 @@ def rates(cm: ConfusionMatrix) -> Rates:
     )
 
 
-@dataclass(frozen=True)
-class ClassReport:
-    """Unrounded percentage values for the seven report rows (None = undefined)."""
-
-    values: dict[str, float | None]
-
-    def __getitem__(self, key: str) -> float | None:
-        return self.values[key]
-
-
-def build_report(predictions: Sequence[int], labels: Sequence[int]) -> ClassReport:
-    """Per-class DR/FPR/PPV with each class treated as positive in turn,
-    plus the shared overall accuracy. The table is counted once, with Tor
+def build_report(predictions: Sequence[int],
+                 labels: Sequence[int]) -> dict[str, float | None]:
+    """Unrounded percentages for the seven report rows (None = undefined):
+    per-class DR/FPR/PPV with each class treated as positive in turn, plus
+    the shared overall accuracy. The table is counted once, with Tor
     positive; nonTor's rates read the same counts with the roles swapped."""
     cm = confusion(predictions, labels, positive_class=1)
     tor, nontor = rates(cm), rates(ConfusionMatrix(tp=cm.tn, tn=cm.tp, fp=cm.fn, fn=cm.fp))
@@ -109,7 +101,7 @@ def build_report(predictions: Sequence[int], labels: Sequence[int]) -> ClassRepo
     def pct(v: float | None) -> float | None:
         return None if v is None else 100.0 * v
 
-    return ClassReport(values={
+    return {
         "dr_tor": pct(tor.dr),
         "fpr_tor": pct(tor.fpr),
         "ppv_tor": pct(tor.ppv),
@@ -117,7 +109,7 @@ def build_report(predictions: Sequence[int], labels: Sequence[int]) -> ClassRepo
         "fpr_nontor": pct(nontor.fpr),
         "ppv_nontor": pct(nontor.ppv),
         "overall_acc": pct(tor.acc),
-    })
+    }
 
 
 def round_percent(value: float) -> float:
@@ -131,7 +123,7 @@ def format_percent(value: float | None) -> str:
     return f"{round_percent(value):.1f}"
 
 
-def _rows(columns: dict[str, ClassReport | dict], include_reference: bool,
+def _rows(columns: dict[str, dict], include_reference: bool,
           corner: str) -> list[list[str]]:
     """Header row, then one row of formatted cells per report metric."""
     cols = dict(columns)
@@ -142,7 +134,7 @@ def _rows(columns: dict[str, ClassReport | dict], include_reference: bool,
         for key, label in REPORT_ROWS]
 
 
-def render_table(columns: dict[str, ClassReport | dict],
+def render_table(columns: dict[str, dict],
                  include_reference: bool = False) -> str:
     """Aligned plain-text comparison table, one column per model."""
     rows = _rows(columns, include_reference, "PERFORMANCE")
@@ -152,7 +144,7 @@ def render_table(columns: dict[str, ClassReport | dict],
                    for row in rows)
 
 
-def render_csv(columns: dict[str, ClassReport | dict],
+def render_csv(columns: dict[str, dict],
                include_reference: bool = False) -> str:
     return "".join(",".join(f'"{c}"' if "," in c else c for c in row) + "\n"
                    for row in _rows(columns, include_reference, "metric"))

@@ -49,6 +49,8 @@ class ModelFile:
         if self.format not in formats:
             raise DataError(f"{path}:1: not a {' or '.join(formats)} file")
         features = tuple(self.keyed("features").split(","))
+        if len(set(features)) != len(features):
+            raise self.error("duplicate feature names")
         if self.keyed("classes") != ",".join(CLASS_NAMES):
             raise self.error(f"classes must read {','.join(CLASS_NAMES)}")
         self.meta: dict = {"features": features, "scaler": None}

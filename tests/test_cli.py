@@ -406,6 +406,21 @@ class TestEval:
                      "--out-dir", str(eval_out)]) == 0
         assert (eval_out / "report.csv").exists()
 
+    def test_repeated_column_name_is_usage_error(self, small_run, tmp_path, capsys):
+        # Two model files with one stem would share one report column.
+        other = tmp_path / "other" / "ann_model.txt"
+        other.parent.mkdir()
+        other.write_bytes((small_run / "ann_model.txt").read_bytes())
+        out_dir = tmp_path / "eval_out"
+        rc = main(["eval", str(small_run / "test.csv"),
+                   "--model", str(small_run / "ann_model.txt"),
+                   "--model", str(other), "--out-dir", str(out_dir)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(small_run / "ann_model.txt") in err and str(other) in err
+        assert "'ann_model'" in err
+        assert not (out_dir / "report.csv").exists()
+
     def test_schema_mismatch_lists_missing(self, tmp_path, capsys):
         flows, train_out = self._train(tmp_path)
         narrow = tmp_path / "narrow.csv"
@@ -732,6 +747,17 @@ class TestBadModelFiles:
         TestDeclaredClasses.eval_rejects(small_run, tmp_path, capsys,
                                          text[:start] + cell + text[end:],
                                          text[:start].count("\n") + 1)
+
+    @pytest.mark.parametrize("name", ["ann_model.txt", "svm_model.txt"])
+    def test_repeated_feature_names_line_2(self, small_run, tmp_path, capsys, name):
+        lines = (small_run / name).read_text().splitlines(keepends=True)
+        key, text = lines[1].split()
+        names = text.split(",")
+        assert key == "features" and len(names) >= 2
+        names[1] = names[0]
+        lines[1] = f"features {','.join(names)}\n"
+        TestDeclaredClasses.eval_rejects(small_run, tmp_path, capsys,
+                                         "".join(lines), 2)
 
     def test_line_after_mlp_b2_block(self, small_run, tmp_path, capsys):
         text = (small_run / "ann_model.txt").read_text()

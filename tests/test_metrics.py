@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowsieve.metrics import (C45_COLUMN_NAME, C45_REPORTED, REPORT_ROWS,
-                               ClassReport, ConfusionMatrix, build_report,
+                               ConfusionMatrix, build_report,
                                confusion, format_percent, parse_report_csv,
                                rates, render_csv, render_table, round_percent)
 
@@ -79,10 +79,10 @@ class TestReport:
         assert report["overall_acc"] == 100.0
 
     def test_published_column_shape_renders_seven_rows(self):
-        column = ClassReport(values={
+        column = {
             "dr_tor": 98.8, "fpr_tor": 0.03, "ppv_tor": 99.8,
             "dr_nontor": 100.0, "fpr_nontor": 1.2, "ppv_nontor": 99.8,
-            "overall_acc": 99.8})
+            "overall_acc": 99.8}
         table = render_table({"CFS-ANN": column})
         lines = table.strip().splitlines()
         assert len(lines) == 1 + 7  # header + the seven report rows
@@ -124,7 +124,7 @@ class TestReport:
         rand.shuffle(order)
         shuffled = build_report([preds[i] for i in order],
                                 [labels[i] for i in order])
-        assert base.values == shuffled.values
+        assert base == shuffled
 
 
 class TestRendering:
@@ -136,7 +136,7 @@ class TestRendering:
         assert round_percent(100.0) == 100.0
 
     def test_undefined_cells_marked(self):
-        report = ClassReport(values={key: None for key, _ in REPORT_ROWS})
+        report = {key: None for key, _ in REPORT_ROWS}
         table = render_table({"X": report})
         for line in table.strip().splitlines()[1:]:
             assert line.rstrip().endswith("-")
