@@ -249,6 +249,9 @@ def run_eval(flows_path, out_dir, cfg: PipelineConfig, model_paths: list[Path],
         if name in names[:position]:
             raise UsageError(f"--model {model_paths[names.index(name)]} and "
                              f"{model_paths[position]} both name report column {name!r}")
+        if include_reference and name == metrics.C45_COLUMN_NAME:
+            raise UsageError(f"--model {model_paths[position]} and --reference "
+                             f"both name report column {name!r}")
     ds = _load_flows(flows_path, cfg)
     out_dir = Path(out_dir)
     columns: dict[str, dict] = {}

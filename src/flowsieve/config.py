@@ -194,11 +194,15 @@ def _build(texts: dict) -> PipelineConfig:
         try:
             return make(owner, group)
         except ValueError as exc:
-            # Blame the keys that fail alone, else all (a check spans them).
+            # Blame the keys that fail alone or that a failed Conflict
+            # compares, else all (a check spans them).
+            compared = getattr(exc, "fields", ())
             blamed = []
             for key in group:
                 try:
                     make(owner, {key: group[key]})
+                    if SETTINGS[key][0].rpartition(".")[2] in compared:
+                        blamed.append(key)
                 except ValueError:
                     blamed.append(key)
             raise UsageError("; ".join(f"{group[key][0]}: [{key[0]}] {key[1]}"

@@ -9,6 +9,14 @@ class DataError(Exception):
     """Malformed or contract-violating input data (CLI exit code 3)."""
 
 
+class Conflict(ValueError):
+    """Settings that may each be valid but disagree; `fields` names them all."""
+
+    def __init__(self, message: str, fields: tuple[str, ...]):
+        super().__init__(message)
+        self.fields = fields
+
+
 class TrainingDiverged(Exception):
     """Optimization produced a non-finite loss or parameters (CLI exit code 4)."""
 

@@ -17,7 +17,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import DataError, open_text
+from .errors import Conflict, DataError, open_text
 
 TCP = 6
 UDP = 17
@@ -74,7 +74,8 @@ class MeterConfig:
         if self.activity_timeout_us <= 0 or self.flow_timeout_us <= 0:
             raise ValueError("timeouts must be positive")
         if self.activity_timeout_us > self.flow_timeout_us:
-            raise ValueError("activity timeout must not exceed flow timeout")
+            raise Conflict("activity timeout must not exceed flow timeout",
+                           ("activity_timeout_us", "flow_timeout_us"))
 
 
 def parse_ipv4(text: str) -> int | None:
@@ -200,6 +201,14 @@ def c_parse(handle, dtype, converters) -> np.ndarray | None:
             return None
 
 
+class _Addresses(dict):
+    """parse_ipv4 of each address text, parsed on its first lookup: as a
+    converter, the bound __getitem__ finds a text already seen in C."""
+
+    def __missing__(self, text: str) -> int:
+        return _address(text, "ip", 0, self)
+
+
 def _load_columns(path) -> np.ndarray | None:
     """The records of a packet file parsed by c_parse, or None when c_parse
     rejects the text or a record fails a check _record makes.
@@ -207,12 +216,7 @@ def _load_columns(path) -> np.ndarray | None:
     numpy accepts a subset of what _read_records accepts: it rejects, for
     example, blank lines that hold spaces, `1_000` and non-ASCII digits.
     """
-    ips: dict[str, int] = {}
-
-    def ip(text: str) -> int:  # numpy turns a ParseError into a ValueError
-        value = ips.get(text)
-        return _address(text, "ip", 0, ips) if value is None else value
-
+    ip = _Addresses().__getitem__  # numpy turns a ParseError into a ValueError
     with open_text(path) as handle:
         try:
             if not _is_header(handle.readline()):
@@ -290,9 +294,9 @@ def _four_stats(values: np.ndarray, flow: np.ndarray, n_flows: int) -> np.ndarra
     where `flow` (non-decreasing) names each value's flow; a flow without
     values gets zeros.
 
-    Each variance is Python's sum() of Python's `d ** 2` over the flow's
-    deviations in order: numpy's pairwise sums and `d * d` can round
-    differently, and the rows must not move by a bit.
+    Each variance is numpy's `reduceat` sum of `d * d` over the flow's
+    deviations, which defines its bits: `np.add.reduce` and Python's sum()
+    can round differently.
     """
     stats = np.zeros((n_flows, 4))
     new_flow = np.ones(len(flow), dtype=bool)
@@ -301,12 +305,10 @@ def _four_stats(values: np.ndarray, flow: np.ndarray, n_flows: int) -> np.ndarra
     counts = np.diff(starts, append=len(values))
     # Sums stay below 2**53 (timestamps do), so each mean is correctly rounded.
     means = np.add.reduceat(values, starts) / counts
-    squares = [d ** 2 for d in (values - np.repeat(means, counts)).tolist()]
-    variances = [sum(squares[start:start + count]) / count
-                 for start, count in zip(starts.tolist(), counts.tolist())]
+    d = values - np.repeat(means, counts)
     rows = flow[starts]
     stats[rows, 0] = means
-    stats[rows, 1] = np.sqrt(variances)
+    stats[rows, 1] = np.sqrt(np.add.reduceat(d * d, starts) / counts)
     stats[rows, 2] = np.maximum.reduceat(values, starts)
     stats[rows, 3] = np.minimum.reduceat(values, starts)
     return stats

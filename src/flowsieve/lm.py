@@ -44,13 +44,13 @@ def minimize_least_squares(
     """
     theta = np.array(theta0, dtype=np.float64, copy=True)
     r = residual_fn(theta)
-    hessian_approx, gradient = normal_fn(theta)
     cost = 0.5 * float(r @ r)
     result = LmResult(theta=theta)
     mu = float(mu_init)
     identity = np.eye(len(theta))
 
     for iteration in range(max_iterations):
+        hessian_approx, gradient = normal_fn(theta)
         if np.linalg.norm(gradient) < gradient_tol:
             result.reason = "gradient"
             break
@@ -65,7 +65,6 @@ def minimize_least_squares(
             cost_new = 0.5 * float(r_new @ r_new)
             if cost_new < cost:
                 theta, cost = candidate, cost_new
-                hessian_approx, gradient = normal_fn(theta)
                 mu = max(mu * mu_down, 1e-300)
                 accepted = True
             else:

@@ -173,12 +173,15 @@ def accumulate_flows(packets, cfg=None) -> list[FlowAccumulator]:
 
 
 def stats_summary(values: list[float]) -> FourStats:
-    """(mean, population std, max, min); the empty list maps to all zeros."""
+    """(mean, population std, max, min); the empty list maps to all zeros.
+    The variance sums the squared deviations in numpy's `reduceat` order,
+    as flow_meter does."""
     if not values:
         return ZERO_STATS
     n = len(values)
     mean = sum(values) / n
-    var = sum((v - mean) ** 2 for v in values) / n
+    d = np.asarray(values, dtype=np.float64) - mean
+    var = float(np.add.reduceat(d * d, [0])[0]) / n
     return FourStats(float(mean), math.sqrt(var), float(max(values)), float(min(values)))
 
 

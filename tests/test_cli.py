@@ -421,6 +421,20 @@ class TestEval:
         assert "'ann_model'" in err
         assert not (out_dir / "report.csv").exists()
 
+    def test_model_named_as_reference_column_is_usage_error(self, small_run, tmp_path,
+                                                            capsys):
+        # --reference would replace this model's column with the published values.
+        model = tmp_path / "C4.5 (reported, not computed).txt"
+        model.write_bytes((small_run / "ann_model.txt").read_bytes())
+        out_dir = tmp_path / "eval_out"
+        argv = ["eval", str(small_run / "test.csv"), "--model", str(model),
+                "--out-dir", str(out_dir)]
+        assert main(argv + ["--reference"]) == 2
+        err = capsys.readouterr().err
+        assert str(model) in err and "'C4.5 (reported, not computed)'" in err
+        assert not (out_dir / "report.csv").exists()
+        assert main(argv) == 0  # without --reference the name is free
+
     def test_schema_mismatch_lists_missing(self, tmp_path, capsys):
         flows, train_out = self._train(tmp_path)
         narrow = tmp_path / "narrow.csv"

@@ -59,6 +59,23 @@ def test_bad_flag_value_names_command_line_and_key(tmp_path, capsys, inputs,
     assert f"command line: {key}:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("keys, named", [
+    # The check compares both timeouts, so both given keys are named.
+    ({"activity_timeout_us": "100", "flow_timeout_us": "50"},
+     ["activity_timeout_us", "flow_timeout_us"]),
+    # Alone, the flow timeout fails against the default activity timeout.
+    ({"flow_timeout_us": "50"}, ["flow_timeout_us"]),
+])
+def test_timeout_order_names_each_given_key(tmp_path, capsys, keys, named):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[meter]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()))
+    assert main(["synth", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "; ".join(f"{cfg}: [meter] {key}" for key in named) + \
+        ": activity timeout must not exceed flow timeout" in err
+    assert err.count("[meter]") == len(named)
+
+
 def test_flags_override_file_keys(tmp_path):
     cfg = tmp_path / "run.ini"
     cfg.write_text("[mlp]\nhidden = 4\nmode = lm\n")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowsieve import dataset
+from flowsieve import dataset, flow_meter
 from flowsieve.errors import DataError
 from flowsieve.flow_meter import (FEATURE_COLUMNS, MeterConfig, PacketRecord,
                                   ParseError, _load_columns, _read_records,
@@ -517,13 +517,15 @@ class TestReferenceMeter:
         assert row_bits(meter_packets(packet_array(packets), cfg)) == \
             row_bits(reference_meter(packets, cfg))
 
-    def test_variance_squares_as_python_does(self):
-        # d ** 2 and d * d round these deviations differently: the IAT std
-        # is 1851451574.0389767 one way and 1851451574.0389764 the other.
-        gaps = [9501872522, 9235450554, 5447922744]
-        ts = np.cumsum([0] + gaps).tolist()
-        row = features(*(pkt(t) for t in ts), cfg=MeterConfig(5_000_000, 10**10))
-        assert row["flow_iat_std"] == stats_summary(gaps).std == 1851451574.0389767
+    def test_variance_sums_in_reduceat_order(self):
+        for gaps, std in [
+                # Python's sum() of d ** 2 gives the IAT std 1851451574.0389767.
+                ([9501872522, 9235450554, 5447922744], 1851451574.0389764),
+                # np.add.reduce gives 113.37352228609446 (variance 12853.555555555555).
+                ([2, 243, 3], 113.37352228609444)]:
+            ts = np.cumsum([0] + gaps).tolist()
+            row = features(*(pkt(t) for t in ts), cfg=MeterConfig(5_000_000, 10**10))
+            assert row["flow_iat_std"] == stats_summary(gaps).std == std
 
     @pytest.mark.parametrize("activity, flow", [
         (5_000_000, 120_000_000), (1, 1), (1_000_000, 1_000_000), (10**9, 10**9)])
@@ -627,6 +629,35 @@ class TestReaderPaths:
         path.write_text(HEADER + "\n" + ",".join(RECORD) + "\n")
         assert _load_columns(path).tolist() == [[1000, ip("10.0.0.1"), 443,
                                                  ip("10.0.0.2"), 80, 6, 60]]
+
+    def test_each_address_text_is_parsed_once(self, tmp_path, monkeypatch):
+        texts = []
+
+        def counting(text):
+            texts.append(text)
+            return parse_ipv4(text)
+
+        monkeypatch.setattr(flow_meter, "parse_ipv4", counting)
+        hosts = ["10.0.0.1", "10.0.0.2", "192.168.1.7", " 10.0.0.1"]
+        path = tmp_path / "packets.txt"
+        path.write_text("".join(f"{ts},{hosts[ts % 4]},443,{hosts[ts % 3]},80,6,60\n"
+                                for ts in range(200)))
+        packets = _load_columns(path)
+        assert packets is not None and len(packets) == 200
+        assert sorted(texts) == sorted(hosts)
+        assert packets[:4, 1].tolist() == [ip(h.strip()) for h in hosts]
+
+    @pytest.mark.parametrize("k", [2, 77, 201])
+    def test_malformed_address_names_its_line(self, tmp_path, k):
+        lines = [HEADER] + [f"{ts},10.0.0.{ts % 9},443,10.0.0.9,80,6,60"
+                            for ts in range(200)]
+        lines[k - 1] = lines[k - 1].replace("10.0.0.9", "10.0.0.09")
+        path = tmp_path / "packets.txt"
+        path.write_text("\n".join(lines) + "\n")
+        assert _load_columns(path) is None
+        with pytest.raises(ParseError, match=f"^line {k}: dst_ip: malformed IPv4 "
+                                             "address '10.0.0.09'$"):
+            read_packet_file(path)
 
     def test_plain_flow_csv_takes_the_fast_path(self, tmp_path, monkeypatch):
         def per_row(*args):

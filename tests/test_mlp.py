@@ -363,6 +363,31 @@ class TestTrainLm:
         assert np.abs(result.theta - optimum).max() < 1e-8
         assert result.iterations == 1
 
+    @pytest.mark.parametrize("k, stop_after, reason", [
+        (1, None, "max_iterations"), (4, None, "max_iterations"),
+        (10, 1, "callback"), (10, 3, "callback")])
+    def test_normal_equations_built_once_per_step(self, k, stop_after, reason):
+        # J^T J and J^T r are built only for a step that will be taken:
+        # not after the last one.
+        rng = np.random.default_rng(15)
+        A = rng.normal(size=(8, 3))
+        b = rng.normal(size=8)
+        builds, steps = [], []
+
+        def normal_fn(t):
+            builds.append(t)
+            return A.T @ A, A.T @ (A @ t - b)
+
+        def callback(t, cost):
+            steps.append(t)
+            return len(steps) != stop_after
+
+        result = minimize_least_squares(lambda t: A @ t - b, normal_fn, np.zeros(3),
+                                        mu_init=1.0, max_iterations=k,
+                                        callback=callback)
+        assert result.reason == reason
+        assert len(builds) == result.iterations == (stop_after or k)
+
     def test_mu_max_stop_on_kinked_flat_problem(self):
         # r(theta) = 1 + |theta| at theta = 0: every proposed step increases
         # the cost, so mu climbs to its cap; the gradient norm stays at 1.
