@@ -14,14 +14,18 @@ import time
 from contextlib import contextmanager
 from pathlib import Path
 
+import numpy as np
+
 from . import cfs, metrics, mlp, modelfile, svm
 from .config import (PipelineConfig, UsageError, load_config, make_kernel,
                      write_manifest)
 from .dataset import (CLASS_NAMES, Dataset, apply_scaler, fit_scaler, generate_synthetic,
                       load_flow_csv, one_hot, stratified_split, write_csv)
+# perfbench times the meter's write under this name until ROADMAP item 3 moves spans into src/.
+from .dataset import write_csv as write_flow_csv
 from .errors import DataError, TrainingDiverged
-from .flow_meter import (MeterConfig, OutOfOrderError, ParseError, meter_packets,
-                         read_packet_file, write_flow_csv)
+from .flow_meter import (FEATURE_COLUMNS, MeterConfig, OutOfOrderError, ParseError,
+                         meter_packets, read_packet_file)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -99,8 +103,10 @@ def run_meter(packets_path, out_dir, meter_cfg: MeterConfig, label: str | None) 
         raise DataError(f"{packets_path}: {exc}") from None
     if len(packets) == 0:
         raise DataError(f"{packets_path}: no packets")
+    table = meter_packets(packets, meter_cfg)
     out = Path(out_dir) / "flows.csv"
-    write_flow_csv(meter_packets(packets, meter_cfg), out, label)
+    write_flow_csv(Dataset(FEATURE_COLUMNS, table,
+                           np.full(len(table), CLASS_NAMES.index(label))), out)
     return out
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, asdict, replace
 from pathlib import Path
 
@@ -85,13 +86,20 @@ def _bool(text: str) -> bool:
     return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
 
 
+def _finite(text: str) -> float:
+    """The one parser of float settings: inf and nan are refused."""
+    if not math.isfinite(value := float(text)):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
 def _optional(parse):
     """An empty value leaves the setting at None."""
     return lambda text: parse(text) if text else None
 
 
 def _numbers(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.replace(",", " ").split())
+    return tuple(_finite(v) for v in text.replace(",", " ").split())
 
 
 # Every config key: [section] key -> (the PipelineConfig attribute it sets,
@@ -105,9 +113,9 @@ SETTINGS = {
     ("input", "bad_value_policy"): ("bad_value_policy", str),
     ("meter", "activity_timeout_us"): ("meter.activity_timeout_us", int),
     ("meter", "flow_timeout_us"): ("meter.flow_timeout_us", int),
-    ("split", "train"): ("split.train", float),
-    ("split", "validation"): ("split.validation", float),
-    ("split", "test"): ("split.test", float),
+    ("split", "train"): ("split.train", _finite),
+    ("split", "validation"): ("split.validation", _finite),
+    ("split", "test"): ("split.test", _finite),
     ("select", "enabled"): ("select_enabled", _bool),
     ("select", "max_stale_expansions"): ("search.max_stale_expansions", int),
     ("select", "max_subset_size"): ("search.max_subset_size", _optional(int)),
@@ -115,26 +123,26 @@ SETTINGS = {
     ("mlp", "mode"): ("mlp_train.mode", str),
     ("mlp", "hidden"): ("mlp_hidden", int),
     ("mlp", "max_epochs"): ("mlp_train.max_epochs", int),
-    ("mlp", "learning_rate"): ("mlp_train.learning_rate", float),
+    ("mlp", "learning_rate"): ("mlp_train.learning_rate", _finite),
     ("mlp", "batch_size"): ("mlp_train.batch_size", int),
     ("mlp", "patience"): ("mlp_train.patience", int),
-    ("mlp", "mu_init"): ("mlp_train.lm_mu_init", float),
-    ("mlp", "mu_up"): ("mlp_train.lm_mu_up", float),
-    ("mlp", "mu_down"): ("mlp_train.lm_mu_down", float),
-    ("mlp", "mu_max"): ("mlp_train.lm_mu_max", float),
+    ("mlp", "mu_init"): ("mlp_train.lm_mu_init", _finite),
+    ("mlp", "mu_up"): ("mlp_train.lm_mu_up", _finite),
+    ("mlp", "mu_down"): ("mlp_train.lm_mu_down", _finite),
+    ("mlp", "mu_max"): ("mlp_train.lm_mu_max", _finite),
     ("svm", "kernel"): ("svm_kernel_kind", str),
-    ("svm", "gamma"): ("svm_gamma", _optional(float)),
-    ("svm", "c"): ("smo.C", float),
-    ("svm", "tolerance"): ("smo.tolerance", float),
+    ("svm", "gamma"): ("svm_gamma", _optional(_finite)),
+    ("svm", "c"): ("smo.C", _finite),
+    ("svm", "tolerance"): ("smo.tolerance", _finite),
     ("svm", "max_iterations"): ("smo.max_iterations", _optional(int)),
     ("synth", "rows_per_class"): ("synth_spec.rows_per_class", int),
     ("synth", "class0_mean"): ("synth_spec.class0_mean", _numbers),
     ("synth", "class1_mean"): ("synth_spec.class1_mean", _numbers),
-    ("synth", "covariance_scale"): ("synth_spec.covariance_scale", float),
+    ("synth", "covariance_scale"): ("synth_spec.covariance_scale", _finite),
     ("synth", "duplicates"): ("synth_spec.duplicates", int),
-    ("synth", "duplicate_noise"): ("synth_spec.duplicate_noise", float),
+    ("synth", "duplicate_noise"): ("synth_spec.duplicate_noise", _finite),
     ("synth", "noise_features"): ("synth_spec.noise_features", int),
-    ("synth", "noise_scale"): ("synth_spec.noise_scale", float),
+    ("synth", "noise_scale"): ("synth_spec.noise_scale", _finite),
 }
 
 

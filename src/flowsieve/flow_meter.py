@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,7 +32,7 @@ BYTES_LIMIT = 2 ** 32
 DEFAULT_ACTIVITY_TIMEOUT_US = 5_000_000
 DEFAULT_FLOW_TIMEOUT_US = 120_000_000
 
-# Canonical feature order; the flow CSV is these 28 columns plus "label".
+# Canonical feature order: the columns of compute_features' table.
 FEATURE_COLUMNS = (
     "src_ip", "src_port", "dst_ip", "dst_port", "protocol",
     "flow_duration", "flow_bytes_per_s", "flow_packets_per_s",
@@ -42,7 +42,6 @@ FEATURE_COLUMNS = (
     "active_mean", "active_std", "active_max", "active_min",
     "idle_mean", "idle_std", "idle_max", "idle_min",
 )
-CSV_COLUMNS = FEATURE_COLUMNS + ("label",)
 
 
 class ParseError(DataError):
@@ -360,45 +359,9 @@ def compute_features(flows: Flows, cfg: MeterConfig | None = None) -> np.ndarray
     return table
 
 
-def format_cell(value: float) -> str:
-    """Integral values print exactly; others with 6 significant digits.
-
-    A value whose 6-digit rounding is integral prints as that integer, so
-    rewriting a CSV produced by this formatter is byte-stable.
-    """
-    if value == int(value) and abs(value) < 2 ** 53:
-        return str(int(value))
-    rounded = float(f"{value:.6g}")
-    if rounded == int(rounded) and abs(rounded) < 2 ** 53:
-        return str(int(rounded))
-    return f"{value:.6g}"
-
-
-def format_cells(values: list[float]) -> list[str]:
-    """format_cell of each float, with its two common cases inline.
-
-    An integral value below 2**53 prints as that integer. Otherwise a
-    6-significant-digit text with a point and no exponent is fixed
-    notation with a non-zero fractional digit, so the value and its
-    rounding are both non-integral and format_cell would return that text.
-    """
-    return [str(int(v)) if v.is_integer() and abs(v) < 2 ** 53
-            else text if "." in (text := f"{v:.6g}") and "e" not in text
-            else format_cell(v) for v in values]
-
-
-def write_flow_csv(rows: Iterable[list[float]], path, label: str) -> None:
-    """Write the 29-column flow CSV: the header, then each feature row with
-    the capture's one label."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(",".join(CSV_COLUMNS) + "\n")
-        for row in rows:
-            handle.write(",".join(format_cells(row)) + f",{label}\n")
-
-
-def meter_packets(packets: np.ndarray,
-                  cfg: MeterConfig | None = None) -> list[list[float]]:
+def meter_packets(packets: np.ndarray, cfg: MeterConfig | None = None) -> np.ndarray:
     """Assemble flows and compute each one's feature row, in the flows'
-    (first_ts, endpoint_a, endpoint_b, protocol) order."""
+    (first_ts, endpoint_a, endpoint_b, protocol) order: an (n_flows, 28)
+    array."""
     cfg = cfg or MeterConfig()
-    return compute_features(assemble_flows(packets, cfg), cfg).tolist()
+    return compute_features(assemble_flows(packets, cfg), cfg)

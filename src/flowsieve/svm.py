@@ -119,7 +119,8 @@ def smo_train(X: np.ndarray, y_pm: np.ndarray, kernel: Kernel,
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y_pm, dtype=np.float64)
-    if set(np.unique(y)) != {1.0, -1.0}:
+    up, low = y == 1.0, y == -1.0  # every alpha starts at 0
+    if not (up.any() and low.any() and (up | low).all()):
         raise ValueError("internal labels must be +1/-1, with both present")
     n, c = len(y), cfg.C
     budget = cfg.max_iterations if cfg.max_iterations is not None else 100 * n
@@ -127,7 +128,6 @@ def smo_train(X: np.ndarray, y_pm: np.ndarray, kernel: Kernel,
     norms = (X ** 2).sum(axis=1)  # every rbf kernel row expands over these
     alphas = np.zeros(n)
     v = y.copy()
-    up, low = y > 0, y < 0  # every alpha starts at 0
     pair = ()
     updates = 0
     while True:

@@ -710,10 +710,24 @@ def oracle_load_flow_csv(path, bad_value_policy: str = "error"):
                    np.array(labels, dtype=np.int64), dropped=dropped)
 
 
+def format_cell(value: float) -> str:
+    """One flow-CSV cell, the reference for flowsieve.dataset.write_csv.
+
+    Integral values print exactly; others with 6 significant digits. A
+    value whose 6-digit rounding is integral prints as that integer, so
+    rewriting a CSV produced by this formatter is byte-stable.
+    """
+    if value == int(value) and abs(value) < 2 ** 53:
+        return str(int(value))
+    rounded = float(f"{value:.6g}")
+    if rounded == int(rounded) and abs(rounded) < 2 ** 53:
+        return str(int(rounded))
+    return f"{value:.6g}"
+
+
 def oracle_write_csv(ds, path) -> None:
     """Write a Dataset one row and one format_cell call at a time."""
     from flowsieve.dataset import CLASS_NAMES
-    from flowsieve.flow_meter import format_cell
 
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(",".join(ds.schema + ("label",)) + "\n")

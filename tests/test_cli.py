@@ -15,9 +15,9 @@ from flowsieve.cli import main
 from flowsieve.dataset import (CLASS_NAMES, UNB_CIC_ALIASES, Dataset,
                                SyntheticSpec, generate_synthetic, load_flow_csv,
                                write_csv)
-from flowsieve.flow_meter import FEATURE_COLUMNS, MeterConfig, format_cells
+from flowsieve.flow_meter import FEATURE_COLUMNS, MeterConfig
 from conftest import assert_close
-from oracles import oracle_features, oracle_flows, random_trace
+from oracles import format_cell, oracle_features, oracle_flows, random_trace
 
 TEN_PACKETS = """\
 0,10.0.0.1,443,10.0.0.2,5555,6,100
@@ -73,7 +73,7 @@ def unb_cic_csv(tmp_path, rows=120, seed=3, infinity_every=8):
     published_names = {name: alias for alias, name in UNB_CIC_ALIASES.items()}
     lines = [",".join(published_names[name] for name in ds.schema + ("label",))]
     for i, (row, label) in enumerate(zip(X, ds.y)):
-        cells = format_cells(row.tolist())
+        cells = [format_cell(v) for v in row.tolist()]
         for col in ip_cols:
             cells[col] = str(IPv4Address(int(row[col])))
         if i % infinity_every == 0:
@@ -1037,3 +1037,45 @@ def test_every_name_the_tracer_wraps_on_cli_is_called_through_cli(
         capture_output=True, text=True, check=True)
     recorded = set(json.loads(run.stdout.splitlines()[-1]))
     assert sorted(set(wrapped.values()) - recorded) == []
+
+
+CHILD_MAIN = """\
+import sys
+sys.path.insert(0, sys.argv[1] + "/src")
+from flowsieve import cli
+code = cli.main(sys.argv[2:])
+print("numpy.ma" in sys.modules)
+sys.exit(code)
+"""
+
+
+def run_child(repo_root, *argv: str) -> subprocess.CompletedProcess:
+    """`flowsieve *argv` in a fresh process; its last stdout line says
+    whether numpy.ma was imported."""
+    return subprocess.run([sys.executable, "-c", CHILD_MAIN, str(repo_root), *argv],
+                          capture_output=True, text=True)
+
+
+def test_synth_draws_that_overflow_are_a_data_error(tmp_path, repo_root):
+    """The noise draws overflow to inf. The command runs in a child because
+    pytest turns numpy's overflow RuntimeWarning into an error in-process."""
+    cfg = tmp_path / "huge.ini"
+    cfg.write_text("[synth]\nrows_per_class = 20\nnoise_scale = 1e308\n")
+    out = tmp_path / "out" / "synthetic_flows.csv"
+    run = run_child(repo_root, "synth", "--config", str(cfg),
+                    "--out-dir", str(out.parent))
+    assert run.returncode == 3, run.stderr
+    assert "Traceback" not in run.stderr
+    assert f"data error: {out}: row " in run.stderr
+    assert "non-finite value" in run.stderr and not out.exists()
+
+
+def test_pipeline_with_both_classifiers_never_imports_numpy_ma(tmp_path, repo_root):
+    """numpy.ma costs a fresh process 8-15 ms to import; np.unique imports it."""
+    config = (repo_root / "configs" / "two_cluster.ini").read_text()
+    cfg = tmp_path / "both.ini"
+    cfg.write_text(config.replace("classifier = ann\n", "classifier = both\n"))
+    run = run_child(repo_root, "pipeline", "--config", str(cfg),
+                    "--out-dir", str(tmp_path / "out"))
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "False"

@@ -37,6 +37,25 @@ def test_bad_file_value_names_file_and_key(tmp_path, capsys, section, key, value
     assert f"{cfg}: [{section}] {key}:" in err
 
 
+FLOAT_KEYS = [("split", "train"), ("split", "validation"), ("split", "test"),
+              ("mlp", "learning_rate"), ("mlp", "mu_init"), ("mlp", "mu_up"),
+              ("mlp", "mu_down"), ("mlp", "mu_max"), ("svm", "gamma"), ("svm", "c"),
+              ("svm", "tolerance"), ("synth", "class0_mean"), ("synth", "class1_mean"),
+              ("synth", "covariance_scale"), ("synth", "duplicate_noise"),
+              ("synth", "noise_scale")]
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e999"])
+@pytest.mark.parametrize("section, key", FLOAT_KEYS)
+def test_non_finite_float_is_usage_error_naming_key(tmp_path, section, key, value):
+    """mu_max = inf once made LM loop forever; c = inf wrote a model file
+    that eval rejects."""
+    path = tmp_path / "bad.ini"
+    path.write_text(f"[{section}]\n{key} = {value}\n", encoding="utf-8")
+    with pytest.raises(UsageError, match=re.escape(f"{path}: [{section}] {key}: ")):
+        load_config(str(path))
+
+
 @pytest.fixture
 def inputs(tmp_path):
     packets = tmp_path / "packets.txt"

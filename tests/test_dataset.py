@@ -14,7 +14,7 @@ from flowsieve.dataset import (CLASS_NAMES, MAX_SYNTH_CELLS, Dataset, Scaler,
                                one_hot, stratified_split,
                                stratified_split_indices, write_csv)
 from flowsieve.errors import DataError
-from flowsieve.flow_meter import FEATURE_COLUMNS, c_parse, format_cell, format_cells
+from flowsieve.flow_meter import FEATURE_COLUMNS, c_parse
 from oracles import masked_transform, oracle_load_flow_csv, oracle_write_csv
 
 
@@ -274,21 +274,36 @@ class TestCsvCodecMatchesReference:
         st.floats(allow_nan=False, allow_infinity=False),
         st.integers(-2 ** 60, 2 ** 60).map(float),
         st.sampled_from([0.0, -0.0, 2.0 ** 53, 2.0 ** 53 + 2, -2.0 ** 60, 5e-324,
-                         999999.5, 9999995.0, 0.9999995, 123456.4, -99999.95]),
+                         999999.5, 9999995.0, 0.9999995, 123456.4, -99999.95,
+                         2.0 ** 53 - 1, 2.0 ** 53 + 1, 1 - 2.0 ** 53, -1 - 2.0 ** 53]),
+        st.sampled_from([999999.5, -999999.5]).flatmap(lambda edge: st.sampled_from(
+            [np.nextafter(edge, 0.0), np.nextafter(edge, 2 * edge)])).map(float),
         st.floats(min_value=-1e-300, max_value=1e-300),
         st.tuples(st.integers(-10 ** 7, 10 ** 7),
                   st.floats(min_value=-1e-6, max_value=1e-6)).map(sum),
-    ), min_size=1, max_size=24), width=st.integers(1, 4))
+    ), min_size=1, max_size=24), width=st.integers(1, 4), tall=st.booleans())
     @settings(max_examples=200, deadline=None)
-    def test_writer_matches(self, tmp_path_factory, values, width):
-        rows = len(values) // width or 1
+    def test_writer_matches(self, tmp_path_factory, values, width, tall):
+        """A tall table repeats the values across the writer's 4096-row
+        blocks, so the same and new integral masks meet at a block edge."""
+        rows = 4099 if tall else len(values) // width or 1
         X = np.resize(np.array(values, dtype=np.float64), (rows, width))
         ds = Dataset(_CODEC_SCHEMA[:width], X, np.arange(rows) % 2)
         out = tmp_path_factory.mktemp("codec")
         write_csv(ds, out / "bulk.csv")
         oracle_write_csv(ds, out / "cells.csv")
         assert (out / "bulk.csv").read_bytes() == (out / "cells.csv").read_bytes()
-        assert format_cells(values) == [format_cell(v) for v in values]
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_writer_rejects_a_non_finite_cell(self, tmp_path, value):
+        X = np.ones((5000, 4))
+        X[4100, 2] = value
+        path = tmp_path / "out.csv"
+        with pytest.raises(DataError) as err:
+            write_csv(Dataset(_CODEC_SCHEMA, X, np.arange(5000) % 2), path)
+        assert str(err.value) == (f"{path}: row 4102 column 3 (dst_ip): "
+                                  f"non-finite value {value}")
+        assert not path.exists()
 
     def test_writer_matches_on_many_rows(self, tmp_path):
         rng = np.random.default_rng(4)

@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowsieve import dataset, flow_meter
+from flowsieve.cli import run_meter
 from flowsieve.errors import DataError
 from flowsieve.flow_meter import (FEATURE_COLUMNS, MeterConfig, PacketRecord,
                                   ParseError, _load_columns, _read_records,
                                   assemble_flows, compute_features,
-                                  meter_packets, parse_ipv4, read_packet_file,
-                                  write_flow_csv)
+                                  meter_packets, parse_ipv4, read_packet_file)
 from conftest import assert_close
 from oracles import (FlowKey, FourStats, accumulate_flows, oracle_features,
                      oracle_flows, oracle_key, oracle_packet_record,
@@ -33,6 +33,17 @@ def pkt(ts, src="10.0.0.1", sport=443, dst="10.0.0.2", dport=80,
 def features(*packets, cfg=None) -> dict[str, float]:
     """The first flow's feature row, keyed by FEATURE_COLUMNS name."""
     return dict(zip(FEATURE_COLUMNS, meter_packets(packet_array(packets), cfg)[0]))
+
+
+def meter_csv(packets, out_dir, label: str):
+    """The flows.csv that run_meter writes into `out_dir` for these packets."""
+    out_dir.mkdir(exist_ok=True)
+    text = out_dir / "packets.txt"
+    text.write_text("".join(
+        f"{p.timestamp_us},{ipaddress.IPv4Address(p.src_ip)},{p.src_port},"
+        f"{ipaddress.IPv4Address(p.dst_ip)},{p.dst_port},{p.protocol},{p.payload_bytes}\n"
+        for p in packets))
+    return run_meter(text, out_dir, MeterConfig(), label)
 
 
 def stats_of(feat: dict[str, float], prefix: str) -> FourStats:
@@ -449,16 +460,12 @@ class TestInvariants:
                     assert stats.std >= 0
 
     def test_csv_deterministic(self, tmp_path):
-        rng = np.random.default_rng(5)
-        packets = packet_array(random_trace(rng, 40))
-        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
-        for path in paths:
-            write_flow_csv(meter_packets(packets), path, "Tor")
+        packets = random_trace(np.random.default_rng(5), 40)
+        paths = [meter_csv(packets, tmp_path / name, "Tor") for name in "ab"]
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_csv_has_29_columns(self, tmp_path):
-        path = tmp_path / "flows.csv"
-        write_flow_csv(meter_packets(packet_array([pkt(0)])), path, "NonTor")
+        path = meter_csv([pkt(0)], tmp_path, "NonTor")
         lines = path.read_text().splitlines()
         assert lines[0].split(",") == list(FEATURE_COLUMNS) + ["label"]
         assert len(lines[1].split(",")) == 29

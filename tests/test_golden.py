@@ -10,7 +10,12 @@ not pinned: their bits depend on the BLAS build.
 
 import hashlib
 
+import numpy as np
+
 from flowsieve.cli import main
+from flowsieve.dataset import CLASS_NAMES, Dataset
+from flowsieve.flow_meter import FEATURE_COLUMNS, meter_packets, read_packet_file
+from oracles import oracle_write_csv
 
 
 def _sha256(path) -> str:
@@ -69,6 +74,18 @@ def test_meter_rows_match_golden_digest(tmp_path):
     assert main(["meter", str(trace), "--label", "Tor",
                  "--out-dir", str(out_dir)]) == 0
     assert _sha256(out_dir / "flows.csv") == METER_SHA256
+
+
+def test_meter_csv_is_the_reference_writer_of_the_meter_table(tmp_path):
+    trace = tmp_path / "trace.txt"
+    trace.write_text(_trace_text(), encoding="utf-8")
+    assert main(["meter", str(trace), "--label", "Tor",
+                 "--out-dir", str(tmp_path / "out")]) == 0
+    table = meter_packets(read_packet_file(trace))
+    labels = np.full(len(table), CLASS_NAMES.index("Tor"))
+    oracle_write_csv(Dataset(FEATURE_COLUMNS, table, labels), tmp_path / "oracle.csv")
+    assert ((tmp_path / "out" / "flows.csv").read_bytes()
+            == (tmp_path / "oracle.csv").read_bytes())
 
 
 def test_synth_table_matches_golden_digest(tmp_path):

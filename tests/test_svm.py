@@ -194,9 +194,11 @@ class TestSmo:
         np.testing.assert_array_equal(got.support_vectors, want.support_vectors)
 
     def test_bad_labels_rejected(self):
-        with pytest.raises(ValueError, match="internal labels"):
-            smo_train(np.zeros((2, 1)), np.array([0.0, 1.0]),
-                      Kernel("linear"), SmoConfig())
+        for labels in ([1.0, 1.0], [1.0, 0.0], [1.0, -1.0, 2.0], [1.0, -1.0, np.nan],
+                       []):
+            with pytest.raises(ValueError, match="internal labels"):
+                smo_train(np.zeros((len(labels), 1)), np.array(labels),
+                          Kernel("linear"), SmoConfig())
 
 
 class TestDecision:
