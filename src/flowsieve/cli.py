@@ -19,8 +19,8 @@ import numpy as np
 from . import cfs, metrics, mlp, modelfile, svm
 from .config import (PipelineConfig, UsageError, load_config, make_kernel,
                      write_manifest)
-from .dataset import (CLASS_NAMES, Dataset, apply_scaler, fit_scaler, generate_synthetic,
-                      load_flow_csv, one_hot, stratified_split, write_csv)
+from .dataset import (CLASS_NAMES, MAX_CELLS, Dataset, apply_scaler, fit_scaler,
+                      generate_synthetic, load_flow_csv, one_hot, stratified_split, write_csv)
 # perfbench times the meter's write under this name until ROADMAP item 3 moves spans into src/.
 from .dataset import write_csv as write_flow_csv
 from .errors import DataError, TrainingDiverged
@@ -187,8 +187,15 @@ def _train_models(train_ds: Dataset, val_ds: Dataset, cfg: PipelineConfig,
                   scaler, out_dir: Path) -> dict[str, Path]:
     artifacts: dict[str, Path] = {}
     if cfg.classifier in ("ann", "both"):
-        model = mlp.init_model(train_ds.n_features, cfg.mlp_hidden,
-                               seed=cfg.mlp_train.seed)
+        hidden, n_outputs = cfg.mlp_hidden, len(CLASS_NAMES)
+        n_parameters = hidden * (train_ds.n_features + 1 + n_outputs) + n_outputs
+        # LM holds a P x P JᵀJ, SGD P-long vectors; checked before numpy allocates
+        cells = n_parameters ** 2 if cfg.mlp_train.mode == "lm" else n_parameters
+        if cells > MAX_CELLS:
+            raise UsageError(f"[mlp] hidden = {hidden} on {train_ds.n_features} features "
+                             f"gives P = {n_parameters} parameters: {cfg.mlp_train.mode} "
+                             f"would allocate {cells} cells, more than {MAX_CELLS}")
+        model = mlp.init_model(train_ds.n_features, hidden, seed=cfg.mlp_train.seed)
         model, history = mlp.train(
             model, train_ds.X, one_hot(train_ds.y), val_ds.X, one_hot(val_ds.y),
             cfg.mlp_train)
@@ -246,22 +253,21 @@ def cmd_train(args) -> int:
 _MODEL_MODULES = {mlp.MODEL_FORMAT: mlp, svm.MODEL_FORMAT: svm}
 
 
-def run_eval(flows_path, out_dir, cfg: PipelineConfig, model_paths: list[Path],
-             column_names: list[str] | None = None,
+def run_eval(flows_path, out_dir, cfg: PipelineConfig, models: list[tuple[str, Path]],
              include_reference: bool = False) -> dict[str, dict]:
-    """Write report.txt and report.csv, one column per model; no two may share a name."""
-    names = column_names or [Path(model_path).stem for model_path in model_paths]
-    for position, name in enumerate(names):
+    """Write report.txt and report.csv, one column per (name, model file) pair."""
+    names = [name for name, _ in models]
+    for position, (name, model_path) in enumerate(models):
         if name in names[:position]:
-            raise UsageError(f"--model {model_paths[names.index(name)]} and "
-                             f"{model_paths[position]} both name report column {name!r}")
+            raise UsageError(f"--model {models[names.index(name)][1]} and "
+                             f"{model_path} both name report column {name!r}")
         if include_reference and name == metrics.C45_COLUMN_NAME:
-            raise UsageError(f"--model {model_paths[position]} and --reference "
+            raise UsageError(f"--model {model_path} and --reference "
                              f"both name report column {name!r}")
     ds = _load_flows(flows_path, cfg)
     out_dir = Path(out_dir)
     columns: dict[str, dict] = {}
-    for name, model_path in zip(names, model_paths):
+    for name, model_path in models:
         doc = modelfile.ModelFile(Path(model_path), tuple(_MODEL_MODULES))
         module = _MODEL_MODULES[doc.format]
         model = module.read_body(doc)
@@ -283,11 +289,21 @@ def run_eval(flows_path, out_dir, cfg: PipelineConfig, model_paths: list[Path],
 
 
 def cmd_eval(args) -> int:
-    with _command(args, args.flows, *args.model) as run, run.stage("eval"):
+    names, paths = zip(*args.model)
+    with _command(args, args.flows, *paths) as run, run.stage("eval"):
         flows, *models = run.inputs
-        run_eval(flows, run.out_dir, run.cfg, models, include_reference=args.reference)
+        run_eval(flows, run.out_dir, run.cfg, list(zip(names, models)),
+                 include_reference=args.reference)
         run.artifacts += ["report.txt", "report.csv"]
     return EXIT_OK
+
+
+def _named_model(text: str) -> tuple[str, str]:
+    """--model [NAME=]PATH, split at its first "="; with no "=", NAME is the file's stem."""
+    name, equals, path = text.partition("=")
+    if equals and not name:
+        raise argparse.ArgumentTypeError(f"empty column name in {text!r}")
+    return (name, path) if equals else (Path(text).stem, text)
 
 
 # ---------------------------------------------------------------- synth
@@ -340,12 +356,12 @@ def cmd_pipeline(args) -> int:
         run.artifacts += trained
 
         prefix = "CFS-" if cfg.select_enabled else ""
-        models = {prefix + column: trained[name] for name, column
+        models = [(prefix + column, trained[name]) for name, column
                   in (("ann_model.txt", "ANN"), ("svm_model.txt", "SVM"))
-                  if name in trained}
+                  if name in trained]
         with run.stage("eval"):
-            run_eval(out_dir / "test.csv", out_dir, cfg, list(models.values()),
-                     list(models), include_reference=args.reference)
+            run_eval(out_dir / "test.csv", out_dir, cfg, models,
+                     include_reference=args.reference)
         run.artifacts += ["report.txt", "report.csv"]
     return EXIT_OK
 
@@ -393,8 +409,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate saved models on a flow CSV")
     p.add_argument("flows")
-    p.add_argument("--model", action="append", required=True,
-                   help="model file; repeat for a multi-column report")
+    p.add_argument("--model", action="append", required=True, type=_named_model,
+                   metavar="[NAME=]PATH",
+                   help="model file, its report column named NAME or else the file's "
+                        "stem; repeat for a multi-column report")
     p.add_argument("--reference", action="store_true",
                    help="append the published C4.5 comparison column")
     common(p)
@@ -407,6 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("pipeline", help="run meter/synth -> select -> train -> eval")
+    p.add_argument("--flows", dest="input:flows", help="sets [input] flows")
     p.add_argument("--reference", action="store_true")
     common(p)
     p.set_defaults(func=cmd_pipeline)

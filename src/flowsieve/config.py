@@ -13,6 +13,7 @@ from . import __version__, mlp, svm
 from .cfs import SearchConfig
 from .dataset import (BAD_VALUE_POLICIES, CLASS_NAMES, SplitSpec, SyntheticSpec,
                       default_synthetic_spec)
+from .errors import Conflict
 from .flow_meter import MeterConfig
 from .mlp import TrainConfig
 from .svm import Kernel, SmoConfig
@@ -64,6 +65,10 @@ class PipelineConfig:
                 raise ValueError(f"{name} must be one of "
                                  f"{', '.join(filter(None, allowed))}, "
                                  f"got {getattr(self, name)!r}")
+        inputs = tuple(name for name in ("packets_path", "flows_path", "use_synth")
+                       if getattr(self, name))
+        if len(inputs) > 1:
+            raise Conflict("set only one input: packets, flows or synth", inputs)
         if self.mlp_hidden < 1:
             raise ValueError(f"mlp_hidden must be at least 1, got {self.mlp_hidden}")
         make_kernel(self, n_features=1)  # checks svm_kernel_kind and svm_gamma

@@ -390,8 +390,8 @@ class SyntheticSpec:
             raise ValueError("feature_names width mismatch")
 
 
-# The most cells default_synthetic_spec allows: 800 MB of float64.
-MAX_SYNTH_CELLS = 10**8
+# The most float64 cells (800 MB) of a synthetic table or of an MLP's training arrays.
+MAX_CELLS = 10**8
 
 
 def default_synthetic_spec(rows_per_class: int = 500,
@@ -410,9 +410,9 @@ def default_synthetic_spec(rows_per_class: int = 500,
     if m < 1 or duplicates < 0 or n_features > 10_000:  # keeps the spec buildable
         raise ValueError("need at least one mean, duplicates at least 0 and at "
                          "most 10000 columns")
-    if 2 * rows_per_class * n_features > MAX_SYNTH_CELLS:  # checked before numpy allocates
+    if 2 * rows_per_class * n_features > MAX_CELLS:  # checked before numpy allocates
         raise ValueError(f"2 x {rows_per_class} rows x {n_features} columns is "
-                         f"more than {MAX_SYNTH_CELLS} cells")
+                         f"more than {MAX_CELLS} cells")
     return SyntheticSpec(
         class_means=(tuple(class0_mean), tuple(class1_mean)),
         rows_per_class=(rows_per_class, rows_per_class),

@@ -252,15 +252,9 @@ def test_criterion_7_real_dataset_conditional(tmp_path):
         pytest.skip(f"{TOR_DATASET_ENV} not set; real dataset not supplied")
     with Criterion(7, "CFS-ANN on the published dataset reaches "
                       ">= 98% overall accuracy"):
-        config = tmp_path / "real.ini"
-        config.write_text(
-            "[input]\n"
-            f"flows = {dataset_path}\n"
-            "bad_value_policy = drop\n"
-            "[train]\nclassifier = ann\n"
-            "[mlp]\nmode = lm\nhidden = 6\nmax_epochs = 200\n")
         out_dir = tmp_path / "real_run"
-        assert main(["pipeline", "--config", str(config), "--seed", "7",
+        assert main(["pipeline", "--config", str(REPO_ROOT / "configs" / "unb_cic.ini"),
+                     "--flows", dataset_path, "--seed", "7",
                      "--out-dir", str(out_dir)]) == 0
         parsed = metrics.parse_report_csv((out_dir / "report.csv").read_text())
         acc = parsed["CFS-ANN"]["overall_acc"]

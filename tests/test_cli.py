@@ -1,6 +1,8 @@
 import hashlib
 import json
 import re
+import resource
+import shlex
 import subprocess
 import sys
 import weakref
@@ -10,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flowsieve import mlp, svm
+from flowsieve import metrics, mlp, svm
 from flowsieve.cli import main
 from flowsieve.dataset import (CLASS_NAMES, UNB_CIC_ALIASES, Dataset,
                                SyntheticSpec, generate_synthetic, load_flow_csv,
@@ -406,34 +408,98 @@ class TestEval:
                      "--out-dir", str(eval_out)]) == 0
         assert (eval_out / "report.csv").exists()
 
+    @pytest.mark.parametrize("file_name, name, column", [
+        ("ann_model.txt", "", "ann_model"),  # a plain path names its column by its stem
+        ("ann_model.txt", "ANN=", "ANN"),
+        ("k=v.txt", "K=", "K"),  # split at the first "="
+    ])
+    def test_model_value_names_its_column(self, small_run, tmp_path, file_name, name,
+                                          column):
+        model = tmp_path / file_name
+        model.write_bytes((small_run / "ann_model.txt").read_bytes())
+        out_dir = tmp_path / "eval_out"
+        assert main(["eval", str(small_run / "test.csv"), "--model", name + str(model),
+                     "--out-dir", str(out_dir)]) == 0
+        assert list(metrics.parse_report_csv((out_dir / "report.csv").read_text())) \
+            == [column]
+
+    def test_empty_column_name_is_usage_error(self, small_run, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["eval", str(small_run / "test.csv"),
+                  "--model", "=" + str(small_run / "ann_model.txt"),
+                  "--out-dir", str(tmp_path / "eval_out")])
+        assert exit_info.value.code == 2
+        assert "empty column name" in capsys.readouterr().err
+
     def test_repeated_column_name_is_usage_error(self, small_run, tmp_path, capsys):
-        # Two model files with one stem would share one report column.
+        # Two models that name one report column: one would replace the other.
+        # They share a stem, or are given one NAME.
         other = tmp_path / "other" / "ann_model.txt"
         other.parent.mkdir()
         other.write_bytes((small_run / "ann_model.txt").read_bytes())
         out_dir = tmp_path / "eval_out"
-        rc = main(["eval", str(small_run / "test.csv"),
-                   "--model", str(small_run / "ann_model.txt"),
-                   "--model", str(other), "--out-dir", str(out_dir)])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert str(small_run / "ann_model.txt") in err and str(other) in err
-        assert "'ann_model'" in err
-        assert not (out_dir / "report.csv").exists()
+        for name, column in (("", "ann_model"), ("X=", "X")):
+            rc = main(["eval", str(small_run / "test.csv"),
+                       "--model", name + str(small_run / "ann_model.txt"),
+                       "--model", name + str(other), "--out-dir", str(out_dir)])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert str(small_run / "ann_model.txt") in err and str(other) in err
+            assert f"{column!r}" in err
+            assert not (out_dir / "report.csv").exists()
 
     def test_model_named_as_reference_column_is_usage_error(self, small_run, tmp_path,
                                                             capsys):
         # --reference would replace this model's column with the published values.
-        model = tmp_path / "C4.5 (reported, not computed).txt"
-        model.write_bytes((small_run / "ann_model.txt").read_bytes())
-        out_dir = tmp_path / "eval_out"
-        argv = ["eval", str(small_run / "test.csv"), "--model", str(model),
-                "--out-dir", str(out_dir)]
-        assert main(argv + ["--reference"]) == 2
-        err = capsys.readouterr().err
-        assert str(model) in err and "'C4.5 (reported, not computed)'" in err
-        assert not (out_dir / "report.csv").exists()
-        assert main(argv) == 0  # without --reference the name is free
+        # The model's stem is that column's name, or its NAME is.
+        for case, (file_name, name) in enumerate((
+                ("C4.5 (reported, not computed).txt", ""),
+                ("ann_model.txt", "C4.5 (reported, not computed)="))):
+            model = tmp_path / file_name
+            model.write_bytes((small_run / "ann_model.txt").read_bytes())
+            out_dir = tmp_path / f"eval_{case}"
+            argv = ["eval", str(small_run / "test.csv"), "--model", name + str(model),
+                    "--out-dir", str(out_dir)]
+            assert main(argv + ["--reference"]) == 2
+            err = capsys.readouterr().err
+            assert str(model) in err and "'C4.5 (reported, not computed)'" in err
+            assert not (out_dir / "report.csv").exists()
+            assert main(argv) == 0  # without --reference the name is free
+
+    def test_readme_comparison_recipe_equals_two_pipelines(self, tmp_path, repo_root):
+        """The README's synthetic comparison (synth, two trainings, select
+        and one eval) gives the ANN and SVM columns of a select-off pipeline
+        and the CFS-ANN and CFS-SVM columns of a select-on one."""
+        spec = (repo_root / "configs" / "two_cluster.ini").read_text()
+        spec = spec.replace("rows_per_class = 500", "rows_per_class = 60") \
+                   .replace("class1_mean = 4 4 4 4", "class1_mean = 1 1 1 1")
+        config = tmp_path / "small.ini"
+        config.write_text(spec)
+        readme = (repo_root / "README.md").read_text()
+        recipe = [shlex.split(line)[1:] for line in readme.splitlines()
+                  if line.startswith("flowsieve ") and "out/exp" in line]
+        assert [argv[0] for argv in recipe] == ["synth", "train", "select", "train", "eval"]
+        for argv in recipe:
+            assert main([arg.replace("configs/two_cluster.ini", str(config))
+                            .replace("out/exp", str(tmp_path / "exp")) for arg in argv]) == 0
+        runs = {}
+        for select in ("false", "true"):
+            run_config = tmp_path / f"select_{select}.ini"
+            run_config.write_text(spec.replace("enabled = true", f"enabled = {select}")
+                                      .replace("classifier = ann", "classifier = both"))
+            out_dir = tmp_path / f"pipeline_{select}"
+            assert main(["pipeline", "--config", str(run_config), "--seed", "7",
+                         "--out-dir", str(out_dir)]) == 0
+            runs[select] = metrics.parse_report_csv((out_dir / "report.csv").read_text())
+        for name in ("ann_model.txt", "svm_model.txt", "test.csv"):
+            assert ((tmp_path / "exp" / "all" / name).read_bytes()
+                    == (tmp_path / "pipeline_false" / name).read_bytes())
+        report = metrics.parse_report_csv((tmp_path / "exp" / "report.csv").read_text())
+        assert report == {"ANN": runs["false"]["ANN"], "CFS-ANN": runs["true"]["CFS-ANN"],
+                          "SVM": runs["false"]["SVM"], "CFS-SVM": runs["true"]["CFS-SVM"],
+                          metrics.C45_COLUMN_NAME: report[metrics.C45_COLUMN_NAME]}
+        assert list(report) == ["ANN", "CFS-ANN", "SVM", "CFS-SVM", metrics.C45_COLUMN_NAME]
+        assert report["ANN"]["overall_acc"] < 100.0  # the spec does not separate cleanly
 
     def test_schema_mismatch_lists_missing(self, tmp_path, capsys):
         flows, train_out = self._train(tmp_path)
@@ -541,6 +607,17 @@ class TestPipeline:
         for artifact in ("report.csv", "ann_model.txt", "test.csv"):
             assert ((tmp_path / "published" / artifact).read_bytes()
                     == (tmp_path / "canonical" / artifact).read_bytes())
+
+    def test_unb_cic_recipe_on_the_published_form(self, tmp_path, capsys, repo_root):
+        published, _, dropped = unb_cic_csv(tmp_path)
+        out_dir = tmp_path / "tor"
+        assert main(["pipeline", "--config", str(repo_root / "configs" / "unb_cic.ini"),
+                     "--flows", str(published), "--seed", "7", "--reference",
+                     "--out-dir", str(out_dir)]) == 0
+        assert capsys.readouterr().err == (f"{published}: dropped {dropped} rows with "
+                                           "non-finite cells (bad_value_policy = drop)\n")
+        report = metrics.parse_report_csv((out_dir / "report.csv").read_text())
+        assert list(report) == ["CFS-ANN", metrics.C45_COLUMN_NAME]
 
     def test_pipeline_from_packets(self, packet_file, tmp_path):
         # Metered flows are too few to train on, so label them and only
@@ -1049,11 +1126,32 @@ sys.exit(code)
 """
 
 
-def run_child(repo_root, *argv: str) -> subprocess.CompletedProcess:
-    """`flowsieve *argv` in a fresh process; its last stdout line says
-    whether numpy.ma was imported."""
+def run_child(repo_root, *argv: str, address_space: int | None = None
+              ) -> subprocess.CompletedProcess:
+    """`flowsieve *argv` in a fresh process, its address space limited to
+    `address_space` bytes if given; its last stdout line says whether
+    numpy.ma was imported."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
     return subprocess.run([sys.executable, "-c", CHILD_MAIN, str(repo_root), *argv],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          preexec_fn=limit if address_space else None)
+
+
+def test_mlp_over_the_cell_budget_is_usage_error(tmp_path, repo_root):
+    """hidden = 2000 on the 4 features selected gives P = 14002 parameters,
+    so LM's P x P JᵀJ would take 1.46 GiB; under a 4 GB address-space limit
+    that allocation once ended in a MemoryError traceback."""
+    cfg = tmp_path / "wide.ini"
+    cfg.write_text("[input]\nsynth = true\n[synth]\nrows_per_class = 60\n"
+                   "[mlp]\nhidden = 2000\n")
+    run = run_child(repo_root, "pipeline", "--config", str(cfg),
+                    "--out-dir", str(tmp_path / "out"), address_space=4 * 1024 ** 3)
+    assert run.returncode == 2, run.stderr
+    assert "Traceback" not in run.stderr
+    assert "error: [mlp] hidden = 2000 on 4 features gives P = 14002 parameters" \
+        in run.stderr
+    assert not (tmp_path / "out" / "ann_model.txt").exists()
 
 
 def test_synth_draws_that_overflow_are_a_data_error(tmp_path, repo_root):

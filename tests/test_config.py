@@ -95,6 +95,31 @@ def test_timeout_order_names_each_given_key(tmp_path, capsys, keys, named):
     assert err.count("[meter]") == len(named)
 
 
+@pytest.mark.parametrize("file_keys, flows_flag", [
+    ({"packets": "p.txt", "flows": "f.csv"}, False),
+    ({"packets": "p.txt", "synth": "true"}, False),
+    ({"flows": "f.csv", "synth": "true"}, False),
+    ({"packets": "p.txt"}, True),
+    ({"synth": "true"}, True),
+])
+def test_two_inputs_are_usage_error_naming_each(tmp_path, capsys, file_keys, flows_flag):
+    """pipeline once took packets, then flows, then synth, ignoring the rest."""
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[input]\n" + "".join(f"{k} = {v}\n" for k, v in file_keys.items()))
+    argv = ["pipeline", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]
+    assert main(argv + (["--flows", "g.csv"] if flows_flag else [])) == 2
+    named = [f"{cfg}: [input] {key}" for key in file_keys]
+    named += ["command line: [input] flows"] * flows_flag
+    assert "; ".join(named) + ": set only one input" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_synth_off_is_not_an_input(tmp_path):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[input]\nflows = f.csv\nsynth = false\n")
+    assert load_config(str(cfg)).flows_path == "f.csv"
+
+
 def test_flags_override_file_keys(tmp_path):
     cfg = tmp_path / "run.ini"
     cfg.write_text("[mlp]\nhidden = 4\nmode = lm\n")

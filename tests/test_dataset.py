@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowsieve import dataset
-from flowsieve.dataset import (CLASS_NAMES, MAX_SYNTH_CELLS, Dataset, Scaler,
+from flowsieve.dataset import (CLASS_NAMES, MAX_CELLS, Dataset, Scaler,
                                SplitSpec, SyntheticSpec, apply_scaler,
                                default_synthetic_spec,
                                fit_scaler, generate_synthetic, load_flow_csv,
@@ -476,9 +476,9 @@ class TestSynthetic:
 
     def test_default_spec_cell_bound(self):
         # Only the spec is built: nothing of the table is allocated.
-        rows = MAX_SYNTH_CELLS // (2 * 28)
+        rows = MAX_CELLS // (2 * 28)
         assert default_synthetic_spec(rows_per_class=rows).rows_per_class == (rows, rows)
-        with pytest.raises(ValueError, match=f"more than {MAX_SYNTH_CELLS} cells"):
+        with pytest.raises(ValueError, match=f"more than {MAX_CELLS} cells"):
             default_synthetic_spec(rows_per_class=rows + 1)
         with pytest.raises(ValueError, match="more than"):
             default_synthetic_spec(rows_per_class=6_000, noise_features=9_000)

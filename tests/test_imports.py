@@ -1,6 +1,6 @@
 """Every name a flowsieve module imports is referenced in that module, and
-every name it defines at top level is referenced somewhere else in src/,
-scripts/ or perfbench/: code only tests use belongs in tests/oracles.py."""
+every name it defines at top level is referenced somewhere else in src/
+or perfbench/: code only tests use belongs in tests/oracles.py."""
 
 import ast
 import re
@@ -76,6 +76,5 @@ def test_every_definition_is_referenced():
     modules = {path.name: path.read_text(encoding="utf-8")
                for path in (REPO_ROOT / "src" / "flowsieve").glob("*.py")}
     others = [path.read_text(encoding="utf-8")
-              for folder in ("scripts", "perfbench")
-              for path in (REPO_ROOT / folder).rglob("*.py")]
+              for path in (REPO_ROOT / "perfbench").rglob("*.py")]
     assert unreferenced(modules, others) == []
