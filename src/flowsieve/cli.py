@@ -189,8 +189,10 @@ def _train_models(train_ds: Dataset, val_ds: Dataset, cfg: PipelineConfig,
     if cfg.classifier in ("ann", "both"):
         hidden, n_outputs = cfg.mlp_hidden, len(CLASS_NAMES)
         n_parameters = hidden * (train_ds.n_features + 1 + n_outputs) + n_outputs
-        # LM holds a P x P JᵀJ, SGD P-long vectors; checked before numpy allocates
-        cells = n_parameters ** 2 if cfg.mlp_train.mode == "lm" else n_parameters
+        # Cells held: LM's P x P and 2 workers' Jacobian chunks, SGD's P; both rows x hidden
+        rows = max(len(train_ds.y), len(val_ds.y))
+        lm = max(n_parameters ** 2, 2 * n_outputs * min(rows, mlp._CHUNK_ROWS) * n_parameters)
+        cells = max(lm if cfg.mlp_train.mode == "lm" else n_parameters, rows * hidden)
         if cells > MAX_CELLS:
             raise UsageError(f"[mlp] hidden = {hidden} on {train_ds.n_features} features "
                              f"gives P = {n_parameters} parameters: {cfg.mlp_train.mode} "

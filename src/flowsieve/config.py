@@ -6,8 +6,11 @@ import configparser
 import hashlib
 import json
 import math
+import platform
 from dataclasses import dataclass, field, asdict, replace
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__, mlp, svm
 from .cfs import SearchConfig
@@ -244,23 +247,26 @@ def sha256_file(path) -> str:
 def write_manifest(out_dir, command: str, cfg: PipelineConfig,
                    inputs: list, artifacts: list[str],
                    timings: dict[str, float]) -> Path:
-    """Record config snapshot, input digests, artifact versions and timings."""
+    """Record config snapshot, input digests, artifact versions, timings and environment."""
     out_dir = Path(out_dir)
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 cannot return a dict
+        blas = {}
     manifest = {
         "command": command,
         "package_version": __version__,
         "seed": cfg.seed,
         "config": cfg.snapshot(),
         "inputs": {str(p): sha256_file(p) for p in inputs},
-        "artifacts": {
-            name: {"format": ARTIFACT_FORMATS[name],
-                   "sha256": sha256_file(out_dir / name)}
-            for name in artifacts
-        },
+        "artifacts": {name: {"format": ARTIFACT_FORMATS[name],
+                             "sha256": sha256_file(out_dir / name)} for name in artifacts},
         "timings_s": timings,
+        "environment": {"python": platform.python_version(), "numpy": np.__version__,
+                        "blas": f"{blas.get('name')} {blas.get('version')}",
+                        "blas_threads": mlp.blas_threads(),
+                        "lm_chunk_workers": mlp.chunk_workers(2)},
     }
     path = out_dir / "manifest.json"
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return path

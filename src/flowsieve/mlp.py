@@ -7,6 +7,9 @@ damped-least-squares trainer. Output i scores class i of CLASS_NAMES.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -177,23 +180,57 @@ def _fill_jacobian(buffer: np.ndarray, model: MlpModel, X: np.ndarray,
 
 
 # Rows per Jacobian chunk in normal_equations: the Jacobian held at once is
-# outputs*4096 x P whatever N is, and a batch of 4096 rows or fewer gets
-# exactly the products of the full Jacobian.
+# outputs*4096 x P per worker whatever N is, and a batch of 4096 rows or
+# fewer gets exactly the products of the full Jacobian.
 _CHUNK_ROWS = 4096
+
+
+@functools.cache
+def blas_threads() -> int | None:
+    """Threads of the OpenBLAS in this process, read once through ctypes; None if unknown."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="replace") as maps:
+            libs = {line.split()[-1] for line in maps if "openblas" in line and ".so" in line}
+        return next(get() for lib in sorted(libs) for name in (
+            "scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+            "openblas_get_num_threads") if (get := getattr(ctypes.CDLL(lib), name, None)))
+    except (OSError, StopIteration):  # no /proc (not Linux), library or getter
+        return None
+
+
+def chunk_workers(chunks: int) -> int:
+    """2 chunk builders if BLAS runs one thread (so on Linux) on 2 or more CPUs, else 1."""
+    return 2 if chunks > 1 and blas_threads() == 1 and len(os.sched_getaffinity(0)) > 1 else 1
+
+
+@functools.cache
+def _helper():
+    from concurrent.futures import ThreadPoolExecutor  # only runs with 2 workers import it
+    os.register_at_fork(after_in_child=_helper.cache_clear)  # a forked child has no helper
+    return ThreadPoolExecutor(1)  # the process's one helper thread
 
 
 def normal_equations(model: MlpModel, X: np.ndarray,
                      T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """J^T J and J^T r of the residual Jacobian over the whole batch, summed
-    over _CHUNK_ROWS-row slices filled in turn into one reused buffer."""
-    buffer = np.empty((model.n_outputs * min(len(X), _CHUNK_ROWS), model.n_parameters))
+    """J^T J and J^T r of the residual Jacobian over the whole batch, each worker filling
+    chunks into its own buffer; products are added in chunk order, the serial bits."""
+    starts = range(0, len(X), _CHUNK_ROWS)
+    buffers = [np.empty((model.n_outputs * min(len(X), _CHUNK_ROWS), model.n_parameters))
+               for _ in range(chunk_workers(len(starts)))]
     jtj = np.zeros((model.n_parameters, model.n_parameters))
     jtr = np.zeros(model.n_parameters)
-    for start in range(0, len(X), _CHUNK_ROWS):
+
+    def products(start: int, buffer: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         chunk = slice(start, start + _CHUNK_ROWS)
         residuals, jac = _fill_jacobian(buffer, model, X[chunk], T[chunk])
-        jtj += jac.T @ jac
-        jtr += jac.T @ residuals
+        return jac.T @ jac, jac.T @ residuals
+
+    for first in range(0, len(starts), len(buffers)):
+        own, *helped = zip(starts[first:first + len(buffers)], buffers)
+        pending = [_helper().submit(products, *job) for job in helped]
+        for jtj_part, jtr_part in [products(*own)] + [job.result() for job in pending]:
+            jtj += jtj_part
+            jtr += jtr_part
     return jtj, jtr
 
 

@@ -412,6 +412,24 @@ def residual_jacobian(model, X, T) -> tuple[np.ndarray, np.ndarray]:
     return residuals, jac
 
 
+def reference_normal_equations(model, X, T) -> tuple[np.ndarray, np.ndarray]:
+    """J^T J and J^T r as flowsieve.mlp.normal_equations built them on one
+    thread: each _CHUNK_ROWS-row chunk filled in turn into one reused buffer,
+    its products added as it is filled. The reference for the two-worker
+    build, which must give the same bits."""
+    from flowsieve import mlp
+
+    buffer = np.empty((model.n_outputs * min(len(X), mlp._CHUNK_ROWS), model.n_parameters))
+    jtj = np.zeros((model.n_parameters, model.n_parameters))
+    jtr = np.zeros(model.n_parameters)
+    for start in range(0, len(X), mlp._CHUNK_ROWS):
+        chunk = slice(start, start + mlp._CHUNK_ROWS)
+        residuals, jac = mlp._fill_jacobian(buffer, model, X[chunk], T[chunk])
+        jtj += jac.T @ jac
+        jtr += jac.T @ residuals
+    return jtj, jtr
+
+
 def reference_gradient(model, X, T) -> np.ndarray:
     """flowsieve.mlp.gradient as it was before it took an output buffer: a
     fresh vector per call, each mean by ndarray.mean."""

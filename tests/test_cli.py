@@ -1154,6 +1154,24 @@ def test_mlp_over_the_cell_budget_is_usage_error(tmp_path, repo_root):
     assert not (tmp_path / "out" / "ann_model.txt").exists()
 
 
+def test_sgd_forward_pass_over_the_cell_budget_is_usage_error(tmp_path, repo_root):
+    """hidden = 2,000,000 gives P = 14,000,002 on the 4 features selected, within
+    SGD's budget, but the full-split forward pass over the 84 training rows
+    would hold 1.68e8 activations (1.3 GB). Unchecked, training starts and,
+    under a 2 GB address-space limit, ends in a MemoryError traceback within
+    seconds (without the limit it ran on past 2.4 GB)."""
+    cfg = tmp_path / "wide.ini"
+    cfg.write_text("[input]\nsynth = true\n[synth]\nrows_per_class = 60\n"
+                   "[mlp]\nmode = bp-sgd\nhidden = 2000000\n")
+    run = run_child(repo_root, "pipeline", "--config", str(cfg),
+                    "--out-dir", str(tmp_path / "out"), address_space=2 * 1024 ** 3)
+    assert run.returncode == 2, run.stderr
+    assert "Traceback" not in run.stderr
+    assert "error: [mlp] hidden = 2000000 on 4 features gives P = 14000002 parameters" \
+        in run.stderr
+    assert not (tmp_path / "out" / "ann_model.txt").exists()
+
+
 def test_synth_draws_that_overflow_are_a_data_error(tmp_path, repo_root):
     """The noise draws overflow to inf. The command runs in a child because
     pytest turns numpy's overflow RuntimeWarning into an error in-process."""

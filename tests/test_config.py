@@ -1,11 +1,14 @@
 import json
+import platform
 import re
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from flowsieve import mlp
 from flowsieve.cli import main
 from flowsieve.config import (SETTINGS, PipelineConfig, UsageError, load_config,
                               write_manifest)
@@ -168,6 +171,22 @@ def test_manifest_refuses_a_listed_artifact_that_is_missing(tmp_path):
     with pytest.raises(FileNotFoundError):
         write_manifest(tmp_path, "select", PipelineConfig(), [],
                        ["selection.txt"], {})
+
+
+def test_manifest_records_the_numeric_environment(tmp_path):
+    """What two runs' numbers can differ by: the interpreter, numpy, its
+    BLAS and that BLAS's thread count, and LM's chunk-worker count."""
+    write_manifest(tmp_path, "select", PipelineConfig(), [], [], {})
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    environment = manifest["environment"]
+    assert set(environment) == {"python", "numpy", "blas", "blas_threads",
+                                "lm_chunk_workers"}
+    assert environment["python"] == platform.python_version()
+    assert environment["numpy"] == np.__version__
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert environment["blas"] == f"{blas['name']} {blas['version']}"
+    assert environment["blas_threads"] == mlp.blas_threads()
+    assert environment["lm_chunk_workers"] == mlp.chunk_workers(2) in (1, 2)
 
 
 # Values that reach each parser's edge cases, plus arbitrary short text.

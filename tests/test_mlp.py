@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -9,8 +13,10 @@ from flowsieve import mlp, modelfile
 from flowsieve.dataset import Scaler, one_hot
 from flowsieve.errors import DataError, TrainingDiverged
 from flowsieve.lm import minimize_least_squares
+from conftest import REPO_ROOT
 from oracles import (fd_gradient, masked_sigmoid, max_relative_error,
-                     reference_gradient, reference_train_bp, residual_jacobian)
+                     reference_gradient, reference_normal_equations, reference_train_bp,
+                     residual_jacobian)
 from oracles import random_mlp_case as random_case
 
 XOR_X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
@@ -212,6 +218,7 @@ class TestNormalEquations:
         model = mlp.init_model(5, n_hidden, seed=n, n_outputs=n_outputs)
         X = rng.normal(size=(n, 5))
         T = rng.random((n, n_outputs))
+        monkeypatch.setattr(mlp, "chunk_workers", lambda chunks: 1)  # fills in chunk order
         fill, fills = mlp._fill_jacobian, []
 
         def recording(buffer, model, X, T):
@@ -232,12 +239,14 @@ class TestNormalEquations:
             assert np.array_equal(jac, want_jac)
             assert np.array_equal(residuals, want_residuals)
 
-    def test_peak_memory_within_one_chunk(self, monkeypatch):
-        """One chunk's Jacobian is held at a time, with no second one and no
-        full-size temporary beside it: the peak stays within 1.25 chunk
-        Jacobians plus the J^T J and J^T r accumulators."""
+    @staticmethod
+    def chunk_build_peak(monkeypatch, workers):
+        """Traced peak of one normal_equations call over 3 chunks and a bit at
+        `workers` workers, with one chunk's Jacobian and the accumulators'
+        sizes in bytes."""
         chunk = 2048
         monkeypatch.setattr(mlp, "_CHUNK_ROWS", chunk)
+        monkeypatch.setattr(mlp, "chunk_workers", lambda chunks: workers)
         rng = np.random.default_rng(32)
         model = mlp.init_model(28, 4, seed=32)
         n, P = 3 * chunk + 17, model.n_parameters
@@ -250,8 +259,106 @@ class TestNormalEquations:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        chunk_jacobian = model.n_outputs * chunk * P * 8
-        assert peak <= 1.25 * chunk_jacobian + P * P * 8 + P * 8, peak
+        return peak, model.n_outputs * chunk * P * 8, P * P * 8 + P * 8
+
+    def test_peak_memory_within_one_chunk(self, monkeypatch):
+        """One worker holds one chunk's Jacobian at a time, with no second one
+        and no full-size temporary beside it: the peak stays within 1.25 chunk
+        Jacobians plus the J^T J and J^T r accumulators."""
+        peak, chunk_jacobian, accumulators = self.chunk_build_peak(monkeypatch, 1)
+        assert peak <= 1.25 * chunk_jacobian + accumulators, peak
+
+    def test_peak_memory_within_one_chunk_per_worker(self, monkeypatch):
+        """Two workers hold one chunk's Jacobian each, and one pending pair of
+        products each: within 2 x 1.25 chunk Jacobians plus the accumulators
+        plus two products' worth of them."""
+        peak, chunk_jacobian, accumulators = self.chunk_build_peak(monkeypatch, 2)
+        assert peak <= 2 * 1.25 * chunk_jacobian + accumulators + 2 * accumulators, peak
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n", [1, 4096, 4097, 3 * 4096 + 17])
+    def test_bits_match_serial_oracle(self, monkeypatch, n, workers):
+        """At the real chunk size and unb-scale's P = 188, one or two workers
+        give the serial loop's J^T J and J^T r byte for byte; with two, the
+        main thread and the helper each fill chunks."""
+        monkeypatch.setattr(mlp, "chunk_workers", lambda chunks: workers)
+        fill, threads = mlp._fill_jacobian, set()
+
+        def recording(*args):
+            threads.add(threading.current_thread() is threading.main_thread())
+            return fill(*args)
+
+        monkeypatch.setattr(mlp, "_fill_jacobian", recording)
+        rng = np.random.default_rng(50 + n)
+        model = mlp.init_model(28, 6, seed=n)
+        X = rng.normal(size=(n, 28))
+        T = one_hot(rng.integers(0, 2, n))
+        jtj, jtr = mlp.normal_equations(model, X, T)
+        monkeypatch.setattr(mlp, "_fill_jacobian", fill)
+        want_jtj, want_jtr = reference_normal_equations(model, X, T)
+        assert jtj.tobytes() == want_jtj.tobytes()
+        assert jtr.tobytes() == want_jtr.tobytes()
+        assert threads == ({True, False} if workers == 2 and n > 4096 else {True})
+
+    @pytest.mark.parametrize("blas_threads", [2, None])
+    def test_one_worker_unless_blas_runs_one_thread(self, monkeypatch, blas_threads):
+        """A BLAS on 2 threads, or one whose count is unknown, gets the serial
+        loop, and no thread is started."""
+        monkeypatch.setattr(mlp, "blas_threads", lambda: blas_threads)
+        monkeypatch.setattr(mlp, "_helper", lambda: pytest.fail("helper thread used"))
+        monkeypatch.setattr(mlp, "_CHUNK_ROWS", 7)
+        assert mlp.chunk_workers(3) == 1
+        before = threading.enumerate()
+        model = mlp.init_model(5, 4, seed=3)
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(20, 5))
+        T = one_hot(rng.integers(0, 2, 20))
+        mlp.normal_equations(model, X, T)
+        assert threading.enumerate() == before
+
+    def test_worker_rule(self, monkeypatch):
+        """Two workers need a one-thread BLAS, 2 CPUs and 2 chunks; one chunk
+        does not even look the BLAS up."""
+        monkeypatch.setattr(mlp, "blas_threads", lambda: 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert mlp.chunk_workers(2) == 2
+        assert mlp.chunk_workers(11) == 2
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert mlp.chunk_workers(2) == 1
+        monkeypatch.setattr(mlp, "blas_threads", lambda: pytest.fail("looked up"))
+        assert mlp.chunk_workers(1) == 1
+        assert mlp.chunk_workers(0) == 1
+
+    def test_one_blas_thread_takes_two_workers(self, tmp_path):
+        """Under OPENBLAS_NUM_THREADS=1, in a fresh process, the real rule picks
+        two workers when 2 CPUs are available, and the result is still the
+        serial oracle's, byte for byte. Tier-1 runs at the default thread
+        count, so only this test takes the two-worker path unpatched."""
+        code = (
+            "import os, sys\n"
+            f"sys.path[:0] = [{str(REPO_ROOT / 'src')!r}, {str(REPO_ROOT / 'tests')!r}]\n"
+            "import numpy as np\n"
+            "from flowsieve import mlp\n"
+            "from flowsieve.dataset import one_hot\n"
+            "from oracles import reference_normal_equations\n"
+            "rng = np.random.default_rng(60)\n"
+            "model = mlp.init_model(28, 6, seed=60)\n"
+            "X = rng.normal(size=(2 * 4096 + 5, 28))\n"
+            "T = one_hot(rng.integers(0, 2, len(X)))\n"
+            "got, want = mlp.normal_equations(model, X, T), "
+            "reference_normal_equations(model, X, T)\n"
+            "print(mlp.blas_threads(), len(os.sched_getaffinity(0)), mlp.chunk_workers(3),"
+            " all(a.tobytes() == b.tobytes() for a, b in zip(got, want)))\n")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        blas_threads, cpus, workers, same = run.stdout.split()
+        if blas_threads == "None":
+            pytest.skip("no OpenBLAS thread count to read in this build")
+        assert blas_threads == "1"
+        assert workers == ("2" if int(cpus) >= 2 else "1")
+        assert same == "True"
 
 
 class TestTrainBp:
