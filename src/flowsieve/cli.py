@@ -19,12 +19,12 @@ import numpy as np
 from . import cfs, metrics, mlp, modelfile, svm
 from .config import (PipelineConfig, UsageError, load_config, make_kernel,
                      write_manifest)
-from .dataset import (CLASS_NAMES, MAX_CELLS, Dataset, apply_scaler, fit_scaler,
+from .dataset import (CLASS_NAMES, Dataset, apply_scaler, fit_scaler,
                       generate_synthetic, load_flow_csv, one_hot, stratified_split, write_csv)
 # perfbench times the meter's write under this name until ROADMAP item 3 moves spans into src/.
 from .dataset import write_csv as write_flow_csv
 from .errors import DataError, TrainingDiverged
-from .flow_meter import (FEATURE_COLUMNS, MeterConfig, OutOfOrderError, ParseError,
+from .flow_meter import (FEATURE_COLUMNS, OutOfOrderError, ParseError,
                          meter_packets, read_packet_file)
 
 EXIT_OK = 0
@@ -54,12 +54,19 @@ def _config(args) -> tuple[PipelineConfig, Path]:
 
 class _Run:
     """A running command's manifest: its config and out dir, the input files
-    it read, the artifacts it wrote and the seconds each stage took."""
+    it read, the artifacts it wrote, the seconds each stage took and the
+    chunk workers LM used (None if no LM model trained)."""
 
     def __init__(self, inputs: list[Path], cfg: PipelineConfig, out_dir: Path):
         self.inputs, self.cfg, self.out_dir = inputs, cfg, out_dir
         self.artifacts: list[str] = []
         self.timings: dict[str, float] = {}
+        self.lm_chunk_workers: int | None = None
+
+    def artifact(self, name: str) -> Path:
+        """The path a stage writes artifact `name` to, recorded for the manifest."""
+        self.artifacts.append(name)
+        return self.out_dir / name
 
     @contextmanager
     def stage(self, name: str):
@@ -77,7 +84,7 @@ def _command(args, *paths: str):
     run = _Run(inputs, *_config(args))
     yield run
     write_manifest(run.out_dir, args.command, run.cfg, run.inputs, run.artifacts,
-                   run.timings)
+                   run.timings, run.lm_chunk_workers)
 
 
 def _load_flows(path, cfg: PipelineConfig) -> Dataset:
@@ -93,8 +100,8 @@ def _load_flows(path, cfg: PipelineConfig) -> Dataset:
 # ---------------------------------------------------------------- meter
 
 
-def run_meter(packets_path, out_dir, meter_cfg: MeterConfig, label: str | None) -> Path:
-    if label is None:  # checked before the capture is read
+def run_meter(run: _Run, packets_path) -> Path:
+    if run.cfg.meter_label is None:  # checked before the capture is read
         raise UsageError(f"[input] label (--label) must be {' or '.join(CLASS_NAMES)} "
                          "to meter")
     try:
@@ -103,17 +110,16 @@ def run_meter(packets_path, out_dir, meter_cfg: MeterConfig, label: str | None) 
         raise DataError(f"{packets_path}: {exc}") from None
     if len(packets) == 0:
         raise DataError(f"{packets_path}: no packets")
-    table = meter_packets(packets, meter_cfg)
-    out = Path(out_dir) / "flows.csv"
+    table = meter_packets(packets, run.cfg.meter)
+    out = run.artifact("flows.csv")
     write_flow_csv(Dataset(FEATURE_COLUMNS, table,
-                           np.full(len(table), CLASS_NAMES.index(label))), out)
+                           np.full(len(table), CLASS_NAMES.index(run.cfg.meter_label))), out)
     return out
 
 
 def cmd_meter(args) -> int:
     with _command(args, args.packets) as run, run.stage("meter"):
-        out = run_meter(run.inputs[0], run.out_dir, run.cfg.meter, run.cfg.meter_label)
-        run.artifacts.append("flows.csv")
+        out = run_meter(run, run.inputs[0])
     print(f"wrote {out}")
     return EXIT_OK
 
@@ -121,130 +127,115 @@ def cmd_meter(args) -> int:
 # ---------------------------------------------------------------- select
 
 
-def run_select(flows_path, out_dir,
-               cfg: PipelineConfig) -> tuple[list[str], Dataset | None]:
-    """Write selected.csv; return the names of the files written and, when
-    selected.csv is a copy of the input, the input's Dataset.
+def run_select(run: _Run, flows_path) -> Dataset | None:
+    """Write selected.csv; return the input's Dataset when selected.csv is
+    a copy of the input.
 
-    With selection on the Dataset is None: the written cells are rounded to
+    With selection on it is None: the written cells are rounded to
     6 significant digits, so training must read the file back.
     """
-    ds = _load_flows(flows_path, cfg)
-    out_dir = Path(out_dir)
-    reduced_path = out_dir / "selected.csv"
-    if not cfg.select_enabled:
+    ds = _load_flows(flows_path, run.cfg)
+    reduced_path = run.artifact("selected.csv")
+    if not run.cfg.select_enabled:
         shutil.copyfile(flows_path, reduced_path)  # validated verbatim copy
         print("selection disabled; pass-through copy written")
-        return ["selected.csv"], ds
+        return ds
     if ds.n_examples < 2:  # a correlation needs two rows
         raise DataError(f"{flows_path}: selection needs at least 2 rows, "
                         f"got {ds.n_examples}")
     stats = cfs.build_stats(ds)
-    subset = cfs.best_first_search(stats, cfg.search)
-    names = [ds.schema[i] for i in subset.path]
+    subset = cfs.best_first_search(stats, run.cfg.search)
     trajectory = cfs.merit_trajectory(subset, stats)
     kept = ds.select_features([ds.schema[i] for i in sorted(subset.indices)])
     write_csv(kept, reduced_path)
 
-    n_before = ds.n_features
-    n_after = len(subset.indices)
-    reduction = 100.0 * (1.0 - n_after / n_before)
+    n_before, n_after = ds.n_features, len(subset.indices)
     report_lines = [
-        "selected features (in selection order): " + ", ".join(names),
+        "selected features (in selection order): "
+        + ", ".join(ds.schema[i] for i in subset.path),
         f"subset merit: {subset.merit:.6f}",
         "merit trajectory:",
+        *(f"  + {ds.schema[idx]}: {value:.6f}" for idx, value in trajectory),
+        f"dimensionality reduction: {100.0 * (1.0 - n_after / n_before):.1f}% "
+        f"({n_before} -> {n_after})",
     ]
-    for (idx, value) in trajectory:
-        report_lines.append(f"  + {ds.schema[idx]}: {value:.6f}")
-    report_lines.append(
-        f"dimensionality reduction: {reduction:.1f}% ({n_before} -> {n_after})")
-    report_path = out_dir / "selection.txt"
-    report_path.write_text("\n".join(report_lines) + "\n", encoding="utf-8")
+    run.artifact("selection.txt").write_text("\n".join(report_lines) + "\n",
+                                             encoding="utf-8")
 
-    matrix_path = out_dir / "correlation_matrix.csv"
-    with open(matrix_path, "w", encoding="utf-8") as handle:
+    with open(run.artifact("correlation_matrix.csv"), "w", encoding="utf-8") as handle:
         handle.write("feature," + ",".join(ds.schema) + ",class\n")
-        for i, name in enumerate(ds.schema):
-            cells = [f"{v:.6g}" for v in stats.feature_feature[i]]
-            cells.append(f"{stats.feature_class[i]:.6g}")
-            handle.write(name + "," + ",".join(cells) + "\n")
+        for name, row, with_class in zip(ds.schema, stats.feature_feature,
+                                         stats.feature_class):
+            handle.write(",".join([name, *(f"{v:.6g}" for v in (*row, with_class))]) + "\n")
 
     print(report_lines[0])
     print(report_lines[-1])
-    return ["selected.csv", "selection.txt", "correlation_matrix.csv"], None
+    return None
 
 
 def cmd_select(args) -> int:
     with _command(args, args.flows) as run, run.stage("select"):
-        run.artifacts += run_select(run.inputs[0], run.out_dir, run.cfg)[0]
+        run_select(run, run.inputs[0])
     return EXIT_OK
 
 
 # ---------------------------------------------------------------- train
 
 
-def _train_models(train_ds: Dataset, val_ds: Dataset, cfg: PipelineConfig,
-                  scaler, out_dir: Path) -> dict[str, Path]:
-    artifacts: dict[str, Path] = {}
+def _train_models(run: _Run, train_ds: Dataset, val_ds: Dataset,
+                  scaler) -> list[tuple[str, Path]]:
+    """Train and save the configured models; return (column, model file) pairs."""
+    cfg, models = run.cfg, []
     if cfg.classifier in ("ann", "both"):
-        hidden, n_outputs = cfg.mlp_hidden, len(CLASS_NAMES)
-        n_parameters = hidden * (train_ds.n_features + 1 + n_outputs) + n_outputs
-        # Cells held: LM's P x P and 2 workers' Jacobian chunks, SGD's P; both rows x hidden
-        rows = max(len(train_ds.y), len(val_ds.y))
-        lm = max(n_parameters ** 2, 2 * n_outputs * min(rows, mlp._CHUNK_ROWS) * n_parameters)
-        cells = max(lm if cfg.mlp_train.mode == "lm" else n_parameters, rows * hidden)
-        if cells > MAX_CELLS:
-            raise UsageError(f"[mlp] hidden = {hidden} on {train_ds.n_features} features "
-                             f"gives P = {n_parameters} parameters: {cfg.mlp_train.mode} "
-                             f"would allocate {cells} cells, more than {MAX_CELLS}")
-        model = mlp.init_model(train_ds.n_features, hidden, seed=cfg.mlp_train.seed)
+        try:
+            mlp.check_budget(train_ds.n_features, cfg.mlp_hidden,
+                             max(len(train_ds.y), len(val_ds.y)), cfg.mlp_train.mode)
+        except ValueError as exc:
+            raise UsageError(f"[mlp] hidden = {cfg.mlp_hidden} on {train_ds.n_features} "
+                             f"features gives {exc}") from None
+        model = mlp.init_model(train_ds.n_features, cfg.mlp_hidden, seed=cfg.mlp_train.seed)
         model, history = mlp.train(
             model, train_ds.X, one_hot(train_ds.y), val_ds.X, one_hot(val_ds.y),
             cfg.mlp_train)
-        model_path = out_dir / "ann_model.txt"
-        mlp.save_model(model_path, model, train_ds.schema, scaler)
-        history_path = out_dir / "ann_history.csv"
-        with open(history_path, "w", encoding="utf-8") as handle:
-            handle.write("epoch,train_loss,val_loss\n")
-            for epoch, (tl, vl) in enumerate(zip(history.train_loss,
-                                                 history.val_loss), start=1):
-                handle.write(f"{epoch},{tl:.17g},{vl:.17g}\n")
-        artifacts["ann_model.txt"] = model_path
-        artifacts["ann_history.csv"] = history_path
+        run.lm_chunk_workers = history.chunk_workers
+        path = run.artifact("ann_model.txt")
+        mlp.save_model(path, model, train_ds.schema, scaler)
+        models.append(("ANN", path))
+        run.artifact("ann_history.csv").write_text("epoch,train_loss,val_loss\n" + "".join(
+            f"{epoch},{tl:.17g},{vl:.17g}\n" for epoch, (tl, vl)
+            in enumerate(zip(history.train_loss, history.val_loss), start=1)),
+            encoding="utf-8")
         print(f"ann: {len(history.train_loss)} epochs, "
               f"stop: {history.stopping_reason}")
     if cfg.classifier in ("svm", "both"):
         kernel = make_kernel(cfg, train_ds.n_features)
         [model] = svm.train_ovr(train_ds.X, train_ds.y, kernel, cfg.smo)
-        model_path = out_dir / "svm_model.txt"
-        svm.save_models(model_path, model, train_ds.schema, scaler)
-        artifacts["svm_model.txt"] = model_path
+        path = run.artifact("svm_model.txt")
+        svm.save_models(path, model, train_ds.schema, scaler)
+        models.append(("SVM", path))
         print("svm: " + ("converged" if model.converged else "not fully converged"))
-    return artifacts
+    return models
 
 
-def run_train(ds: Dataset, out_dir, cfg: PipelineConfig, flows_path) -> dict[str, Path]:
-    out_dir = Path(out_dir)
+def run_train(run: _Run, ds: Dataset, flows_path) -> list[tuple[str, Path]]:
+    """Split, scale, train and write test.csv; return (column, model file) pairs."""
     try:  # a class too small to split ends the run before any model trains
-        train_ds, val_ds, test_ds = stratified_split(ds, cfg.split)
+        train_ds, val_ds, test_ds = stratified_split(ds, run.cfg.split)
     except DataError as exc:
         raise DataError(f"{flows_path}: {exc}") from None
     del ds  # the splits are copies; models train on only the splits they use
     scaler = fit_scaler(train_ds)
     train_ds = apply_scaler(scaler, train_ds)
     val_ds = apply_scaler(scaler, val_ds)
-    artifacts = _train_models(train_ds, val_ds, cfg, scaler, out_dir)
-    test_path = out_dir / "test.csv"
-    write_csv(test_ds, test_path)  # unscaled; models carry their scaler
-    artifacts["test.csv"] = test_path
-    return artifacts
+    models = _train_models(run, train_ds, val_ds, scaler)
+    write_csv(test_ds, run.artifact("test.csv"))  # unscaled; models carry their scaler
+    return models
 
 
 def cmd_train(args) -> int:
     with _command(args, args.flows) as run, run.stage("train"):
         [flows] = run.inputs
-        run.artifacts += run_train(_load_flows(flows, run.cfg), run.out_dir, run.cfg,
-                                   flows)
+        run_train(run, _load_flows(flows, run.cfg), flows)
     return EXIT_OK
 
 
@@ -255,7 +246,7 @@ def cmd_train(args) -> int:
 _MODEL_MODULES = {mlp.MODEL_FORMAT: mlp, svm.MODEL_FORMAT: svm}
 
 
-def run_eval(flows_path, out_dir, cfg: PipelineConfig, models: list[tuple[str, Path]],
+def run_eval(run: _Run, flows_path, models: list[tuple[str, Path]],
              include_reference: bool = False) -> dict[str, dict]:
     """Write report.txt and report.csv, one column per (name, model file) pair."""
     names = [name for name, _ in models]
@@ -266,8 +257,7 @@ def run_eval(flows_path, out_dir, cfg: PipelineConfig, models: list[tuple[str, P
         if include_reference and name == metrics.C45_COLUMN_NAME:
             raise UsageError(f"--model {model_path} and --reference "
                              f"both name report column {name!r}")
-    ds = _load_flows(flows_path, cfg)
-    out_dir = Path(out_dir)
+    ds = _load_flows(flows_path, run.cfg)
     columns: dict[str, dict] = {}
     for name, model_path in models:
         doc = modelfile.ModelFile(Path(model_path), tuple(_MODEL_MODULES))
@@ -277,14 +267,12 @@ def run_eval(flows_path, out_dir, cfg: PipelineConfig, models: list[tuple[str, P
             projected = ds.select_features(doc.meta["features"])
         except DataError as exc:
             raise DataError(f"{model_path}: evaluation data is {exc}") from None
-        X = projected.X
-        if doc.meta["scaler"] is not None:
-            X = doc.meta["scaler"].transform(X)
-        predictions = module.predict_batch(model, X)
-        columns[name] = metrics.build_report(predictions, projected.y)
+        scaler = doc.meta["scaler"]
+        X = projected.X if scaler is None else scaler.transform(projected.X)
+        columns[name] = metrics.build_report(module.predict_batch(model, X), projected.y)
     table = metrics.render_table(columns, include_reference)
-    (out_dir / "report.txt").write_text(table, encoding="utf-8")
-    (out_dir / "report.csv").write_text(
+    run.artifact("report.txt").write_text(table, encoding="utf-8")
+    run.artifact("report.csv").write_text(
         metrics.render_csv(columns, include_reference), encoding="utf-8")
     print(table, end="")
     return columns
@@ -294,9 +282,7 @@ def cmd_eval(args) -> int:
     names, paths = zip(*args.model)
     with _command(args, args.flows, *paths) as run, run.stage("eval"):
         flows, *models = run.inputs
-        run_eval(flows, run.out_dir, run.cfg, list(zip(names, models)),
-                 include_reference=args.reference)
-        run.artifacts += ["report.txt", "report.csv"]
+        run_eval(run, flows, list(zip(names, models)), include_reference=args.reference)
     return EXIT_OK
 
 
@@ -311,17 +297,16 @@ def _named_model(text: str) -> tuple[str, str]:
 # ---------------------------------------------------------------- synth
 
 
-def run_synth(out_dir, cfg: PipelineConfig) -> Path:
-    ds, _roles = generate_synthetic(cfg.synth_spec, seed=cfg.seed)
-    out = Path(out_dir) / "synthetic_flows.csv"
+def run_synth(run: _Run) -> Path:
+    ds, _roles = generate_synthetic(run.cfg.synth_spec, seed=run.cfg.seed)
+    out = run.artifact("synthetic_flows.csv")
     write_csv(ds, out)
     return out
 
 
 def cmd_synth(args) -> int:
     with _command(args) as run, run.stage("synth"):
-        out = run_synth(run.out_dir, run.cfg)
-        run.artifacts.append("synthetic_flows.csv")
+        out = run_synth(run)
     print(f"wrote {out}")
     return EXIT_OK
 
@@ -335,36 +320,29 @@ def cmd_pipeline(args) -> int:
         if cfg.packets_path:
             run.inputs.append(_require_file(cfg.packets_path))
             with run.stage("meter"):
-                flows = run_meter(run.inputs[0], out_dir, cfg.meter, cfg.meter_label)
-            run.artifacts.append("flows.csv")
+                flows = run_meter(run, run.inputs[0])
         elif cfg.flows_path:
             run.inputs.append(_require_file(cfg.flows_path))
             flows = run.inputs[0]
         elif cfg.use_synth:
             with run.stage("synth"):
-                flows = run_synth(out_dir, cfg)
-            run.artifacts.append("synthetic_flows.csv")
+                flows = run_synth(run)
         else:
             raise UsageError("config must provide [input] packets, flows or synth")
 
         with run.stage("select"):
-            written, *selected = run_select(flows, out_dir, cfg)  # [Dataset or None]
-        run.artifacts += written
+            selected = [run_select(run, flows)]  # [Dataset or None]
 
         with run.stage("train"):
             # pop() leaves run_train the only reference, so it frees the rows once split
-            trained = run_train(selected.pop() or _load_flows(out_dir / "selected.csv", cfg),
-                                out_dir, cfg, flows)
-        run.artifacts += trained
+            trained = run_train(run, selected.pop()
+                                or _load_flows(out_dir / "selected.csv", cfg), flows)
 
         prefix = "CFS-" if cfg.select_enabled else ""
-        models = [(prefix + column, trained[name]) for name, column
-                  in (("ann_model.txt", "ANN"), ("svm_model.txt", "SVM"))
-                  if name in trained]
         with run.stage("eval"):
-            run_eval(out_dir / "test.csv", out_dir, cfg, models,
+            run_eval(run, out_dir / "test.csv",
+                     [(prefix + column, path) for column, path in trained],
                      include_reference=args.reference)
-        run.artifacts += ["report.txt", "report.csv"]
     return EXIT_OK
 
 

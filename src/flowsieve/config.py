@@ -246,7 +246,7 @@ def sha256_file(path) -> str:
 
 def write_manifest(out_dir, command: str, cfg: PipelineConfig,
                    inputs: list, artifacts: list[str],
-                   timings: dict[str, float]) -> Path:
+                   timings: dict[str, float], lm_chunk_workers: int | None = None) -> Path:
     """Record config snapshot, input digests, artifact versions, timings and environment."""
     out_dir = Path(out_dir)
     try:
@@ -265,7 +265,7 @@ def write_manifest(out_dir, command: str, cfg: PipelineConfig,
         "environment": {"python": platform.python_version(), "numpy": np.__version__,
                         "blas": f"{blas.get('name')} {blas.get('version')}",
                         "blas_threads": mlp.blas_threads(),
-                        "lm_chunk_workers": mlp.chunk_workers(2)},
+                        "lm_chunk_workers": lm_chunk_workers},
     }
     path = out_dir / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")

@@ -37,27 +37,29 @@ def minimize_least_squares(
     """Run damped Gauss-Newton from theta0.
 
     residual_fn(theta) gives r, and normal_fn(theta) gives (J^T J, J^T r)
-    at theta. A step is accepted only if it strictly decreases the cost;
-    the optional callback sees (theta, cost) after each accepted step and
-    may stop the run by returning False. Stop reasons: "gradient",
-    "mu_max", "max_iterations", "callback".
+    at theta, as new arrays: J^T J is damped in place. A step is accepted
+    only if it strictly decreases the cost; the optional callback sees
+    (theta, cost) after each accepted step and may stop the run by
+    returning False. Stop reasons: "gradient", "mu_max", "max_iterations",
+    "callback".
     """
     theta = np.array(theta0, dtype=np.float64, copy=True)
     r = residual_fn(theta)
     cost = 0.5 * float(r @ r)
     result = LmResult(theta=theta)
     mu = float(mu_init)
-    identity = np.eye(len(theta))
 
     for iteration in range(max_iterations):
         hessian_approx, gradient = normal_fn(theta)
         if np.linalg.norm(gradient) < gradient_tol:
             result.reason = "gradient"
             break
+        diagonal = hessian_approx.diagonal().copy()  # damped in place for each trial
         accepted = False
         while not accepted:
+            np.fill_diagonal(hessian_approx, diagonal + mu)
             try:
-                delta = np.linalg.solve(hessian_approx + mu * identity, -gradient)
+                delta = np.linalg.solve(hessian_approx, -gradient)
             except np.linalg.LinAlgError:  # unreachable for mu > 0
                 raise RuntimeError("singular normal equations despite damping")
             candidate = theta + delta
@@ -74,6 +76,7 @@ def minimize_least_squares(
                     break
         if not accepted:
             break
+        del hessian_approx  # so normal_fn builds the next one beside no other
         result.iterations = iteration + 1
         if callback is not None and not callback(theta, cost):
             result.reason = "callback"

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import modelfile
-from .dataset import CLASS_NAMES
+from .dataset import CLASS_NAMES, MAX_CELLS
 from .errors import TrainingDiverged
 from .lm import minimize_least_squares
 
@@ -92,6 +92,7 @@ class TrainHistory:
     train_loss: list[float] = field(default_factory=list)
     val_loss: list[float] = field(default_factory=list)
     stopping_reason: str = ""
+    chunk_workers: int | None = None  # LM's Jacobian chunk builders; None under SGD
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -231,7 +232,23 @@ def normal_equations(model: MlpModel, X: np.ndarray,
         for jtj_part, jtr_part in [products(*own)] + [job.result() for job in pending]:
             jtj += jtj_part
             jtr += jtr_part
+        del pending, jtj_part, jtr_part  # so the next products are built beside no old ones
     return jtj, jtr
+
+
+def check_budget(n_inputs: int, n_hidden: int, rows: int, mode: str,
+                 n_outputs: int = len(CLASS_NAMES)) -> int:
+    """The float64 cells training on `rows` rows holds at most at once, ValueError above
+    MAX_CELLS: rows x hidden activations, plus for SGD the P parameters, or for LM J^T J
+    and, for each of up to 2 chunk_workers, one P x P product and one chunk Jacobian."""
+    P = _blocks(n_inputs, n_hidden, n_outputs)["b2"][0].stop
+    cells = rows * n_hidden + (
+        3 * P * P + 2 * n_outputs * min(rows, _CHUNK_ROWS) * P
+        if mode == "lm" else P)
+    if cells > MAX_CELLS:
+        raise ValueError(f"P = {P} parameters: {mode} would allocate {cells} cells, "
+                         f"more than {MAX_CELLS}")
+    return cells
 
 
 def predict_batch(model: MlpModel, X: np.ndarray) -> np.ndarray:
@@ -313,6 +330,7 @@ def train_lm(model: MlpModel, X: np.ndarray, T: np.ndarray,
     """
     cfg = cfg or TrainConfig(mode="lm")
     tracker = _BestEpoch(model, X_val, T_val, cfg.patience)
+    tracker.history.chunk_workers = chunk_workers(-(-len(X) // _CHUNK_ROWS))
     work = model.copy()  # each callback loads its theta into this one model
 
     def at(theta: np.ndarray) -> MlpModel:

@@ -175,18 +175,33 @@ def test_manifest_refuses_a_listed_artifact_that_is_missing(tmp_path):
 
 def test_manifest_records_the_numeric_environment(tmp_path):
     """What two runs' numbers can differ by: the interpreter, numpy, its
-    BLAS and that BLAS's thread count, and LM's chunk-worker count."""
+    BLAS and that BLAS's thread count, and the chunk workers LM used: 1 on
+    the bundled config, whose training split fits one chunk, and null when
+    no LM model trained."""
+    def environment(out_dir):
+        return json.loads((out_dir / "manifest.json").read_text())["environment"]
+
     write_manifest(tmp_path, "select", PipelineConfig(), [], [], {})
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
-    environment = manifest["environment"]
-    assert set(environment) == {"python", "numpy", "blas", "blas_threads",
-                                "lm_chunk_workers"}
-    assert environment["python"] == platform.python_version()
-    assert environment["numpy"] == np.__version__
+    written = environment(tmp_path)
+    assert set(written) == {"python", "numpy", "blas", "blas_threads", "lm_chunk_workers"}
+    assert written["python"] == platform.python_version()
+    assert written["numpy"] == np.__version__
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    assert environment["blas"] == f"{blas['name']} {blas['version']}"
-    assert environment["blas_threads"] == mlp.blas_threads()
-    assert environment["lm_chunk_workers"] == mlp.chunk_workers(2) in (1, 2)
+    assert written["blas"] == f"{blas['name']} {blas['version']}"
+    assert written["blas_threads"] == mlp.blas_threads()
+    assert written["lm_chunk_workers"] is None
+
+    bundled = REPO_ROOT / "configs" / "two_cluster.ini"
+    assert main(["pipeline", "--config", str(bundled), "--seed", "7",
+                 "--out-dir", str(tmp_path / "lm")]) == 0
+    assert environment(tmp_path / "lm")["lm_chunk_workers"] == 1
+    for name, keys in (("sgd", "[mlp]\nmode = bp-sgd\nmax_epochs = 3\n"),
+                       ("svm", "[train]\nclassifier = svm\n")):
+        cfg = tmp_path / f"{name}.ini"
+        cfg.write_text("[input]\nsynth = true\n[synth]\nrows_per_class = 40\n" + keys)
+        assert main(["pipeline", "--config", str(cfg),
+                     "--out-dir", str(tmp_path / name)]) == 0
+        assert environment(tmp_path / name)["lm_chunk_workers"] is None
 
 
 # Values that reach each parser's edge cases, plus arbitrary short text.

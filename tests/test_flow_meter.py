@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowsieve import dataset, flow_meter
-from flowsieve.cli import run_meter
+from flowsieve.cli import _Run, run_meter
+from flowsieve.config import PipelineConfig
 from flowsieve.errors import DataError
 from flowsieve.flow_meter import (FEATURE_COLUMNS, MeterConfig, PacketRecord,
                                   ParseError, _load_columns, _read_records,
@@ -43,7 +44,7 @@ def meter_csv(packets, out_dir, label: str):
         f"{p.timestamp_us},{ipaddress.IPv4Address(p.src_ip)},{p.src_port},"
         f"{ipaddress.IPv4Address(p.dst_ip)},{p.dst_port},{p.protocol},{p.payload_bytes}\n"
         for p in packets))
-    return run_meter(text, out_dir, MeterConfig(), label)
+    return run_meter(_Run([], PipelineConfig(meter_label=label), out_dir), text)
 
 
 def stats_of(feat: dict[str, float], prefix: str) -> FourStats:

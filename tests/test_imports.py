@@ -1,6 +1,7 @@
-"""Every name a flowsieve module imports is referenced in that module, and
+"""Every name a flowsieve module imports is referenced in that module,
 every name it defines at top level is referenced somewhere else in src/
-or perfbench/: code only tests use belongs in tests/oracles.py."""
+or perfbench/ (code only tests use belongs in tests/oracles.py), and no
+module reads another module's `_`-prefixed names."""
 
 import ast
 import re
@@ -78,3 +79,35 @@ def test_every_definition_is_referenced():
     others = [path.read_text(encoding="utf-8")
               for path in (REPO_ROOT / "perfbench").rglob("*.py")]
     assert unreferenced(modules, others) == []
+
+
+def private_reads(source: str) -> list[str]:
+    """`module._name` reads, and `from module import _name` imports, of an
+    `_`-prefixed (not dunder) attribute of a module the source imports."""
+    tree = ast.parse(source)
+    modules, reads = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {alias.asname or alias.name.partition(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            modules |= {alias.asname or alias.name for alias in node.names}
+            reads += [f"line {node.lineno}: {node.module}.{alias.name}"
+                      for alias in node.names
+                      if alias.name.startswith("_") and not alias.name.startswith("__")]
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")
+                and not node.attr.startswith("__")):
+            reads.append(f"line {node.lineno}: {node.value.id}.{node.attr}")
+    return sorted(reads)
+
+
+def test_checker_flags_a_private_read():
+    source = ("import os\nfrom . import mlp\nfrom .svm import _BLOCK, Kernel\n"
+              "def f(self):\n    return mlp._CHUNK_ROWS, os.__name__, self._x, mlp.train\n")
+    assert private_reads(source) == ["line 3: svm._BLOCK", "line 5: mlp._CHUNK_ROWS"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_module_reads_no_other_modules_private_name(path):
+    assert private_reads(path.read_text(encoding="utf-8")) == []

@@ -540,6 +540,72 @@ class TestTrainLm:
             assert len(history.val_loss) == best_epoch + 1 + cfg.patience
 
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_peak_memory_within_the_budget(self, monkeypatch, workers):
+        """Three LM steps at P = 994 over two chunks hold J^T J and, per worker, one
+        product and one chunk Jacobian: the traced peak stays within those cells
+        plus 10 %, which check_budget counts. The damping once added an
+        identity matrix and two P x P temporaries, and J^T J of the last step and
+        the last chunk's product stayed alive while the next ones were built."""
+        chunk, rows, hidden = 150, 300, 32
+        monkeypatch.setattr(mlp, "_CHUNK_ROWS", chunk)
+        monkeypatch.setattr(mlp, "chunk_workers", lambda chunks: workers)
+        rng = np.random.default_rng(70)
+        X, X_val = rng.normal(size=(rows, 28)), rng.normal(size=(50, 28))
+        T, T_val = one_hot(rng.integers(0, 2, rows)), one_hot(rng.integers(0, 2, 50))
+        model = mlp.init_model(28, hidden, seed=70)
+        P = model.n_parameters
+        cfg = mlp.TrainConfig(mode="lm", max_epochs=3, patience=3, seed=70)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            _, history = mlp.train_lm(model, X, T, X_val, T_val, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert (P, len(history.train_loss), history.chunk_workers) == (994, 3, workers)
+        held = (1 + workers) * P * P + workers * model.n_outputs * chunk * P
+        assert peak <= 1.1 * 8 * held, peak / (8 * P * P)
+        assert held <= mlp.check_budget(28, hidden, rows, "lm")
+
+    def test_history_records_the_chunk_workers_used(self):
+        cfg = mlp.TrainConfig(mode="lm", max_epochs=2)
+        _, history = mlp.train(mlp.init_model(2, 4), XOR_X, XOR_T, XOR_X, XOR_T, cfg)
+        assert history.chunk_workers == 1  # one chunk
+        _, history = mlp.train(mlp.init_model(2, 4), XOR_X, XOR_T, XOR_X, XOR_T,
+                               mlp.TrainConfig(mode="bp-sgd", max_epochs=2))
+        assert history.chunk_workers is None
+
+
+class TestBudget:
+    """check_budget counts cells from the layer sizes alone, allocating nothing."""
+
+    # (n_inputs, hidden, rows) giving exactly MAX_CELLS = 10**8 cells:
+    # LM: 4931817 x 20 activations + 3 x 82**2 + 2 x 2 x 4096 x 82 (P = 82);
+    # SGD: 7142826 x 14 activations + P = 436.
+    EXACT = {"lm": (1, 20, 4931817), "bp-sgd": (28, 14, 7142826)}
+
+    @pytest.mark.parametrize("mode", ["lm", "bp-sgd"])
+    def test_exactly_max_cells_passes_and_one_more_fails(self, monkeypatch, mode):
+        n_inputs, hidden, rows = self.EXACT[mode]
+        assert mlp.check_budget(n_inputs, hidden, rows, mode) == mlp.MAX_CELLS == 10**8
+        with pytest.raises(ValueError, match=rf"^P = \d+ parameters: {mode} would allocate "
+                                             f"{10**8 + hidden} cells, more than {10**8}$"):
+            mlp.check_budget(n_inputs, hidden, rows + 1, mode)
+        monkeypatch.setattr(mlp, "MAX_CELLS", 10**8 - 1)  # the same cells, one over
+        with pytest.raises(ValueError, match=f"would allocate {10**8} cells, "
+                                             f"more than {10**8 - 1}$"):
+            mlp.check_budget(n_inputs, hidden, rows, mode)
+
+    def test_lm_counts_its_square_arrays_and_two_workers_chunks(self):
+        """At P = 994: J^T J and two products, two 2 x 4096-row chunk Jacobians
+        (N = 10000 spans three chunks), and N x hidden activations; SGD counts P."""
+        assert mlp.check_budget(28, 32, 10000, "lm") == (
+            3 * 994**2 + 2 * 2 * 4096 * 994 + 10000 * 32)
+        assert mlp.check_budget(28, 32, 100, "lm") == 3 * 994**2 + 2 * 2 * 100 * 994 + 3200
+        assert mlp.check_budget(28, 32, 10000, "bp-sgd") == 994 + 10000 * 32
+
+
 class TestPredict:
     def test_argmax_cases(self):
         assert int(np.argmax([0.9, 0.2])) == 0  # NonTor
