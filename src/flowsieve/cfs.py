@@ -40,13 +40,10 @@ class FeatureSubset:
 @dataclass
 class SearchConfig:
     max_stale_expansions: int = 5
-    max_subset_size: int | None = None
 
     def __post_init__(self):
         if self.max_stale_expansions < 1:
             raise ValueError("max_stale_expansions must be at least 1")
-        if self.max_subset_size is not None and self.max_subset_size < 1:
-            raise ValueError("max_subset_size must be at least 1")
 
 
 def build_stats(table: Dataset) -> CorrelationStats:
@@ -101,8 +98,6 @@ def best_first_search(stats: CorrelationStats,
     stale = 0
     while frontier and stale < cfg.max_stale_expansions:
         _, size, indices, path = heapq.heappop(frontier)
-        if cfg.max_subset_size is not None and size >= cfg.max_subset_size:
-            continue
         improved_any = False
         for f in range(n):
             if f in indices:

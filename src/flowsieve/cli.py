@@ -219,12 +219,12 @@ def _train_models(run: _Run, train_ds: Dataset, val_ds: Dataset,
 
 def run_train(run: _Run, ds: Dataset, flows_path) -> list[tuple[str, Path]]:
     """Split, scale, train and write test.csv; return (column, model file) pairs."""
-    try:  # a class too small to split ends the run before any model trains
+    try:  # a class too small to split, or a column too large to scale, stops all training
         train_ds, val_ds, test_ds = stratified_split(ds, run.cfg.split)
+        scaler = fit_scaler(train_ds)
     except DataError as exc:
         raise DataError(f"{flows_path}: {exc}") from None
     del ds  # the splits are copies; models train on only the splits they use
-    scaler = fit_scaler(train_ds)
     train_ds = apply_scaler(scaler, train_ds)
     val_ds = apply_scaler(scaler, val_ds)
     models = _train_models(run, train_ds, val_ds, scaler)

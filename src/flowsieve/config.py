@@ -126,7 +126,6 @@ SETTINGS = {
     ("split", "test"): ("split.test", _finite),
     ("select", "enabled"): ("select_enabled", _bool),
     ("select", "max_stale_expansions"): ("search.max_stale_expansions", int),
-    ("select", "max_subset_size"): ("search.max_subset_size", _optional(int)),
     ("train", "classifier"): ("classifier", str),
     ("mlp", "mode"): ("mlp_train.mode", str),
     ("mlp", "hidden"): ("mlp_hidden", int),
@@ -134,10 +133,6 @@ SETTINGS = {
     ("mlp", "learning_rate"): ("mlp_train.learning_rate", _finite),
     ("mlp", "batch_size"): ("mlp_train.batch_size", int),
     ("mlp", "patience"): ("mlp_train.patience", int),
-    ("mlp", "mu_init"): ("mlp_train.lm_mu_init", _finite),
-    ("mlp", "mu_up"): ("mlp_train.lm_mu_up", _finite),
-    ("mlp", "mu_down"): ("mlp_train.lm_mu_down", _finite),
-    ("mlp", "mu_max"): ("mlp_train.lm_mu_max", _finite),
     ("svm", "kernel"): ("svm_kernel_kind", str),
     ("svm", "gamma"): ("svm_gamma", _optional(_finite)),
     ("svm", "c"): ("smo.C", _finite),

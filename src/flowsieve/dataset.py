@@ -334,8 +334,12 @@ class Scaler:
 
 
 def fit_scaler(train: Dataset) -> Scaler:
-    mean = train.X.mean(axis=0)
-    std = train.X.std(axis=0)  # population std
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is named below
+        mean = train.X.mean(axis=0)
+        std = train.X.std(axis=0)  # population std
+    if not (finite := np.isfinite(mean) & np.isfinite(std)).all():
+        raise DataError(f"column {train.schema[np.argmin(finite)]}: its training-split mean "
+                        "or std is not finite")
     passthrough = std == 0.0
     safe_std = np.where(passthrough, 1.0, std)
     return Scaler(mean=mean, std=safe_std, passthrough=passthrough)

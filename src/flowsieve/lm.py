@@ -41,7 +41,7 @@ def minimize_least_squares(
     only if it strictly decreases the cost; the optional callback sees
     (theta, cost) after each accepted step and may stop the run by
     returning False. Stop reasons: "gradient", "mu_max", "max_iterations",
-    "callback".
+    "callback". The mu defaults are the trainlm schedule of Hagan and Menhaj (1994).
     """
     theta = np.array(theta0, dtype=np.float64, copy=True)
     r = residual_fn(theta)

@@ -67,10 +67,6 @@ class TrainConfig:
     max_epochs: int = 1000
     learning_rate: float = 0.01
     batch_size: int = 32
-    lm_mu_init: float = 1e-3
-    lm_mu_up: float = 10.0
-    lm_mu_down: float = 0.1
-    lm_mu_max: float = 1e10
     patience: int = 6
     seed: int = 0
 
@@ -81,10 +77,6 @@ class TrainConfig:
             raise ValueError("max_epochs and patience must be positive")
         if not self.learning_rate > 0 or self.batch_size < 1:  # NaN fails too
             raise ValueError("learning_rate and batch_size must be positive")
-        if not (0 < self.lm_mu_init <= self.lm_mu_max and self.lm_mu_up > 1
-                and self.lm_mu_down > 0):
-            raise ValueError("LM damping needs 0 < mu_init <= mu_max, "
-                             "mu_up > 1 and mu_down > 0")
 
 
 @dataclass
@@ -187,21 +179,27 @@ _CHUNK_ROWS = 4096
 
 
 @functools.cache
-def blas_threads() -> int | None:
-    """Threads of the OpenBLAS in this process, read once through ctypes; None if unknown."""
+def _openblas() -> tuple | None:
+    """OpenBLAS's thread-count (getter, setter), found once; None for another BLAS or OS."""
     try:
         with open("/proc/self/maps", encoding="utf-8", errors="replace") as maps:
             libs = {line.split()[-1] for line in maps if "openblas" in line and ".so" in line}
-        return next(get() for lib in sorted(libs) for name in (
+        return next((get, getattr(lib, name.replace("_get_", "_set_")))
+                    for lib in map(ctypes.CDLL, sorted(libs)) for name in (
             "scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-            "openblas_get_num_threads") if (get := getattr(ctypes.CDLL(lib), name, None)))
-    except (OSError, StopIteration):  # no /proc (not Linux), library or getter
+            "openblas_get_num_threads") if (get := getattr(lib, name, None)))
+    except (OSError, AttributeError, StopIteration):  # no maps, library, getter or setter
         return None
 
 
+def blas_threads() -> int | None:
+    """Threads this process's OpenBLAS runs now; None if there is no OpenBLAS."""
+    return openblas[0]() if (openblas := _openblas()) else None
+
+
 def chunk_workers(chunks: int) -> int:
-    """2 chunk builders if BLAS runs one thread (so on Linux) on 2 or more CPUs, else 1."""
-    return 2 if chunks > 1 and blas_threads() == 1 and len(os.sched_getaffinity(0)) > 1 else 1
+    """2 chunk builders under OpenBLAS (one thread in train_lm) on 2 or more CPUs, else 1."""
+    return 2 if chunks > 1 and _openblas() and len(os.sched_getaffinity(0)) > 1 else 1
 
 
 @functools.cache
@@ -323,7 +321,8 @@ def train_bp(model: MlpModel, X: np.ndarray, T: np.ndarray,
 def train_lm(model: MlpModel, X: np.ndarray, T: np.ndarray,
              X_val: np.ndarray, T_val: np.ndarray,
              cfg: TrainConfig | None = None) -> tuple[MlpModel, TrainHistory]:
-    """Damped least-squares training of the full parameter vector.
+    """Damped least-squares training of the full parameter vector, on one
+    OpenBLAS thread and with minimize_least_squares's default damping.
 
     One history entry per accepted step; validation patience, a vanishing
     gradient, mu exceeding its cap, or the epoch budget stop the run.
@@ -348,12 +347,14 @@ def train_lm(model: MlpModel, X: np.ndarray, T: np.ndarray,
         # cost is 0.5*||r||^2 summed over all examples
         return tracker.keep_going(at(theta), cost / len(X))
 
-    # With no accepted step, on_step never runs and the initial model stays best.
-    result = minimize_least_squares(
-        residual_fn, normal_fn, model.theta,
-        mu_init=cfg.lm_mu_init, mu_up=cfg.lm_mu_up, mu_down=cfg.lm_mu_down,
-        mu_max=cfg.lm_mu_max, max_iterations=cfg.max_epochs,
-        callback=on_step)
+    get, put = _openblas() or (lambda: None, lambda threads: None)
+    threads = get()
+    put(1)  # so the bits do not depend on the caller's count, which comes back after
+    try:  # With no accepted step, on_step never runs and the initial model stays best.
+        result = minimize_least_squares(residual_fn, normal_fn, model.theta,
+                                        max_iterations=cfg.max_epochs, callback=on_step)
+    finally:
+        put(threads)
     tracker.history.stopping_reason = {
         "callback": "early_stop",
         "gradient": "converged: gradient",

@@ -207,11 +207,6 @@ class TestBestFirst:
         with pytest.raises(ValueError):
             SearchConfig(max_stale_expansions=0)
 
-    def test_max_subset_size_respected(self):
-        stats = make_stats([0.5, 0.5, 0.5, 0.5])
-        found = best_first_search(stats, SearchConfig(max_subset_size=2))
-        assert len(found.indices) <= 2
-
 
 class TestExhaustive:
     def test_hand_enumerated_three_features(self):

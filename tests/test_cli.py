@@ -361,6 +361,27 @@ class TestTrain:
         assert rc == 3
         assert "row 6 column 7 (flow_bytes_per_s): non-finite value" in error_run.err
 
+    @pytest.mark.parametrize("command", ["train", "pipeline"])
+    def test_column_too_large_to_scale_is_data_error(self, tmp_path, capsys, command):
+        """Finite flow_duration cells of 1e200-7e200 overflow the training
+        split's std. That once wrote `scaler_std ... inf` into both model
+        files, which eval then rejected."""
+        flows = synth_csv(tmp_path)
+        ds = load_flow_csv(flows)
+        ds.X[:, ds.schema.index("flow_duration")] = np.random.default_rng(8).uniform(
+            1e200, 7e200, ds.n_examples)
+        write_csv(ds, flows)
+        cfg = tmp_path / "run.ini"  # select off: CFS on such a column is ROADMAP item 8
+        cfg.write_text(f"[input]\nflows = {flows}\n[select]\nenabled = false\n"
+                       "[train]\nclassifier = both\n")
+        argv = ["train", str(flows)] if command == "train" else ["pipeline"]
+        out_dir = tmp_path / "out"
+        assert main(argv + ["--config", str(cfg), "--out-dir", str(out_dir)]) == 3
+        assert capsys.readouterr().err == (
+            f"data error: {flows}: column flow_duration: its training-split mean "
+            "or std is not finite\n")
+        assert not list(out_dir.glob("*_model.txt"))
+
 
 class TestEval:
     def _train(self, tmp_path, classifier="ann", seed=3):
@@ -566,14 +587,16 @@ class TestPipeline:
                    "--out-dir", str(tmp_path / "out")])
         assert rc == 2
 
-    def test_removed_max_passes_key_is_usage_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("section, key, value", [
+        ("svm", "max_passes", "10"), ("mlp", "mu_up", "10"), ("select", "max_subset_size", "2")])
+    def test_removed_key_is_usage_error(self, tmp_path, capsys, section, key, value):
         cfg = tmp_path / "old.ini"
-        cfg.write_text("[input]\nsynth = true\n[svm]\nmax_passes = 10\n")
+        cfg.write_text(f"[input]\nsynth = true\n[{section}]\n{key} = {value}\n")
         rc = main(["pipeline", "--config", str(cfg),
                    "--out-dir", str(tmp_path / "out")])
         assert rc == 2
-        err = capsys.readouterr().err
-        assert str(cfg) in err and "max_passes" in err
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: unknown key {key!r} in [{section}]\n")
 
     @pytest.mark.parametrize("select, loaded", [
         ("false", ["flows.csv", "test.csv"]),

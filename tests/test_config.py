@@ -41,8 +41,7 @@ def test_bad_file_value_names_file_and_key(tmp_path, capsys, section, key, value
 
 
 FLOAT_KEYS = [("split", "train"), ("split", "validation"), ("split", "test"),
-              ("mlp", "learning_rate"), ("mlp", "mu_init"), ("mlp", "mu_up"),
-              ("mlp", "mu_down"), ("mlp", "mu_max"), ("svm", "gamma"), ("svm", "c"),
+              ("mlp", "learning_rate"), ("svm", "gamma"), ("svm", "c"),
               ("svm", "tolerance"), ("synth", "class0_mean"), ("synth", "class1_mean"),
               ("synth", "covariance_scale"), ("synth", "duplicate_noise"),
               ("synth", "noise_scale")]
@@ -51,8 +50,8 @@ FLOAT_KEYS = [("split", "train"), ("split", "validation"), ("split", "test"),
 @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e999"])
 @pytest.mark.parametrize("section, key", FLOAT_KEYS)
 def test_non_finite_float_is_usage_error_naming_key(tmp_path, section, key, value):
-    """mu_max = inf once made LM loop forever; c = inf wrote a model file
-    that eval rejects."""
+    """c = inf once wrote a model file that eval rejects, and the removed
+    [mlp] mu_max = inf made LM loop forever."""
     path = tmp_path / "bad.ini"
     path.write_text(f"[{section}]\n{key} = {value}\n", encoding="utf-8")
     with pytest.raises(UsageError, match=re.escape(f"{path}: [{section}] {key}: ")):
@@ -254,7 +253,7 @@ def _parser_flags() -> dict[tuple[str, str], set[str]]:
 
 def test_readme_table_matches_settings_and_flags():
     rows = _readme_rows()
-    assert len(rows) == len(SETTINGS) == 37
+    assert len(rows) == len(SETTINGS) == 32
     assert set(rows) == set(SETTINGS)
     readme_flags = {key: set(re.findall(r"`(--[\w-]+)`", line.rsplit("|", 2)[1]))
                     for key, line in rows.items()}

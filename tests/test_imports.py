@@ -1,7 +1,9 @@
 """Every name a flowsieve module imports is referenced in that module,
 every name it defines at top level is referenced somewhere else in src/
-or perfbench/ (code only tests use belongs in tests/oracles.py), and no
-module reads another module's `_`-prefixed names."""
+or perfbench/ (code only tests use belongs in tests/oracles.py), no
+module reads another module's `_`-prefixed names, and none reads or sets
+an environment variable, so no variable is a setting the config does not
+show."""
 
 import ast
 import re
@@ -111,3 +113,33 @@ def test_checker_flags_a_private_read():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_module_reads_no_other_modules_private_name(path):
     assert private_reads(path.read_text(encoding="utf-8")) == []
+
+
+ENVIRONMENT_NAMES = {"environ", "getenv", "putenv"}
+
+
+def environment_uses(source: str) -> list[str]:
+    """`os.environ`, `os.getenv` and `os.putenv` uses, and imports of them
+    from os, in line order."""
+    uses = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "os" and node.attr in ENVIRONMENT_NAMES):
+            uses.append((node.lineno, f"os.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            uses += [(node.lineno, f"os.{alias.name}") for alias in node.names
+                     if alias.name in ENVIRONMENT_NAMES]
+    return [f"line {line}: {name}" for line, name in sorted(uses)]
+
+
+def test_checker_flags_an_environment_use():
+    source = ("import os\nfrom os import getenv, sep\n"
+              "def f():\n    return os.environ.get('X'), os.putenv, os.sched_getaffinity\n")
+    assert environment_uses(source) == ["line 2: os.getenv", "line 4: os.environ",
+                                        "line 4: os.putenv"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_module_uses_no_environment_variable(path):
+    """BLAS threads, for one, are set through the library, not the environment."""
+    assert environment_uses(path.read_text(encoding="utf-8")) == []

@@ -300,11 +300,11 @@ class TestNormalEquations:
         assert jtr.tobytes() == want_jtr.tobytes()
         assert threads == ({True, False} if workers == 2 and n > 4096 else {True})
 
-    @pytest.mark.parametrize("blas_threads", [2, None])
-    def test_one_worker_unless_blas_runs_one_thread(self, monkeypatch, blas_threads):
-        """A BLAS on 2 threads, or one whose count is unknown, gets the serial
-        loop, and no thread is started."""
-        monkeypatch.setattr(mlp, "blas_threads", lambda: blas_threads)
+    @pytest.mark.parametrize("openblas", [None])
+    def test_one_worker_unless_blas_runs_one_thread(self, monkeypatch, openblas):
+        """Without OpenBLAS (another BLAS, or no /proc), whose thread count LM
+        cannot hold at one, the serial loop runs, and no thread is started."""
+        monkeypatch.setattr(mlp, "_openblas", lambda: openblas)
         monkeypatch.setattr(mlp, "_helper", lambda: pytest.fail("helper thread used"))
         monkeypatch.setattr(mlp, "_CHUNK_ROWS", 7)
         assert mlp.chunk_workers(3) == 1
@@ -317,29 +317,25 @@ class TestNormalEquations:
         assert threading.enumerate() == before
 
     def test_worker_rule(self, monkeypatch):
-        """Two workers need a one-thread BLAS, 2 CPUs and 2 chunks; one chunk
-        does not even look the BLAS up."""
-        monkeypatch.setattr(mlp, "blas_threads", lambda: 1)
+        """Two workers need OpenBLAS, 2 CPUs and 2 chunks; one chunk does not
+        even look the BLAS up."""
+        monkeypatch.setattr(mlp, "_openblas", lambda: (lambda: 1, lambda threads: None))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         assert mlp.chunk_workers(2) == 2
         assert mlp.chunk_workers(11) == 2
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         assert mlp.chunk_workers(2) == 1
-        monkeypatch.setattr(mlp, "blas_threads", lambda: pytest.fail("looked up"))
+        monkeypatch.setattr(mlp, "_openblas", lambda: pytest.fail("looked up"))
         assert mlp.chunk_workers(1) == 1
         assert mlp.chunk_workers(0) == 1
 
-    def test_one_blas_thread_takes_two_workers(self, tmp_path):
-        """Under OPENBLAS_NUM_THREADS=1, in a fresh process, the real rule picks
-        two workers when 2 CPUs are available, and the result is still the
-        serial oracle's, byte for byte. Tier-1 runs at the default thread
-        count, so only this test takes the two-worker path unpatched."""
-        code = (
-            "import os, sys\n"
-            f"sys.path[:0] = [{str(REPO_ROOT / 'src')!r}, {str(REPO_ROOT / 'tests')!r}]\n"
-            "import numpy as np\n"
-            "from flowsieve import mlp\n"
-            "from flowsieve.dataset import one_hot\n"
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_one_blas_thread_takes_two_workers(self, threads):
+        """Under OPENBLAS_NUM_THREADS=1 or =2, in a fresh process, a real
+        train_lm over two chunks records two workers when 2 CPUs are
+        available, normal_equations still gives the serial oracle's bytes,
+        and the caller's thread count is back afterwards."""
+        out = blas_child(threads, (
             "from oracles import reference_normal_equations\n"
             "rng = np.random.default_rng(60)\n"
             "model = mlp.init_model(28, 6, seed=60)\n"
@@ -347,18 +343,35 @@ class TestNormalEquations:
             "T = one_hot(rng.integers(0, 2, len(X)))\n"
             "got, want = mlp.normal_equations(model, X, T), "
             "reference_normal_equations(model, X, T)\n"
-            "print(mlp.blas_threads(), len(os.sched_getaffinity(0)), mlp.chunk_workers(3),"
-            " all(a.tobytes() == b.tobytes() for a, b in zip(got, want)))\n")
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, timeout=120)
-        assert run.returncode == 0, run.stderr
-        blas_threads, cpus, workers, same = run.stdout.split()
-        if blas_threads == "None":
-            pytest.skip("no OpenBLAS thread count to read in this build")
-        assert blas_threads == "1"
+            "_, history = mlp.train_lm(model, X, T, X[:50], T[:50], "
+            "mlp.TrainConfig(mode='lm', max_epochs=1))\n"
+            "print(mlp.blas_threads(), len(os.sched_getaffinity(0)), history.chunk_workers,"
+            " all(a.tobytes() == b.tobytes() for a, b in zip(got, want)))\n"))
+        blas_threads, cpus, workers, same = out.split()
+        assert blas_threads == str(threads) or int(cpus) < threads
         assert workers == ("2" if int(cpus) >= 2 else "1")
         assert same == "True"
+
+
+def blas_child(threads: int, code: str) -> str:
+    """stdout of `code`, run after numpy, mlp, one_hot and os are imported in
+    a fresh process under OPENBLAS_NUM_THREADS=threads; skips the test where
+    the child finds no OpenBLAS thread count."""
+    prelude = (
+        "import os, sys\n"
+        f"sys.path[:0] = [{str(REPO_ROOT / 'src')!r}, {str(REPO_ROOT / 'tests')!r}]\n"
+        "import numpy as np\n"
+        "from flowsieve import mlp\n"
+        "from flowsieve.dataset import one_hot\n"
+        "if mlp.blas_threads() is None:\n"
+        "    sys.exit(99)\n")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+    run = subprocess.run([sys.executable, "-c", prelude + code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    if run.returncode == 99:
+        pytest.skip("no OpenBLAS thread count to read in this build")
+    assert run.returncode == 0, run.stderr
+    return run.stdout
 
 
 class TestTrainBp:
@@ -575,6 +588,56 @@ class TestTrainLm:
         _, history = mlp.train(mlp.init_model(2, 4), XOR_X, XOR_T, XOR_X, XOR_T,
                                mlp.TrainConfig(mode="bp-sgd", max_epochs=2))
         assert history.chunk_workers is None
+
+    @pytest.mark.parametrize("rows", [3000, 6000])
+    def test_model_bytes_do_not_depend_on_blas_threads(self, rows):
+        """Three LM steps on one chunk (3,000 rows) or two (6,000) end at the
+        same parameters and losses, byte for byte, under OPENBLAS_NUM_THREADS=1
+        and =2: train_lm holds BLAS at one thread. At the caller's thread
+        count both sizes once differed in their last bits."""
+        code = (
+            "import hashlib\n"
+            "rng = np.random.default_rng(80)\n"
+            f"X = rng.normal(size=({rows} + 500, 28))\n"
+            "T = one_hot((X[:, :4].sum(axis=1) + rng.normal(size=len(X)) > 0).astype(int))\n"
+            "model = mlp.init_model(28, 6, seed=80)\n"
+            f"trained, history = mlp.train_lm(model, X[:{rows}], T[:{rows}], X[{rows}:],"
+            f" T[{rows}:], mlp.TrainConfig(mode='lm', max_epochs=3, patience=3))\n"
+            "print(mlp.blas_threads(), len(os.sched_getaffinity(0)), len(history.val_loss),"
+            " not np.array_equal(trained.theta, model.theta), hashlib.sha256("
+            "trained.theta.tobytes() + np.array(history.train_loss + history.val_loss)"
+            ".tobytes()).hexdigest())\n")
+        runs = {threads: blas_child(threads, code).split() for threads in (1, 2)}
+        for threads, (blas_threads, cpus, epochs, moved, _) in runs.items():
+            assert blas_threads == str(threads) or int(cpus) < threads
+            assert (epochs, moved) == ("3", "True")
+        assert runs[1][4] == runs[2][4]
+
+    def test_train_lm_restores_the_callers_blas_threads(self, monkeypatch):
+        """train_lm runs LM on one OpenBLAS thread and gives the caller's
+        count back afterwards, also when training raises."""
+        if mlp.blas_threads() is None:
+            pytest.skip("no OpenBLAS thread count to set in this build")
+        get, put = mlp._openblas()
+        callers = get()
+        cfg = mlp.TrainConfig(mode="lm", max_epochs=2)
+        try:
+            put(2)
+            mlp.train_lm(mlp.init_model(2, 4), XOR_X, XOR_T, XOR_X, XOR_T, cfg)
+            assert mlp.blas_threads() == 2
+            seen = []
+
+            def failing(*args, **kwargs):
+                seen.append(mlp.blas_threads())
+                raise TrainingDiverged("diverged at epoch 0", 0)
+
+            monkeypatch.setattr(mlp, "minimize_least_squares", failing)
+            with pytest.raises(TrainingDiverged):
+                mlp.train_lm(mlp.init_model(2, 4), XOR_X, XOR_T, XOR_X, XOR_T, cfg)
+            assert seen == [1]
+            assert mlp.blas_threads() == 2
+        finally:
+            put(callers)
 
 
 class TestBudget:
