@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import CLASS_NAMES, Dataset
+from .errors import DataError
 
 
 @dataclass(frozen=True)
@@ -48,11 +49,23 @@ class SearchConfig:
 
 def build_stats(table: Dataset) -> CorrelationStats:
     """Absolute Pearson correlations from one centred matrix product, with
-    the class stacked on as the last column; a constant column gives 0."""
+    the class stacked on as the last column; a constant column gives 0.
+    A table of one class, or a column whose norm or correlation products
+    are not finite, is a DataError naming the class or the column."""
+    counts = np.bincount(table.y, minlength=len(CLASS_NAMES))
+    if not counts.all():
+        raise DataError("selection needs rows of both classes, got only "
+                        f"{CLASS_NAMES[np.argmax(counts)]} rows")
     Z = np.column_stack([table.X, table.y.astype(np.float64)])
-    Z -= Z.mean(axis=0)
-    norms = np.sqrt((Z * Z).sum(axis=0))
-    cross = Z.T @ Z
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is named below
+        Z -= Z.mean(axis=0)
+        norms = np.sqrt((Z * Z).sum(axis=0))
+        cross = Z.T @ Z
+    finite = np.isfinite(cross)
+    finite = np.isfinite(norms) & finite.all(axis=0) & finite.all(axis=1)
+    if not finite.all():
+        raise DataError(f"column {table.schema[np.argmin(finite)]}: its norm or correlation "
+                        "products are not finite")
     denom = np.outer(norms, norms)
     with np.errstate(invalid="ignore", divide="ignore"):
         r = np.where(denom > 0.0, cross / denom, 0.0)

@@ -8,7 +8,6 @@ Exit codes: 0 success, 2 usage error, 3 data error, 4 training divergence.
 from __future__ import annotations
 
 import argparse
-import shutil
 import sys
 import time
 from contextlib import contextmanager
@@ -127,26 +126,17 @@ def cmd_meter(args) -> int:
 # ---------------------------------------------------------------- select
 
 
-def run_select(run: _Run, flows_path) -> Dataset | None:
-    """Write selected.csv; return the input's Dataset when selected.csv is
-    a copy of the input.
-
-    With selection on it is None: the written cells are rounded to
-    6 significant digits, so training must read the file back.
-    """
+def run_select(run: _Run, flows_path) -> Path:
+    """Select features and write selected.csv; return its path."""
     ds = _load_flows(flows_path, run.cfg)
-    reduced_path = run.artifact("selected.csv")
-    if not run.cfg.select_enabled:
-        shutil.copyfile(flows_path, reduced_path)  # validated verbatim copy
-        print("selection disabled; pass-through copy written")
-        return ds
-    if ds.n_examples < 2:  # a correlation needs two rows
-        raise DataError(f"{flows_path}: selection needs at least 2 rows, "
-                        f"got {ds.n_examples}")
-    stats = cfs.build_stats(ds)
+    try:  # a table of one class, or a column too large to correlate, has no subset merit
+        stats = cfs.build_stats(ds)
+    except DataError as exc:
+        raise DataError(f"{flows_path}: {exc}") from None
     subset = cfs.best_first_search(stats, run.cfg.search)
     trajectory = cfs.merit_trajectory(subset, stats)
     kept = ds.select_features([ds.schema[i] for i in sorted(subset.indices)])
+    reduced_path = run.artifact("selected.csv")
     write_csv(kept, reduced_path)
 
     n_before, n_after = ds.n_features, len(subset.indices)
@@ -170,7 +160,7 @@ def run_select(run: _Run, flows_path) -> Dataset | None:
 
     print(report_lines[0])
     print(report_lines[-1])
-    return None
+    return reduced_path
 
 
 def cmd_select(args) -> int:
@@ -316,31 +306,27 @@ def cmd_synth(args) -> int:
 
 def cmd_pipeline(args) -> int:
     with _command(args) as run:
-        cfg, out_dir = run.cfg, run.out_dir
-        if cfg.packets_path:
-            run.inputs.append(_require_file(cfg.packets_path))
-            with run.stage("meter"):
-                flows = run_meter(run, run.inputs[0])
-        elif cfg.flows_path:
+        cfg = run.cfg
+        if cfg.flows_path:
             run.inputs.append(_require_file(cfg.flows_path))
             flows = run.inputs[0]
         elif cfg.use_synth:
             with run.stage("synth"):
                 flows = run_synth(run)
         else:
-            raise UsageError("config must provide [input] packets, flows or synth")
+            raise UsageError("config must provide [input] flows or synth")
 
-        with run.stage("select"):
-            selected = [run_select(run, flows)]  # [Dataset or None]
+        table = flows
+        if cfg.select_enabled:
+            with run.stage("select"):
+                table = run_select(run, flows)
 
         with run.stage("train"):
-            # pop() leaves run_train the only reference, so it frees the rows once split
-            trained = run_train(run, selected.pop()
-                                or _load_flows(out_dir / "selected.csv", cfg), flows)
+            trained = run_train(run, _load_flows(table, cfg), flows)
 
         prefix = "CFS-" if cfg.select_enabled else ""
         with run.stage("eval"):
-            run_eval(run, out_dir / "test.csv",
+            run_eval(run, run.out_dir / "test.csv",
                      [(prefix + column, path) for column, path in trained],
                      include_reference=args.reference)
     return EXIT_OK
@@ -372,8 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("select", help="correlation-based feature selection")
     p.add_argument("flows")
-    p.add_argument("--disable", dest="select:enabled", action="store_const",
-                   const="false", help="sets [select] enabled = false")
     p.add_argument("--max-stale-expansions", dest="select:max_stale_expansions",
                    help="sets [select] max_stale_expansions")
     common(p)
@@ -404,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("pipeline", help="run meter/synth -> select -> train -> eval")
+    p = sub.add_parser("pipeline", help="run synth (if set) -> select -> train -> eval")
     p.add_argument("--flows", dest="input:flows", help="sets [input] flows")
     p.add_argument("--reference", action="store_true")
     common(p)

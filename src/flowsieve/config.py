@@ -41,14 +41,13 @@ class UsageError(Exception):
 class PipelineConfig:
     """Everything one end-to-end run needs; a single seed drives all stages."""
 
-    packets_path: str | None = None
     flows_path: str | None = None
     use_synth: bool = False
     meter_label: str | None = None  # the class of a metered capture; None = unset
     bad_value_policy: str = "error"
     meter: MeterConfig = field(default_factory=MeterConfig)
     split: SplitSpec = field(default_factory=SplitSpec)
-    select_enabled: bool = True
+    select_enabled: bool = True  # pipeline's switch; the select command always selects
     search: SearchConfig = field(default_factory=SearchConfig)
     classifier: str = "ann"  # ann | svm | both
     mlp_hidden: int = 6
@@ -68,10 +67,8 @@ class PipelineConfig:
                 raise ValueError(f"{name} must be one of "
                                  f"{', '.join(filter(None, allowed))}, "
                                  f"got {getattr(self, name)!r}")
-        inputs = tuple(name for name in ("packets_path", "flows_path", "use_synth")
-                       if getattr(self, name))
-        if len(inputs) > 1:
-            raise Conflict("set only one input: packets, flows or synth", inputs)
+        if self.flows_path and self.use_synth:
+            raise Conflict("set only one input: flows or synth", ("flows_path", "use_synth"))
         if self.mlp_hidden < 1:
             raise ValueError(f"mlp_hidden must be at least 1, got {self.mlp_hidden}")
         make_kernel(self, n_features=1)  # checks svm_kernel_kind and svm_gamma
@@ -114,7 +111,6 @@ def _numbers(text: str) -> tuple[float, ...]:
 # dotted for a nested config or a default_synthetic_spec argument, and the
 # parser of its text). The constructors check every range and choice.
 SETTINGS = {
-    ("input", "packets"): ("packets_path", str),
     ("input", "flows"): ("flows_path", str),
     ("input", "synth"): ("use_synth", _bool),
     ("input", "label"): ("meter_label", str),

@@ -443,11 +443,12 @@ def generate_synthetic(spec: SyntheticSpec,
     informative = np.vstack(blocks)
     y = np.concatenate(labels)
     columns = [informative]
-    for src, eps in spec.duplicates:
-        col = informative[:, src] + eps * rng.standard_normal(len(y))
-        columns.append(col[:, None])
-    if spec.n_noise:
-        columns.append(spec.noise_scale * rng.standard_normal((len(y), spec.n_noise)))
+    with np.errstate(over="ignore"):  # write_csv refuses a non-finite cell
+        for src, eps in spec.duplicates:
+            col = informative[:, src] + eps * rng.standard_normal(len(y))
+            columns.append(col[:, None])
+        if spec.n_noise:
+            columns.append(spec.noise_scale * rng.standard_normal((len(y), spec.n_noise)))
     X = np.hstack(columns)
     perm = rng.permutation(len(y))
     X, y = X[perm], y[perm]

@@ -48,10 +48,11 @@ def kernel_matrix(kernel: Kernel, X: np.ndarray, Z: np.ndarray,
         return X @ Z.T
     if z_norms is None:
         z_norms = (Z ** 2).sum(axis=1)
-    sq = (X ** 2).sum(axis=1)[:, None] + z_norms[None, :]
-    sq -= 2.0 * X @ Z.T
-    np.maximum(sq, 0.0, out=sq)
-    sq *= -kernel.gamma
+    with np.errstate(over="ignore"):  # a distance past the float range is inf: exp(-inf) = 0
+        sq = (X ** 2).sum(axis=1)[:, None] + z_norms[None, :]
+        sq -= 2.0 * X @ Z.T
+        np.maximum(sq, 0.0, out=sq)
+        sq *= -kernel.gamma
     return np.exp(sq, out=sq)
 
 

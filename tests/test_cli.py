@@ -5,6 +5,7 @@ import resource
 import shlex
 import subprocess
 import sys
+import warnings
 import weakref
 from ipaddress import IPv4Address
 from pathlib import Path
@@ -230,23 +231,6 @@ class TestSelect:
         # prints 64.3%, not a hard-coded figure.
         assert f"{100.0 * (1.0 - 10 / 28):.1f}" == "64.3"
 
-    def test_disabled_pass_through_identical(self, tmp_path):
-        flows = synth_csv(tmp_path)
-        out_dir = tmp_path / "out"
-        assert main(["select", str(flows), "--disable",
-                     "--out-dir", str(out_dir)]) == 0
-        assert (out_dir / "selected.csv").read_bytes() == flows.read_bytes()
-
-    def test_disabled_manifest_lists_only_files_written(self, tmp_path):
-        # An earlier run with selection on left its reports in the out-dir.
-        flows = synth_csv(tmp_path)
-        out_dir = tmp_path / "out"
-        assert main(["select", str(flows), "--out-dir", str(out_dir)]) == 0
-        assert main(["select", str(flows), "--disable",
-                     "--out-dir", str(out_dir)]) == 0
-        manifest = json.loads((out_dir / "manifest.json").read_text())
-        assert list(manifest["artifacts"]) == ["selected.csv"]
-
     def test_duplicates_absent_from_output(self, tmp_path):
         # Exact duplicate planted for feature 0 under a distinct column name.
         spec = SyntheticSpec(
@@ -267,21 +251,49 @@ class TestSelect:
         src_name = ds.schema[roles["duplicate_of"][roles["duplicate"][0]]]
         assert not {dup_name, src_name} <= set(kept)
 
-    @pytest.mark.parametrize("flags", [[], ["--disable"]])
-    def test_input_parsed_once(self, tmp_path, monkeypatch, flags):
+    def test_input_parsed_once(self, tmp_path, monkeypatch):
         calls = spy_loads(monkeypatch)
         flows = synth_csv(tmp_path)
-        assert main(["select", str(flows), *flags,
-                     "--out-dir", str(tmp_path / "out")]) == 0
+        assert main(["select", str(flows), "--out-dir", str(tmp_path / "out")]) == 0
         assert calls == ["flows.csv"]
 
     def test_one_row_is_data_error(self, tmp_path, capsys):
         lines = synth_csv(tmp_path).read_text().splitlines()
         path = tmp_path / "one_row.csv"
         path.write_text("\n".join(lines[:2]) + "\n")
+        label = lines[1].rsplit(",", 1)[1]
         assert main(["select", str(path), "--out-dir", str(tmp_path / "out")]) == 3
         assert capsys.readouterr().err == (
-            f"data error: {path}: selection needs at least 2 rows, got 1\n")
+            f"data error: {path}: selection needs rows of both classes, "
+            f"got only {label} rows\n")
+
+    def test_metered_capture_is_one_class_data_error(self, packet_file, tmp_path, capsys):
+        """A capture metered under one label once selected features at merit 0."""
+        out_dir = tmp_path / "out"
+        assert main(["meter", str(packet_file), "--label", "Tor",
+                     "--out-dir", str(out_dir)]) == 0
+        flows = out_dir / "flows.csv"
+        assert main(["select", str(flows), "--out-dir", str(tmp_path / "sel")]) == 3
+        assert capsys.readouterr().err == (
+            f"data error: {flows}: selection needs rows of both classes, "
+            "got only Tor rows\n")
+        assert not (tmp_path / "sel" / "selected.csv").exists()
+
+    def test_column_too_large_to_correlate_is_data_error(self, tmp_path, capsys):
+        """Finite flow_duration cells of 1e200-7e200 overflow the column's
+        norm. That once scored the column's correlations 0 under two
+        overflow RuntimeWarnings and exited 0."""
+        flows = synth_csv(tmp_path)
+        ds = load_flow_csv(flows)
+        ds.X[:, ds.schema.index("flow_duration")] = np.random.default_rng(8).uniform(
+            1e200, 7e200, ds.n_examples)
+        write_csv(ds, flows)
+        out_dir = tmp_path / "out"
+        assert main(["select", str(flows), "--out-dir", str(out_dir)]) == 3
+        assert capsys.readouterr().err == (
+            f"data error: {flows}: column flow_duration: its norm or correlation "
+            "products are not finite\n")
+        assert not (out_dir / "selected.csv").exists()
 
     def test_unlabeled_rejected(self, tmp_path):
         path = tmp_path / "unlabeled.csv"
@@ -371,7 +383,7 @@ class TestTrain:
         ds.X[:, ds.schema.index("flow_duration")] = np.random.default_rng(8).uniform(
             1e200, 7e200, ds.n_examples)
         write_csv(ds, flows)
-        cfg = tmp_path / "run.ini"  # select off: CFS on such a column is ROADMAP item 8
+        cfg = tmp_path / "run.ini"  # select off: with it on, select stops at the column first
         cfg.write_text(f"[input]\nflows = {flows}\n[select]\nenabled = false\n"
                        "[train]\nclassifier = both\n")
         argv = ["train", str(flows)] if command == "train" else ["pipeline"]
@@ -522,6 +534,20 @@ class TestEval:
         assert list(report) == ["ANN", "CFS-ANN", "SVM", "CFS-SVM", metrics.C45_COLUMN_NAME]
         assert report["ANN"]["overall_acc"] < 100.0  # the spec does not separate cleanly
 
+    def test_row_far_out_warns_nothing(self, small_run, tmp_path, capsys):
+        """Cells of 1e200 once overflowed the rbf kernel's squared row norm
+        under a RuntimeWarning; such a row is infinitely far from every
+        support vector, so its kernel values are 0."""
+        header, first, *rest = (small_run / "test.csv").read_text().splitlines()
+        far = ",".join(["1e200"] * (len(first.split(",")) - 1) + [first.rsplit(",", 1)[1]])
+        flows = tmp_path / "far.csv"
+        flows.write_text("\n".join([header, far, *rest]) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["eval", str(flows), "--model", str(small_run / "svm_model.txt"),
+                         "--out-dir", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_schema_mismatch_lists_missing(self, tmp_path, capsys):
         flows, train_out = self._train(tmp_path)
         narrow = tmp_path / "narrow.csv"
@@ -588,10 +614,12 @@ class TestPipeline:
         assert rc == 2
 
     @pytest.mark.parametrize("section, key, value", [
-        ("svm", "max_passes", "10"), ("mlp", "mu_up", "10"), ("select", "max_subset_size", "2")])
+        ("svm", "max_passes", "10"), ("mlp", "mu_up", "10"), ("select", "max_subset_size", "2"),
+        ("input", "packets", "packets.txt")])
     def test_removed_key_is_usage_error(self, tmp_path, capsys, section, key, value):
         cfg = tmp_path / "old.ini"
-        cfg.write_text(f"[input]\nsynth = true\n[{section}]\n{key} = {value}\n")
+        header = "" if section == "input" else f"[{section}]\n"
+        cfg.write_text(f"[input]\nsynth = true\n{header}{key} = {value}\n")
         rc = main(["pipeline", "--config", str(cfg),
                    "--out-dir", str(tmp_path / "out")])
         assert rc == 2
@@ -642,14 +670,22 @@ class TestPipeline:
         report = metrics.parse_report_csv((out_dir / "report.csv").read_text())
         assert list(report) == ["CFS-ANN", metrics.C45_COLUMN_NAME]
 
-    def test_pipeline_from_packets(self, packet_file, tmp_path):
-        # Metered flows are too few to train on, so label them and only
-        # check the meter+select stages run from a packets input.
+    @pytest.mark.parametrize("section, key, value, code", [
+        ("svm", "gamma", "1e308", 0), ("synth", "covariance_scale", "1e308", 3),
+        ("synth", "noise_scale", "1e308", 3), ("synth", "duplicate_noise", "-1e308", 3)])
+    def test_extreme_value_warns_nothing(self, tmp_path, section, key, value, code):
+        """Each once printed numpy overflow RuntimeWarnings; the gamma and
+        covariance_scale runs also exited 0."""
+        sections = {"input": {"synth": "true"}, "synth": {"rows_per_class": "40"},
+                    "train": {"classifier": "both"}}
+        sections.setdefault(section, {})[key] = value
         cfg = tmp_path / "run.ini"
-        cfg.write_text(f"[input]\npackets = {packet_file}\nlabel = Tor\n")
-        rc = main(["pipeline", "--config", str(cfg),
-                   "--out-dir", str(tmp_path / "out")])
-        assert rc == 3  # single-class data cannot be split; clean data error
+        cfg.write_text("".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                               for name, keys in sections.items()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["pipeline", "--config", str(cfg),
+                         "--out-dir", str(tmp_path / "out")]) == code
 
 
 class TestTrainingDataReleased:
@@ -722,6 +758,34 @@ def test_readme_names_the_current_model_formats():
     readme = (Path(__file__).parent.parent / "README.md").read_text()
     named = set(re.findall(r"flowsieve-(?:mlp|svm) \d+", readme))
     assert named == {mlp.MODEL_FORMAT, svm.MODEL_FORMAT}
+
+
+def _recipes(repo_root) -> list[str]:
+    """Every `flowsieve ...` line in README's code blocks and in the
+    comments of configs/*.ini."""
+    lines, in_block = [], False
+    for line in (repo_root / "README.md").read_text().splitlines():
+        if line.startswith("```"):
+            in_block = not in_block
+        elif in_block and line.startswith("flowsieve "):
+            lines.append(line)
+    for config in sorted((repo_root / "configs").glob("*.ini")):
+        lines += [line.lstrip("# ") for line in config.read_text().splitlines()
+                  if re.match(r"#\s+flowsieve ", line)]
+    return lines
+
+
+def test_readme_and_config_recipes_parse(repo_root):
+    """A removed flag must not leave a recipe that no longer runs."""
+    from flowsieve.cli import build_parser
+
+    recipes = _recipes(repo_root)
+    assert len(recipes) >= 14
+    for line in recipes:
+        try:
+            build_parser().parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"recipe does not parse: {line}")
 
 
 class TestManifestFormats:
@@ -946,9 +1010,12 @@ class TestDeclaredClasses:
             cfg.write_text(f"[input]\nflows = {flows}\n")
             argv = ["pipeline", "--config", str(cfg)]
         assert main(argv + ["--out-dir", str(out_dir)]) == 3
-        assert capsys.readouterr().err == (
-            f"data error: {flows}: class Tor has {kept} rows, fewer than 3; "
-            "training needs at least 3 of each class\n")
+        # pipeline selects first, and a table of one class stops selection
+        reason = ("selection needs rows of both classes, got only NonTor rows"
+                  if command == "pipeline" and kept == 0 else
+                  f"class Tor has {kept} rows, fewer than 3; "
+                  "training needs at least 3 of each class")
+        assert capsys.readouterr().err == f"data error: {flows}: {reason}\n"
         assert not (out_dir / "ann_model.txt").exists()
 
     @pytest.mark.parametrize("classifier", ["ann", "both"])
@@ -975,18 +1042,9 @@ class TestDeclaredClasses:
                      "--out-dir", str(tmp_path / "out")]) == 2
         assert "[input] label" in capsys.readouterr().err
 
-    def test_metering_pipeline_needs_a_label(self, packet_file, tmp_path, capsys):
-        cfg = tmp_path / "run.ini"
-        cfg.write_text(f"[input]\npackets = {packet_file}\n")
-        assert main(["pipeline", "--config", str(cfg),
-                     "--out-dir", str(tmp_path / "out")]) == 2
-        assert "[input] label" in capsys.readouterr().err
-        assert not (tmp_path / "out" / "flows.csv").exists()
 
-
-@pytest.mark.parametrize("argv", [["select"], ["select", "--disable"],
-                                  ["train"], ["train", "--classifier", "svm"]],
-                         ids=["select", "select-disable", "train", "train-svm"])
+@pytest.mark.parametrize("argv", [["select"], ["train"], ["train", "--classifier", "svm"]],
+                         ids=["select", "train", "train-svm"])
 def test_flow_csv_without_features_is_data_error(tmp_path, capsys, argv):
     path = tmp_path / "labels_only.csv"
     path.write_text("label\n" + "NonTor\nTor\n" * 4)
@@ -1057,6 +1115,12 @@ class TestManifestContract:
             return (["pipeline", "--config", str(cfg)], [flows],
                     cls.SELECTED + cls.TRAINED + cls.REPORTS,
                     {"select", "train", "eval"})
+        if command == "pipeline-select-off":
+            flows = synth_csv(tmp_path)
+            cfg.write_text(f"[input]\nflows = {flows}\n[select]\nenabled = false\n"
+                           "[mlp]\nmax_epochs = 3\n")
+            return (["pipeline", "--config", str(cfg)], [flows],
+                    cls.TRAINED + cls.REPORTS, {"train", "eval"})
         cfg.write_text(SMALL_RUN_INI)
         return (["pipeline", "--config", str(cfg)], [],
                 ["synthetic_flows.csv"] + cls.SELECTED + cls.TRAINED
@@ -1064,7 +1128,8 @@ class TestManifestContract:
                 {"synth", "select", "train", "eval"})
 
     @pytest.mark.parametrize("command", ["meter", "select", "train", "eval", "synth",
-                                         "pipeline-flows", "pipeline-synth"])
+                                         "pipeline-flows", "pipeline-select-off",
+                                         "pipeline-synth"])
     def test_manifest(self, command, tmp_path, packet_file, small_run):
         from flowsieve.config import ARTIFACT_FORMATS
 
@@ -1196,8 +1261,8 @@ def test_sgd_forward_pass_over_the_cell_budget_is_usage_error(tmp_path, repo_roo
 
 
 def test_synth_draws_that_overflow_are_a_data_error(tmp_path, repo_root):
-    """The noise draws overflow to inf. The command runs in a child because
-    pytest turns numpy's overflow RuntimeWarning into an error in-process."""
+    """The noise draws overflow to inf, which write_csv refuses; the run is
+    checked in a fresh process, as a user would see it."""
     cfg = tmp_path / "huge.ini"
     cfg.write_text("[synth]\nrows_per_class = 20\nnoise_scale = 1e308\n")
     out = tmp_path / "out" / "synthetic_flows.csv"

@@ -98,14 +98,11 @@ def test_timeout_order_names_each_given_key(tmp_path, capsys, keys, named):
 
 
 @pytest.mark.parametrize("file_keys, flows_flag", [
-    ({"packets": "p.txt", "flows": "f.csv"}, False),
-    ({"packets": "p.txt", "synth": "true"}, False),
     ({"flows": "f.csv", "synth": "true"}, False),
-    ({"packets": "p.txt"}, True),
     ({"synth": "true"}, True),
-])
+], ids=["flows-synth", "synth-flows_flag"])
 def test_two_inputs_are_usage_error_naming_each(tmp_path, capsys, file_keys, flows_flag):
-    """pipeline once took packets, then flows, then synth, ignoring the rest."""
+    """pipeline once took flows, then synth, ignoring the rest."""
     cfg = tmp_path / "run.ini"
     cfg.write_text("[input]\n" + "".join(f"{k} = {v}\n" for k, v in file_keys.items()))
     argv = ["pipeline", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]
@@ -253,7 +250,7 @@ def _parser_flags() -> dict[tuple[str, str], set[str]]:
 
 def test_readme_table_matches_settings_and_flags():
     rows = _readme_rows()
-    assert len(rows) == len(SETTINGS) == 32
+    assert len(rows) == len(SETTINGS) == 31
     assert set(rows) == set(SETTINGS)
     readme_flags = {key: set(re.findall(r"`(--[\w-]+)`", line.rsplit("|", 2)[1]))
                     for key, line in rows.items()}
