@@ -277,11 +277,17 @@ def cmd_eval(args) -> int:
 
 
 def _named_model(text: str) -> tuple[str, str]:
-    """--model [NAME=]PATH, split at its first "="; with no "=", NAME is the file's stem."""
+    """--model [NAME=]PATH, split at its first "="; with no "=", NAME is the
+    file's stem. A NAME that no report column can take is refused here."""
     name, equals, path = text.partition("=")
     if equals and not name:
         raise argparse.ArgumentTypeError(f"empty column name in {text!r}")
-    return (name, path) if equals else (Path(text).stem, text)
+    if not equals:
+        name, path = Path(text).stem, text
+    try:
+        return metrics.check_column_name(name), path
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 # ---------------------------------------------------------------- synth
@@ -335,64 +341,50 @@ def cmd_pipeline(args) -> int:
 # ---------------------------------------------------------------- parser
 
 
+# The (section, key) pairs each subcommand sets from a flag named --KEY.
+_FLAG_KEYS = {
+    "meter": (("input", "label"), ("meter", "activity_timeout_us"),
+              ("meter", "flow_timeout_us")),
+    "select": (("select", "max_stale_expansions"),),
+    "train": (("train", "classifier"), ("mlp", "hidden"), ("mlp", "mode")),
+    "synth": (("synth", "rows_per_class"),),
+    "pipeline": (("input", "flows"),),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flowsieve",
         description="Tor/nonTor traffic classification pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", default=None, help="key-value config file")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out-dir", default="out")
+    def command(name, func, summary, *positionals):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
+        for positional in positionals:
+            p.add_argument(positional)
+        for section, key in _FLAG_KEYS.get(name, ()):
+            p.add_argument("--" + key.replace("_", "-"), dest=f"{section}:{key}",
+                           help=f"sets [{section}] {key}")
+        return p
 
-    p = sub.add_parser("meter", help="packet records -> flow feature CSV")
-    p.add_argument("packets")
-    p.add_argument("--label", dest="input:label", help="sets [input] label")
-    p.add_argument("--activity-timeout-us", dest="meter:activity_timeout_us",
-                   help="sets [meter] activity_timeout_us")
-    p.add_argument("--flow-timeout-us", dest="meter:flow_timeout_us",
-                   help="sets [meter] flow_timeout_us")
-    common(p)
-    p.set_defaults(func=cmd_meter)
-
-    p = sub.add_parser("select", help="correlation-based feature selection")
-    p.add_argument("flows")
-    p.add_argument("--max-stale-expansions", dest="select:max_stale_expansions",
-                   help="sets [select] max_stale_expansions")
-    common(p)
-    p.set_defaults(func=cmd_select)
-
-    p = sub.add_parser("train", help="split, scale and train classifiers")
-    p.add_argument("flows")
-    p.add_argument("--classifier", dest="train:classifier", help="sets [train] classifier")
-    p.add_argument("--hidden", dest="mlp:hidden", help="sets [mlp] hidden")
-    p.add_argument("--mode", dest="mlp:mode", help="sets [mlp] mode")
-    common(p)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("eval", help="evaluate saved models on a flow CSV")
-    p.add_argument("flows")
+    command("meter", cmd_meter, "packet records -> flow feature CSV", "packets")
+    command("select", cmd_select, "correlation-based feature selection", "flows")
+    command("train", cmd_train, "split, scale and train classifiers", "flows")
+    p = command("eval", cmd_eval, "evaluate saved models on a flow CSV", "flows")
     p.add_argument("--model", action="append", required=True, type=_named_model,
                    metavar="[NAME=]PATH",
                    help="model file, its report column named NAME or else the file's "
                         "stem; repeat for a multi-column report")
     p.add_argument("--reference", action="store_true",
                    help="append the published C4.5 comparison column")
-    common(p)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("synth", help="generate a synthetic flow CSV")
-    p.add_argument("--rows-per-class", dest="synth:rows_per_class",
-                   help="sets [synth] rows_per_class")
-    common(p)
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("pipeline", help="run synth (if set) -> select -> train -> eval")
-    p.add_argument("--flows", dest="input:flows", help="sets [input] flows")
+    command("synth", cmd_synth, "generate a synthetic flow CSV")
+    p = command("pipeline", cmd_pipeline, "run synth (if set) -> select -> train -> eval")
     p.add_argument("--reference", action="store_true")
-    common(p)
-    p.set_defaults(func=cmd_pipeline)
+    for p in sub.choices.values():
+        p.add_argument("--config", default=None, help="key-value config file")
+        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--out-dir", default="out")
     return parser
 
 

@@ -97,17 +97,20 @@ def _normalize_header(cells: list[str]) -> list[str]:
     return [UNB_CIC_ALIASES.get(cell.strip(), cell.strip()) for cell in cells]
 
 
-def _ip_cell(text: str) -> float:
-    """An IP-column cell: a number or a dotted quad. Other text raises
-    TypeError, from float(None)."""
+def _ip_cell(text: str, quads: dict[str, int | None]) -> float:
+    """An IP-column cell: a number or a dotted quad, each distinct quad parsed
+    once and kept in `quads`. Other text raises TypeError, from float(None)."""
     try:
         return float(text)
     except ValueError:
-        return float(parse_ipv4(text))
+        if text not in quads:
+            quads[text] = parse_ipv4(text)
+        return float(quads[text])
 
 
 def _parse_cells(path, row_number: int, feature_names: tuple[str, ...],
-                 cells: list[str], bad_value_policy: str) -> list[float] | None:
+                 cells: list[str], bad_value_policy: str,
+                 quads: dict[str, int | None]) -> list[float] | None:
     """One row's feature cells checked one at a time; None drops the row.
 
     Cells are stripped, IP columns also accept dotted quads, and every
@@ -117,7 +120,7 @@ def _parse_cells(path, row_number: int, feature_names: tuple[str, ...],
     for col, (name, cell) in enumerate(zip(feature_names, cells), start=1):
         cell = cell.strip()
         try:
-            value = _ip_cell(cell) if name in _IP_COLUMNS else float(cell)
+            value = _ip_cell(cell, quads) if name in _IP_COLUMNS else float(cell)
         except (TypeError, ValueError):
             raise DataError(f"{path}: row {row_number} column {col} ({name}): "
                             f"non-numeric cell {cell!r}") from None
@@ -130,8 +133,8 @@ def _parse_cells(path, row_number: int, feature_names: tuple[str, ...],
     return values
 
 
-def _read_rows(path, reader, feature_names: tuple[str, ...],
-               bad_value_policy: str) -> tuple[np.ndarray, list[int], int]:
+def _read_rows(path, reader, feature_names: tuple[str, ...], bad_value_policy: str,
+               quads: dict[str, int | None]) -> tuple[np.ndarray, list[int], int]:
     """The rows left in `reader`, each checked by _parse_cells: (the kept rows'
     features, their labels, rows dropped). A bad row raises DataError naming it."""
     labels: list[int] = []
@@ -146,7 +149,7 @@ def _read_rows(path, reader, feature_names: tuple[str, ...],
                 raise DataError(f"{path}: expected {len(feature_names) + 1} "
                                 f"columns at row {row_number}, got {len(cells)}")
             values = _parse_cells(path, row_number, feature_names, cells,
-                                  bad_value_policy)
+                                  bad_value_policy, quads)
             if values is None:
                 dropped += 1
                 continue
@@ -205,8 +208,9 @@ def load_flow_csv(path, bad_value_policy: str = "error") -> Dataset:
         if len(set(feature_names)) != len(feature_names):
             raise DataError(f"{path}: duplicate feature columns")
         n = len(feature_names)
-        converters = {i: _ip_cell for i, name in enumerate(feature_names)
-                      if name in _IP_COLUMNS}
+        quads: dict[str, int | None] = {}  # the file's dotted quads, for _ip_cell
+        converters = {i: lambda text: _ip_cell(text, quads)
+                      for i, name in enumerate(feature_names) if name in _IP_COLUMNS}
         converters[n] = lambda text: LABEL_TO_ID[text.strip().lower()]
         table = c_parse(handle, np.float64, converters)
         finite = (np.isfinite(table).all(axis=1)
@@ -215,7 +219,7 @@ def load_flow_csv(path, bad_value_policy: str = "error") -> Dataset:
             handle.seek(0)
             next(reader)
             X, labels, dropped = _read_rows(path, reader, feature_names,
-                                            bad_value_policy)
+                                            bad_value_policy, quads)
         else:
             labels = table[finite, n].astype(np.int64)
             dropped = len(table) - len(labels)

@@ -11,6 +11,7 @@ numpy, all flows at once.
 
 from __future__ import annotations
 
+import ipaddress
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -78,25 +79,12 @@ class MeterConfig:
 
 
 def parse_ipv4(text: str) -> int | None:
-    """Dotted-decimal IPv4 text as a 32-bit int, or None if malformed.
-
-    Surrounding whitespace is ignored. Accepted: four ASCII-decimal octets
-    of 1-3 digits, each 0-255, without leading zeros (the form the standard
-    library's IPv4Address accepts).
-    """
-    parts = text.strip().split(".")
-    if len(parts) != 4:
+    """IPv4 text as a 32-bit int, or None if malformed: what the standard
+    library's IPv4Address accepts once surrounding whitespace is stripped."""
+    try:
+        return int(ipaddress.IPv4Address(text.strip()))
+    except ValueError:  # AddressValueError is a ValueError
         return None
-    value = 0
-    for part in parts:
-        if (not (part.isascii() and part.isdigit()) or len(part) > 3
-                or (part[0] == "0" and part != "0")):
-            return None
-        octet = int(part)
-        if octet > 255:
-            return None
-        value = value << 8 | octet
-    return value
 
 
 def _integer(text: str, fieldname: str, line_number: int) -> int:

@@ -7,6 +7,8 @@ an explicit undefined marker, rendered as "-", never silently zero.
 
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Sequence
@@ -123,13 +125,21 @@ def format_percent(value: float | None) -> str:
     return f"{round_percent(value):.1f}"
 
 
+def check_column_name(name: str) -> str:
+    """`name` if it can head a report column. A line break would split the
+    header row of both reports, so it raises ValueError."""
+    if "\n" in name or "\r" in name:
+        raise ValueError(f"line break in column name {name!r}")
+    return name
+
+
 def _rows(columns: dict[str, dict], include_reference: bool,
           corner: str) -> list[list[str]]:
     """Header row, then one row of formatted cells per report metric."""
     cols = dict(columns)
     if include_reference:
         cols[C45_COLUMN_NAME] = C45_REPORTED
-    return [[corner, *cols]] + [
+    return [[corner, *map(check_column_name, cols)]] + [
         [label] + [format_percent(report[key]) for report in cols.values()]
         for key, label in REPORT_ROWS]
 
@@ -146,16 +156,16 @@ def render_table(columns: dict[str, dict],
 
 def render_csv(columns: dict[str, dict],
                include_reference: bool = False) -> str:
-    return "".join(",".join(f'"{c}"' if "," in c else c for c in row) + "\n"
-                   for row in _rows(columns, include_reference, "metric"))
+    """Comparison table as CSV, one column per model, quoted by the csv module."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(
+        _rows(columns, include_reference, "metric"))
+    return out.getvalue()
 
 
 def parse_report_csv(text: str) -> dict[str, dict[str, float | None]]:
     """Re-parse render_csv output back into per-column rounded values."""
-    import csv as _csv
-    import io
-
-    rows = list(_csv.reader(io.StringIO(text)))
+    rows = list(csv.reader(io.StringIO(text)))
     names = rows[0][1:]
     label_to_key = {label: key for key, label in REPORT_ROWS}
     out: dict[str, dict[str, float | None]] = {n: {} for n in names}

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import re
 import resource
 import shlex
@@ -463,6 +464,24 @@ class TestEval:
                   "--out-dir", str(tmp_path / "eval_out")])
         assert exit_info.value.code == 2
         assert "empty column name" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("file_name, name", [
+        ("ann_model.txt", "a\nb="), ("ann_model.txt", "a\rb="), ("ann_model.txt", "\n="),
+        ("x\ny.txt", ""),  # a stem names the column too
+    ])
+    def test_column_name_with_line_break_is_usage_error(self, small_run, tmp_path, capsys,
+                                                         file_name, name):
+        # Such a name would split report.txt's header row in two.
+        model = tmp_path / file_name
+        model.write_bytes((small_run / "ann_model.txt").read_bytes())
+        out_dir = tmp_path / "eval_out"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["eval", str(small_run / "test.csv"), "--model", name + str(model),
+                  "--out-dir", str(out_dir)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --model: line break in column name" in err
+        assert not out_dir.exists()
 
     def test_repeated_column_name_is_usage_error(self, small_run, tmp_path, capsys):
         # Two models that name one report column: one would replace the other.
@@ -1214,16 +1233,42 @@ sys.exit(code)
 """
 
 
-def run_child(repo_root, *argv: str, address_space: int | None = None
-              ) -> subprocess.CompletedProcess:
+def run_child(repo_root, *argv: str, address_space: int | None = None,
+              env: dict[str, str] | None = None) -> subprocess.CompletedProcess:
     """`flowsieve *argv` in a fresh process, its address space limited to
-    `address_space` bytes if given; its last stdout line says whether
-    numpy.ma was imported."""
+    `address_space` bytes and `env` laid over this process's environment if
+    given; its last stdout line says whether numpy.ma was imported."""
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
     return subprocess.run([sys.executable, "-c", CHILD_MAIN, str(repo_root), *argv],
                           capture_output=True, text=True,
+                          env=None if env is None else {**os.environ, **env},
                           preexec_fn=limit if address_space else None)
+
+
+def test_pipeline_bytes_do_not_depend_on_blas_threads(tmp_path, repo_root):
+    """Only LM holds OpenBLAS at one thread. CFS, SGD, SMO and prediction
+    run under the caller's count, and a select + bp-sgd + svm pipeline
+    writes the same bytes under one thread and two. Skipped where the
+    manifests do not record those two counts (no OpenBLAS found)."""
+    cfg = tmp_path / "sgd_svm.ini"
+    cfg.write_text("[input]\nsynth = true\n[synth]\nrows_per_class = 500\n"
+                   "[train]\nclassifier = both\n"
+                   "[mlp]\nmode = bp-sgd\nmax_epochs = 20\npatience = 20\n"
+                   "[svm]\nc = 0.1\ntolerance = 0.1\n")
+    names = ("selected.csv", "ann_model.txt", "ann_history.csv", "svm_model.txt",
+             "test.csv", "report.csv")
+    written = {}
+    for threads in ("1", "2"):
+        out_dir = tmp_path / f"threads_{threads}"
+        run = run_child(repo_root, "pipeline", "--config", str(cfg), "--seed", "5",
+                        "--out-dir", str(out_dir), env={"OPENBLAS_NUM_THREADS": threads})
+        assert run.returncode == 0, run.stderr
+        recorded = json.loads((out_dir / "manifest.json").read_text())["environment"]
+        if recorded["blas_threads"] != int(threads):
+            pytest.skip(f"OPENBLAS_NUM_THREADS={threads} ran {recorded['blas_threads']}")
+        written[threads] = {name: (out_dir / name).read_bytes() for name in names}
+    assert written["1"] == written["2"]
 
 
 def test_mlp_over_the_cell_budget_is_usage_error(tmp_path, repo_root):

@@ -14,7 +14,7 @@ from flowsieve.dataset import (CLASS_NAMES, MAX_CELLS, Dataset, Scaler,
                                one_hot, stratified_split,
                                stratified_split_indices, write_csv)
 from flowsieve.errors import DataError
-from flowsieve.flow_meter import FEATURE_COLUMNS, c_parse
+from flowsieve.flow_meter import FEATURE_COLUMNS, c_parse, parse_ipv4
 from oracles import masked_transform, oracle_load_flow_csv, oracle_write_csv
 
 
@@ -79,6 +79,27 @@ class TestLoad:
         ds = load_flow_csv(path)
         assert ds.schema == FEATURE_COLUMNS
         assert ds.X[0, 0] == float(int.from_bytes(bytes([10, 0, 0, 1]), "big"))
+
+    @pytest.mark.parametrize("last_cell", ["1.0", "oops"])  # read in C; again row by row
+    def test_each_dotted_quad_is_parsed_once(self, tmp_path, monkeypatch, last_cell):
+        parsed = []
+
+        def counting(text):
+            parsed.append(text)
+            return parse_ipv4(text)
+
+        monkeypatch.setattr(dataset, "parse_ipv4", counting)
+        rows = [f"10.0.0.{i % 3},1,10.0.0.9,2," + ",".join(["1.0"] * 24) + ",Tor"
+                for i in range(9)]
+        rows[-1] = rows[-1].replace("1.0,Tor", f"{last_cell},Tor")
+        path = make_flow_csv(tmp_path, rows)
+        if last_cell == "oops":
+            with pytest.raises(DataError, match="row 10 column 28"):
+                load_flow_csv(path)
+        else:
+            assert load_flow_csv(path).X[:4, 0].tolist() == [
+                float(parse_ipv4(f"10.0.0.{i % 3}")) for i in range(4)]
+        assert sorted(parsed) == ["10.0.0.0", "10.0.0.1", "10.0.0.2", "10.0.0.9"]
 
     def test_bad_value_policy_drop(self, tmp_path):
         inf_row = ",".join(["1.0"] * 6 + ["Infinity"] + ["1.0"] * 21 + ["Tor"])

@@ -1,12 +1,14 @@
-"""Every name a flowsieve module imports is referenced in that module,
-every name it defines at top level is referenced somewhere else in src/
-or perfbench/ (code only tests use belongs in tests/oracles.py), no
-module reads another module's `_`-prefixed names, and none reads or sets
-an environment variable, so no variable is a setting the config does not
-show."""
+"""Every module a flowsieve module imports is numpy, the standard library
+or flowsieve itself, every name a flowsieve module imports is referenced
+in that module, every name it defines at top level is referenced
+somewhere else in src/ or perfbench/ (code only tests use belongs in
+tests/oracles.py), no module reads another module's `_`-prefixed names,
+and none reads or sets an environment variable, so no variable is a
+setting the config does not show."""
 
 import ast
 import re
+import sys
 
 import pytest
 
@@ -14,6 +16,33 @@ from conftest import REPO_ROOT
 
 MODULES = sorted(path for path in (REPO_ROOT / "src" / "flowsieve").glob("*.py")
                  if path.name != "__init__.py")
+
+
+def foreign_imports(source: str) -> list[str]:
+    """Absolute imports of a module that is neither numpy nor in the
+    standard library: numpy is the only runtime dependency."""
+    foreign = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        foreign += [f"line {node.lineno}: {name}" for name in names
+                    if name.partition(".")[0] not in sys.stdlib_module_names | {"numpy"}]
+    return foreign
+
+
+def test_checker_flags_a_foreign_import():
+    source = ("import csv, numpy.linalg, scipy\nfrom numpy import ndarray\n"
+              "from yaml.loader import Loader\nfrom . import mlp\nfrom .svm import Kernel\n")
+    assert foreign_imports(source) == ["line 1: scipy", "line 3: yaml.loader"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_module_imports_only_numpy_and_the_standard_library(path):
+    assert foreign_imports(path.read_text(encoding="utf-8")) == []
 
 
 def unused_imports(source: str) -> list[str]:

@@ -162,6 +162,52 @@ class TestRendering:
             expected = None if value is None else round_percent(value)
             assert parsed[key] == expected
 
+    @pytest.mark.parametrize("include_reference", [False, True])
+    def test_csv_round_trips_quotes_commas_and_non_ascii(self, include_reference):
+        # The csv module quotes what it reads back; a hand-written quoting
+        # once read `a,"b` back as `a,b"`.
+        names = ['a,"b', 'q"uote', '"', ",", "Ünï"]
+        columns = {name: build_report([1, 0, 1, 0], [1, 0, i % 2, 1])
+                   for i, name in enumerate(names)}
+        expected = {name: {key: None if value is None else round_percent(value)
+                           for key, value in report.items()}
+                    for name, report in columns.items()}
+        if include_reference:
+            expected[C45_COLUMN_NAME] = C45_REPORTED
+        parsed = parse_report_csv(render_csv(columns, include_reference))
+        assert list(parsed) == list(expected)
+        assert parsed == expected
+
+    @pytest.mark.parametrize("render", [render_csv, render_table])
+    @pytest.mark.parametrize("name", ["x\ny", "x\ry", "x\r\ny", "\n"])
+    def test_line_break_in_column_name_is_refused(self, render, name):
+        # It would split the header row; the csv writer would not even quote
+        # a lone "\r", and its report.csv would not read back.
+        columns = {"ANN": build_report([1, 0], [1, 0]), name: build_report([1, 0], [0, 1])}
+        with pytest.raises(ValueError, match="^line break in column name "):
+            render(columns)
+
+    def test_csv_of_the_paper_columns_is_pinned(self):
+        columns = {name: build_report(predictions, labels)
+                   for name, predictions, labels in (
+                       ("ANN", [1, 1, 0, 0, 1, 0, 1, 0], [1, 0, 0, 1, 1, 0, 1, 1]),
+                       ("SVM", [1, 0, 0, 1, 0, 1, 0, 1], [0, 0, 1, 1, 0, 1, 1, 0]),
+                       ("CFS-ANN", [0, 0, 1, 0, 1, 0, 1, 0], [0, 1, 1, 0, 1, 1, 0, 1]),
+                       ("CFS-SVM", [0, 1, 0, 1, 0, 1, 0], [1, 1, 0, 1, 1, 0, 1]))}
+        rows = ["metric,ANN,SVM,CFS-ANN,CFS-SVM",
+                "DR (Tor) %,60.0,50.0,40.0,40.0",
+                "FPR (Tor) %,33.3,50.0,33.3,50.0",
+                "PPV (Tor) %,75.0,50.0,66.7,66.7",
+                "DR (nonTor) %,66.7,50.0,66.7,50.0",
+                "FPR (nonTor) %,40.0,50.0,60.0,60.0",
+                "PPV (nonTor) %,50.0,50.0,40.0,25.0",
+                "Overall ACC. %,62.5,50.0,50.0,42.9"]
+        assert render_csv(columns) == "".join(row + "\n" for row in rows)
+        reference = ['"C4.5 (reported, not computed)"', "93.4", "-", "94.8", "99.2", "-",
+                     "99.4", "-"]
+        assert render_csv(columns, include_reference=True) == "".join(
+            f"{row},{cell}\n" for row, cell in zip(rows, reference))
+
     def test_format_percent(self):
         assert format_percent(None) == "-"
         assert format_percent(99.97) == "100.0"
