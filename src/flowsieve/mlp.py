@@ -87,11 +87,25 @@ class TrainHistory:
     chunk_workers: int | None = None  # LM's Jacobian chunk builders; None under SGD
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    """Logistic function; exp is taken of -|z| only, so it cannot overflow."""
-    e = np.exp(-np.abs(z))
-    denominator = 1.0 + e
-    return np.where(z >= 0, 1.0 / denominator, e / denominator)
+def _sigmoid(z: np.ndarray, mask=None, e=None, out=None) -> np.ndarray:
+    """Logistic function, where(z >= 0, 1, e) / (1 + e) with e = exp(-|z|), so exp
+    cannot overflow. mask, e and out are optional buffers of z's shape (e may be z)."""
+    mask = np.greater_equal(z, 0, out=mask)
+    e = np.exp(np.negative(np.abs(z, out=e), out=e), out=e)
+    out = np.add(1.0, e, out=out)
+    np.copyto(e, 1.0, where=mask)
+    return np.divide(e, out, out=out)
+
+
+class _Workspace:
+    """The arrays forward and gradient write for up to `rows` rows, one allocation each."""
+
+    def __init__(self, model: MlpModel, rows: int):
+        self.hidden, self.delta_hidden = (np.empty((rows, model.n_hidden)) for _ in range(2))
+        self.z, self.y, self.delta_out = (np.empty((rows, model.n_outputs)) for _ in range(3))
+        self.mask = np.empty((rows, model.n_outputs), dtype=bool)
+        self.grad = np.empty(model.n_parameters)
+        self.blocks = _split(self.grad, model.n_inputs, model.n_hidden, model.n_outputs)
 
 
 def init_model(n_inputs: int, n_hidden: int, seed: int = 0,
@@ -108,15 +122,20 @@ def init_model(n_inputs: int, n_hidden: int, seed: int = 0,
     return MlpModel(theta, n_inputs, n_hidden, n_outputs)
 
 
-def forward(model: MlpModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pass a batch of rows through the network; returns (hidden
-    activations (N, h), outputs (N, o))."""
+def forward(model: MlpModel, X: np.ndarray,
+            ws: _Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Pass a batch of rows through the network; returns (hidden activations (N, h),
+    outputs (N, o)) in the leading rows of `ws`, or of a fresh _Workspace if None."""
     if X.ndim != 2 or X.shape[1] != model.n_inputs:
         raise ValueError(f"expected rows of input width {model.n_inputs}, "
                          f"got shape {X.shape}")
-    A = np.tanh(X @ model.w1.T + model.b1)
-    Y = _sigmoid(A @ model.w2.T + model.b2)
-    return A, Y
+    n = len(X)
+    ws = ws or _Workspace(model, n)
+    A = np.dot(X, model.w1.T, out=ws.hidden[:n])
+    np.tanh(np.add(A, model.b1, out=A), out=A)
+    z = np.dot(A, model.w2.T, out=ws.z[:n])
+    z += model.b2
+    return A, _sigmoid(z, ws.mask[:n], z, ws.y[:n])
 
 
 def loss(model: MlpModel, X: np.ndarray, T: np.ndarray) -> float:
@@ -128,25 +147,24 @@ def loss(model: MlpModel, X: np.ndarray, T: np.ndarray) -> float:
 
 
 def gradient(model: MlpModel, X: np.ndarray, T: np.ndarray,
-             out: tuple[np.ndarray, tuple[np.ndarray, ...]] | None = None) -> np.ndarray:
-    """Analytic gradient of loss(), laid out as theta. Given `out`, a flat
-    vector and its _split views, it is written there and that vector is
-    returned. Each mean is np.add.reduce / n, as ndarray.mean computes it."""
-    if len(X) == 0:
+             ws: _Workspace | None = None) -> np.ndarray:
+    """Analytic gradient of loss(), laid out as theta, returned in `ws.grad` (of a fresh
+    _Workspace if None). Each mean is np.add.reduce / n, as ndarray.mean computes it."""
+    if (n := len(X)) == 0:
         raise ValueError("empty batch")
-    n = len(X)
-    A, Y = forward(model, X)
-    if out is None:
-        grad = np.empty(model.n_parameters)
-        out = grad, _split(grad, model.n_inputs, model.n_hidden, model.n_outputs)
-    grad, (d_w1, d_b1, d_w2, d_b2) = out
-    delta_out = (Y - T) * Y * (1.0 - Y)  # (N, o)
-    np.divide(delta_out.T @ A, n, out=d_w2)
-    np.divide(np.add.reduce(delta_out, axis=0), n, out=d_b2)
-    delta_hidden = (delta_out @ model.w2) * (1.0 - A ** 2)  # (N, h)
-    np.divide(delta_hidden.T @ X, n, out=d_w1)
-    np.divide(np.add.reduce(delta_hidden, axis=0), n, out=d_b1)
-    return grad
+    ws = ws or _Workspace(model, n)
+    A, Y = forward(model, X, ws)
+    d_w1, d_b1, d_w2, d_b2 = ws.blocks
+    delta_out = np.subtract(Y, T, out=ws.delta_out[:n])  # (Y - T) * Y * (1 - Y)
+    delta_out *= Y
+    delta_out *= np.subtract(1.0, Y, out=Y)
+    np.dot(delta_out.T, A, out=d_w2)
+    np.add.reduce(delta_out, axis=0, out=d_b2)
+    delta_hidden = np.dot(delta_out, model.w2, out=ws.delta_hidden[:n])
+    delta_hidden *= np.subtract(1.0, np.square(A, out=A), out=A)  # times 1 - A ** 2
+    np.dot(delta_hidden.T, X, out=d_w1)
+    np.add.reduce(delta_hidden, axis=0, out=d_b1)
+    return np.divide(ws.grad, n, out=ws.grad)
 
 
 def _fill_jacobian(buffer: np.ndarray, model: MlpModel, X: np.ndarray,
@@ -301,15 +319,14 @@ def train_bp(model: MlpModel, X: np.ndarray, T: np.ndarray,
     tracker = _BestEpoch(model, X_val, T_val, cfg.patience)
     model = model.copy()
     rng = np.random.default_rng(cfg.seed)
-    grad, step = np.empty(model.n_parameters), np.empty(model.n_parameters)
-    out = grad, _split(grad, model.n_inputs, model.n_hidden, model.n_outputs)
+    ws = _Workspace(model, min(cfg.batch_size, len(X)))
     for _ in range(cfg.max_epochs):
         order = rng.permutation(len(X))
         X_epoch, T_epoch = X[order], T[order]  # each batch is then a contiguous slice
         for start in range(0, len(X), cfg.batch_size):
             batch = slice(start, start + cfg.batch_size)
-            gradient(model, X_epoch[batch], T_epoch[batch], out)
-            model.theta -= np.multiply(cfg.learning_rate, grad, out=step)
+            grad = gradient(model, X_epoch[batch], T_epoch[batch], ws)
+            model.theta -= np.multiply(cfg.learning_rate, grad, out=grad)
         if not tracker.keep_going(model, loss(model, X, T)):
             tracker.history.stopping_reason = "early_stop"
             break

@@ -59,6 +59,13 @@ def synth_csv(tmp_path, name="flows.csv", rows=120, seed=3):
     return path
 
 
+def write_ini(path, sections: dict[str, dict[str, str]]):
+    """An INI config of these [section] key = value lines; returns its path."""
+    path.write_text("".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                            for name, keys in sections.items()), encoding="utf-8")
+    return path
+
+
 def unb_cic_csv(tmp_path, rows=120, seed=3, infinity_every=8):
     """A synth_csv table in the form the UNB-CIC CSVs are published in, and
     its kept rows in canonical form; returns (published, canonical, dropped).
@@ -698,13 +705,25 @@ class TestPipeline:
         sections = {"input": {"synth": "true"}, "synth": {"rows_per_class": "40"},
                     "train": {"classifier": "both"}}
         sections.setdefault(section, {})[key] = value
-        cfg = tmp_path / "run.ini"
-        cfg.write_text("".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
-                               for name, keys in sections.items()))
+        cfg = write_ini(tmp_path / "run.ini", sections)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["pipeline", "--config", str(cfg),
                          "--out-dir", str(tmp_path / "out")]) == code
+
+    def test_sgd_batch_larger_than_the_training_split(self, tmp_path):
+        """Both sizes exceed the training split, so each epoch is the same one
+        batch; a workspace sized by batch_size rather than the split cannot be
+        allocated at 10**12 rows."""
+        models = []
+        for batch_size in ("100000", "1000000000000"):
+            cfg = tmp_path / f"batch_{batch_size}.ini"
+            cfg.write_text("[input]\nsynth = true\n[synth]\nrows_per_class = 40\n"
+                           f"[mlp]\nmode = bp-sgd\nmax_epochs = 5\nbatch_size = {batch_size}\n")
+            out_dir = tmp_path / batch_size
+            assert main(["pipeline", "--config", str(cfg), "--out-dir", str(out_dir)]) == 0
+            models.append((out_dir / "ann_model.txt").read_bytes())
+        assert models[0] == models[1]
 
 
 class TestTrainingDataReleased:
@@ -1234,14 +1253,16 @@ sys.exit(code)
 
 
 def run_child(repo_root, *argv: str, address_space: int | None = None,
-              env: dict[str, str] | None = None) -> subprocess.CompletedProcess:
+              env: dict[str, str] | None = None,
+              timeout: float | None = None) -> subprocess.CompletedProcess:
     """`flowsieve *argv` in a fresh process, its address space limited to
-    `address_space` bytes and `env` laid over this process's environment if
-    given; its last stdout line says whether numpy.ma was imported."""
+    `address_space` bytes, `env` laid over this process's environment and its
+    wall time limited to `timeout` seconds if given; its last stdout line
+    says whether numpy.ma was imported."""
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
     return subprocess.run([sys.executable, "-c", CHILD_MAIN, str(repo_root), *argv],
-                          capture_output=True, text=True,
+                          capture_output=True, text=True, timeout=timeout,
                           env=None if env is None else {**os.environ, **env},
                           preexec_fn=limit if address_space else None)
 

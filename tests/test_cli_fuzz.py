@@ -1,14 +1,15 @@
 """Hostile CLI inputs: packet files, flow CSVs and model files that are
-truncated, mutated byte by byte (non-UTF-8 bytes included) or relabelled
-end in exit 0, 2, 3 or 4 from `main`, never in an exception, and a data
-error names the input file."""
+truncated, mutated byte by byte (non-UTF-8 bytes included) or relabelled,
+and config values out of every range, end in exit 0, 2, 3 or 4, never in an
+exception, and a data error names the input file."""
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from flowsieve.cli import main
-from test_cli import TEN_PACKETS, synth_csv
+from flowsieve.config import SETTINGS
+from test_cli import TEN_PACKETS, run_child, synth_csv, write_ini
 
 # Small enough that a train or select run takes milliseconds.
 FUZZ_INI = "[mlp]\nmax_epochs = 2\n[select]\nmax_stale_expansions = 1\n"
@@ -102,3 +103,27 @@ def test_hostile_model_file_exits_cleanly(seeds, tmp_path, capsys, data):
     assert rc in (0, 3)
     if rc == 3:
         assert str(path) in err
+
+
+# Every key but the input path and the meter label; each text is out of range,
+# non-finite, empty or in Arabic-Indic digits (12), which int() and float() accept.
+CONFIG_KEYS = sorted(key for key in SETTINGS if key not in {("input", "flows"),
+                                                            ("input", "label")})
+HOSTILE_TEXTS = ["inf", "nan", "1e308", "-1e308", "1e30", "0", "-1", "", "\u0661\u0662"]
+BASE_CONFIG = {"input": {"synth": "true"}, "synth": {"rows_per_class": "40"},
+               "train": {"classifier": "both"}, "mlp": {"mode": "bp-sgd", "max_epochs": "2"}}
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(key=st.sampled_from(CONFIG_KEYS), text=st.sampled_from(HOSTILE_TEXTS))
+def test_hostile_config_value_exits_cleanly(tmp_path, repo_root, key, text):
+    """One key set to one hostile text on a small synth, in a child process with
+    a 30 s timeout and a 2 GB address space; a numpy RuntimeWarning is a bug."""
+    sections = {name: dict(keys) for name, keys in BASE_CONFIG.items()}
+    sections.setdefault(key[0], {})[key[1]] = text
+    cfg = write_ini(tmp_path / "hostile.ini", sections)
+    run = run_child(repo_root, "pipeline", "--config", str(cfg), "--out-dir",
+                    str(tmp_path / "out"), address_space=2 * 1024 ** 3, timeout=30)
+    assert run.returncode in (0, 2, 3, 4), run.stderr
+    assert "Traceback" not in run.stderr and "RuntimeWarning" not in run.stderr

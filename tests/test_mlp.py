@@ -150,14 +150,46 @@ class TestGradient:
         rng = np.random.default_rng(12)
         for _ in range(20):
             model, X, T = random_case(rng, batch_max=40)
-            grad = np.full(model.n_parameters, np.nan)
-            out = grad, mlp._split(grad, model.n_inputs, model.n_hidden,
-                                   model.n_outputs)
-            assert mlp.gradient(model, X, T, out) is grad
+            ws = mlp._Workspace(model, len(X))
+            ws.grad[:] = np.nan
+            assert mlp.gradient(model, X, T, ws) is ws.grad
             fresh = mlp.gradient(model, X, T)
-            np.testing.assert_array_equal(grad.view(np.uint64), fresh.view(np.uint64))
+            np.testing.assert_array_equal(ws.grad.view(np.uint64), fresh.view(np.uint64))
             np.testing.assert_array_equal(
                 fresh.view(np.uint64), reference_gradient(model, X, T).view(np.uint64))
+
+    def test_workspace_bits_match_reference_over_shapes(self):
+        """One workspace per model, more rows than some of its batches: each
+        batch, a 1-row one included, uses the leading rows."""
+        rng = np.random.default_rng(13)
+        for _ in range(60):
+            model, X, T = random_case(rng, n_max=9, h_max=9, batch_max=40)
+            ws = mlp._Workspace(model, len(X) + int(rng.integers(0, 4)))
+            for rows in (len(X), 1, int(rng.integers(1, len(X) + 1))):
+                got = mlp.gradient(model, X[:rows], T[:rows], ws)
+                np.testing.assert_array_equal(
+                    got.view(np.uint64),
+                    reference_gradient(model, X[:rows], T[:rows]).view(np.uint64))
+
+    def test_forward_bits_same_with_and_without_workspace(self):
+        rng = np.random.default_rng(14)
+        for _ in range(40):
+            model, X, _ = random_case(rng, n_max=9, h_max=9, batch_max=40)
+            ws = mlp._Workspace(model, len(X) + int(rng.integers(0, 4)))
+            A = np.tanh(X @ model.w1.T + model.b1)  # the expressions forward replaced
+            want = (A, masked_sigmoid(A @ model.w2.T + model.b2))
+            for got in (mlp.forward(model, X), mlp.forward(model, X, ws)):
+                for g, w in zip(got, want):
+                    np.testing.assert_array_equal(g.view(np.uint64), w.view(np.uint64))
+
+    def test_sigmoid_bits_at_the_edges(self):
+        z = np.array([[0.0, -0.0], [1e-300, -1e-300], [40.0, -40.0], [800.0, -800.0]])
+        want = masked_sigmoid(z).view(np.uint64)
+        np.testing.assert_array_equal(mlp._sigmoid(z).view(np.uint64), want)
+        z_copy, mask, out = z.copy(), np.empty(z.shape, dtype=bool), np.empty_like(z)
+        got = mlp._sigmoid(z_copy, mask, z_copy, out)  # e in z's buffer, as in forward
+        assert got is out
+        np.testing.assert_array_equal(got.view(np.uint64), want)
 
     def test_jacobian_consistent_with_gradient(self):
         rng = np.random.default_rng(8)
@@ -433,6 +465,7 @@ class TestTrainBp:
         (50, 16, 40, "max_epochs"),  # a short last batch
         (13, 1, 40, "max_epochs"),
         (20, 64, 40, "max_epochs"),  # one batch larger than N
+        (20, 10**12, 40, "max_epochs"),  # the workspace holds N rows, not batch_size
         (50, 8, 3, "early_stop"),
     ])
     def test_bits_match_reference_loop(self, n, batch_size, patience, stop):
