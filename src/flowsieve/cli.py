@@ -258,8 +258,9 @@ def run_eval(run: _Run, flows_path, models: list[tuple[str, Path]],
         except DataError as exc:
             raise DataError(f"{model_path}: evaluation data is {exc}") from None
         scaler = doc.meta["scaler"]
-        X = projected.X if scaler is None else scaler.transform(projected.X)
-        columns[name] = metrics.build_report(module.predict_batch(model, X), projected.y)
+        with np.errstate(over="ignore", invalid="ignore"):  # cells near the float limit
+            X = projected.X if scaler is None else scaler.transform(projected.X)
+            columns[name] = metrics.build_report(module.predict_batch(model, X), projected.y)
     table = metrics.render_table(columns, include_reference)
     run.artifact("report.txt").write_text(table, encoding="utf-8")
     run.artifact("report.csv").write_text(

@@ -97,6 +97,14 @@ def _normalize_header(cells: list[str]) -> list[str]:
     return [UNB_CIC_ALIASES.get(cell.strip(), cell.strip()) for cell in cells]
 
 
+class _Labels(dict):
+    """Class id by label text, matched stripped and in any case; as a converter,
+    the bound __getitem__ finds a text already seen in C."""
+
+    def __missing__(self, text: str) -> int:
+        return self.setdefault(text, LABEL_TO_ID[text.strip().lower()])
+
+
 def _ip_cell(text: str, quads: dict[str, int | None]) -> float:
     """An IP-column cell: a number or a dotted quad, each distinct quad parsed
     once and kept in `quads`. Other text raises TypeError, from float(None)."""
@@ -185,8 +193,9 @@ def load_flow_csv(path, bad_value_policy: str = "error") -> Dataset:
     or "drop" (skip the row and count it in Dataset.dropped; the published
     dataset contains Infinity rates).
 
-    numpy's C reader parses the rows. A file it rejects, or with a non-finite
-    cell under "error", is read again row by row, as csv and float() read it.
+    numpy's C reader parses the rows, then, if it rejects them, again with IP
+    cells also read as dotted quads. A file rejected twice, or with a non-finite
+    cell under "error", is read row by row, as csv and float() read it.
     """
     if bad_value_policy not in BAD_VALUE_POLICIES:
         raise ValueError(f"unknown bad_value_policy {bad_value_policy!r}")
@@ -208,11 +217,15 @@ def load_flow_csv(path, bad_value_policy: str = "error") -> Dataset:
         if len(set(feature_names)) != len(feature_names):
             raise DataError(f"{path}: duplicate feature columns")
         n = len(feature_names)
-        quads: dict[str, int | None] = {}  # the file's dotted quads, for _ip_cell
-        converters = {i: lambda text: _ip_cell(text, quads)
-                      for i, name in enumerate(feature_names) if name in _IP_COLUMNS}
-        converters[n] = lambda text: LABEL_TO_ID[text.strip().lower()]
+        converters = {n: _Labels({name: i for i, name in enumerate(CLASS_NAMES)}).__getitem__}
         table = c_parse(handle, np.float64, converters)
+        quads: dict[str, int | None] = {}  # the file's dotted quads, for _ip_cell
+        ip_cells = {i: lambda text: _ip_cell(text, quads)
+                    for i, name in enumerate(feature_names) if name in _IP_COLUMNS}
+        if table is None and ip_cells:  # a dotted quad, say
+            handle.seek(0)
+            next(reader)
+            table = c_parse(handle, np.float64, converters | ip_cells)
         finite = (np.isfinite(table).all(axis=1)
                   if table is not None and table.shape[1] == n + 1 else None)
         if finite is None or (bad_value_policy == "error" and not finite.all()):
@@ -309,13 +322,10 @@ def stratified_split_indices(y: np.ndarray,
         if counts[0] == 0:
             raise DataError(f"class {CLASS_NAMES[c]} has {m} rows and none falls "
                             f"in the training split at train = {spec.train:g}")
-        start = 0
-        for i in range(3):
-            buckets[i].append(idx[start:start + counts[i]])
+        for i, part in enumerate(np.split(idx, np.cumsum(counts)[:2])):
+            buckets[i].append(part)
             assigned[i] += counts[i]
-            start += counts[i]
-    parts = [np.sort(np.concatenate(b)) for b in buckets]
-    return parts[0], parts[1], parts[2]
+    return tuple(np.sort(np.concatenate(b)) for b in buckets)
 
 
 def stratified_split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]:

@@ -3,7 +3,8 @@
 Minimizes cost(theta) = (1/2)||r(theta)||^2 by solving
 (J^T J + mu I) delta = -J^T r each iteration, shrinking mu after an
 accepted step and growing it after a rejected one. The caller supplies
-J^T J and J^T r, never J itself, so it may build them without holding J.
+J^T J and J^T r, never J itself, so it may build them without holding J;
+normal_fn and the callback see only the point residual_fn saw last.
 """
 
 from __future__ import annotations

@@ -84,17 +84,14 @@ class TrainHistory:
     train_loss: list[float] = field(default_factory=list)
     val_loss: list[float] = field(default_factory=list)
     stopping_reason: str = ""
-    chunk_workers: int | None = None  # LM's Jacobian chunk builders; None under SGD
+    chunk_workers: int | None = None  # LM's chunk workers; None under SGD
 
 
-def _sigmoid(z: np.ndarray, mask=None, e=None, out=None) -> np.ndarray:
-    """Logistic function, where(z >= 0, 1, e) / (1 + e) with e = exp(-|z|), so exp
-    cannot overflow. mask, e and out are optional buffers of z's shape (e may be z)."""
-    mask = np.greater_equal(z, 0, out=mask)
-    e = np.exp(np.negative(np.abs(z, out=e), out=e), out=e)
-    out = np.add(1.0, e, out=out)
-    np.copyto(e, 1.0, where=mask)
-    return np.divide(e, out, out=out)
+def _sigmoid(z: np.ndarray, e=None, out=None) -> np.ndarray:
+    """Logistic function, exp(min(z, 0)) / (1 + exp(-|z|)), so exp cannot overflow.
+    e and out are optional buffers of z's shape (e may be z)."""
+    out = np.add(1.0, np.exp(np.copysign(z, -1.0, out=out), out=out), out=out)
+    return np.divide(np.exp(np.minimum(z, 0.0, out=e), out=e), out, out=out)
 
 
 class _Workspace:
@@ -102,8 +99,7 @@ class _Workspace:
 
     def __init__(self, model: MlpModel, rows: int):
         self.hidden, self.delta_hidden = (np.empty((rows, model.n_hidden)) for _ in range(2))
-        self.z, self.y, self.delta_out = (np.empty((rows, model.n_outputs)) for _ in range(3))
-        self.mask = np.empty((rows, model.n_outputs), dtype=bool)
+        self.z, self.y = (np.empty((rows, model.n_outputs)) for _ in range(2))
         self.grad = np.empty(model.n_parameters)
         self.blocks = _split(self.grad, model.n_inputs, model.n_hidden, model.n_outputs)
 
@@ -122,20 +118,20 @@ def init_model(n_inputs: int, n_hidden: int, seed: int = 0,
     return MlpModel(theta, n_inputs, n_hidden, n_outputs)
 
 
-def forward(model: MlpModel, X: np.ndarray,
-            ws: _Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
+def forward(model: MlpModel, X: np.ndarray, ws: _Workspace | None = None,
+            start: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Pass a batch of rows through the network; returns (hidden activations (N, h),
-    outputs (N, o)) in the leading rows of `ws`, or of a fresh _Workspace if None."""
+    outputs (N, o)) in rows start.. of `ws` (fresh if None), leaving ws.z's as scratch."""
     if X.ndim != 2 or X.shape[1] != model.n_inputs:
         raise ValueError(f"expected rows of input width {model.n_inputs}, "
                          f"got shape {X.shape}")
-    n = len(X)
-    ws = ws or _Workspace(model, n)
-    A = np.dot(X, model.w1.T, out=ws.hidden[:n])
+    rows = slice(start, start + len(X))
+    ws = ws or _Workspace(model, len(X))
+    A = np.dot(X, model.w1.T, out=ws.hidden[rows])
     np.tanh(np.add(A, model.b1, out=A), out=A)
-    z = np.dot(A, model.w2.T, out=ws.z[:n])
+    z = np.dot(A, model.w2.T, out=ws.z[rows])
     z += model.b2
-    return A, _sigmoid(z, ws.mask[:n], z, ws.y[:n])
+    return A, _sigmoid(z, z, ws.y[rows])
 
 
 def loss(model: MlpModel, X: np.ndarray, T: np.ndarray) -> float:
@@ -155,7 +151,7 @@ def gradient(model: MlpModel, X: np.ndarray, T: np.ndarray,
     ws = ws or _Workspace(model, n)
     A, Y = forward(model, X, ws)
     d_w1, d_b1, d_w2, d_b2 = ws.blocks
-    delta_out = np.subtract(Y, T, out=ws.delta_out[:n])  # (Y - T) * Y * (1 - Y)
+    delta_out = np.subtract(Y, T, out=ws.z[:n])  # (Y - T) * Y * (1 - Y)
     delta_out *= Y
     delta_out *= np.subtract(1.0, Y, out=Y)
     np.dot(delta_out.T, A, out=d_w2)
@@ -168,12 +164,11 @@ def gradient(model: MlpModel, X: np.ndarray, T: np.ndarray,
 
 
 def _fill_jacobian(buffer: np.ndarray, model: MlpModel, X: np.ndarray,
-                   T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Residuals (y - t) and their Jacobian, one row per (example, output),
-    written into buffer's leading rows; only w2 and b2 columns need zeroing."""
+                   A: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """The residuals' Jacobian at forward's pass (A, Y) over rows X, one row per (example,
+    output), written into buffer's leading rows; only w2 and b2 columns need zeroing."""
     n, o, h, d = len(X), model.n_outputs, model.n_hidden, model.n_inputs
     jac = buffer[:n * o]
-    A, Y = forward(model, X)
     sens = Y * (1.0 - Y)  # (N, o)
     tanh_grad = 1.0 - A ** 2  # (N, h)
     w1, b1, w2, b2 = (block for block, _, _ in _blocks(d, h, o).values())
@@ -187,12 +182,12 @@ def _fill_jacobian(buffer: np.ndarray, model: MlpModel, X: np.ndarray,
         jac[rows, b1] = delta_hidden
         jac[rows, w2.start + out * h:w2.start + (out + 1) * h] = s[:, None] * A
         jac[rows, b2.start + out] = s
-    return (Y - T).ravel(), jac
+    return jac
 
 
-# Rows per Jacobian chunk in normal_equations: the Jacobian held at once is
-# outputs*4096 x P per worker whatever N is, and a batch of 4096 rows or
-# fewer gets exactly the products of the full Jacobian.
+# Rows per chunk of LM's forward pass and of its Jacobian in normal_equations:
+# the Jacobian held at once is outputs*4096 x P per worker whatever N is, and
+# a batch of 4096 rows or fewer gets exactly the products of the full Jacobian.
 _CHUNK_ROWS = 4096
 
 
@@ -227,9 +222,24 @@ def _helper():
     return ThreadPoolExecutor(1)  # the process's one helper thread
 
 
-def normal_equations(model: MlpModel, X: np.ndarray,
-                     T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """J^T J and J^T r of the residual Jacobian over the whole batch, each worker filling
+def residuals(model: MlpModel, X: np.ndarray, T: np.ndarray, ws: _Workspace) -> np.ndarray:
+    """Y - T, flat in ws.z, from forward over X's chunks into ws's rows; with 2
+    chunk_workers the helper thread runs every second chunk beside the main thread."""
+    def run(starts: range) -> None:
+        for rows in (slice(start, start + _CHUNK_ROWS) for start in starts):
+            np.subtract(forward(model, X[rows], ws, rows.start)[1], T[rows], out=ws.z[rows])
+
+    starts = range(0, len(X), _CHUNK_ROWS)
+    helped = _helper().submit(run, starts[1::2]) if chunk_workers(len(starts)) == 2 else None
+    run(starts[::2] if helped else starts)
+    if helped:
+        helped.result()
+    return ws.z.ravel()
+
+
+def normal_equations(model: MlpModel, X: np.ndarray, A: np.ndarray, Y: np.ndarray,
+                     R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """J^T J and J^T r at forward's pass (A, Y) over X, R = Y - T, each worker filling
     chunks into its own buffer; products are added in chunk order, the serial bits."""
     starts = range(0, len(X), _CHUNK_ROWS)
     buffers = [np.empty((model.n_outputs * min(len(X), _CHUNK_ROWS), model.n_parameters))
@@ -239,8 +249,8 @@ def normal_equations(model: MlpModel, X: np.ndarray,
 
     def products(start: int, buffer: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         chunk = slice(start, start + _CHUNK_ROWS)
-        residuals, jac = _fill_jacobian(buffer, model, X[chunk], T[chunk])
-        return jac.T @ jac, jac.T @ residuals
+        jac = _fill_jacobian(buffer, model, X[chunk], A[chunk], Y[chunk])
+        return jac.T @ jac, jac.T @ R[chunk].ravel()
 
     for first in range(0, len(starts), len(buffers)):
         own, *helped = zip(starts[first:first + len(buffers)], buffers)
@@ -268,7 +278,7 @@ def check_budget(n_inputs: int, n_hidden: int, rows: int, mode: str,
 
 
 def predict_batch(model: MlpModel, X: np.ndarray) -> np.ndarray:
-    """Class of the larger output per row; an exact tie maps to class 0."""
+    """Class of the larger output per row; an exact tie or NaN outputs map to class 0."""
     _, Y = forward(model, X)
     return np.argmax(Y, axis=1)
 
@@ -347,22 +357,19 @@ def train_lm(model: MlpModel, X: np.ndarray, T: np.ndarray,
     cfg = cfg or TrainConfig(mode="lm")
     tracker = _BestEpoch(model, X_val, T_val, cfg.patience)
     tracker.history.chunk_workers = chunk_workers(-(-len(X) // _CHUNK_ROWS))
-    work = model.copy()  # each callback loads its theta into this one model
-
-    def at(theta: np.ndarray) -> MlpModel:
-        work.theta[:] = theta
-        return work
+    work = model.copy()  # the point residual_fn saw last, the one the other callbacks see
+    ws = _Workspace(work, len(X))  # and the pass residual_fn ran there, for normal_fn
 
     def residual_fn(theta: np.ndarray) -> np.ndarray:
-        _, Y = forward(at(theta), X)
-        return (Y - T).ravel()
+        work.theta[:] = theta
+        return residuals(work, X, T, ws)
 
     def normal_fn(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return normal_equations(at(theta), X, T)
+        return normal_equations(work, X, ws.hidden, ws.y, ws.z)
 
     def on_step(theta: np.ndarray, cost: float) -> bool:
         # cost is 0.5*||r||^2 summed over all examples
-        return tracker.keep_going(at(theta), cost / len(X))
+        return tracker.keep_going(work, cost / len(X))
 
     get, put = _openblas() or (lambda: None, lambda threads: None)
     threads = get()
@@ -372,12 +379,8 @@ def train_lm(model: MlpModel, X: np.ndarray, T: np.ndarray,
                                         max_iterations=cfg.max_epochs, callback=on_step)
     finally:
         put(threads)
-    tracker.history.stopping_reason = {
-        "callback": "early_stop",
-        "gradient": "converged: gradient",
-        "mu_max": "converged: mu_max",
-        "max_iterations": "max_epochs",
-    }[result.reason]
+    reasons = {"callback": "early_stop", "max_iterations": "max_epochs"}  # "gradient", "mu_max"
+    tracker.history.stopping_reason = reasons.get(result.reason, f"converged: {result.reason}")
     return tracker.best, tracker.history
 
 

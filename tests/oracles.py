@@ -414,9 +414,10 @@ def residual_jacobian(model, X, T) -> tuple[np.ndarray, np.ndarray]:
 
 def reference_normal_equations(model, X, T) -> tuple[np.ndarray, np.ndarray]:
     """J^T J and J^T r as flowsieve.mlp.normal_equations built them on one
-    thread: each _CHUNK_ROWS-row chunk filled in turn into one reused buffer,
-    its products added as it is filled. The reference for the two-worker
-    build, which must give the same bits."""
+    thread before it took LM's forward pass: each _CHUNK_ROWS-row chunk run
+    through its own forward pass and filled in turn into one reused buffer,
+    its products added as it is filled. The reference for the build from the
+    residual pass, on one worker or two, which must give the same bits."""
     from flowsieve import mlp
 
     buffer = np.empty((model.n_outputs * min(len(X), mlp._CHUNK_ROWS), model.n_parameters))
@@ -424,7 +425,9 @@ def reference_normal_equations(model, X, T) -> tuple[np.ndarray, np.ndarray]:
     jtr = np.zeros(model.n_parameters)
     for start in range(0, len(X), mlp._CHUNK_ROWS):
         chunk = slice(start, start + mlp._CHUNK_ROWS)
-        residuals, jac = mlp._fill_jacobian(buffer, model, X[chunk], T[chunk])
+        A, Y = mlp.forward(model, X[chunk])
+        residuals = (Y - T[chunk]).ravel()
+        jac = mlp._fill_jacobian(buffer, model, X[chunk], A, Y)
         jtj += jac.T @ jac
         jtr += jac.T @ residuals
     return jtj, jtr

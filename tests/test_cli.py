@@ -563,16 +563,21 @@ class TestEval:
     def test_row_far_out_warns_nothing(self, small_run, tmp_path, capsys):
         """Cells of 1e200 once overflowed the rbf kernel's squared row norm
         under a RuntimeWarning; such a row is infinitely far from every
-        support vector, so its kernel values are 0."""
-        header, first, *rest = (small_run / "test.csv").read_text().splitlines()
-        far = ",".join(["1e200"] * (len(first.split(",")) - 1) + [first.rsplit(",", 1)[1]])
-        flows = tmp_path / "far.csv"
-        flows.write_text("\n".join([header, far, *rest]) + "\n")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert main(["eval", str(flows), "--model", str(small_run / "svm_model.txt"),
-                         "--out-dir", str(tmp_path / "out")]) == 0
-        assert capsys.readouterr().err == ""
+        support vector, so its kernel values are 0. Cells of 1.7e308 and
+        -1.7e308 overflow both models' products, which warn nothing either."""
+        header, first, *_ = (small_run / "test.csv").read_text().splitlines()
+        width = len(first.split(",")) - 1
+        for case, cells in enumerate([("1e200",), ("1.7e308",), ("1.7e308", "-1.7e308")]):
+            far = [",".join([cells[(row + col) % len(cells)] for col in range(width)]
+                            + ["NonTor"]) for row in range(5)]
+            flows, out = tmp_path / f"far{case}.csv", tmp_path / f"out{case}"
+            flows.write_text("\n".join([header, *far]) + "\n")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(["eval", str(flows), "--model", str(small_run / "svm_model.txt"),
+                             "--model", str(small_run / "ann_model.txt"),
+                             "--out-dir", str(out)]) == 0
+            assert capsys.readouterr().err == ""
 
     def test_schema_mismatch_lists_missing(self, tmp_path, capsys):
         flows, train_out = self._train(tmp_path)

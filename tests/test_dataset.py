@@ -281,6 +281,50 @@ class TestCsvCodecMatchesReference:
         reader_matches()
         assert all(accepted)
 
+    @staticmethod
+    def counted_calls(monkeypatch) -> dict[str, list]:
+        """The results of every c_parse call and the texts given to parse_ipv4
+        and _ip_cell while the test runs, by function name."""
+        calls: dict[str, list] = {"c_parse": [], "parse_ipv4": [], "_ip_cell": []}
+        for name, seen in calls.items():
+            def counting(*args, _call=getattr(dataset, name), _seen=seen,
+                         _result=name == "c_parse"):
+                result = _call(*args)
+                _seen.append(result if _result else args[0])
+                return result
+            monkeypatch.setattr(dataset, name, counting)
+        return calls
+
+    def test_numeric_ip_columns_parse_in_c(self, tmp_path, monkeypatch):
+        """A numeric table with both IP columns and labels of any case loads in one
+        c_parse call, with no Python call per IP cell."""
+        rows = [",".join(f"{167772161 + i + col}" for col in range(28)) + label
+                for i, label in enumerate([",Tor", ",NonTor", ", tor ", ",NONTOR"])]
+        path = make_flow_csv(tmp_path, rows)
+        calls = self.counted_calls(monkeypatch)
+        ds = load_flow_csv(path)
+        assert [table is not None for table in calls["c_parse"]] == [True]
+        assert calls["parse_ipv4"] == calls["_ip_cell"] == []
+        assert ds.y.tolist() == [1, 0, 1, 0]
+        assert _load_outcome(load_flow_csv, path, "error") == _load_outcome(
+            oracle_load_flow_csv, path, "error")
+
+    @pytest.mark.parametrize("policy", ["error", "drop"])
+    def test_dotted_quad_in_the_last_row_only(self, tmp_path, monkeypatch, policy):
+        """A file whose first dotted quad is in its last row: the numeric pass
+        rejects it there, and the pass with IP converters reads it as the
+        reference does."""
+        header = ",".join(_CODEC_SCHEMA + ("label",))
+        rows = [f"{i},{i / 4},{3 * i},{i % 5},{('Tor', 'NonTor')[i % 2]}" for i in range(30)]
+        rows[-1] = "1,2,10.0.0.1,4,nontor"
+        path = make_flow_csv(tmp_path, rows, header=header)
+        calls = self.counted_calls(monkeypatch)
+        outcome = _load_outcome(load_flow_csv, path, policy)
+        assert [table is not None for table in calls["c_parse"]] == [False, True]
+        assert calls["parse_ipv4"] == ["10.0.0.1"]
+        assert outcome == _load_outcome(oracle_load_flow_csv, path, policy)
+        assert outcome[2][-1] == 0
+
     def test_reader_errors_match(self, tmp_path):
         rows = ["1,2,3,4,Tor", "1,inf,x,4,Tor", "1,2,3.0.0.1,4,Tor",
                 "1e308,1e308,3,4,Tor", "1,2,3,4,Mystery", "1,2,3,Tor"]

@@ -1,20 +1,28 @@
-"""Golden digests of outputs whose bytes do not depend on BLAS.
+"""Golden digests of the files the CLI writes.
 
 Meter rows and synthetic tables are computed elementwise, so the same
 source gives the same bytes on any machine with the same numpy. The digests
 were taken before the flow-feature layout and the synthetic covariance were
-reduced to one form each, which kept these bytes. A change that alters them
-on purpose updates the digest and says why in CHANGES.md. Model files are
-not pinned: their bits depend on the BLAS build.
+reduced to one form each, which kept these bytes. Every `pipeline` artifact
+is pinned too, but its model bits depend on the BLAS build, so those digests
+are keyed by the numpy and BLAS a manifest records, and the test skips on any
+other build. A change that alters a digest on purpose updates it and says why
+in CHANGES.md.
 """
 
+import configparser
+import contextlib
 import hashlib
+import io
+import json
 
 import numpy as np
+import pytest
 
 from flowsieve.cli import main
 from flowsieve.dataset import CLASS_NAMES, Dataset
 from flowsieve.flow_meter import FEATURE_COLUMNS, meter_packets, read_packet_file
+from conftest import REPO_ROOT
 from oracles import oracle_write_csv
 
 
@@ -102,3 +110,119 @@ def test_scaled_covariance_synth_table_matches_golden_digest(tmp_path):
     assert main(["synth", "--config", str(config), "--rows-per-class", "30",
                  "--seed", "4", "--out-dir", str(out_dir)]) == 0
     assert _sha256(out_dir / "synthetic_flows.csv") == SYNTH_SCALED_SHA256
+
+
+# Overrides of configs/two_cluster.ini per pipeline case, all at seed 7. The
+# last trains LM on 4,200 rows, past one 4096-row chunk, so two chunks (and
+# two workers where they run) take part.
+PIPELINE_CASES = {
+    "lm-both": {"train": {"classifier": "both"}},
+    "bp-sgd-both": {"train": {"classifier": "both"}, "mlp": {"mode": "bp-sgd"}},
+    "lm-two-chunks": {"synth": {"rows_per_class": "3000"}, "mlp": {"max_epochs": "3"}},
+}
+
+# sha256 of stdout and of each out-dir file but manifest.json, per case, keyed
+# by the manifest's environment (numpy version, BLAS name and version).
+PIPELINE_SHA256 = {
+    ('2.4.6', 'scipy-openblas 0.3.31.188.0'): {
+        'lm-both': {
+            'ann_history.csv':
+                '6fcd1788b3dda854a478353061b4a6caaaae58b7c8824e56aa65cc8b7ff9ccad',
+            'ann_model.txt':
+                '21495c1f031db47765a5bc1dc1a43119d86668f5e3cda0277a9aaced261bdf4d',
+            'correlation_matrix.csv':
+                'aef3721b84ab8b540d025590816ddd69e4ac9cff767ba5acd901af705285acb6',
+            'report.csv':
+                '5ee78630806cbc2788073e3d413b5a4649acdcf1ce7f15e9eef470b9bd92e57f',
+            'report.txt':
+                '05a4b1918231d1607b2be29298067cc5a2250a65376351feb63d68b2dabff4d5',
+            'selected.csv':
+                '746104e3969b8f1d5cc2a168a5664ef7513ecd8059ac61a75b63dbcd997350c0',
+            'selection.txt':
+                'ae66df7bef5ed71b634a2ed8a6b9715e7699b26269580259bd47e1c3192fbe90',
+            'svm_model.txt':
+                'a0ed68c73d722bad08f3d44fd9cea7f89b67c31b27f962e7a250b948cf533afe',
+            'synthetic_flows.csv':
+                '63df871273c4d3289b92dbda82f14d6c58b21e321a4925003b7feafb9ee97102',
+            'test.csv':
+                '6c0965767f299d5cf4f312a7013f186537e6b3ed4378b4dee59d14f74901ddb0',
+            'stdout':
+                '09b9fcd0357192d74154d34648e8ced1cf847d5fce7c902abb5f0625f21824e0',
+        },
+        'bp-sgd-both': {
+            'ann_history.csv':
+                '0623a017a3c262f8769fa98114c927fc61264dfc57a73ca3c64c6aa9c1505df9',
+            'ann_model.txt':
+                '18ec0e3cf55b58357bb5700222f8af709de2a92f0beb4441058cfbe8a603ac09',
+            'correlation_matrix.csv':
+                'aef3721b84ab8b540d025590816ddd69e4ac9cff767ba5acd901af705285acb6',
+            'report.csv':
+                '5ee78630806cbc2788073e3d413b5a4649acdcf1ce7f15e9eef470b9bd92e57f',
+            'report.txt':
+                '05a4b1918231d1607b2be29298067cc5a2250a65376351feb63d68b2dabff4d5',
+            'selected.csv':
+                '746104e3969b8f1d5cc2a168a5664ef7513ecd8059ac61a75b63dbcd997350c0',
+            'selection.txt':
+                'ae66df7bef5ed71b634a2ed8a6b9715e7699b26269580259bd47e1c3192fbe90',
+            'svm_model.txt':
+                'a0ed68c73d722bad08f3d44fd9cea7f89b67c31b27f962e7a250b948cf533afe',
+            'synthetic_flows.csv':
+                '63df871273c4d3289b92dbda82f14d6c58b21e321a4925003b7feafb9ee97102',
+            'test.csv':
+                '6c0965767f299d5cf4f312a7013f186537e6b3ed4378b4dee59d14f74901ddb0',
+            'stdout':
+                'e1ca372e8ca4e9a392d75d5cd6fa12a8765f0d177f18bf942421c49901829561',
+        },
+        'lm-two-chunks': {
+            'ann_history.csv':
+                '60e9cd8544c7b43099e999c9ccdef6d671f7b12bc933761c6a41fac9b337cd12',
+            'ann_model.txt':
+                '040b48311853a9085c847e704444527502442ddff013c76a2f58c29b938e6317',
+            'correlation_matrix.csv':
+                'eee73095001b7fd5351ff4eb38778b7871df09c6b82852b702124e04897260c6',
+            'report.csv':
+                '761b8b6a37c81dc0192274ea14400cdc0a8bf897543321061cbf2f7ac28d9529',
+            'report.txt':
+                '512d36b4d38dbc05016a71e1d593fe292fcac175c036f0f2b40cd4266644ad8b',
+            'selected.csv':
+                '427a5d4c9461b9b1a6ee11cb4bb73c8fa40da40442c553695b78daeae7d77849',
+            'selection.txt':
+                'ea72a15860c0bb58784c1dc98af5118b9ee1c9ae651416f844f79ee5c576179e',
+            'synthetic_flows.csv':
+                'ca9a7dbbc14ee03ef1f5c7f13dfeeb2af11e95d084c8ee491738f3c5c58e1905',
+            'test.csv':
+                '03ac0f0cd152cc87c5f6026ac820d25f4af5c3d1fbfae0c10948d2bba9bc0218',
+            'stdout':
+                '44694f206fdbedb80561810ba95fb1ca0c0004ba6eb28c7140787a815c4c194a',
+        },
+    },
+}
+
+
+def _run_pipeline(tmp_path, case: str) -> tuple[dict[str, str], tuple[str, str]]:
+    """(sha256 by out-dir file name and "stdout", the manifest's (numpy, blas))."""
+    config = configparser.ConfigParser()
+    config.read(REPO_ROOT / "configs" / "two_cluster.ini", encoding="utf-8")
+    config.read_dict(PIPELINE_CASES[case])
+    ini, out_dir = tmp_path / f"{case}.ini", tmp_path / case
+    with open(ini, "w", encoding="utf-8") as handle:
+        config.write(handle)
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(["pipeline", "--config", str(ini), "--seed", "7",
+                     "--out-dir", str(out_dir)]) == 0
+    digests = {path.name: _sha256(path) for path in sorted(out_dir.iterdir())
+               if path.name != "manifest.json"}
+    digests["stdout"] = hashlib.sha256(stdout.getvalue().encode()).hexdigest()
+    environment = json.loads((out_dir / "manifest.json").read_text())["environment"]
+    return digests, (environment["numpy"], environment["blas"])
+
+
+@pytest.mark.parametrize("case", PIPELINE_CASES)
+def test_pipeline_artifacts_match_golden_digests(tmp_path, case):
+    digests, environment = _run_pipeline(tmp_path, case)
+    pinned = PIPELINE_SHA256.get(environment)
+    if pinned is None:
+        pytest.skip(f"no pipeline digests pinned for numpy {environment[0]} "
+                    f"with BLAS {environment[1]}")
+    assert digests == pinned[case]

@@ -30,6 +30,19 @@ def forward_one(model, x):
     return A[0], Y[0]
 
 
+def lm_pass(model, X, T) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(A, Y, R = Y - T) of mlp.residuals over X, the pass train_lm hands to
+    normal_equations."""
+    ws = mlp._Workspace(model, len(X))
+    mlp.residuals(model, X, T, ws)
+    return ws.hidden, ws.y, ws.z
+
+
+def normal_equations(model, X, T) -> tuple[np.ndarray, np.ndarray]:
+    """mlp.normal_equations at the pass mlp.residuals leaves, as in train_lm."""
+    return mlp.normal_equations(model, X, *lm_pass(model, X, T))
+
+
 def load_model(path):
     """Read a saved MLP model file the way `flowsieve eval` does."""
     doc = modelfile.ModelFile(path, (mlp.MODEL_FORMAT,))
@@ -183,11 +196,12 @@ class TestGradient:
                     np.testing.assert_array_equal(g.view(np.uint64), w.view(np.uint64))
 
     def test_sigmoid_bits_at_the_edges(self):
-        z = np.array([[0.0, -0.0], [1e-300, -1e-300], [40.0, -40.0], [800.0, -800.0]])
+        z = np.array([[0.0, -0.0], [1e-300, -1e-300], [40.0, -40.0], [800.0, -800.0],
+                      [np.inf, -np.inf], [np.nan, -np.nan]])
         want = masked_sigmoid(z).view(np.uint64)
         np.testing.assert_array_equal(mlp._sigmoid(z).view(np.uint64), want)
-        z_copy, mask, out = z.copy(), np.empty(z.shape, dtype=bool), np.empty_like(z)
-        got = mlp._sigmoid(z_copy, mask, z_copy, out)  # e in z's buffer, as in forward
+        z_copy, out = z.copy(), np.empty_like(z)
+        got = mlp._sigmoid(z_copy, z_copy, out)  # e in z's buffer, as in forward
         assert got is out
         np.testing.assert_array_equal(got.view(np.uint64), want)
 
@@ -212,7 +226,7 @@ class TestNormalEquations:
         model = mlp.init_model(5, 4, seed=30 + n)
         X = rng.normal(size=(n, 5))
         T = one_hot(rng.integers(0, 2, n))
-        jtj, jtr = mlp.normal_equations(model, X, T)
+        jtj, jtr = normal_equations(model, X, T)
         residuals, jac = residual_jacobian(model, X, T)
         want_jtj, want_jtr = jac.T @ jac, jac.T @ residuals
         if n <= self.CHUNK:  # one chunk: the very same products
@@ -229,10 +243,11 @@ class TestNormalEquations:
         for n in (2000, 8000):
             X = rng.normal(size=(n, 28))
             T = one_hot(rng.integers(0, 2, n))
+            forward_pass = lm_pass(model, X, T)
             tracemalloc.start()
             try:
                 before = tracemalloc.get_traced_memory()[0]
-                mlp.normal_equations(model, X, T)
+                mlp.normal_equations(model, X, *forward_pass)
                 peaks.append(tracemalloc.get_traced_memory()[1] - before)
             finally:
                 tracemalloc.stop()
@@ -253,23 +268,24 @@ class TestNormalEquations:
         monkeypatch.setattr(mlp, "chunk_workers", lambda chunks: 1)  # fills in chunk order
         fill, fills = mlp._fill_jacobian, []
 
-        def recording(buffer, model, X, T):
+        def recording(buffer, model, X, A, Y):
             if not fills:
                 buffer[:] = np.nan
-            residuals, jac = fill(buffer, model, X, T)
+            jac = fill(buffer, model, X, A, Y)
             assert np.shares_memory(jac, buffer)
-            fills.append((jac.copy(), residuals))
-            return residuals, jac
+            fills.append(jac.copy())
+            return jac
 
         monkeypatch.setattr(mlp, "_fill_jacobian", recording)
-        mlp.normal_equations(model, X, T)
+        A, Y, R = lm_pass(model, X, T)
+        mlp.normal_equations(model, X, A, Y, R)
         starts = range(0, n, self.CHUNK)
         assert len(fills) == len(starts)
-        for start, (jac, residuals) in zip(starts, fills):
+        for start, jac in zip(starts, fills):
             rows = slice(start, start + self.CHUNK)
             want_residuals, want_jac = residual_jacobian(model, X[rows], T[rows])
             assert np.array_equal(jac, want_jac)
-            assert np.array_equal(residuals, want_residuals)
+            assert np.array_equal(R[rows].ravel(), want_residuals)
 
     @staticmethod
     def chunk_build_peak(monkeypatch, workers):
@@ -284,10 +300,11 @@ class TestNormalEquations:
         n, P = 3 * chunk + 17, model.n_parameters
         X = rng.normal(size=(n, 28))
         T = one_hot(rng.integers(0, 2, n))
+        forward_pass = lm_pass(model, X, T)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            mlp.normal_equations(model, X, T)
+            mlp.normal_equations(model, X, *forward_pass)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -312,25 +329,26 @@ class TestNormalEquations:
     def test_bits_match_serial_oracle(self, monkeypatch, n, workers):
         """At the real chunk size and unb-scale's P = 188, one or two workers
         give the serial loop's J^T J and J^T r byte for byte; with two, the
-        main thread and the helper each fill chunks."""
+        main thread and the helper each run chunks' forward passes and fill
+        chunks' Jacobians."""
         monkeypatch.setattr(mlp, "chunk_workers", lambda chunks: workers)
-        fill, threads = mlp._fill_jacobian, set()
-
-        def recording(*args):
-            threads.add(threading.current_thread() is threading.main_thread())
-            return fill(*args)
-
-        monkeypatch.setattr(mlp, "_fill_jacobian", recording)
+        threads = {"forward": set(), "_fill_jacobian": set()}
+        for name, seen in threads.items():
+            def recording(*args, _call=getattr(mlp, name), _seen=seen):
+                _seen.add(threading.current_thread() is threading.main_thread())
+                return _call(*args)
+            monkeypatch.setattr(mlp, name, recording)
         rng = np.random.default_rng(50 + n)
         model = mlp.init_model(28, 6, seed=n)
         X = rng.normal(size=(n, 28))
         T = one_hot(rng.integers(0, 2, n))
-        jtj, jtr = mlp.normal_equations(model, X, T)
-        monkeypatch.setattr(mlp, "_fill_jacobian", fill)
+        jtj, jtr = normal_equations(model, X, T)
+        monkeypatch.undo()
         want_jtj, want_jtr = reference_normal_equations(model, X, T)
         assert jtj.tobytes() == want_jtj.tobytes()
         assert jtr.tobytes() == want_jtr.tobytes()
-        assert threads == ({True, False} if workers == 2 and n > 4096 else {True})
+        both = {True, False} if workers == 2 and n > 4096 else {True}
+        assert threads == {"forward": both, "_fill_jacobian": both}
 
     @pytest.mark.parametrize("openblas", [None])
     def test_one_worker_unless_blas_runs_one_thread(self, monkeypatch, openblas):
@@ -345,7 +363,7 @@ class TestNormalEquations:
         rng = np.random.default_rng(3)
         X = rng.normal(size=(20, 5))
         T = one_hot(rng.integers(0, 2, 20))
-        mlp.normal_equations(model, X, T)
+        normal_equations(model, X, T)
         assert threading.enumerate() == before
 
     def test_worker_rule(self, monkeypatch):
@@ -373,8 +391,10 @@ class TestNormalEquations:
             "model = mlp.init_model(28, 6, seed=60)\n"
             "X = rng.normal(size=(2 * 4096 + 5, 28))\n"
             "T = one_hot(rng.integers(0, 2, len(X)))\n"
-            "got, want = mlp.normal_equations(model, X, T), "
-            "reference_normal_equations(model, X, T)\n"
+            "ws = mlp._Workspace(model, len(X))\n"
+            "mlp.residuals(model, X, T, ws)\n"
+            "got = mlp.normal_equations(model, X, ws.hidden, ws.y, ws.z)\n"
+            "want = reference_normal_equations(model, X, T)\n"
             "_, history = mlp.train_lm(model, X, T, X[:50], T[:50], "
             "mlp.TrainConfig(mode='lm', max_epochs=1))\n"
             "print(mlp.blas_threads(), len(os.sched_getaffinity(0)), history.chunk_workers,"
@@ -614,6 +634,51 @@ class TestTrainLm:
         assert peak <= 1.1 * 8 * held, peak / (8 * P * P)
         assert held <= mlp.check_budget(28, hidden, rows, "lm")
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_forward_pass_per_point(self, monkeypatch, workers):
+        """train_lm's forward passes over the training rows cover each row once
+        per residual_fn call, in chunks, and normal_equations runs none: it
+        builds from the pass the last residual_fn call left."""
+        monkeypatch.setattr(mlp, "_CHUNK_ROWS", 7)
+        monkeypatch.setattr(mlp, "chunk_workers", lambda chunks: workers)
+        rng = np.random.default_rng(90)
+        X, X_val = rng.normal(size=(40, 3)), rng.normal(size=(9, 3))
+        T, T_val = one_hot(rng.integers(0, 2, 40)), one_hot(rng.integers(0, 2, 9))
+        passes, forwards, building = [], [], []
+        forward, residuals, normal_equations = (
+            mlp.forward, mlp.residuals, mlp.normal_equations)
+
+        def counting_forward(model, rows, ws=None, start=0):
+            if np.shares_memory(rows, X):
+                forwards.append((start, len(rows), bool(building)))
+            return forward(model, rows, ws, start)
+
+        def counting_residuals(*args):
+            passes.append(len(forwards))
+            return residuals(*args)
+
+        def flagged_normal_equations(*args):
+            building.append(True)
+            try:
+                return normal_equations(*args)
+            finally:
+                building.pop()
+
+        monkeypatch.setattr(mlp, "forward", counting_forward)
+        monkeypatch.setattr(mlp, "residuals", counting_residuals)
+        monkeypatch.setattr(mlp, "normal_equations", flagged_normal_equations)
+        cfg = mlp.TrainConfig(mode="lm", max_epochs=4, patience=4)
+        _, history = mlp.train_lm(mlp.init_model(3, 4, seed=90), X, T, X_val, T_val, cfg)
+        assert len(history.train_loss) == 4 and len(passes) >= 5
+        assert not any(inside for _, _, inside in forwards)
+        covered = np.zeros((len(passes), len(X)), dtype=int)
+        for call, first in enumerate(passes):
+            last = passes[call + 1] if call + 1 < len(passes) else len(forwards)
+            for start, rows, _ in forwards[first:last]:
+                covered[call, start:start + rows] += 1
+                assert rows <= 7
+        np.testing.assert_array_equal(covered, 1)
+
     def test_history_records_the_chunk_workers_used(self):
         cfg = mlp.TrainConfig(mode="lm", max_epochs=2)
         _, history = mlp.train(mlp.init_model(2, 4), XOR_X, XOR_T, XOR_X, XOR_T, cfg)
@@ -713,6 +778,7 @@ class TestPredict:
         x = np.array([0.1, -0.2, 0.3])
         _, y = forward_one(model, x)
         assert mlp.predict_batch(model, x[None, :])[0] == int(np.argmax(y))
+        assert mlp.predict_batch(model, np.full((1, 3), np.nan))[0] == 0  # NaN outputs
 
     @settings(max_examples=50)
     @given(st.floats(0.01, 0.99), st.floats(0.01, 0.99),
