@@ -3,21 +3,26 @@
 Every stage reads and writes files, so each subcommand is re-runnable from
 its on-disk inputs alone and every artifact can be golden-file tested.
 Exit codes: 0 success, 2 usage error, 3 data error, 4 training divergence.
+Each run leaves a manifest.json in its out dir that says how it ended and
+lists only the artifacts it wrote.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
+import json
+import platform
 import sys
 import time
 from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from . import cfs, metrics, mlp, modelfile, svm
-from .config import (PipelineConfig, UsageError, load_config, make_kernel,
-                     write_manifest)
+from . import __version__, cfs, metrics, mlp, modelfile, svm
+from .config import PipelineConfig, UsageError, load_config, make_kernel
 from .dataset import (CLASS_NAMES, Dataset, apply_scaler, fit_scaler,
                       generate_synthetic, load_flow_csv, one_hot, stratified_split, write_csv)
 # perfbench times the meter's write under this name until ROADMAP item 3 moves spans into src/.
@@ -27,9 +32,36 @@ from .flow_meter import (FEATURE_COLUMNS, OutOfOrderError, ParseError,
                          meter_packets, read_packet_file)
 
 EXIT_OK = 0
-EXIT_USAGE = 2
-EXIT_DATA = 3
-EXIT_DIVERGED = 4
+# The exit code and stderr prefix of each error a command ends in.
+_EXITS = {UsageError: (2, "error"), DataError: (3, "data error"),
+          TrainingDiverged: (4, "training diverged")}
+
+# The format the manifest records for each artifact a command writes.
+ARTIFACT_FORMATS = {
+    **dict.fromkeys(["flows.csv", "synthetic_flows.csv", "selected.csv",
+                     "test.csv"], "flow-csv 1"),
+    **dict.fromkeys(["selection.txt", "correlation_matrix.csv", "report.txt",
+                     "report.csv"], "report 1"),
+    "ann_model.txt": mlp.MODEL_FORMAT,
+    "ann_history.csv": "ann-history-csv 1",
+    "svm_model.txt": svm.MODEL_FORMAT,
+}
+
+
+def _exit_of(exc: Exception) -> tuple[int, str]:
+    """The exit code and stderr line of a command that raised `exc`."""
+    [(code, prefix)] = [ending for kind, ending in _EXITS.items() if isinstance(exc, kind)]
+    return code, f"{prefix}: {exc}"
+
+
+@contextmanager
+def _writing(path: Path):
+    """An OSError while `path` is written, or the out dir made, is a usage
+    error naming the path that failed."""
+    try:
+        yield path
+    except OSError as exc:
+        raise UsageError(f"cannot write {exc.filename or path}: {exc.strerror}") from None
 
 
 def _require_file(path: str) -> Path:
@@ -46,26 +78,41 @@ def _config(args) -> tuple[PipelineConfig, Path]:
                  if ":" in dest and value is not None}
     cfg = load_config(args.config, seed=args.seed, overrides=overrides)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    with _writing(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
     cfg.out_dir = str(out_dir)
     return cfg, out_dir
 
 
+@dataclass
 class _Run:
-    """A running command's manifest: its config and out dir, the input files
-    it read, the artifacts it wrote, the seconds each stage took and the
-    chunk workers LM used (None if no LM model trained)."""
+    """A command's run record, the manifest's only source: the command, its
+    config and out dir, the input files it read, the artifacts it finished
+    writing, the seconds each finished stage took, the chunk workers LM used
+    (None if no LM model trained), and its exit code and stderr line (None
+    until it ends, and after an exception that is a bug)."""
 
-    def __init__(self, inputs: list[Path], cfg: PipelineConfig, out_dir: Path):
-        self.inputs, self.cfg, self.out_dir = inputs, cfg, out_dir
-        self.artifacts: list[str] = []
-        self.timings: dict[str, float] = {}
-        self.lm_chunk_workers: int | None = None
+    command: str
+    inputs: list[Path]
+    cfg: PipelineConfig
+    out_dir: Path
+    artifacts: list[str] = field(default_factory=list)
+    timings: dict[str, float] = field(default_factory=dict)
+    lm_chunk_workers: int | None = None
+    exit_code: int | None = None
+    error: str | None = None
 
-    def artifact(self, name: str) -> Path:
-        """The path a stage writes artifact `name` to, recorded for the manifest."""
+    @contextmanager
+    def artifact(self, name: str):
+        """The path a stage writes artifact `name` to; recorded for the
+        manifest once the write returns."""
+        with _writing(self.out_dir / name) as path:
+            yield path
         self.artifacts.append(name)
-        return self.out_dir / name
+
+    def write_text(self, name: str, text: str) -> None:
+        with self.artifact(name) as path:
+            path.write_text(text, encoding="utf-8")
 
     @contextmanager
     def stage(self, name: str):
@@ -74,16 +121,63 @@ class _Run:
         self.timings[name] = round(time.perf_counter() - start, 6)
 
 
+def _sha256(path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        for chunk in iter(lambda: handle.read(1 << 16), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def write_manifest(run: _Run) -> Path:
+    """Write manifest.json from the run record: how the run ended, its config,
+    the digests of its inputs and of the artifacts it wrote, its stage
+    timings and the environment its numbers depend on."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 cannot return a dict
+        blas = {}
+    manifest = {
+        "command": run.command,
+        "exit_code": run.exit_code,
+        "error": run.error,
+        "package_version": __version__,
+        "seed": run.cfg.seed,
+        "config": json.loads(json.dumps(asdict(run.cfg), default=str)),
+        "inputs": {str(p): _sha256(p) for p in run.inputs},
+        "artifacts": {name: {"format": ARTIFACT_FORMATS[name],
+                             "sha256": _sha256(run.out_dir / name)}
+                      for name in run.artifacts},
+        "timings_s": run.timings,
+        "environment": {"python": platform.python_version(), "numpy": np.__version__,
+                        "blas": f"{blas.get('name')} {blas.get('version')}",
+                        "blas_threads": mlp.blas_threads(),
+                        "lm_chunk_workers": run.lm_chunk_workers},
+    }
+    with _writing(run.out_dir / "manifest.json") as path:
+        path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
+                        encoding="utf-8")
+    return path
+
+
 @contextmanager
 def _command(args, *paths: str):
     """The one runner of every subcommand: check each input file (before
     the config, so a missing file is reported ahead of a bad --config), load
-    the config, run the body's stages, then write the manifest."""
+    the config, make the out dir and remove the manifest there, run the
+    body's stages, then write the manifest however the body ends."""
     inputs = [_require_file(path) for path in paths]
-    run = _Run(inputs, *_config(args))
-    yield run
-    write_manifest(run.out_dir, args.command, run.cfg, run.inputs, run.artifacts,
-                   run.timings, run.lm_chunk_workers)
+    run = _Run(args.command, inputs, *_config(args))
+    with _writing(run.out_dir / "manifest.json") as stale:
+        stale.unlink(missing_ok=True)
+    try:
+        yield run
+        run.exit_code = EXIT_OK
+    except tuple(_EXITS) as exc:
+        run.exit_code, run.error = _exit_of(exc)
+        raise
+    finally:
+        write_manifest(run)
 
 
 def _load_flows(path, cfg: PipelineConfig) -> Dataset:
@@ -110,17 +204,17 @@ def run_meter(run: _Run, packets_path) -> Path:
     if len(packets) == 0:
         raise DataError(f"{packets_path}: no packets")
     table = meter_packets(packets, run.cfg.meter)
-    out = run.artifact("flows.csv")
-    write_flow_csv(Dataset(FEATURE_COLUMNS, table,
-                           np.full(len(table), CLASS_NAMES.index(run.cfg.meter_label))), out)
+    with run.artifact("flows.csv") as out:
+        write_flow_csv(Dataset(FEATURE_COLUMNS, table,
+                               np.full(len(table), CLASS_NAMES.index(run.cfg.meter_label))),
+                       out)
     return out
 
 
-def cmd_meter(args) -> int:
+def cmd_meter(args) -> None:
     with _command(args, args.packets) as run, run.stage("meter"):
         out = run_meter(run, run.inputs[0])
     print(f"wrote {out}")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------- select
@@ -136,8 +230,8 @@ def run_select(run: _Run, flows_path) -> Path:
     subset = cfs.best_first_search(stats, run.cfg.search)
     trajectory = cfs.merit_trajectory(subset, stats)
     kept = ds.select_features([ds.schema[i] for i in sorted(subset.indices)])
-    reduced_path = run.artifact("selected.csv")
-    write_csv(kept, reduced_path)
+    with run.artifact("selected.csv") as reduced_path:
+        write_csv(kept, reduced_path)
 
     n_before, n_after = ds.n_features, len(subset.indices)
     report_lines = [
@@ -149,10 +243,10 @@ def run_select(run: _Run, flows_path) -> Path:
         f"dimensionality reduction: {100.0 * (1.0 - n_after / n_before):.1f}% "
         f"({n_before} -> {n_after})",
     ]
-    run.artifact("selection.txt").write_text("\n".join(report_lines) + "\n",
-                                             encoding="utf-8")
+    run.write_text("selection.txt", "\n".join(report_lines) + "\n")
 
-    with open(run.artifact("correlation_matrix.csv"), "w", encoding="utf-8") as handle:
+    with (run.artifact("correlation_matrix.csv") as path,
+          open(path, "w", encoding="utf-8") as handle):
         handle.write("feature," + ",".join(ds.schema) + ",class\n")
         for name, row, with_class in zip(ds.schema, stats.feature_feature,
                                          stats.feature_class):
@@ -163,10 +257,9 @@ def run_select(run: _Run, flows_path) -> Path:
     return reduced_path
 
 
-def cmd_select(args) -> int:
+def cmd_select(args) -> None:
     with _command(args, args.flows) as run, run.stage("select"):
         run_select(run, run.inputs[0])
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------- train
@@ -188,20 +281,19 @@ def _train_models(run: _Run, train_ds: Dataset, val_ds: Dataset,
             model, train_ds.X, one_hot(train_ds.y), val_ds.X, one_hot(val_ds.y),
             cfg.mlp_train)
         run.lm_chunk_workers = history.chunk_workers
-        path = run.artifact("ann_model.txt")
-        mlp.save_model(path, model, train_ds.schema, scaler)
+        with run.artifact("ann_model.txt") as path:
+            mlp.save_model(path, model, train_ds.schema, scaler)
         models.append(("ANN", path))
-        run.artifact("ann_history.csv").write_text("epoch,train_loss,val_loss\n" + "".join(
+        run.write_text("ann_history.csv", "epoch,train_loss,val_loss\n" + "".join(
             f"{epoch},{tl:.17g},{vl:.17g}\n" for epoch, (tl, vl)
-            in enumerate(zip(history.train_loss, history.val_loss), start=1)),
-            encoding="utf-8")
+            in enumerate(zip(history.train_loss, history.val_loss), start=1)))
         print(f"ann: {len(history.train_loss)} epochs, "
               f"stop: {history.stopping_reason}")
     if cfg.classifier in ("svm", "both"):
         kernel = make_kernel(cfg, train_ds.n_features)
         [model] = svm.train_ovr(train_ds.X, train_ds.y, kernel, cfg.smo)
-        path = run.artifact("svm_model.txt")
-        svm.save_models(path, model, train_ds.schema, scaler)
+        with run.artifact("svm_model.txt") as path:
+            svm.save_models(path, model, train_ds.schema, scaler)
         models.append(("SVM", path))
         print("svm: " + ("converged" if model.converged else "not fully converged"))
     return models
@@ -218,15 +310,15 @@ def run_train(run: _Run, ds: Dataset, flows_path) -> list[tuple[str, Path]]:
     train_ds = apply_scaler(scaler, train_ds)
     val_ds = apply_scaler(scaler, val_ds)
     models = _train_models(run, train_ds, val_ds, scaler)
-    write_csv(test_ds, run.artifact("test.csv"))  # unscaled; models carry their scaler
+    with run.artifact("test.csv") as path:  # unscaled; models carry their scaler
+        write_csv(test_ds, path)
     return models
 
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> None:
     with _command(args, args.flows) as run, run.stage("train"):
         [flows] = run.inputs
         run_train(run, _load_flows(flows, run.cfg), flows)
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------- eval
@@ -262,19 +354,17 @@ def run_eval(run: _Run, flows_path, models: list[tuple[str, Path]],
             X = projected.X if scaler is None else scaler.transform(projected.X)
             columns[name] = metrics.build_report(module.predict_batch(model, X), projected.y)
     table = metrics.render_table(columns, include_reference)
-    run.artifact("report.txt").write_text(table, encoding="utf-8")
-    run.artifact("report.csv").write_text(
-        metrics.render_csv(columns, include_reference), encoding="utf-8")
+    run.write_text("report.txt", table)
+    run.write_text("report.csv", metrics.render_csv(columns, include_reference))
     print(table, end="")
     return columns
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> None:
     names, paths = zip(*args.model)
     with _command(args, args.flows, *paths) as run, run.stage("eval"):
         flows, *models = run.inputs
         run_eval(run, flows, list(zip(names, models)), include_reference=args.reference)
-    return EXIT_OK
 
 
 def _named_model(text: str) -> tuple[str, str]:
@@ -296,22 +386,21 @@ def _named_model(text: str) -> tuple[str, str]:
 
 def run_synth(run: _Run) -> Path:
     ds, _roles = generate_synthetic(run.cfg.synth_spec, seed=run.cfg.seed)
-    out = run.artifact("synthetic_flows.csv")
-    write_csv(ds, out)
+    with run.artifact("synthetic_flows.csv") as out:
+        write_csv(ds, out)
     return out
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args) -> None:
     with _command(args) as run, run.stage("synth"):
         out = run_synth(run)
     print(f"wrote {out}")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------- pipeline
 
 
-def cmd_pipeline(args) -> int:
+def cmd_pipeline(args) -> None:
     with _command(args) as run:
         cfg = run.cfg
         if cfg.flows_path:
@@ -336,7 +425,6 @@ def cmd_pipeline(args) -> int:
             run_eval(run, run.out_dir / "test.csv",
                      [(prefix + column, path) for column, path in trained],
                      include_reference=args.reference)
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------- parser
@@ -393,16 +481,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except TrainingDiverged as exc:
-        print(f"training diverged: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        args.func(args)
+    except tuple(_EXITS) as exc:
+        code, line = _exit_of(exc)
+        print(line, file=sys.stderr)
+        return code
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -1,18 +1,11 @@
-"""Key-value run configuration and the reproducibility manifest."""
+"""Key-value run configuration: every key, its parser and its checks."""
 
 from __future__ import annotations
 
 import configparser
-import hashlib
-import json
 import math
-import platform
-from dataclasses import dataclass, field, asdict, replace
-from pathlib import Path
+from dataclasses import dataclass, field, replace
 
-import numpy as np
-
-from . import __version__, mlp, svm
 from .cfs import SearchConfig
 from .dataset import (BAD_VALUE_POLICIES, CLASS_NAMES, SplitSpec, SyntheticSpec,
                       default_synthetic_spec)
@@ -20,17 +13,6 @@ from .errors import Conflict
 from .flow_meter import MeterConfig
 from .mlp import TrainConfig
 from .svm import Kernel, SmoConfig
-
-# The format recorded in the manifest for each artifact a command writes.
-ARTIFACT_FORMATS = {
-    **dict.fromkeys(["flows.csv", "synthetic_flows.csv", "selected.csv",
-                     "test.csv"], "flow-csv 1"),
-    **dict.fromkeys(["selection.txt", "correlation_matrix.csv", "report.txt",
-                     "report.csv"], "report 1"),
-    "ann_model.txt": mlp.MODEL_FORMAT,
-    "ann_history.csv": "ann-history-csv 1",
-    "svm_model.txt": svm.MODEL_FORMAT,
-}
 
 
 class UsageError(Exception):
@@ -78,11 +60,6 @@ class PipelineConfig:
         self.seed = seed
         self.split.seed = seed
         self.mlp_train.seed = seed + 1
-
-    def snapshot(self) -> dict:
-        """JSON-serializable copy of the configuration for the manifest."""
-        raw = asdict(self)
-        return json.loads(json.dumps(raw, default=str))
 
 
 def _bool(text: str) -> bool:
@@ -225,39 +202,3 @@ def make_kernel(cfg: PipelineConfig, n_features: int) -> Kernel:
     """The configured kernel; rbf gamma defaults to 1/n_features."""
     gamma = cfg.svm_gamma if cfg.svm_gamma is not None else 1.0 / n_features
     return Kernel(cfg.svm_kernel_kind, gamma if cfg.svm_kernel_kind == "rbf" else None)
-
-
-def sha256_file(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 16), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
-def write_manifest(out_dir, command: str, cfg: PipelineConfig,
-                   inputs: list, artifacts: list[str],
-                   timings: dict[str, float], lm_chunk_workers: int | None = None) -> Path:
-    """Record config snapshot, input digests, artifact versions, timings and environment."""
-    out_dir = Path(out_dir)
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except (TypeError, KeyError):  # numpy before 1.26 cannot return a dict
-        blas = {}
-    manifest = {
-        "command": command,
-        "package_version": __version__,
-        "seed": cfg.seed,
-        "config": cfg.snapshot(),
-        "inputs": {str(p): sha256_file(p) for p in inputs},
-        "artifacts": {name: {"format": ARTIFACT_FORMATS[name],
-                             "sha256": sha256_file(out_dir / name)} for name in artifacts},
-        "timings_s": timings,
-        "environment": {"python": platform.python_version(), "numpy": np.__version__,
-                        "blas": f"{blas.get('name')} {blas.get('version')}",
-                        "blas_threads": mlp.blas_threads(),
-                        "lm_chunk_workers": lm_chunk_workers},
-    }
-    path = out_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return path

@@ -101,8 +101,13 @@ class _Labels(dict):
     """Class id by label text, matched stripped and in any case; as a converter,
     the bound __getitem__ finds a text already seen in C."""
 
+    refused: str | None = None  # the first text that is no label
+
     def __missing__(self, text: str) -> int:
-        return self.setdefault(text, LABEL_TO_ID[text.strip().lower()])
+        if (label := LABEL_TO_ID.get(text.strip().lower())) is None:
+            self.refused = text
+            raise KeyError(text)
+        return self.setdefault(text, label)
 
 
 def _ip_cell(text: str, quads: dict[str, int | None]) -> float:
@@ -193,9 +198,10 @@ def load_flow_csv(path, bad_value_policy: str = "error") -> Dataset:
     or "drop" (skip the row and count it in Dataset.dropped; the published
     dataset contains Infinity rates).
 
-    numpy's C reader parses the rows, then, if it rejects them, again with IP
-    cells also read as dotted quads. A file rejected twice, or with a non-finite
-    cell under "error", is read row by row, as csv and float() read it.
+    numpy's C reader parses the rows, then, if it rejects a cell that is not a
+    label, again with IP cells also read as dotted quads. A file it rejects, or
+    with a non-finite cell under "error", is read row by row, as csv and
+    float() read it.
     """
     if bad_value_policy not in BAD_VALUE_POLICIES:
         raise ValueError(f"unknown bad_value_policy {bad_value_policy!r}")
@@ -217,12 +223,13 @@ def load_flow_csv(path, bad_value_policy: str = "error") -> Dataset:
         if len(set(feature_names)) != len(feature_names):
             raise DataError(f"{path}: duplicate feature columns")
         n = len(feature_names)
-        converters = {n: _Labels({name: i for i, name in enumerate(CLASS_NAMES)}).__getitem__}
+        class_ids = _Labels({name: i for i, name in enumerate(CLASS_NAMES)})
+        converters = {n: class_ids.__getitem__}
         table = c_parse(handle, np.float64, converters)
         quads: dict[str, int | None] = {}  # the file's dotted quads, for _ip_cell
         ip_cells = {i: lambda text: _ip_cell(text, quads)
                     for i, name in enumerate(feature_names) if name in _IP_COLUMNS}
-        if table is None and ip_cells:  # a dotted quad, say
+        if table is None and ip_cells and class_ids.refused is None:  # a dotted quad, say
             handle.seek(0)
             next(reader)
             table = c_parse(handle, np.float64, converters | ip_cells)

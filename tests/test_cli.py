@@ -19,6 +19,7 @@ from flowsieve.cli import main
 from flowsieve.dataset import (CLASS_NAMES, UNB_CIC_ALIASES, Dataset,
                                SyntheticSpec, generate_synthetic, load_flow_csv,
                                write_csv)
+from flowsieve.errors import TrainingDiverged
 from flowsieve.flow_meter import FEATURE_COLUMNS, MeterConfig
 from conftest import assert_close
 from oracles import format_cell, oracle_features, oracle_flows, random_trace
@@ -56,6 +57,20 @@ def synth_csv(tmp_path, name="flows.csv", rows=120, seed=3):
     ds, _ = generate_synthetic(spec, seed=seed)
     path = tmp_path / name
     write_csv(ds, path)
+    return path
+
+
+def sha256_of(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def two_tor_rows(tmp_path) -> Path:
+    """synth_csv's table cut to two Tor rows: select runs on it, but the
+    split, which needs three rows of each class, stops it with exit 3."""
+    header, *rows = synth_csv(tmp_path, "full.csv").read_text().splitlines()
+    tor = [row for row in rows if row.endswith(",Tor")]
+    path = tmp_path / "two_tor.csv"
+    path.write_text("\n".join([header, *tor[:2], *(r for r in rows if r not in tor)]) + "\n")
     return path
 
 
@@ -1174,10 +1189,7 @@ class TestManifestContract:
                                          "pipeline-flows", "pipeline-select-off",
                                          "pipeline-synth"])
     def test_manifest(self, command, tmp_path, packet_file, small_run):
-        from flowsieve.config import ARTIFACT_FORMATS
-
-        def sha256(path):
-            return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        from flowsieve.cli import ARTIFACT_FORMATS
 
         argv, inputs, artifacts, stages = self.run_of(command, tmp_path,
                                                       packet_file, small_run)
@@ -1185,10 +1197,11 @@ class TestManifestContract:
         assert main(argv + ["--seed", "5", "--out-dir", str(out_dir)]) == 0
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["command"] == argv[0]
+        assert (manifest["exit_code"], manifest["error"]) == (0, None)
         assert manifest["seed"] == 5
-        assert manifest["inputs"] == {str(p): sha256(p) for p in inputs}
+        assert manifest["inputs"] == {str(p): sha256_of(p) for p in inputs}
         assert manifest["artifacts"] == {
-            name: {"format": ARTIFACT_FORMATS[name], "sha256": sha256(out_dir / name)}
+            name: {"format": ARTIFACT_FORMATS[name], "sha256": sha256_of(out_dir / name)}
             for name in artifacts}
         assert set(manifest["timings_s"]) == stages
 
@@ -1210,6 +1223,111 @@ class TestManifestContract:
                             "--out-dir", str(out_dir)]) == 2
         assert capsys.readouterr().err == f"error: input file not found: {missing}\n"
         assert not out_dir.exists()
+
+
+SELECTED = {"selected.csv", "selection.txt", "correlation_matrix.csv"}
+
+
+def checked_manifest(out_dir) -> dict:
+    """out_dir's manifest, once each artifact it lists matches its digest."""
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    for name, entry in manifest["artifacts"].items():
+        assert entry["sha256"] == sha256_of(out_dir / name), name
+    return manifest
+
+
+def run_pipeline_on(flows, tmp_path, out_dir, **mlp_keys) -> int:
+    cfg = write_ini(tmp_path / "run.ini", {"input": {"flows": str(flows)},
+                                           "train": {"classifier": "both"},
+                                           "mlp": {"max_epochs": "3", **mlp_keys}})
+    return main(["pipeline", "--config", str(cfg), "--out-dir", str(out_dir)])
+
+
+class TestManifestOnEveryExit:
+    """A run that has made its out dir removes the manifest there first and
+    writes its own however it ends: its exit code and stderr line, and only
+    the artifacts it finished writing."""
+
+    def test_failed_rerun_lists_only_its_own_files(self, tmp_path, capsys):
+        out_dir = tmp_path / "D"
+        assert run_pipeline_on(synth_csv(tmp_path), tmp_path, out_dir) == 0
+        first = checked_manifest(out_dir)
+        flows = two_tor_rows(tmp_path)
+        capsys.readouterr()
+        assert run_pipeline_on(flows, tmp_path, out_dir) == 3
+        err = capsys.readouterr().err
+        manifest = checked_manifest(out_dir)
+        assert (manifest["exit_code"], manifest["error"] + "\n") == (3, err)
+        assert err.startswith(f"data error: {flows}: ")
+        assert manifest["inputs"] == {str(flows): sha256_of(flows)}
+        assert set(manifest["artifacts"]) == SELECTED
+        assert set(manifest["timings_s"]) == {"select"}
+        stale = set(first["artifacts"]) - SELECTED
+        assert stale == {"ann_model.txt", "ann_history.csv", "svm_model.txt", "test.csv",
+                         "report.txt", "report.csv"}
+        assert all((out_dir / name).is_file() for name in stale)
+
+    @pytest.mark.parametrize("code", [0, 2, 3, 4])
+    def test_every_exit_writes_a_manifest(self, tmp_path, capsys, monkeypatch, code):
+        """Exit 2 from an `[mlp] hidden` over its budget, exit 3 from a split
+        with two Tor rows and exit 4 from a trainer that diverges, each after
+        select has written its files."""
+        def diverge(*args):
+            raise TrainingDiverged("non-finite loss at epoch 1", epoch=1)
+
+        if code == 4:
+            monkeypatch.setattr(mlp, "train", diverge)
+        flows = two_tor_rows(tmp_path) if code == 3 else synth_csv(tmp_path)
+        out_dir = tmp_path / "out"
+        hidden = {"hidden": "1000000"} if code == 2 else {}
+        assert run_pipeline_on(flows, tmp_path, out_dir, **hidden) == code
+        err = capsys.readouterr().err
+        manifest = checked_manifest(out_dir)
+        assert (manifest["exit_code"], manifest["error"]) == (code, err.rstrip("\n") or None)
+        assert err.startswith({0: "", 2: "error: [mlp] hidden = 1000000 on ",
+                               3: "data error: ", 4: "training diverged: "}[code])
+        if code:
+            assert set(manifest["artifacts"]) == SELECTED
+            assert set(manifest["timings_s"]) == {"select"}
+        else:
+            assert set(manifest["artifacts"]) > SELECTED | {"report.csv"}
+            assert set(manifest["timings_s"]) == {"select", "train", "eval"}
+
+
+class TestOutDirFaults:
+    """An out dir that cannot be made, or an artifact that cannot be written
+    there, is a usage error naming the path, not a traceback."""
+
+    @pytest.mark.parametrize("shape, reason", [("file", "File exists"),
+                                               ("under-file", "Not a directory"),
+                                               ("vanished-parent",
+                                                "No such file or directory")])
+    def test_out_dir_that_cannot_be_made(self, tmp_path, capsys, monkeypatch, shape,
+                                         reason):
+        flows = synth_csv(tmp_path)
+        (tmp_path / "a_file").write_text("")
+        out_dir = {"file": tmp_path / "a_file", "under-file": tmp_path / "a_file" / "out",
+                   "vanished-parent": Path("out")}[shape]
+        if shape == "vanished-parent":  # the working directory is removed
+            (tmp_path / "gone").mkdir()
+            monkeypatch.chdir(tmp_path / "gone")
+            (tmp_path / "gone").rmdir()
+        assert main(["select", str(flows), "--out-dir", str(out_dir)]) == 2
+        assert capsys.readouterr().err == f"error: cannot write {out_dir}: {reason}\n"
+
+    @pytest.mark.parametrize("name", ["report.csv", "manifest.json"])
+    def test_directory_with_an_artifacts_name(self, tmp_path, capsys, name):
+        out_dir = tmp_path / "out"
+        (out_dir / name).mkdir(parents=True)
+        assert run_pipeline_on(synth_csv(tmp_path), tmp_path, out_dir) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {out_dir / name}: Is a directory\n"
+        if name == "manifest.json":  # stopped before the first stage
+            assert [path.name for path in out_dir.iterdir()] == [name]
+        else:
+            manifest = checked_manifest(out_dir)
+            assert (manifest["exit_code"], manifest["error"] + "\n") == (2, err)
+            assert "report.txt" in manifest["artifacts"] and name not in manifest["artifacts"]
 
 
 # Runs a metering command and a pipeline that trains both models under

@@ -1,15 +1,21 @@
 """Hostile CLI inputs: packet files, flow CSVs and model files that are
 truncated, mutated byte by byte (non-UTF-8 bytes included) or relabelled,
-and config values out of every range, end in exit 0, 2, 3 or 4, never in an
-exception, and a data error names the input file."""
+config values out of every range, and out dirs that cannot be written, end
+in exit 0, 2, 3 or 4, never in an exception, and a data error names the
+input file."""
+
+import os
+import re
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from flowsieve.cli import main
+from flowsieve.cli import ARTIFACT_FORMATS, main
 from flowsieve.config import SETTINGS
-from test_cli import TEN_PACKETS, run_child, synth_csv, write_ini
+from test_cli import TEN_PACKETS, checked_manifest, run_child, synth_csv, write_ini
 
 # Small enough that a train or select run takes milliseconds.
 FUZZ_INI = "[mlp]\nmax_epochs = 2\n[select]\nmax_stale_expansions = 1\n"
@@ -127,3 +133,56 @@ def test_hostile_config_value_exits_cleanly(tmp_path, repo_root, key, text):
                     str(tmp_path / "out"), address_space=2 * 1024 ** 3, timeout=30)
     assert run.returncode in (0, 2, 3, 4), run.stderr
     assert "Traceback" not in run.stderr and "RuntimeWarning" not in run.stderr
+
+
+@st.composite
+def hostile_out_dir(draw, root: Path) -> Path:
+    """An out dir under `root` that is a file, lies under one, has a name too
+    long for the file system, lies under a dangling symlink or under a
+    working directory that is removed (a relative path; the caller goes
+    back), or holds a directory named as an artifact or the manifest."""
+    (root / "a_file").write_text("")
+    (root / "link").symlink_to(root / "nowhere")
+    shape = draw(st.sampled_from(["file", "under-file", "long", "dangling", "vanished",
+                                  "artifact-dir"]))
+    if shape == "vanished":
+        (root / "gone").mkdir()
+        os.chdir(root / "gone")
+        (root / "gone").rmdir()
+        return Path("out")
+    if shape == "artifact-dir":
+        name = draw(st.sampled_from(sorted([*ARTIFACT_FORMATS, "manifest.json"])))
+        (root / "out" / name).mkdir(parents=True)
+        return root / "out"
+    return {"file": root / "a_file", "under-file": root / "a_file" / "out" / "deeper",
+            "long": root / ("x" * 300) / "out", "dangling": root / "link" / "out"}[shape]
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_hostile_out_dir_exits_cleanly(seeds, tmp_path, capsys, data):
+    """Exit 2 with one stderr line naming the out dir, a directory above it or
+    a file in it; or exit 0 (a directory no artifact of the command is named
+    after) with a manifest whose every artifact matches its digest."""
+    command = data.draw(st.sampled_from(["meter", "select", "train"]))
+    inputs = {"meter": [str(tmp_path / "packets.txt"), "--label", "Tor"],
+              "select": [str(seeds["flows_path"])],
+              "train": [str(seeds["flows_path"]), "--classifier", "both"]}[command]
+    (tmp_path / "packets.txt").write_text(TEN_PACKETS)
+    cwd = os.getcwd()
+    try:
+        out_dir = data.draw(hostile_out_dir(Path(tempfile.mkdtemp(dir=tmp_path))))
+        capsys.readouterr()
+        rc = main([command, *inputs, "--config", str(seeds["config"]),
+                   "--out-dir", str(out_dir)])
+        err = capsys.readouterr().err
+        if rc == 0:
+            assert checked_manifest(out_dir)["exit_code"] == 0
+    finally:
+        os.chdir(cwd)
+    assert rc in (0, 2), err
+    if rc == 2:
+        named = re.fullmatch(r"error: cannot write (.+): [^:\n]+\n", err)
+        assert named, err
+        assert Path(named[1]) in {out_dir, *out_dir.parents} or Path(named[1]).parent == out_dir

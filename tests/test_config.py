@@ -9,9 +9,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from flowsieve import mlp
-from flowsieve.cli import main
-from flowsieve.config import (SETTINGS, PipelineConfig, UsageError, load_config,
-                              write_manifest)
+from flowsieve.cli import _Run, main, write_manifest
+from flowsieve.config import SETTINGS, PipelineConfig, UsageError, load_config
 from flowsieve.dataset import default_synthetic_spec
 from conftest import REPO_ROOT
 from test_cli import TEN_PACKETS, synth_csv
@@ -140,6 +139,14 @@ def test_rows_flag_alone_keeps_default_spec_otherwise():
     assert loaded.synth_spec.covariance_scale is None
 
 
+def test_negative_seed_is_usage_error_before_the_out_dir(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    assert main(["synth", "--seed", "-1", "--out-dir", str(out_dir)]) == 2
+    assert capsys.readouterr().err == ("error: command line: --seed must be at least 0, "
+                                       "got -1\n")
+    assert not out_dir.exists()
+
+
 def test_meter_label_flag_recorded_in_manifest(tmp_path, inputs):
     out_dir = tmp_path / "out"
     assert main(["meter", inputs["packets"], "--label", "Tor",
@@ -164,9 +171,9 @@ def test_percent_in_flows_path_is_read_literally(tmp_path, dir_name):
 
 
 def test_manifest_refuses_a_listed_artifact_that_is_missing(tmp_path):
+    run = _Run("select", [], PipelineConfig(), tmp_path, artifacts=["selection.txt"])
     with pytest.raises(FileNotFoundError):
-        write_manifest(tmp_path, "select", PipelineConfig(), [],
-                       ["selection.txt"], {})
+        write_manifest(run)
 
 
 def test_manifest_records_the_numeric_environment(tmp_path):
@@ -177,7 +184,7 @@ def test_manifest_records_the_numeric_environment(tmp_path):
     def environment(out_dir):
         return json.loads((out_dir / "manifest.json").read_text())["environment"]
 
-    write_manifest(tmp_path, "select", PipelineConfig(), [], [], {})
+    write_manifest(_Run("select", [], PipelineConfig(), tmp_path))
     written = environment(tmp_path)
     assert set(written) == {"python", "numpy", "blas", "blas_threads", "lm_chunk_workers"}
     assert written["python"] == platform.python_version()

@@ -325,6 +325,25 @@ class TestCsvCodecMatchesReference:
         assert outcome == _load_outcome(oracle_load_flow_csv, path, policy)
         assert outcome[2][-1] == 0
 
+    @pytest.mark.parametrize("quad, passes", [(False, 1), (True, 2)])
+    def test_unknown_label_goes_straight_to_the_row_reader(self, tmp_path, monkeypatch,
+                                                           quad, passes):
+        """A last label `Mystery` fails the numeric pass in the label converter,
+        so the row reader names it with no pass through the IP converters. A
+        dotted quad in the first row fails the numeric pass first, and the
+        pass with IP converters then fails at the label."""
+        header = ",".join(_CODEC_SCHEMA + ("label",))
+        rows = [f"{i},{i / 4},{3 * i},{i % 5},{('Tor', 'NonTor')[i % 2]}" for i in range(30)]
+        rows[-1] = "1,2,3,4,Mystery"
+        if quad:
+            rows[0] = "0,0,10.0.0.1,0,Tor"
+        path = make_flow_csv(tmp_path, rows, header=header)
+        calls = self.counted_calls(monkeypatch)
+        outcome = _load_outcome(load_flow_csv, path, "error")
+        assert calls["c_parse"] == [None] * passes
+        assert outcome == f"{path}: row 31: unknown label 'Mystery'"
+        assert outcome == _load_outcome(oracle_load_flow_csv, path, "error")
+
     def test_reader_errors_match(self, tmp_path):
         rows = ["1,2,3,4,Tor", "1,inf,x,4,Tor", "1,2,3.0.0.1,4,Tor",
                 "1e308,1e308,3,4,Tor", "1,2,3,4,Mystery", "1,2,3,Tor"]

@@ -24,6 +24,7 @@ from flowsieve.dataset import CLASS_NAMES, Dataset
 from flowsieve.flow_meter import FEATURE_COLUMNS, meter_packets, read_packet_file
 from conftest import REPO_ROOT
 from oracles import oracle_write_csv
+from test_cli import unb_cic_csv
 
 
 def _sha256(path) -> str:
@@ -112,13 +113,20 @@ def test_scaled_covariance_synth_table_matches_golden_digest(tmp_path):
     assert _sha256(out_dir / "synthetic_flows.csv") == SYNTH_SCALED_SHA256
 
 
-# Overrides of configs/two_cluster.ini per pipeline case, all at seed 7. The
-# last trains LM on 4,200 rows, past one 4096-row chunk, so two chunks (and
-# two workers where they run) take part.
+# The bundled config and the overrides of each pipeline case, all at seed 7.
+# lm-two-chunks trains LM on 4,200 rows, past one 4096-row chunk, so two
+# chunks (and two workers where they run) take part. unb-cic runs the
+# configs/unb_cic.ini recipe on test_cli.unb_cic_csv's table, which has the
+# published column names, dotted quads and Infinity rows to drop.
 PIPELINE_CASES = {
-    "lm-both": {"train": {"classifier": "both"}},
-    "bp-sgd-both": {"train": {"classifier": "both"}, "mlp": {"mode": "bp-sgd"}},
-    "lm-two-chunks": {"synth": {"rows_per_class": "3000"}, "mlp": {"max_epochs": "3"}},
+    "lm-both": ("two_cluster.ini", {"train": {"classifier": "both"}}),
+    "bp-sgd-both": ("two_cluster.ini", {"train": {"classifier": "both"},
+                                        "mlp": {"mode": "bp-sgd"}}),
+    "lm-two-chunks": ("two_cluster.ini", {"synth": {"rows_per_class": "3000"},
+                                          "mlp": {"max_epochs": "3"}}),
+    "lm-both-select-off": ("two_cluster.ini", {"train": {"classifier": "both"},
+                                               "select": {"enabled": "false"}}),
+    "unb-cic": ("unb_cic.ini", {}),
 }
 
 # sha256 of stdout and of each out-dir file but manifest.json, per case, keyed
@@ -195,15 +203,56 @@ PIPELINE_SHA256 = {
             'stdout':
                 '44694f206fdbedb80561810ba95fb1ca0c0004ba6eb28c7140787a815c4c194a',
         },
+        'lm-both-select-off': {
+            'ann_history.csv':
+                'c25e38e9a6d02484598c345650da110a7502de25af18961c398d98bce6f79585',
+            'ann_model.txt':
+                '94bd423bbfbee3d774c2c7a3bc9f4771fc1d6fe032c3bb037a34b7f9bd029a53',
+            'report.csv':
+                '5c50f270535754f0cf0c140d2c0d9fe8ffc3b39f18c21c676d3de3c68ff743cf',
+            'report.txt':
+                '80febcf8e82bf804a38b08a1c95fc1a3539ec12c0b38758401be706faea52c95',
+            'svm_model.txt':
+                '0bf327f04de84e6fe2988017e90e425bff9530ddb76a1dd908b479f4256441a7',
+            'synthetic_flows.csv':
+                '63df871273c4d3289b92dbda82f14d6c58b21e321a4925003b7feafb9ee97102',
+            'test.csv':
+                '08ed15be05cbb17f480942f3d3c11d91e20c31f0703be66a65640807e6db39b6',
+            'stdout':
+                '39f74d725d9cce00027f3ebf3c090d9464408ddbd042dc34052147e84ab9aca6',
+        },
+        'unb-cic': {
+            'ann_history.csv':
+                'e077e855b86cd21328954a28e96b219ed675fd7c18177abbe9a2d28e80bc2bb2',
+            'ann_model.txt':
+                '5237bae852a3facd5e007c06bb99bbdf2acb0f6bacd876e02cde6f78ba0e9f8d',
+            'correlation_matrix.csv':
+                '5b508091fc24d957b6b5e7d3581f4e945414cd4e76189a7650e2b82915e705b0',
+            'report.csv':
+                '761b8b6a37c81dc0192274ea14400cdc0a8bf897543321061cbf2f7ac28d9529',
+            'report.txt':
+                '512d36b4d38dbc05016a71e1d593fe292fcac175c036f0f2b40cd4266644ad8b',
+            'selected.csv':
+                '7e9fde9438912acfdab233dff8a77d7fd512e615810b7c147de1f995e6050ee3',
+            'selection.txt':
+                'b8059c0e32d4125bf7e31049ac91e1f5c059a43c80a62dcae7a71cc406a66a43',
+            'test.csv':
+                'cdbd6134449e9c948189cabed42e4336994cbe9c68ac7a26559b9c6d5e2d8da7',
+            'stdout':
+                'f8155b44ed4d39b6edb5f44df273d62c16e716db27d4adcec71dad175f2c6635',
+        },
     },
 }
 
 
 def _run_pipeline(tmp_path, case: str) -> tuple[dict[str, str], tuple[str, str]]:
     """(sha256 by out-dir file name and "stdout", the manifest's (numpy, blas))."""
+    name, overrides = PIPELINE_CASES[case]
     config = configparser.ConfigParser()
-    config.read(REPO_ROOT / "configs" / "two_cluster.ini", encoding="utf-8")
-    config.read_dict(PIPELINE_CASES[case])
+    config.read(REPO_ROOT / "configs" / name, encoding="utf-8")
+    config.read_dict(overrides)
+    if name == "unb_cic.ini":  # the recipe names no input; its table is generated
+        config["input"]["flows"] = str(unb_cic_csv(tmp_path)[0])
     ini, out_dir = tmp_path / f"{case}.ini", tmp_path / case
     with open(ini, "w", encoding="utf-8") as handle:
         config.write(handle)
