@@ -22,14 +22,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, cfs, metrics, mlp, modelfile, svm
-from .config import PipelineConfig, UsageError, load_config, make_kernel
+from .config import PipelineConfig, load_config, make_kernel
 from .dataset import (CLASS_NAMES, Dataset, apply_scaler, fit_scaler,
                       generate_synthetic, load_flow_csv, one_hot, stratified_split, write_csv)
 # perfbench times the meter's write under this name until ROADMAP item 3 moves spans into src/.
 from .dataset import write_csv as write_flow_csv
-from .errors import DataError, TrainingDiverged
-from .flow_meter import (FEATURE_COLUMNS, OutOfOrderError, ParseError,
-                         meter_packets, read_packet_file)
+from .errors import DataError, TrainingDiverged, UsageError
+from .flow_meter import FEATURE_COLUMNS, meter_packets, read_packet_file
 
 EXIT_OK = 0
 # The exit code and stderr prefix of each error a command ends in.
@@ -129,6 +128,15 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
+def _input_sha256(path) -> str | None:
+    """An input's digest, or None if it cannot be read: the run then ends in
+    the usage error that names it."""
+    try:
+        return _sha256(path)
+    except OSError:
+        return None
+
+
 def write_manifest(run: _Run) -> Path:
     """Write manifest.json from the run record: how the run ended, its config,
     the digests of its inputs and of the artifacts it wrote, its stage
@@ -144,7 +152,7 @@ def write_manifest(run: _Run) -> Path:
         "package_version": __version__,
         "seed": run.cfg.seed,
         "config": json.loads(json.dumps(asdict(run.cfg), default=str)),
-        "inputs": {str(p): _sha256(p) for p in run.inputs},
+        "inputs": {str(p): _input_sha256(p) for p in run.inputs},
         "artifacts": {name: {"format": ARTIFACT_FORMATS[name],
                              "sha256": _sha256(run.out_dir / name)}
                       for name in run.artifacts},
@@ -197,10 +205,7 @@ def run_meter(run: _Run, packets_path) -> Path:
     if run.cfg.meter_label is None:  # checked before the capture is read
         raise UsageError(f"[input] label (--label) must be {' or '.join(CLASS_NAMES)} "
                          "to meter")
-    try:
-        packets = read_packet_file(packets_path)
-    except (ParseError, OutOfOrderError) as exc:  # these name only the line
-        raise DataError(f"{packets_path}: {exc}") from None
+    packets = read_packet_file(packets_path)
     if len(packets) == 0:
         raise DataError(f"{packets_path}: no packets")
     table = meter_packets(packets, run.cfg.meter)

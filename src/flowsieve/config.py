@@ -9,14 +9,10 @@ from dataclasses import dataclass, field, replace
 from .cfs import SearchConfig
 from .dataset import (BAD_VALUE_POLICIES, CLASS_NAMES, SplitSpec, SyntheticSpec,
                       default_synthetic_spec)
-from .errors import Conflict
+from .errors import Conflict, UsageError
 from .flow_meter import MeterConfig
 from .mlp import TrainConfig
 from .svm import Kernel, SmoConfig
-
-
-class UsageError(Exception):
-    """Bad flags, unknown config keys, or missing input paths (exit code 2)."""
 
 
 @dataclass

@@ -10,7 +10,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DataError, open_text
-from .flow_meter import FEATURE_COLUMNS, c_parse, parse_ipv4
+from .flow_meter import FEATURE_COLUMNS, Addresses, c_parse
 
 # The two classes of the study; a class id is its index here.
 CLASS_NAMES = ("NonTor", "Tor")
@@ -110,70 +110,85 @@ class _Labels(dict):
         return self.setdefault(text, label)
 
 
-def _ip_cell(text: str, quads: dict[str, int | None]) -> float:
-    """An IP-column cell: a number or a dotted quad, each distinct quad parsed
-    once and kept in `quads`. Other text raises TypeError, from float(None)."""
+class _IpCells(Addresses):
+    """An IP-column cell: a number, read by float() and not kept, or an
+    address, kept once parsed. Other text raises KeyError."""
+
+    def __missing__(self, text: str) -> float | int:
+        try:
+            return float(text)
+        except ValueError:
+            return super().__missing__(text)
+
+
+def _rows(path, handle):
+    """The csv rows of `handle` from its first line. A csv.Error, such as a
+    field longer than csv's field size limit, raises DataError naming the
+    file and the line."""
+    handle.seek(0)
+    reader = csv.reader(handle)
     try:
-        return float(text)
-    except ValueError:
-        if text not in quads:
-            quads[text] = parse_ipv4(text)
-        return float(quads[text])
+        yield from reader
+    except csv.Error as exc:
+        raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
 def _parse_cells(path, row_number: int, feature_names: tuple[str, ...],
                  cells: list[str], bad_value_policy: str,
-                 quads: dict[str, int | None]) -> list[float] | None:
+                 converters: dict) -> list[float] | None:
     """One row's feature cells checked one at a time; None drops the row.
 
-    Cells are stripped, IP columns also accept dotted quads, and every
-    rejected cell raises DataError naming its row and column.
+    Each cell is stripped and read by its column's converter of the C
+    passes, else by float(), and every rejected cell raises DataError
+    naming its row and column.
     """
     values = []
-    for col, (name, cell) in enumerate(zip(feature_names, cells), start=1):
+    for col, (name, cell) in enumerate(zip(feature_names, cells)):
         cell = cell.strip()
         try:
-            value = _ip_cell(cell, quads) if name in _IP_COLUMNS else float(cell)
-        except (TypeError, ValueError):
-            raise DataError(f"{path}: row {row_number} column {col} ({name}): "
+            value = converters.get(col, float)(cell)
+        except (KeyError, ValueError):
+            raise DataError(f"{path}: row {row_number} column {col + 1} ({name}): "
                             f"non-numeric cell {cell!r}") from None
         if not math.isfinite(value):
             if bad_value_policy == "drop":
                 return None
-            raise DataError(f"{path}: row {row_number} column {col} ({name}): "
+            raise DataError(f"{path}: row {row_number} column {col + 1} ({name}): "
                             f"non-finite value {cell!r}")
         values.append(value)
     return values
 
 
-def _read_rows(path, reader, feature_names: tuple[str, ...], bad_value_policy: str,
-               quads: dict[str, int | None]) -> tuple[np.ndarray, list[int], int]:
-    """The rows left in `reader`, each checked by _parse_cells: (the kept rows'
-    features, their labels, rows dropped). A bad row raises DataError naming it."""
+def _read_rows(path, rows, feature_names: tuple[str, ...], bad_value_policy: str,
+               converters: dict) -> tuple[np.ndarray, list[int], int]:
+    """The csv `rows` after the header, each checked by _parse_cells with the
+    C passes' `converters`, the label's included: (the kept rows' features,
+    their labels, rows dropped). A bad row raises DataError naming it."""
+    n = len(feature_names)
     labels: list[int] = []
     dropped = 0
 
     def kept_rows():
         nonlocal dropped
-        for row_number, cells in enumerate(reader, start=2):
+        for row_number, cells in enumerate(rows, start=2):
             if not cells:
                 continue
-            if len(cells) != len(feature_names) + 1:
-                raise DataError(f"{path}: expected {len(feature_names) + 1} "
+            if len(cells) != n + 1:
+                raise DataError(f"{path}: expected {n + 1} "
                                 f"columns at row {row_number}, got {len(cells)}")
             values = _parse_cells(path, row_number, feature_names, cells,
-                                  bad_value_policy, quads)
+                                  bad_value_policy, converters)
             if values is None:
                 dropped += 1
                 continue
-            raw_label = cells[-1].strip()
-            label_id = LABEL_TO_ID.get(raw_label.lower())
-            if label_id is None:
-                raise DataError(f"{path}: row {row_number}: unknown label {raw_label!r}")
-            labels.append(label_id)
+            try:
+                labels.append(converters[n](cells[-1]))
+            except KeyError:
+                raise DataError(f"{path}: row {row_number}: "
+                                f"unknown label {cells[-1].strip()!r}") from None
             yield values
 
-    X = np.fromiter(kept_rows(), np.dtype((np.float64, len(feature_names))))
+    X = np.fromiter(kept_rows(), np.dtype((np.float64, n)))
     return X, labels, dropped
 
 
@@ -199,16 +214,16 @@ def load_flow_csv(path, bad_value_policy: str = "error") -> Dataset:
     dataset contains Infinity rates).
 
     numpy's C reader parses the rows, then, if it rejects a cell that is not a
-    label, again with IP cells also read as dotted quads. A file it rejects, or
-    with a non-finite cell under "error", is read row by row, as csv and
-    float() read it.
+    label, again with IP cells also read as dotted quads, each looked up in
+    one memo of the file's addresses. A file it rejects, or with a non-finite
+    cell under "error", is read row by row, as csv and float() read it, with
+    the same label and address memos.
     """
     if bad_value_policy not in BAD_VALUE_POLICIES:
         raise ValueError(f"unknown bad_value_policy {bad_value_policy!r}")
     with open_text(path, newline="") as handle:
-        reader = csv.reader(handle)
         try:
-            header = _normalize_header(next(reader))
+            header = _normalize_header(next(_rows(path, handle)))
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
         last = header[-1] if header else ""  # a blank first line has no cells
@@ -224,22 +239,20 @@ def load_flow_csv(path, bad_value_policy: str = "error") -> Dataset:
             raise DataError(f"{path}: duplicate feature columns")
         n = len(feature_names)
         class_ids = _Labels({name: i for i, name in enumerate(CLASS_NAMES)})
-        converters = {n: class_ids.__getitem__}
-        table = c_parse(handle, np.float64, converters)
-        quads: dict[str, int | None] = {}  # the file's dotted quads, for _ip_cell
-        ip_cells = {i: lambda text: _ip_cell(text, quads)
-                    for i, name in enumerate(feature_names) if name in _IP_COLUMNS}
-        if table is None and ip_cells and class_ids.refused is None:  # a dotted quad, say
-            handle.seek(0)
-            next(reader)
-            table = c_parse(handle, np.float64, converters | ip_cells)
+        addresses = _IpCells()
+        converters = {n: class_ids.__getitem__} | {
+            i: addresses.__getitem__ for i, name in enumerate(feature_names)
+            if name in _IP_COLUMNS}
+        table = c_parse(handle, np.float64, {n: class_ids.__getitem__})
+        if table is None and len(converters) > 1 and class_ids.refused is None:
+            next(_rows(path, handle))  # past the header; a dotted quad, say
+            table = c_parse(handle, np.float64, converters)
         finite = (np.isfinite(table).all(axis=1)
                   if table is not None and table.shape[1] == n + 1 else None)
         if finite is None or (bad_value_policy == "error" and not finite.all()):
-            handle.seek(0)
-            next(reader)
-            X, labels, dropped = _read_rows(path, reader, feature_names,
-                                            bad_value_policy, quads)
+            next(rows := _rows(path, handle))
+            X, labels, dropped = _read_rows(path, rows, feature_names,
+                                            bad_value_policy, converters)
         else:
             labels = table[finite, n].astype(np.int64)
             dropped = len(table) - len(labels)

@@ -45,14 +45,6 @@ FEATURE_COLUMNS = (
 )
 
 
-class ParseError(DataError):
-    """A packet record field failed validation; message names field and line."""
-
-
-class OutOfOrderError(DataError):
-    """Packet file not sorted by timestamp; message names the line."""
-
-
 class PacketRecord(NamedTuple):
     """One timestamped packet observation. IPs are 32-bit unsigned ints."""
 
@@ -87,58 +79,65 @@ def parse_ipv4(text: str) -> int | None:
         return None
 
 
-def _integer(text: str, fieldname: str, line_number: int) -> int:
+class Addresses(dict):
+    """parse_ipv4 of each address text, keyed by the raw text and parsed on
+    its first lookup; a text that is not an address raises KeyError and is
+    not kept. As a converter, the bound __getitem__ finds a text already
+    seen in C. Each read of a file makes its own."""
+
+    def __missing__(self, text: str) -> int:
+        if (value := parse_ipv4(text)) is None:
+            raise KeyError(text)
+        self[text] = value
+        return value
+
+
+def _integer(text: str, fieldname: str) -> int:
     """int() of a stripped field."""
     try:
         return int(text.strip())
     except ValueError:
-        raise ParseError(f"line {line_number}: {fieldname}: "
-                         f"not an integer: {text.strip()!r}") from None
+        raise ValueError(f"{fieldname}: not an integer: {text.strip()!r}") from None
 
 
-def _address(text: str, fieldname: str, line_number: int,
-             ips: dict[str, int]) -> int:
-    """parse_ipv4 of a field, remembered in `ips` under the raw field text."""
-    value = ips.get(text)
-    if value is None:
-        value = parse_ipv4(text)
-        if value is None:
-            raise ParseError(f"line {line_number}: {fieldname}: "
-                             f"malformed IPv4 address {text.strip()!r}")
-        ips[text] = value
-    return value
+def _address(text: str, fieldname: str, ips: Addresses) -> int:
+    """The address a field holds, looked up in the file's memo."""
+    try:
+        return ips[text]
+    except KeyError:
+        raise ValueError(f"{fieldname}: malformed IPv4 address {text.strip()!r}") from None
 
 
-def _below(text: str, limit: int, fieldname: str, line_number: int) -> int:
+def _below(text: str, limit: int, fieldname: str) -> int:
     """_integer of a field that must lie in [0, limit), a power of two."""
-    value = _integer(text, fieldname, line_number)
+    value = _integer(text, fieldname)
     if value < 0:
-        raise ParseError(f"line {line_number}: {fieldname}: negative value {value}")
+        raise ValueError(f"{fieldname}: negative value {value}")
     if value >= limit:
-        raise ParseError(f"line {line_number}: {fieldname}: too large: {value} "
+        raise ValueError(f"{fieldname}: too large: {value} "
                          f"(must be below 2**{limit.bit_length() - 1})")
     return value
 
 
-def _record(fields: list[str], line_number: int,
-            ips: dict[str, int]) -> PacketRecord:
+def _record(fields: list[str], ips: Addresses) -> PacketRecord:
     """Validate the split fields of one record, in field order; each port's
-    range is checked once both ports have parsed."""
+    range is checked once both ports have parsed. A bad field raises
+    ValueError("FIELD: REASON")."""
     if len(fields) != 7:
-        raise ParseError(f"line {line_number}: expected 7 fields, got {len(fields)}")
+        raise ValueError(f"expected 7 fields, got {len(fields)}")
     ts_text, src_text, sport_text, dst_text, dport_text, proto_text, size_text = fields
-    ts = _below(ts_text, TIMESTAMP_LIMIT, "timestamp_us", line_number)
-    src_ip = _address(src_text, "src_ip", line_number, ips)
-    src_port = _integer(sport_text, "src_port", line_number)
-    dst_ip = _address(dst_text, "dst_ip", line_number, ips)
-    dst_port = _integer(dport_text, "dst_port", line_number)
+    ts = _below(ts_text, TIMESTAMP_LIMIT, "timestamp_us")
+    src_ip = _address(src_text, "src_ip", ips)
+    src_port = _integer(sport_text, "src_port")
+    dst_ip = _address(dst_text, "dst_ip", ips)
+    dst_port = _integer(dport_text, "dst_port")
     for fieldname, port in (("src_port", src_port), ("dst_port", dst_port)):
         if not 0 <= port <= 65535:
-            raise ParseError(f"line {line_number}: {fieldname}: port out of range: {port}")
-    protocol = _integer(proto_text, "protocol", line_number)
+            raise ValueError(f"{fieldname}: port out of range: {port}")
+    protocol = _integer(proto_text, "protocol")
     if protocol not in SUPPORTED_PROTOCOLS:
-        raise ParseError(f"line {line_number}: protocol: unsupported protocol {protocol}")
-    payload = _below(size_text, BYTES_LIMIT, "bytes", line_number)
+        raise ValueError(f"protocol: unsupported protocol {protocol}")
+    payload = _below(size_text, BYTES_LIMIT, "bytes")
     return PacketRecord(ts, src_ip, src_port, dst_ip, dst_port, protocol, payload)
 
 
@@ -154,21 +153,21 @@ def _is_header(line: str) -> bool:
 
 
 def _read_records(path) -> list[PacketRecord]:
-    """Parse a packet file line by line, raising the error of the first bad
-    line. Address texts are parsed once per file: a record's IPs are looked
-    up in a dict of the distinct address strings seen so far."""
+    """Parse a packet file line by line. The first bad line raises DataError
+    naming the file and the line."""
     records = []
-    ips: dict[str, int] = {}
+    ips = Addresses()
     prev_ts = 0
     with open_text(path) as handle:
         for line_number, line in enumerate(handle, start=1):
             if line.isspace() or (line_number == 1 and _is_header(line)):
                 continue
-            record = _record(line.split(","), line_number, ips)
-            if record[0] < prev_ts:
-                raise OutOfOrderError(
-                    f"line {line_number}: out-of-order timestamp: "
-                    f"{record[0]} < {prev_ts}")
+            try:
+                record = _record(line.split(","), ips)
+                if record[0] < prev_ts:
+                    raise ValueError(f"out-of-order timestamp: {record[0]} < {prev_ts}")
+            except ValueError as exc:
+                raise DataError(f"{path}: line {line_number}: {exc}") from None
             prev_ts = record[0]
             records.append(record)
     return records
@@ -188,14 +187,6 @@ def c_parse(handle, dtype, converters) -> np.ndarray | None:
             return None
 
 
-class _Addresses(dict):
-    """parse_ipv4 of each address text, parsed on its first lookup: as a
-    converter, the bound __getitem__ finds a text already seen in C."""
-
-    def __missing__(self, text: str) -> int:
-        return _address(text, "ip", 0, self)
-
-
 def _load_columns(path) -> np.ndarray | None:
     """The records of a packet file parsed by c_parse, or None when c_parse
     rejects the text or a record fails a check _record makes.
@@ -203,7 +194,7 @@ def _load_columns(path) -> np.ndarray | None:
     numpy accepts a subset of what _read_records accepts: it rejects, for
     example, blank lines that hold spaces, `1_000` and non-ASCII digits.
     """
-    ip = _Addresses().__getitem__  # numpy turns a ParseError into a ValueError
+    ip = Addresses().__getitem__  # numpy turns its KeyError into a ValueError
     with open_text(path) as handle:
         try:
             if not _is_header(handle.readline()):
@@ -225,8 +216,8 @@ def read_packet_file(path) -> np.ndarray:
     """Read a packet-record text file into an (n, 7) int64 array whose
     columns are the PacketRecord fields; a non-numeric first field marks a
     header. A file numpy's reader rejects is read again line by line, which
-    accepts what int() accepts and raises ParseError or OutOfOrderError
-    naming the first bad line."""
+    accepts what int() accepts and raises DataError naming the file and its
+    first bad line."""
     packets = _load_columns(path)
     if packets is None:
         packets = np.array(_read_records(path), dtype=np.int64).reshape(-1, 7)

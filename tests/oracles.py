@@ -593,45 +593,50 @@ def parse_packet_record(row: str, line_number: int = 0):
     checks, flowsieve.flow_meter._record.
 
     Expected fields: timestamp_us, src_ip, src_port, dst_ip, dst_port,
-    protocol, bytes. Raises ParseError naming the offending field and line.
+    protocol, bytes. Raises DataError naming the offending line and field,
+    as read_packet_file does but for the file name.
     """
-    from flowsieve.flow_meter import _record
+    from flowsieve.errors import DataError
+    from flowsieve.flow_meter import Addresses, _record
 
-    return _record(row.split(","), line_number, {})
+    try:
+        return _record(row.split(","), Addresses())
+    except ValueError as exc:
+        raise DataError(f"line {line_number}: {exc}") from None
 
 
 def oracle_packet_record(row: str, line_number: int = 0) -> tuple:
     """Parse one packet record with the standard library's IPv4 parser.
 
     Mirrors the documented field checks, in field order, with the same
-    ParseError messages as parse_packet_record.
+    DataError messages as parse_packet_record.
     """
     import ipaddress
 
-    from flowsieve.flow_meter import ParseError
+    from flowsieve.errors import DataError
 
     def as_int(text, name):
         try:
             return int(text)
         except ValueError:
-            raise ParseError(
+            raise DataError(
                 f"line {line_number}: {name}: not an integer: {text!r}") from None
 
     def as_ip(text, name):
         try:
             return int(ipaddress.IPv4Address(text))
         except (ipaddress.AddressValueError, ValueError):
-            raise ParseError(f"line {line_number}: {name}: "
+            raise DataError(f"line {line_number}: {name}: "
                              f"malformed IPv4 address {text!r}") from None
 
     fields = [f.strip() for f in row.strip().split(",")]
     if len(fields) != 7:
-        raise ParseError(f"line {line_number}: expected 7 fields, got {len(fields)}")
+        raise DataError(f"line {line_number}: expected 7 fields, got {len(fields)}")
     ts = as_int(fields[0], "timestamp_us")
     if ts < 0:
-        raise ParseError(f"line {line_number}: timestamp_us: negative value {ts}")
+        raise DataError(f"line {line_number}: timestamp_us: negative value {ts}")
     if ts >= 2 ** 53:
-        raise ParseError(f"line {line_number}: timestamp_us: too large: {ts} "
+        raise DataError(f"line {line_number}: timestamp_us: too large: {ts} "
                          "(must be below 2**53)")
     src_ip = as_ip(fields[1], "src_ip")
     src_port = as_int(fields[2], "src_port")
@@ -639,15 +644,15 @@ def oracle_packet_record(row: str, line_number: int = 0) -> tuple:
     dst_port = as_int(fields[4], "dst_port")
     for name, port in (("src_port", src_port), ("dst_port", dst_port)):
         if not 0 <= port <= 65535:
-            raise ParseError(f"line {line_number}: {name}: port out of range: {port}")
+            raise DataError(f"line {line_number}: {name}: port out of range: {port}")
     protocol = as_int(fields[5], "protocol")
     if protocol not in (6, 17):
-        raise ParseError(f"line {line_number}: protocol: unsupported protocol {protocol}")
+        raise DataError(f"line {line_number}: protocol: unsupported protocol {protocol}")
     payload = as_int(fields[6], "bytes")
     if payload < 0:
-        raise ParseError(f"line {line_number}: bytes: negative value {payload}")
+        raise DataError(f"line {line_number}: bytes: negative value {payload}")
     if payload >= 2 ** 32:
-        raise ParseError(f"line {line_number}: bytes: too large: {payload} "
+        raise DataError(f"line {line_number}: bytes: too large: {payload} "
                          "(must be below 2**32)")
     return (ts, src_ip, src_port, dst_ip, dst_port, protocol, payload)
 
@@ -657,6 +662,8 @@ def oracle_load_flow_csv(path, bad_value_policy: str = "error"):
 
     The per-cell reader flowsieve.dataset.load_flow_csv replaced; it takes
     the same cells, gives the same values and raises the same DataError texts.
+    A field past csv's size limit is an error here wherever it is; the
+    loader's C passes read it when it holds a finite number.
     """
     import csv
     import math
@@ -667,8 +674,14 @@ def oracle_load_flow_csv(path, bad_value_policy: str = "error"):
 
     if bad_value_policy not in ("error", "drop"):
         raise ValueError(f"unknown bad_value_policy {bad_value_policy!r}")
+    def csv_rows(reader):
+        try:
+            yield from reader
+        except csv.Error as exc:
+            raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
+
     with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
+        reader = csv_rows(csv.reader(handle))
         try:
             header = [UNB_CIC_ALIASES.get(c.strip(), c.strip())
                       for c in next(reader)]

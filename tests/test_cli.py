@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -19,10 +20,11 @@ from flowsieve.cli import main
 from flowsieve.dataset import (CLASS_NAMES, UNB_CIC_ALIASES, Dataset,
                                SyntheticSpec, generate_synthetic, load_flow_csv,
                                write_csv)
-from flowsieve.errors import TrainingDiverged
+from flowsieve.errors import DataError, TrainingDiverged
 from flowsieve.flow_meter import FEATURE_COLUMNS, MeterConfig
 from conftest import assert_close
-from oracles import format_cell, oracle_features, oracle_flows, random_trace
+from oracles import (format_cell, oracle_features, oracle_flows, oracle_load_flow_csv,
+                     random_trace)
 
 TEN_PACKETS = """\
 0,10.0.0.1,443,10.0.0.2,5555,6,100
@@ -1136,6 +1138,63 @@ class TestNonUtf8Input:
         assert main(["select", str(path), "--out-dir", str(tmp_path / "out")]) == 3
         assert capsys.readouterr().err == (
             f"data error: {path}: line 100: not UTF-8 text\n")
+
+
+class TestLongField:
+    """A field longer than csv's limit of 131,072 characters, in the header
+    or in a cell the row reader reads, is a data error naming the file and
+    the line, as the reference loader gives it, and the manifest records it."""
+
+    @pytest.mark.parametrize("where, line", [("header", 1), ("cell", 2)])
+    def test_select(self, tmp_path, capsys, where, line):
+        long = "9" * 200_000
+        path = tmp_path / "flows.csv"
+        path.write_text({"header": f"src_ip,dst_ip,{long},label\n1,2,3,Tor\n",
+                         "cell": f"src_ip,dst_ip,idle_min,label\n1,{long},3,Tor\n"}[where])
+        out_dir = tmp_path / "out"
+        assert main(["select", str(path), "--out-dir", str(out_dir)]) == 3
+        err = capsys.readouterr().err
+        assert err == (f"data error: {path}: line {line}: "
+                       "field larger than field limit (131072)\n")
+        with pytest.raises(DataError) as reference:
+            oracle_load_flow_csv(path)
+        assert err == f"data error: {reference.value}\n"
+        manifest = checked_manifest(out_dir)
+        assert (manifest["exit_code"], manifest["error"] + "\n") == (3, err)
+
+
+class TestUnreadableInput:
+    """An input whose open raises an OSError is a usage error naming it, like
+    an out dir that cannot be written, and the manifest records the exit
+    and no digest for that input."""
+
+    @pytest.mark.parametrize("command", ["meter", "select", "eval"])
+    def test_permission_denied(self, tmp_path, capsys, monkeypatch, command):
+        flows = synth_csv(tmp_path)
+        packets = tmp_path / "packets.txt"
+        packets.write_text(TEN_PACKETS)
+        model = tmp_path / "model.txt"
+        model.write_text("")
+        argv, denied = {"meter": ([command, str(packets), "--label", "Tor"], packets),
+                        "select": ([command, str(flows)], flows),
+                        "eval": ([command, str(flows), "--model", str(model)], model)}[command]
+        real_open = open
+
+        def refusing_open(file, *args, **kwargs):
+            if str(file) == str(denied):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", refusing_open)
+        out_dir = tmp_path / "out"
+        assert main([*argv, "--out-dir", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot read {denied}: Permission denied\n"
+        monkeypatch.undo()
+        manifest = checked_manifest(out_dir)
+        assert (manifest["exit_code"], manifest["error"] + "\n") == (2, err)
+        assert manifest["inputs"][str(denied)] is None
+        assert manifest["artifacts"] == {}
 
 
 class TestManifestContract:

@@ -72,20 +72,30 @@ def hostile(draw, data: bytes, relabel: bool) -> bytes:
     return data
 
 
+# One character more than csv's default field size limit.
+LONG_FIELD = b"9" * 131_073
+
+
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_hostile_input_exits_cleanly(seeds, tmp_path, capsys, data):
+    """A hostile input, sometimes with a field past csv's size limit put in
+    at any byte, exits with a documented code."""
     command = data.draw(st.sampled_from(["meter", "select", "train", "eval"]))
     if command == "meter":
         path = tmp_path / "packets.txt"
-        path.write_bytes(data.draw(hostile(seeds["packets"], relabel=False)))
+        text = data.draw(hostile(seeds["packets"], relabel=False))
         extra = data.draw(st.sampled_from(
             [[], *(["--label", label] for label in LABELS)]))
     else:
         path = tmp_path / "flows.csv"
-        path.write_bytes(data.draw(hostile(seeds["flows"], relabel=True)))
+        text = data.draw(hostile(seeds["flows"], relabel=True))
         extra = ["--model", str(seeds["model"])] if command == "eval" else []
+    if data.draw(st.integers(0, 4)) == 0:
+        at = data.draw(st.integers(0, len(text)))
+        text = text[:at] + LONG_FIELD + text[at:]
+    path.write_bytes(text)
     capsys.readouterr()
     rc = main([command, str(path), *extra, "--config", str(seeds["config"]),
                "--out-dir", str(tmp_path / "out")])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowsieve import dataset
+from flowsieve import dataset, flow_meter
 from flowsieve.dataset import (CLASS_NAMES, MAX_CELLS, Dataset, Scaler,
                                SplitSpec, SyntheticSpec, apply_scaler,
                                default_synthetic_spec,
@@ -88,7 +88,7 @@ class TestLoad:
             parsed.append(text)
             return parse_ipv4(text)
 
-        monkeypatch.setattr(dataset, "parse_ipv4", counting)
+        monkeypatch.setattr(flow_meter, "parse_ipv4", counting)
         rows = [f"10.0.0.{i % 3},1,10.0.0.9,2," + ",".join(["1.0"] * 24) + ",Tor"
                 for i in range(9)]
         rows[-1] = rows[-1].replace("1.0,Tor", f"{last_cell},Tor")
@@ -138,6 +138,43 @@ class TestLoad:
         np.testing.assert_array_equal(
             loaded.X, np.loadtxt(path, delimiter=",", skiprows=1, usecols=range(28)))
         assert peak < 2 * nbytes + 2 * 2 ** 20, (peak, nbytes)
+
+    @pytest.mark.parametrize("policy, tables", [("drop", 1), ("error", 2)])
+    def test_address_memo_keeps_no_number_cell(self, tmp_path, policy, tables):
+        """IP cells that are distinct numbers, but for a dotted quad in the last
+        row, all go through the address memo: in the IP pass, and under
+        "error", where an inf in that row also sends the file to the row
+        reader, once more there. The memo keeps only the quad, so the peak
+        stays below the float64 tables the load holds (the IP pass's, and the
+        row reader's) plus 4 MiB. A memo that also kept the 40,000 number
+        texts would pass that bound by about 2 MB on each path."""
+        rng = np.random.default_rng(5)
+        n = 20_000
+        X = rng.normal(size=(n, 28))
+        X[:, [0, 2]] = rng.choice(2 ** 32, size=(n, 2), replace=False)
+        path = tmp_path / "numbers.csv"
+        write_csv(Dataset(FEATURE_COLUMNS, X, rng.integers(0, 2, n)), path)
+        *lines, last = path.read_text().splitlines()
+        cells = last.split(",")
+        cells[0] = "10.0.0.1"
+        if policy == "error":
+            cells[5] = "inf"
+        path.write_text("\n".join([*lines, ",".join(cells)]) + "\n")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            try:
+                loaded = load_flow_csv(path, policy)
+            except DataError as exc:
+                loaded = str(exc)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        if policy == "drop":
+            assert (loaded.X[-1, 0], loaded.X[0, 0]) == (167772161, X[0, 0])
+        else:
+            assert loaded == f"{path}: row {n + 1} column 6 (flow_duration): non-finite value 'inf'"
+        assert peak < tables * X.nbytes + 4 * 2 ** 20, (peak, X.nbytes)
 
     def test_drop_across_blocks_matches_reference(self, tmp_path):
         rng = np.random.default_rng(6)
@@ -283,16 +320,19 @@ class TestCsvCodecMatchesReference:
 
     @staticmethod
     def counted_calls(monkeypatch) -> dict[str, list]:
-        """The results of every c_parse call and the texts given to parse_ipv4
-        and _ip_cell while the test runs, by function name."""
-        calls: dict[str, list] = {"c_parse": [], "parse_ipv4": [], "_ip_cell": []}
+        """The results of every c_parse call, and the texts given to parse_ipv4
+        and to the IP-cell memo's __missing__ (each lookup of a text it has
+        not kept), while the test runs, by function name."""
+        calls: dict[str, list] = {"c_parse": [], "parse_ipv4": [], "__missing__": []}
+        owners = {"c_parse": dataset, "parse_ipv4": flow_meter,
+                  "__missing__": dataset._IpCells}
         for name, seen in calls.items():
-            def counting(*args, _call=getattr(dataset, name), _seen=seen,
+            def counting(*args, _call=getattr(owners[name], name), _seen=seen,
                          _result=name == "c_parse"):
                 result = _call(*args)
-                _seen.append(result if _result else args[0])
+                _seen.append(result if _result else args[-1])
                 return result
-            monkeypatch.setattr(dataset, name, counting)
+            monkeypatch.setattr(owners[name], name, counting)
         return calls
 
     def test_numeric_ip_columns_parse_in_c(self, tmp_path, monkeypatch):
@@ -304,7 +344,7 @@ class TestCsvCodecMatchesReference:
         calls = self.counted_calls(monkeypatch)
         ds = load_flow_csv(path)
         assert [table is not None for table in calls["c_parse"]] == [True]
-        assert calls["parse_ipv4"] == calls["_ip_cell"] == []
+        assert calls["parse_ipv4"] == calls["__missing__"] == []
         assert ds.y.tolist() == [1, 0, 1, 0]
         assert _load_outcome(load_flow_csv, path, "error") == _load_outcome(
             oracle_load_flow_csv, path, "error")

@@ -1,4 +1,5 @@
 import ipaddress
+import re
 import struct
 import warnings
 
@@ -12,7 +13,7 @@ from flowsieve.cli import _Run, run_meter
 from flowsieve.config import PipelineConfig
 from flowsieve.errors import DataError
 from flowsieve.flow_meter import (FEATURE_COLUMNS, MeterConfig, PacketRecord,
-                                  ParseError, _load_columns, _read_records,
+                                  _load_columns, _read_records,
                                   assemble_flows, compute_features,
                                   meter_packets, parse_ipv4, read_packet_file)
 from conftest import assert_close
@@ -65,15 +66,15 @@ class TestParse:
         assert rec.dst_port == 5555
 
     def test_port_out_of_range(self):
-        with pytest.raises(ParseError, match="port out of range"):
+        with pytest.raises(DataError, match="port out of range"):
             parse_packet_record("1000,10.0.0.1,70000,10.0.0.2,80,6,60", 3)
 
     def test_unsupported_protocol(self):
-        with pytest.raises(ParseError, match="unsupported protocol 1"):
+        with pytest.raises(DataError, match="unsupported protocol 1"):
             parse_packet_record("1000,10.0.0.1,443,10.0.0.2,80,1,60")
 
     def test_malformed_ip_names_field_and_line(self):
-        with pytest.raises(ParseError, match="line 7.*dst_ip"):
+        with pytest.raises(DataError, match="line 7.*dst_ip"):
             parse_packet_record("1000,10.0.0.1,443,999.1.2.3,80,6,60", 7)
 
     def test_header_detection(self, tmp_path):
@@ -138,7 +139,7 @@ def with_field(index: int, text: str) -> str:
 
 
 class TestParseMessages:
-    """Full ParseError texts, pinned: the meter's error output is stable."""
+    """Full DataError texts, pinned: the meter's error output is stable."""
 
     @pytest.mark.parametrize("row, message", [
         (with_field(0, "1e3"), "line 5: timestamp_us: not an integer: '1e3'"),
@@ -172,7 +173,7 @@ class TestParseMessages:
          "line 5: timestamp_us: negative value -5"),
     ])
     def test_message(self, row, message):
-        with pytest.raises(ParseError) as info:
+        with pytest.raises(DataError) as info:
             parse_packet_record(row, 5)
         assert str(info.value) == message
 
@@ -183,8 +184,8 @@ class TestParseMessages:
     def test_matches_reference_parser(self, row):
         try:
             want = oracle_packet_record(row, 3)
-        except ParseError as exc:
-            with pytest.raises(ParseError) as info:
+        except DataError as exc:
+            with pytest.raises(DataError) as info:
                 parse_packet_record(row, 3)
             assert str(info.value) == str(exc)
         else:
@@ -214,7 +215,8 @@ class TestReadPacketFile:
                         "\n"
                         "2000,10.0.0.1,443,10.0.0.2,80,6,60\n"
                         "3000,10.0.0.1,443,10.0.0.2,80,6,-1\n")
-        with pytest.raises(ParseError, match="^line 5: bytes: negative value -1$"):
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: line 5: bytes: "
+                                            "negative value -1$"):
             read_packet_file(path)
 
     def test_repeated_address_error_names_each_line(self, tmp_path):
@@ -223,8 +225,8 @@ class TestReadPacketFile:
         path.write_text("1000,10.0.0.1,443,10.0.0.2,80,6,60\n"
                         "2000,10.0.0.1,443,10.0.0.2,80,6,60\n"
                         "3000,10.0.0.1,443,10.0.0.02,80,6,60\n")
-        with pytest.raises(ParseError, match="^line 3: dst_ip: malformed IPv4 "
-                                             "address '10.0.0.02'$"):
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: line 3: dst_ip: "
+                                            "malformed IPv4 address '10.0.0.02'$"):
             read_packet_file(path)
 
     def test_separator_controls_are_whitespace(self):
@@ -663,8 +665,8 @@ class TestReaderPaths:
         path = tmp_path / "packets.txt"
         path.write_text("\n".join(lines) + "\n")
         assert _load_columns(path) is None
-        with pytest.raises(ParseError, match=f"^line {k}: dst_ip: malformed IPv4 "
-                                             "address '10.0.0.09'$"):
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: line {k}: dst_ip: "
+                                            "malformed IPv4 address '10.0.0.09'$"):
             read_packet_file(path)
 
     def test_plain_flow_csv_takes_the_fast_path(self, tmp_path, monkeypatch):

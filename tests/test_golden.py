@@ -21,7 +21,8 @@ import pytest
 
 from flowsieve.cli import main
 from flowsieve.dataset import CLASS_NAMES, Dataset
-from flowsieve.flow_meter import FEATURE_COLUMNS, meter_packets, read_packet_file
+from flowsieve.flow_meter import (FEATURE_COLUMNS, _load_columns, meter_packets,
+                                  read_packet_file)
 from conftest import REPO_ROOT
 from oracles import oracle_write_csv
 from test_cli import unb_cic_csv
@@ -79,6 +80,24 @@ SYNTH_SCALED_SHA256 = "adb7fad09c22ad59e16c7d9b8d2d4944a096631239f9ee7f9f08711aa
 def test_meter_rows_match_golden_digest(tmp_path):
     trace = tmp_path / "trace.txt"
     trace.write_text(_trace_text(), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    assert main(["meter", str(trace), "--label", "Tor",
+                 "--out-dir", str(out_dir)]) == 0
+    assert _sha256(out_dir / "flows.csv") == METER_SHA256
+
+
+def test_meter_line_reader_rows_match_golden_digest(tmp_path):
+    """The trace with a line of spaces put in and one timestamp written with
+    `_` separators, which numpy's reader rejects and the per-line reader
+    reads as the same value, meters to the same bytes."""
+    lines = _trace_text().splitlines(keepends=True)
+    lines.insert(5, "   \n")
+    timestamp, rest = lines[10].split(",", 1)
+    lines[10] = f"{int(timestamp):_},{rest}"
+    assert "_" in lines[10]
+    trace = tmp_path / "trace.txt"
+    trace.write_text("".join(lines), encoding="utf-8")
+    assert _load_columns(trace) is None
     out_dir = tmp_path / "out"
     assert main(["meter", str(trace), "--label", "Tor",
                  "--out-dir", str(out_dir)]) == 0
