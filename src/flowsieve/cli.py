@@ -79,7 +79,6 @@ def _config(args) -> tuple[PipelineConfig, Path]:
     out_dir = Path(args.out_dir)
     with _writing(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
-    cfg.out_dir = str(out_dir)
     return cfg, out_dir
 
 
@@ -354,9 +353,8 @@ def run_eval(run: _Run, flows_path, models: list[tuple[str, Path]],
             projected = ds.select_features(doc.meta["features"])
         except DataError as exc:
             raise DataError(f"{model_path}: evaluation data is {exc}") from None
-        scaler = doc.meta["scaler"]
         with np.errstate(over="ignore", invalid="ignore"):  # cells near the float limit
-            X = projected.X if scaler is None else scaler.transform(projected.X)
+            X = doc.meta["scaler"].transform(projected.X)
             columns[name] = metrics.build_report(module.predict_batch(model, X), projected.y)
     table = metrics.render_table(columns, include_reference)
     run.write_text("report.txt", table)

@@ -35,7 +35,6 @@ class PipelineConfig:
     smo: SmoConfig = field(default_factory=SmoConfig)
     synth_spec: SyntheticSpec = field(default_factory=default_synthetic_spec)
     seed: int = 0
-    out_dir: str = "out"
 
     def __post_init__(self):
         for name, allowed in (("classifier", ("ann", "svm", "both")),

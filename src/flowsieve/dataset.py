@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -122,15 +123,22 @@ class _IpCells(Addresses):
 
 
 def _rows(path, handle):
-    """The csv rows of `handle` from its first line. A csv.Error, such as a
-    field longer than csv's field size limit, raises DataError naming the
-    file and the line."""
+    """The csv rows of `handle` from its first line. The header is read under
+    csv's field size limit and each data row under none, as numpy's C pass
+    reads it: the limit is lifted only while the reader reads a data row. A
+    csv.Error raises DataError naming the file and the line."""
     handle.seek(0)
     reader = csv.reader(handle)
+    limit = csv.field_size_limit()
     try:
-        yield from reader
+        for row in reader:
+            csv.field_size_limit(limit)
+            yield row
+            csv.field_size_limit(sys.maxsize)
     except csv.Error as exc:
         raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
+    finally:
+        csv.field_size_limit(limit)
 
 
 def _parse_cells(path, row_number: int, feature_names: tuple[str, ...],
@@ -390,7 +398,7 @@ class SyntheticSpec:
 
     class_means: tuple[tuple[float, ...], ...]
     rows_per_class: tuple[int, ...]
-    covariance_scale: float | None = None  # covariance scale * I; None = I
+    covariance_scale: float = 1.0  # covariance scale * I
     duplicates: tuple[tuple[int, float], ...] = ()  # (source index, noise eps)
     n_noise: int = 0
     noise_scale: float = 1.0
@@ -418,8 +426,7 @@ class SyntheticSpec:
         if not np.isfinite([*np.ravel(self.class_means), self.noise_scale,
                             *(eps for _, eps in self.duplicates)]).all():
             raise ValueError("class means and noise scales must be finite")
-        if (self.covariance_scale is not None
-                and not 0 <= self.covariance_scale < math.inf):
+        if not 0 <= self.covariance_scale < math.inf:
             raise ValueError("covariance_scale must be finite and at least 0")
         for src, _ in self.duplicates:
             if not 0 <= src < self.n_informative:
@@ -435,14 +442,14 @@ MAX_CELLS = 10**8
 def default_synthetic_spec(rows_per_class: int = 500,
                            class0_mean: tuple[float, ...] = (0.0, 0.0, 0.0, 0.0),
                            class1_mean: tuple[float, ...] = (4.0, 4.0, 4.0, 4.0),
-                           covariance_scale: float | None = None,
+                           covariance_scale: float = 1.0,
                            duplicates: int = 2, duplicate_noise: float = 0.05,
                            noise_features: int = 22,
                            noise_scale: float = 1.0) -> SyntheticSpec:
     """The two-class spec the [synth] config keys describe: covariance
-    covariance_scale * I (None: the identity), duplicates copying informative
-    columns round-robin. The defaults give 28 columns named as in the
-    flow-CSV layout: 4 informative, 2 duplicates and 22 noise."""
+    covariance_scale * I, duplicates copying informative columns round-robin.
+    The defaults give 28 columns named as in the flow-CSV layout: 4
+    informative, 2 duplicates and 22 noise."""
     m = len(class0_mean)
     n_features = m + duplicates + noise_features
     if m < 1 or duplicates < 0 or n_features > 10_000:  # keeps the spec buildable
@@ -466,7 +473,7 @@ def generate_synthetic(spec: SyntheticSpec,
                        seed: int = 0) -> tuple[Dataset, dict[str, object]]:
     """Sample a labeled dataset; returns (dataset, ground-truth feature roles)."""
     rng = np.random.default_rng(seed)
-    std = 1.0 if spec.covariance_scale is None else math.sqrt(spec.covariance_scale)
+    std = math.sqrt(spec.covariance_scale)
     m = spec.n_informative
     blocks = []
     labels = []

@@ -14,6 +14,12 @@ from typing import Callable
 
 import numpy as np
 
+MU_INIT = 1e-3
+MU_UP = 10.0
+MU_DOWN = 0.1
+MU_MAX = 1e10
+GRADIENT_TOL = 1e-7
+
 
 @dataclass
 class LmResult:
@@ -27,12 +33,7 @@ def minimize_least_squares(
     normal_fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     theta0: np.ndarray,
     *,
-    mu_init: float = 1e-3,
-    mu_up: float = 10.0,
-    mu_down: float = 0.1,
-    mu_max: float = 1e10,
     max_iterations: int = 100,
-    gradient_tol: float = 1e-7,
     callback: Callable[[np.ndarray, float], bool] | None = None,
 ) -> LmResult:
     """Run damped Gauss-Newton from theta0.
@@ -42,17 +43,17 @@ def minimize_least_squares(
     only if it strictly decreases the cost; the optional callback sees
     (theta, cost) after each accepted step and may stop the run by
     returning False. Stop reasons: "gradient", "mu_max", "max_iterations",
-    "callback". The mu defaults are the trainlm schedule of Hagan and Menhaj (1994).
+    "callback". The MU_* constants are the trainlm schedule of Hagan and Menhaj (1994).
     """
     theta = np.array(theta0, dtype=np.float64, copy=True)
     r = residual_fn(theta)
     cost = 0.5 * float(r @ r)
     result = LmResult(theta=theta)
-    mu = float(mu_init)
+    mu = MU_INIT
 
     for iteration in range(max_iterations):
         hessian_approx, gradient = normal_fn(theta)
-        if np.linalg.norm(gradient) < gradient_tol:
+        if np.linalg.norm(gradient) < GRADIENT_TOL:
             result.reason = "gradient"
             break
         diagonal = hessian_approx.diagonal().copy()  # damped in place for each trial
@@ -68,11 +69,11 @@ def minimize_least_squares(
             cost_new = 0.5 * float(r_new @ r_new)
             if cost_new < cost:
                 theta, cost = candidate, cost_new
-                mu = max(mu * mu_down, 1e-300)
+                mu = max(mu * MU_DOWN, 1e-300)
                 accepted = True
             else:
-                mu *= mu_up
-                if mu > mu_max:
+                mu *= MU_UP
+                if mu > MU_MAX:
                     result.reason = "mu_max"
                     break
         if not accepted:

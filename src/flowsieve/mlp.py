@@ -20,12 +20,11 @@ from .errors import TrainingDiverged
 from .lm import minimize_least_squares
 
 
-def _blocks(n_inputs: int, n_hidden: int,
-            n_outputs: int) -> dict[str, tuple[slice, int, int]]:
+def _blocks(n_inputs: int, n_hidden: int) -> dict[str, tuple[slice, int, int]]:
     """The one layout of the flat parameter vector theta: each block's slice
     and (rows, cols) shape, a bias being one row. Training, the gradient,
     the Jacobian and the model file all follow it."""
-    blocks, start = {}, 0
+    blocks, start, n_outputs = {}, 0, len(CLASS_NAMES)
     for name, rows, cols in (("w1", n_hidden, n_inputs), ("b1", 1, n_hidden),
                              ("w2", n_outputs, n_hidden), ("b2", 1, n_outputs)):
         blocks[name] = (slice(start, start + rows * cols), rows, cols)
@@ -33,10 +32,9 @@ def _blocks(n_inputs: int, n_hidden: int,
     return blocks
 
 
-def _split(theta: np.ndarray, n_inputs: int, n_hidden: int,
-           n_outputs: int) -> tuple[np.ndarray, ...]:
+def _split(theta: np.ndarray, n_inputs: int, n_hidden: int) -> tuple[np.ndarray, ...]:
     """w1 (h, n), b1 (h,), w2 (o, h) and b2 (o,) as views into theta."""
-    blocks = _blocks(n_inputs, n_hidden, n_outputs)
+    blocks = _blocks(n_inputs, n_hidden)
     if theta.shape != (blocks["b2"][0].stop,):
         raise ValueError("parameter vector length mismatch")
     w1, b1, w2, b2 = (theta[block].reshape(rows, cols)
@@ -49,16 +47,14 @@ class MlpModel:
     given), laid out by _blocks for the given layer sizes; w1, b1, w2 and b2
     are views into it, so an in-place update of theta updates them."""
 
-    def __init__(self, theta, n_inputs: int, n_hidden: int,
-                 n_outputs: int = len(CLASS_NAMES)):
+    def __init__(self, theta, n_inputs: int, n_hidden: int):
         self.theta = np.array(theta, dtype=np.float64)
         self.n_parameters = self.theta.size
-        self.n_inputs, self.n_hidden, self.n_outputs = n_inputs, n_hidden, n_outputs
-        self.w1, self.b1, self.w2, self.b2 = _split(
-            self.theta, n_inputs, n_hidden, n_outputs)
+        self.n_inputs, self.n_hidden, self.n_outputs = n_inputs, n_hidden, len(CLASS_NAMES)
+        self.w1, self.b1, self.w2, self.b2 = _split(self.theta, n_inputs, n_hidden)
 
     def copy(self) -> "MlpModel":
-        return MlpModel(self.theta, self.n_inputs, self.n_hidden, self.n_outputs)
+        return MlpModel(self.theta, self.n_inputs, self.n_hidden)
 
 
 @dataclass
@@ -101,21 +97,21 @@ class _Workspace:
         self.hidden, self.delta_hidden = (np.empty((rows, model.n_hidden)) for _ in range(2))
         self.z, self.y = (np.empty((rows, model.n_outputs)) for _ in range(2))
         self.grad = np.empty(model.n_parameters)
-        self.blocks = _split(self.grad, model.n_inputs, model.n_hidden, model.n_outputs)
+        self.blocks = _split(self.grad, model.n_inputs, model.n_hidden)
 
 
-def init_model(n_inputs: int, n_hidden: int, seed: int = 0,
-               n_outputs: int = len(CLASS_NAMES)) -> MlpModel:
+def init_model(n_inputs: int, n_hidden: int, seed: int = 0) -> MlpModel:
     """Uniform +-sqrt(6/(fan_in+fan_out)) weights, zero biases."""
-    if n_inputs < 1 or n_hidden < 1 or n_outputs < 1:
+    if n_inputs < 1 or n_hidden < 1:
         raise ValueError("all layer sizes must be at least 1")
+    n_outputs = len(CLASS_NAMES)
     rng = np.random.default_rng(seed)
     limit1 = np.sqrt(6.0 / (n_inputs + n_hidden))
     limit2 = np.sqrt(6.0 / (n_hidden + n_outputs))
     theta = np.concatenate([
         rng.uniform(-limit1, limit1, n_hidden * n_inputs), np.zeros(n_hidden),
         rng.uniform(-limit2, limit2, n_outputs * n_hidden), np.zeros(n_outputs)])
-    return MlpModel(theta, n_inputs, n_hidden, n_outputs)
+    return MlpModel(theta, n_inputs, n_hidden)
 
 
 def forward(model: MlpModel, X: np.ndarray, ws: _Workspace | None = None,
@@ -171,7 +167,7 @@ def _fill_jacobian(buffer: np.ndarray, model: MlpModel, X: np.ndarray,
     jac = buffer[:n * o]
     sens = Y * (1.0 - Y)  # (N, o)
     tanh_grad = 1.0 - A ** 2  # (N, h)
-    w1, b1, w2, b2 = (block for block, _, _ in _blocks(d, h, o).values())
+    w1, b1, w2, b2 = (block for block, _, _ in _blocks(d, h).values())
     jac[:, w2.start:] = 0.0
     for out in range(o):
         rows = slice(out, n * o, o)  # row o*i+out is example i, output out
@@ -262,14 +258,13 @@ def normal_equations(model: MlpModel, X: np.ndarray, A: np.ndarray, Y: np.ndarra
     return jtj, jtr
 
 
-def check_budget(n_inputs: int, n_hidden: int, rows: int, mode: str,
-                 n_outputs: int = len(CLASS_NAMES)) -> int:
+def check_budget(n_inputs: int, n_hidden: int, rows: int, mode: str) -> int:
     """The float64 cells training on `rows` rows holds at most at once, ValueError above
     MAX_CELLS: rows x hidden activations, plus for SGD the P parameters, or for LM J^T J
     and, for each of up to 2 chunk_workers, one P x P product and one chunk Jacobian."""
-    P = _blocks(n_inputs, n_hidden, n_outputs)["b2"][0].stop
+    P = _blocks(n_inputs, n_hidden)["b2"][0].stop
     cells = rows * n_hidden + (
-        3 * P * P + 2 * n_outputs * min(rows, _CHUNK_ROWS) * P
+        3 * P * P + 2 * len(CLASS_NAMES) * min(rows, _CHUNK_ROWS) * P
         if mode == "lm" else P)
     if cells > MAX_CELLS:
         raise ValueError(f"P = {P} parameters: {mode} would allocate {cells} cells, "
@@ -349,7 +344,7 @@ def train_lm(model: MlpModel, X: np.ndarray, T: np.ndarray,
              X_val: np.ndarray, T_val: np.ndarray,
              cfg: TrainConfig | None = None) -> tuple[MlpModel, TrainHistory]:
     """Damped least-squares training of the full parameter vector, on one
-    OpenBLAS thread and with minimize_least_squares's default damping.
+    OpenBLAS thread and with the lm module's fixed damping schedule.
 
     One history entry per accepted step; validation patience, a vanishing
     gradient, mu exceeding its cap, or the epoch budget stop the run.
@@ -395,12 +390,12 @@ def train(model: MlpModel, X: np.ndarray, T: np.ndarray,
 MODEL_FORMAT = "flowsieve-mlp 1"
 
 
-def save_model(path, model: MlpModel, feature_names: tuple[str, ...], scaler=None) -> None:
+def save_model(path, model: MlpModel, feature_names: tuple[str, ...], scaler) -> None:
     """Versioned flat text format: model-file header, layout line, then each
     parameter block as a name line and its rows."""
     def body():
         yield f"layout {model.n_inputs} {model.n_hidden} {model.n_outputs}"
-        blocks = _blocks(model.n_inputs, model.n_hidden, model.n_outputs)
+        blocks = _blocks(model.n_inputs, model.n_hidden)
         for name, (block, rows, cols) in blocks.items():
             yield name
             for row in model.theta[block].reshape(rows, cols):
@@ -417,9 +412,9 @@ def read_body(doc: modelfile.ModelFile) -> MlpModel:
         raise doc.error(f"layout needs {len(doc.meta['features'])} inputs, "
                         f"at least 1 hidden unit and {len(CLASS_NAMES)} outputs")
     rows_read = []
-    for name, (_, rows, cols) in _blocks(n_inputs, n_hidden, n_outputs).items():
+    for name, (_, rows, cols) in _blocks(n_inputs, n_hidden).items():
         doc.keyed(name)
         rows_read += [doc.values(None, cols) for _ in range(rows)]
     doc.end("the b2 block")
-    return MlpModel(np.concatenate(rows_read), n_inputs, n_hidden, n_outputs)
+    return MlpModel(np.concatenate(rows_read), n_inputs, n_hidden)
 

@@ -1,7 +1,7 @@
 """Text codec for the header shared by the MLP and SVM model files.
 
-The header is the format line, the `features` and `classes` lines and, when
-the model carries a scaler, the three `scaler_*` lines. The model's module
+The header is the format line, the `features` and `classes` lines and the
+three `scaler_*` lines of the model's training scaler. The model's module
 writes and parses the body that follows. Reading turns every malformed or
 truncated file, and a `classes` line other than CLASS_NAMES, into a
 DataError that names the file and the line.
@@ -23,15 +23,14 @@ def format_row(values) -> str:
 
 
 def write(path, model_format: str, feature_names: tuple[str, ...],
-          scaler: Scaler | None, body: Iterable[str]) -> None:
+          scaler: Scaler, body: Iterable[str]) -> None:
     """Write the format line and the header, then each line of `body`."""
     header = [model_format, "features " + ",".join(feature_names),
-              "classes " + ",".join(CLASS_NAMES)]
-    if scaler is not None:
-        header += ["scaler_mean " + format_row(scaler.mean),
-                   "scaler_std " + format_row(scaler.std),
-                   "scaler_passthrough "
-                   + " ".join(str(int(v)) for v in scaler.passthrough)]
+              "classes " + ",".join(CLASS_NAMES),
+              "scaler_mean " + format_row(scaler.mean),
+              "scaler_std " + format_row(scaler.std),
+              "scaler_passthrough "
+              + " ".join(str(int(v)) for v in scaler.passthrough)]
     with open(path, "w", encoding="utf-8") as handle:
         handle.writelines(line + "\n" for line in [*header, *body])
 
@@ -53,14 +52,12 @@ class ModelFile:
             raise self.error("duplicate feature names")
         if self.keyed("classes") != ",".join(CLASS_NAMES):
             raise self.error(f"classes must read {','.join(CLASS_NAMES)}")
-        self.meta: dict = {"features": features, "scaler": None}
-        if self.peek_key() == "scaler_mean":
-            width = len(features)
-            self.meta["scaler"] = Scaler(
-                mean=self.values("scaler_mean", width),
-                std=self.values("scaler_std", width),
-                passthrough=self.values("scaler_passthrough", width,
-                                        int).astype(bool))
+        width = len(features)
+        self.meta: dict = {"features": features, "scaler": Scaler(
+            mean=self.values("scaler_mean", width),
+            std=self.values("scaler_std", width),
+            passthrough=self.values("scaler_passthrough", width,
+                                    int).astype(bool))}
 
     def error(self, message: str) -> DataError:
         """A DataError located at the line read last."""

@@ -185,7 +185,7 @@ MODEL_FORMAT = "flowsieve-svm 2"
 
 
 def save_models(path, model: SvmModel, feature_names: tuple[str, ...],
-                scaler=None) -> None:
+                scaler) -> None:
     """Versioned text format: model-file header, then the kernel, C, bias
     and convergence lines, the support-vector rows and `end`."""
     def body():

@@ -400,7 +400,7 @@ def residual_jacobian(model, X, T) -> tuple[np.ndarray, np.ndarray]:
     jac = np.zeros((n * o, model.n_parameters))
     sens = Y * (1.0 - Y)  # (N, o)
     tanh_grad = 1.0 - A ** 2  # (N, h)
-    w1, b1, w2, b2 = (block for block, _, _ in mlp._blocks(d, h, o).values())
+    w1, b1, w2, b2 = (block for block, _, _ in mlp._blocks(d, h).values())
     for out in range(o):
         rows = slice(out, n * o, o)
         s = sens[:, out]  # (N,)
@@ -441,8 +441,7 @@ def reference_gradient(model, X, T) -> np.ndarray:
     n = len(X)
     A, Y = mlp.forward(model, X)
     grad = np.empty(model.n_parameters)
-    d_w1, d_b1, d_w2, d_b2 = mlp._split(grad, model.n_inputs, model.n_hidden,
-                                        model.n_outputs)
+    d_w1, d_b1, d_w2, d_b2 = mlp._split(grad, model.n_inputs, model.n_hidden)
     delta_out = (Y - T) * Y * (1.0 - Y)
     d_w2[:] = delta_out.T @ A / n
     d_b2[:] = delta_out.mean(axis=0)
@@ -490,7 +489,7 @@ def fd_gradient(model, X, T, step=1e-6) -> np.ndarray:
     from flowsieve import mlp
 
     theta = model.theta.copy()
-    layout = (model.n_inputs, model.n_hidden, model.n_outputs)
+    layout = (model.n_inputs, model.n_hidden)
     grad = np.zeros_like(theta)
     for i in range(len(theta)):
         bumped = theta.copy()
@@ -662,11 +661,13 @@ def oracle_load_flow_csv(path, bad_value_policy: str = "error"):
 
     The per-cell reader flowsieve.dataset.load_flow_csv replaced; it takes
     the same cells, gives the same values and raises the same DataError texts.
-    A field past csv's size limit is an error here wherever it is; the
-    loader's C passes read it when it holds a finite number.
+    A field past csv's size limit is an error in the header; data rows are
+    read with no limit, as the loader's C passes read them.
     """
     import csv
     import math
+    import sys
+    from contextlib import ExitStack
 
     from flowsieve.dataset import LABEL_TO_ID, UNB_CIC_ALIASES, Dataset
     from flowsieve.errors import DataError
@@ -680,7 +681,7 @@ def oracle_load_flow_csv(path, bad_value_policy: str = "error"):
         except csv.Error as exc:
             raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
 
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    with open(path, "r", encoding="utf-8", newline="") as handle, ExitStack() as stack:
         reader = csv_rows(csv.reader(handle))
         try:
             header = [UNB_CIC_ALIASES.get(c.strip(), c.strip())
@@ -699,6 +700,8 @@ def oracle_load_flow_csv(path, bad_value_policy: str = "error"):
         width = len(header)
         rows, labels = [], []
         dropped = 0
+        # The data rows are read with no field limit, csv's limit restored after.
+        stack.callback(csv.field_size_limit, csv.field_size_limit(sys.maxsize))
         for row_number, cells in enumerate(reader, start=2):
             if not cells:
                 continue

@@ -1002,6 +1002,22 @@ class TestBadModelFiles:
         TestDeclaredClasses.eval_rejects(small_run, tmp_path, capsys,
                                          text + "b2\n", text.count("\n") + 1)
 
+    @pytest.mark.parametrize("name", ["ann_model.txt", "svm_model.txt"])
+    def test_model_without_scaler_lines(self, small_run, tmp_path, capsys, name):
+        """A model file carries its training scaler: one without the three
+        scaler_* lines is a data error at line 4, not a model run on
+        unscaled rows."""
+        lines = (small_run / name).read_text().splitlines(keepends=True)
+        assert [line.split()[0] for line in lines[3:6]] == [
+            "scaler_mean", "scaler_std", "scaler_passthrough"]
+        path = tmp_path / name
+        path.write_text("".join(lines[:3] + lines[6:]))
+        capsys.readouterr()
+        assert self.run_eval(small_run, path, tmp_path) == 3
+        assert capsys.readouterr().err == (
+            f"data error: {path}:4: expected a 'scaler_mean' line, "
+            f"got {lines[6].rstrip()[:40]!r}\n")
+
     def test_svm_format_1_names_line_1(self, small_run, tmp_path, capsys):
         # Format 1 held one block per class, each opened by a `model` line.
         lines = (small_run / "svm_model.txt").read_text().splitlines()
@@ -1141,9 +1157,10 @@ class TestNonUtf8Input:
 
 
 class TestLongField:
-    """A field longer than csv's limit of 131,072 characters, in the header
-    or in a cell the row reader reads, is a data error naming the file and
-    the line, as the reference loader gives it, and the manifest records it."""
+    """A header field longer than csv's limit of 131,072 characters is a data
+    error naming the file and the line. A data row has no such limit in
+    either reader, so a long cell gives the error any cell of its value
+    gives. Each error is the reference loader's, and the manifest records it."""
 
     @pytest.mark.parametrize("where, line", [("header", 1), ("cell", 2)])
     def test_select(self, tmp_path, capsys, where, line):
@@ -1154,13 +1171,37 @@ class TestLongField:
         out_dir = tmp_path / "out"
         assert main(["select", str(path), "--out-dir", str(out_dir)]) == 3
         err = capsys.readouterr().err
-        assert err == (f"data error: {path}: line {line}: "
-                       "field larger than field limit (131072)\n")
+        assert err == f"data error: {path}: " + {
+            "header": f"line {line}: field larger than field limit (131072)\n",
+            "cell": f"row {line} column 2 (dst_ip): non-finite value '{long}'\n"}[where]
         with pytest.raises(DataError) as reference:
             oracle_load_flow_csv(path)
         assert err == f"data error: {reference.value}\n"
         manifest = checked_manifest(out_dir)
         assert (manifest["exit_code"], manifest["error"] + "\n") == (3, err)
+
+    @pytest.mark.parametrize("idle_min, code, err", [
+        ("4", 0, ""),
+        ("inf", 3, "data error: {path}: row 3 column 3 (idle_min): non-finite value 'inf'\n"),
+    ], ids=["finite", "inf"])
+    def test_long_cell_does_not_change_another_rows_error(self, tmp_path, capsys,
+                                                          idle_min, code, err):
+        """A long cell read as a finite number loads; an inf in the next row
+        is that row's error under either reader, not the long cell's line."""
+        path = tmp_path / "flows.csv"
+        path.write_text("src_ip,dst_ip,idle_min,label\n"
+                        f"1,{'0' * 200_000}1,3,Tor\n2,5,{idle_min},NonTor\n"
+                        "3,6,7,Tor\n4,8,1,NonTor\n")
+        out_dir = tmp_path / "out"
+        assert main(["select", str(path), "--out-dir", str(out_dir)]) == code
+        assert capsys.readouterr().err == err.format(path=path)
+        if code:
+            with pytest.raises(DataError) as reference:
+                oracle_load_flow_csv(path)
+            assert err.format(path=path) == f"data error: {reference.value}\n"
+        else:
+            assert oracle_load_flow_csv(path).X[0, 1] == load_flow_csv(path).X[0, 1] == 1.0
+        assert checked_manifest(out_dir)["exit_code"] == code
 
 
 class TestUnreadableInput:

@@ -136,7 +136,7 @@ def test_rows_flag_alone_keeps_default_spec_otherwise():
     loaded = load_config(None, overrides={("synth", "rows_per_class"): "30"})
     assert loaded.synth_spec == replace(default_synthetic_spec(),
                                         rows_per_class=(30, 30))
-    assert loaded.synth_spec.covariance_scale is None
+    assert loaded.synth_spec.covariance_scale == 1.0
 
 
 def test_negative_seed_is_usage_error_before_the_out_dir(tmp_path, capsys):

@@ -434,8 +434,10 @@ class TestSerialization:
         X, y = separable_2d(seed=17)
         [model] = train_ovr(X, (y > 0).astype(int), Kernel("linear"),
                             SmoConfig(C=5.0))
+        scaler = Scaler(mean=np.zeros(2), std=np.ones(2),
+                        passthrough=np.array([False, False]))
         path = tmp_path / "svm.txt"
-        save_models(path, model, ("a", "b"))
+        save_models(path, model, ("a", "b"), scaler)
         restored, _ = load_model(path)
         np.testing.assert_array_equal(restored.coefficients, model.coefficients)
         np.testing.assert_array_equal(restored.support_vectors,
