@@ -2,9 +2,10 @@
 
 Every stage reads and writes files, so each subcommand is re-runnable from
 its on-disk inputs alone and every artifact can be golden-file tested.
-Exit codes: 0 success, 2 usage error, 3 data error, 4 training divergence.
-Each run leaves a manifest.json in its out dir that says how it ended and
-lists only the artifacts it wrote.
+Exit codes: 0 success, 2 usage error, 3 data error (a diverging trainer
+among them). Each run leaves a manifest.json in its out dir that says how
+it ended, holds each input's digest as it was read, and lists only the
+artifacts it wrote.
 """
 
 from __future__ import annotations
@@ -27,13 +28,12 @@ from .dataset import (CLASS_NAMES, Dataset, apply_scaler, fit_scaler,
                       generate_synthetic, load_flow_csv, one_hot, stratified_split, write_csv)
 # perfbench times the meter's write under this name until ROADMAP item 3 moves spans into src/.
 from .dataset import write_csv as write_flow_csv
-from .errors import DataError, TrainingDiverged, UsageError
+from .errors import DataError, UsageError
 from .flow_meter import FEATURE_COLUMNS, meter_packets, read_packet_file
 
 EXIT_OK = 0
 # The exit code and stderr prefix of each error a command ends in.
-_EXITS = {UsageError: (2, "error"), DataError: (3, "data error"),
-          TrainingDiverged: (4, "training diverged")}
+_EXITS = {UsageError: (2, "error"), DataError: (3, "data error")}
 
 # The format the manifest records for each artifact a command writes.
 ARTIFACT_FORMATS = {
@@ -65,8 +65,9 @@ def _writing(path: Path):
 
 def _require_file(path: str) -> Path:
     p = Path(path)
-    if not p.is_file():
-        raise UsageError(f"input file not found: {path}")
+    if not p.is_file():  # a FIFO, like any path, is only stat'ed here
+        raise UsageError(f"{path}: not a regular file" if p.exists()
+                         else f"input file not found: {path}")
     return p
 
 
@@ -84,14 +85,15 @@ def _config(args) -> tuple[PipelineConfig, Path]:
 
 @dataclass
 class _Run:
-    """A command's run record, the manifest's only source: the command, its
-    config and out dir, the input files it read, the artifacts it finished
+    """A command's run record, the manifest's only source: the command, the
+    input files it read, each with its digest taken before any stage can
+    overwrite it, its config and out dir, the artifacts it finished
     writing, the seconds each finished stage took, the chunk workers LM used
     (None if no LM model trained), and its exit code and stderr line (None
     until it ends, and after an exception that is a bug)."""
 
     command: str
-    inputs: list[Path]
+    inputs: dict[Path, str | None]
     cfg: PipelineConfig
     out_dir: Path
     artifacts: list[str] = field(default_factory=list)
@@ -128,8 +130,7 @@ def _sha256(path) -> str:
 
 
 def _input_sha256(path) -> str | None:
-    """An input's digest, or None if it cannot be read: the run then ends in
-    the usage error that names it."""
+    """An input's digest, or None if it cannot be read, which its reader reports."""
     try:
         return _sha256(path)
     except OSError:
@@ -151,7 +152,7 @@ def write_manifest(run: _Run) -> Path:
         "package_version": __version__,
         "seed": run.cfg.seed,
         "config": json.loads(json.dumps(asdict(run.cfg), default=str)),
-        "inputs": {str(p): _input_sha256(p) for p in run.inputs},
+        "inputs": {str(p): digest for p, digest in run.inputs.items()},
         "artifacts": {name: {"format": ARTIFACT_FORMATS[name],
                              "sha256": _sha256(run.out_dir / name)}
                       for name in run.artifacts},
@@ -171,10 +172,11 @@ def write_manifest(run: _Run) -> Path:
 def _command(args, *paths: str):
     """The one runner of every subcommand: check each input file (before
     the config, so a missing file is reported ahead of a bad --config), load
-    the config, make the out dir and remove the manifest there, run the
-    body's stages, then write the manifest however the body ends."""
+    the config, make the out dir, take the inputs' digests and remove the
+    manifest there, run the body's stages, then write the manifest however
+    the body ends."""
     inputs = [_require_file(path) for path in paths]
-    run = _Run(args.command, inputs, *_config(args))
+    run = _Run(args.command, {p: _input_sha256(p) for p in inputs}, *_config(args))
     with _writing(run.out_dir / "manifest.json") as stale:
         stale.unlink(missing_ok=True)
     try:
@@ -217,7 +219,7 @@ def run_meter(run: _Run, packets_path) -> Path:
 
 def cmd_meter(args) -> None:
     with _command(args, args.packets) as run, run.stage("meter"):
-        out = run_meter(run, run.inputs[0])
+        out = run_meter(run, *run.inputs)
     print(f"wrote {out}")
 
 
@@ -263,7 +265,7 @@ def run_select(run: _Run, flows_path) -> Path:
 
 def cmd_select(args) -> None:
     with _command(args, args.flows) as run, run.stage("select"):
-        run_select(run, run.inputs[0])
+        run_select(run, *run.inputs)
 
 
 # ---------------------------------------------------------------- train
@@ -305,15 +307,15 @@ def _train_models(run: _Run, train_ds: Dataset, val_ds: Dataset,
 
 def run_train(run: _Run, ds: Dataset, flows_path) -> list[tuple[str, Path]]:
     """Split, scale, train and write test.csv; return (column, model file) pairs."""
-    try:  # a class too small to split, or a column too large to scale, stops all training
+    try:  # a too-small class, a too-large column or a diverging trainer stops all training
         train_ds, val_ds, test_ds = stratified_split(ds, run.cfg.split)
         scaler = fit_scaler(train_ds)
+        del ds  # the splits are copies; models train on only the splits they use
+        train_ds = apply_scaler(scaler, train_ds)
+        val_ds = apply_scaler(scaler, val_ds)
+        models = _train_models(run, train_ds, val_ds, scaler)
     except DataError as exc:
         raise DataError(f"{flows_path}: {exc}") from None
-    del ds  # the splits are copies; models train on only the splits they use
-    train_ds = apply_scaler(scaler, train_ds)
-    val_ds = apply_scaler(scaler, val_ds)
-    models = _train_models(run, train_ds, val_ds, scaler)
     with run.artifact("test.csv") as path:  # unscaled; models carry their scaler
         write_csv(test_ds, path)
     return models
@@ -364,10 +366,9 @@ def run_eval(run: _Run, flows_path, models: list[tuple[str, Path]],
 
 
 def cmd_eval(args) -> None:
-    names, paths = zip(*args.model)
-    with _command(args, args.flows, *paths) as run, run.stage("eval"):
-        flows, *models = run.inputs
-        run_eval(run, flows, list(zip(names, models)), include_reference=args.reference)
+    with _command(args, args.flows, *(path for _, path in args.model)) as run, run.stage("eval"):
+        run_eval(run, Path(args.flows), [(name, Path(path)) for name, path in args.model],
+                 include_reference=args.reference)
 
 
 def _named_model(text: str) -> tuple[str, str]:
@@ -407,8 +408,8 @@ def cmd_pipeline(args) -> None:
     with _command(args) as run:
         cfg = run.cfg
         if cfg.flows_path:
-            run.inputs.append(_require_file(cfg.flows_path))
-            flows = run.inputs[0]
+            flows = _require_file(cfg.flows_path)
+            run.inputs[flows] = _input_sha256(flows)
         elif cfg.use_synth:
             with run.stage("synth"):
                 flows = run_synth(run)

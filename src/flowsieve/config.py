@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, replace
 from .cfs import SearchConfig
 from .dataset import (BAD_VALUE_POLICIES, CLASS_NAMES, SplitSpec, SyntheticSpec,
                       default_synthetic_spec)
-from .errors import Conflict, UsageError
+from .errors import Conflict, DataError, UsageError, open_text
 from .flow_meter import MeterConfig
 from .mlp import TrainConfig
 from .svm import Kernel, SmoConfig
@@ -138,12 +138,14 @@ def _read_settings(path) -> dict[tuple[str, str], tuple[str, str]]:
     a plain character, not interpolation syntax."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open_text(path) as handle:
             parser.read_file(handle)
-        texts = {(section, key): (path, parser[section][key])
-                 for section in parser.sections() for key in parser[section]}
-    except (OSError, UnicodeDecodeError, configparser.Error) as exc:
+    except DataError as exc:  # a byte that is not UTF-8, named by its line
+        raise UsageError(str(exc)) from None
+    except configparser.Error as exc:
         raise UsageError(f"{path}: {exc}") from None
+    texts = {(section, key): (path, parser[section][key])
+             for section in parser.sections() for key in parser[section]}
     unknown = [f"section [{section}]" for section in parser.sections()
                if section not in {section for section, _ in SETTINGS}]
     unknown += [f"key {key!r} in [{section}]" for section, key in texts

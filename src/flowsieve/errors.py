@@ -22,14 +22,6 @@ class Conflict(ValueError):
         self.fields = fields
 
 
-class TrainingDiverged(Exception):
-    """Optimization produced a non-finite loss or parameters (CLI exit code 4)."""
-
-    def __init__(self, message: str, epoch: int):
-        super().__init__(message)
-        self.epoch = epoch
-
-
 @contextmanager
 def open_text(path, newline=None):
     """open(path) for reading UTF-8 text. An OSError while the file is

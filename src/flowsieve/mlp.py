@@ -16,7 +16,7 @@ import numpy as np
 
 from . import modelfile
 from .dataset import CLASS_NAMES, MAX_CELLS
-from .errors import TrainingDiverged
+from .errors import DataError
 from .lm import minimize_least_squares
 
 
@@ -280,7 +280,7 @@ def predict_batch(model: MlpModel, X: np.ndarray) -> np.ndarray:
 
 def _check_finite(value: float, model: MlpModel, epoch: int) -> None:
     if not np.isfinite(value) or not np.isfinite(model.theta).all():
-        raise TrainingDiverged(f"diverged at epoch {epoch}", epoch)
+        raise DataError(f"training diverged at epoch {epoch}: non-finite loss or parameters")
 
 
 class _BestEpoch:
@@ -318,25 +318,27 @@ def train_bp(model: MlpModel, X: np.ndarray, T: np.ndarray,
     """Seeded mini-batch gradient descent with validation early stopping.
 
     Returns the parameters from the best validation epoch. Raises
-    TrainingDiverged when the loss or parameters go non-finite.
+    DataError naming the epoch when the loss or parameters go non-finite.
     """
     cfg = cfg or TrainConfig(mode="bp-sgd")
     tracker = _BestEpoch(model, X_val, T_val, cfg.patience)
     model = model.copy()
     rng = np.random.default_rng(cfg.seed)
     ws = _Workspace(model, min(cfg.batch_size, len(X)))
-    for _ in range(cfg.max_epochs):
-        order = rng.permutation(len(X))
-        X_epoch, T_epoch = X[order], T[order]  # each batch is then a contiguous slice
-        for start in range(0, len(X), cfg.batch_size):
-            batch = slice(start, start + cfg.batch_size)
-            grad = gradient(model, X_epoch[batch], T_epoch[batch], ws)
-            model.theta -= np.multiply(cfg.learning_rate, grad, out=grad)
-        if not tracker.keep_going(model, loss(model, X, T)):
-            tracker.history.stopping_reason = "early_stop"
-            break
-    else:
-        tracker.history.stopping_reason = "max_epochs"
+    # Weights near the float limit saturate tanh by overflow, or give NaN for _check_finite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.max_epochs):
+            order = rng.permutation(len(X))
+            X_epoch, T_epoch = X[order], T[order]  # each batch is then a contiguous slice
+            for start in range(0, len(X), cfg.batch_size):
+                batch = slice(start, start + cfg.batch_size)
+                grad = gradient(model, X_epoch[batch], T_epoch[batch], ws)
+                model.theta -= np.multiply(cfg.learning_rate, grad, out=grad)
+            if not tracker.keep_going(model, loss(model, X, T)):
+                tracker.history.stopping_reason = "early_stop"
+                break
+        else:
+            tracker.history.stopping_reason = "max_epochs"
     return tracker.best, tracker.history
 
 
@@ -347,7 +349,8 @@ def train_lm(model: MlpModel, X: np.ndarray, T: np.ndarray,
     OpenBLAS thread and with the lm module's fixed damping schedule.
 
     One history entry per accepted step; validation patience, a vanishing
-    gradient, mu exceeding its cap, or the epoch budget stop the run.
+    gradient, mu exceeding its cap, or the epoch budget stop the run. A
+    non-finite loss or parameter raises DataError, as in train_bp.
     """
     cfg = cfg or TrainConfig(mode="lm")
     tracker = _BestEpoch(model, X_val, T_val, cfg.patience)

@@ -5,6 +5,7 @@ import os
 import re
 import resource
 import shlex
+import shutil
 import subprocess
 import sys
 import warnings
@@ -20,7 +21,7 @@ from flowsieve.cli import main
 from flowsieve.dataset import (CLASS_NAMES, UNB_CIC_ALIASES, Dataset,
                                SyntheticSpec, generate_synthetic, load_flow_csv,
                                write_csv)
-from flowsieve.errors import DataError, TrainingDiverged
+from flowsieve.errors import DataError
 from flowsieve.flow_meter import FEATURE_COLUMNS, MeterConfig
 from conftest import assert_close
 from oracles import (format_cell, oracle_features, oracle_flows, oracle_load_flow_csv,
@@ -1324,6 +1325,42 @@ class TestManifestContract:
         assert capsys.readouterr().err == f"error: input file not found: {missing}\n"
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("shape", ["device", "directory", "fifo"])
+    def test_input_that_is_not_a_regular_file(self, tmp_path, capsys, shape):
+        """Named before the config is read. The FIFO is only stat'ed: opening
+        it would wait for a writer."""
+        path = {"device": Path(os.devnull), "directory": tmp_path / "dir",
+                "fifo": tmp_path / "fifo"}[shape]
+        if shape == "directory":
+            path.mkdir()
+        elif shape == "fifo":
+            os.mkfifo(path)
+        out_dir = tmp_path / "out"
+        assert main(["meter", str(path), "--label", "Tor", "--config",
+                     str(tmp_path / "absent.ini"), "--out-dir", str(out_dir)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: not a regular file\n"
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("command", ["select", "pipeline"])
+    def test_input_digest_is_taken_before_the_first_stage(self, tmp_path, repo_root,
+                                                          command):
+        """A run whose input is the selected.csv it rewrites records the
+        input as it read it, not as it left it."""
+        out_dir = tmp_path / "D"
+        two_cluster = str(repo_root / "configs" / "two_cluster.ini")
+        assert main(["synth", "--config", two_cluster, "--seed", "7",
+                     "--out-dir", str(out_dir)]) == 0
+        flows = out_dir / "selected.csv"
+        shutil.copyfile(out_dir / "synthetic_flows.csv", flows)
+        before = sha256_of(flows)
+        cfg = two_cluster if command == "select" else str(write_ini(
+            tmp_path / "run.ini", {"input": {"flows": str(flows)}, "mlp": {"max_epochs": "3"}}))
+        argv = ["select", str(flows)] if command == "select" else ["pipeline"]
+        assert main(argv + ["--config", cfg, "--out-dir", str(out_dir)]) == 0
+        manifest = checked_manifest(out_dir)
+        assert manifest["inputs"] == {str(flows): before}
+        assert manifest["artifacts"]["selected.csv"]["sha256"] != before
+
 
 SELECTED = {"selected.csv", "selection.txt", "correlation_matrix.csv"}
 
@@ -1367,17 +1404,16 @@ class TestManifestOnEveryExit:
                          "report.txt", "report.csv"}
         assert all((out_dir / name).is_file() for name in stale)
 
-    @pytest.mark.parametrize("code", [0, 2, 3, 4])
-    def test_every_exit_writes_a_manifest(self, tmp_path, capsys, monkeypatch, code):
-        """Exit 2 from an `[mlp] hidden` over its budget, exit 3 from a split
-        with two Tor rows and exit 4 from a trainer that diverges, each after
-        select has written its files."""
-        def diverge(*args):
-            raise TrainingDiverged("non-finite loss at epoch 1", epoch=1)
-
-        if code == 4:
-            monkeypatch.setattr(mlp, "train", diverge)
-        flows = two_tor_rows(tmp_path) if code == 3 else synth_csv(tmp_path)
+    @pytest.mark.parametrize("code, diverges", [(0, False), (2, False), (3, False),
+                                                (3, True)], ids=["0", "2", "3", "3-diverged"])
+    def test_every_exit_writes_a_manifest(self, tmp_path, capsys, monkeypatch, code,
+                                          diverges):
+        """Exit 2 from an `[mlp] hidden` over its budget, and exit 3 from a
+        split with two Tor rows or from a trainer whose validation loss is
+        NaN, each after select has written its files."""
+        if diverges:
+            monkeypatch.setattr(mlp, "loss", lambda *args: np.nan)
+        flows = two_tor_rows(tmp_path) if code == 3 and not diverges else synth_csv(tmp_path)
         out_dir = tmp_path / "out"
         hidden = {"hidden": "1000000"} if code == 2 else {}
         assert run_pipeline_on(flows, tmp_path, out_dir, **hidden) == code
@@ -1385,13 +1421,53 @@ class TestManifestOnEveryExit:
         manifest = checked_manifest(out_dir)
         assert (manifest["exit_code"], manifest["error"]) == (code, err.rstrip("\n") or None)
         assert err.startswith({0: "", 2: "error: [mlp] hidden = 1000000 on ",
-                               3: "data error: ", 4: "training diverged: "}[code])
+                               3: f"data error: {flows}: "}[code])
+        if diverges:
+            assert err.endswith(": training diverged at epoch 0: "
+                                "non-finite loss or parameters\n")
         if code:
             assert set(manifest["artifacts"]) == SELECTED
             assert set(manifest["timings_s"]) == {"select"}
         else:
             assert set(manifest["artifacts"]) > SELECTED | {"report.csv"}
             assert set(manifest["timings_s"]) == {"select", "train", "eval"}
+
+
+def outlier_table(tmp_path) -> Path:
+    """A 400-row synth_csv table whose first 5 rows have every feature cell
+    set to +1e6 or -1e6."""
+    ds = load_flow_csv(synth_csv(tmp_path, "synth.csv", rows=400))
+    X = ds.X.copy()
+    X[:5] = np.where(np.arange(ds.n_features) % 2, -1e6, 1e6)
+    path = tmp_path / "outliers.csv"
+    write_csv(Dataset(ds.schema, X, ds.y), path)
+    return path
+
+
+@pytest.mark.parametrize("table", ["synth-select-off", "outliers"])
+@pytest.mark.parametrize("batch_size", ["1", "32"])
+@pytest.mark.parametrize("learning_rate", ["1e308", "1.7e308"])
+def test_sgd_at_the_float_limit_ends_in_a_documented_exit(tmp_path, capsys, table,
+                                                           batch_size, learning_rate):
+    """SGD at a learning rate near the largest float saturates both layers, so
+    its gradients vanish, or meets an inf - inf that gives NaN; it exits 0,
+    or 3 naming the flow table, and the manifest records the exit."""
+    mlp_keys = {"mode": "bp-sgd", "learning_rate": learning_rate,
+                "batch_size": batch_size, "max_epochs": "3"}
+    if table == "outliers":
+        flows = outlier_table(tmp_path)
+        sections = {"input": {"flows": str(flows)}}
+    else:
+        flows = tmp_path / "out" / "synthetic_flows.csv"
+        sections = {"input": {"synth": "true"}, "select": {"enabled": "false"}}
+    config = write_ini(tmp_path / "run.ini", {**sections, "mlp": mlp_keys})
+    rc = main(["pipeline", "--config", str(config), "--seed", "7",
+               "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc in (0, 3), err
+    if rc == 3:
+        assert err.startswith(f"data error: {flows}: training diverged at epoch "), err
+    assert checked_manifest(tmp_path / "out")["exit_code"] == rc
 
 
 class TestOutDirFaults:

@@ -39,6 +39,15 @@ def test_bad_file_value_names_file_and_key(tmp_path, capsys, section, key, value
     assert f"{cfg}: [{section}] {key}:" in err
 
 
+def test_config_byte_that_is_not_utf8_is_usage_error_naming_its_line(tmp_path, capsys):
+    """The config is read as the data inputs are read, but stays a usage error."""
+    cfg = tmp_path / "bad.ini"
+    cfg.write_bytes(b"[mlp]\nhidden = 4\xff\n")
+    assert main(["synth", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}: line 2: not UTF-8 text\n"
+    assert not (tmp_path / "out").exists()
+
+
 FLOAT_KEYS = [("split", "train"), ("split", "validation"), ("split", "test"),
               ("mlp", "learning_rate"), ("svm", "gamma"), ("svm", "c"),
               ("svm", "tolerance"), ("synth", "class0_mean"), ("synth", "class1_mean"),
@@ -171,7 +180,7 @@ def test_percent_in_flows_path_is_read_literally(tmp_path, dir_name):
 
 
 def test_manifest_refuses_a_listed_artifact_that_is_missing(tmp_path):
-    run = _Run("select", [], PipelineConfig(), tmp_path, artifacts=["selection.txt"])
+    run = _Run("select", {}, PipelineConfig(), tmp_path, artifacts=["selection.txt"])
     with pytest.raises(FileNotFoundError):
         write_manifest(run)
 
@@ -184,7 +193,7 @@ def test_manifest_records_the_numeric_environment(tmp_path):
     def environment(out_dir):
         return json.loads((out_dir / "manifest.json").read_text())["environment"]
 
-    write_manifest(_Run("select", [], PipelineConfig(), tmp_path))
+    write_manifest(_Run("select", {}, PipelineConfig(), tmp_path))
     written = environment(tmp_path)
     assert set(written) == {"python", "numpy", "blas", "blas_threads", "lm_chunk_workers"}
     assert written["python"] == platform.python_version()

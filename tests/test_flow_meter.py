@@ -45,7 +45,7 @@ def meter_csv(packets, out_dir, label: str):
         f"{p.timestamp_us},{ipaddress.IPv4Address(p.src_ip)},{p.src_port},"
         f"{ipaddress.IPv4Address(p.dst_ip)},{p.dst_port},{p.protocol},{p.payload_bytes}\n"
         for p in packets))
-    return run_meter(_Run("meter", [], PipelineConfig(meter_label=label), out_dir), text)
+    return run_meter(_Run("meter", {}, PipelineConfig(meter_label=label), out_dir), text)
 
 
 def stats_of(feat: dict[str, float], prefix: str) -> FourStats:
